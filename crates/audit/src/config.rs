@@ -305,7 +305,7 @@ impl Default for Config {
                 "stream/src/epoch".into(),
                 // The sharded layer's placement machinery: routing,
                 // quarantine folds, and report merging must stay pure
-                // in (config, trace, tick) or the shard_gate digest
+                // in (config, trace, tick) or the `gate shard` digest
                 // pin across (shard × worker) layouts breaks.
                 "shard/src/route".into(),
                 "shard/src/supervisor".into(),
@@ -314,7 +314,7 @@ impl Default for Config {
                 // clustering, the majority vote, and the suspect
                 // scoreboard must stay pure in (config, plan, job
                 // stream) or quorum verdicts drift across layouts and
-                // the quorum_gate digest pin breaks.
+                // the `gate quorum` digest pin breaks.
                 "quorum/src/vote".into(),
                 "quorum/src/suspect".into(),
                 // The simulated disk: fault decisions and surviving-

@@ -215,7 +215,7 @@ fn main() {
 
     // Sharded fleet-of-fleets: the same multi-tenant trace at several
     // (shard count × workers per shard) layouts. The digest is pinned
-    // byte-identical across layouts (the shard_gate contract); the
+    // byte-identical across layouts (the `gate shard` contract); the
     // per-layout wall times and steal counts land in the JSON below.
     let shard_trace = tenant_trace(8, 6, 2, 96, None);
     let shard_layouts = [(1usize, 1usize), (4, 2), (8, 2)];
@@ -370,7 +370,7 @@ fn main() {
     // Storage torture (DESIGN.md §17): a compact campaign — both
     // crash sweeps (every op index of the monolithic and sharded
     // reference runs) plus a reduced mixed block — so the JSON
-    // carries the trichotomy counts; `torture_gate` runs the full
+    // carries the trichotomy counts; `gate torture` runs the full
     // campaign under scripts/check.sh.
     let torture = bios_bench::torture::run_torture(40).unwrap_or_else(|e| {
         eprintln!("warning: storage torture reference run failed ({e}); reporting zeros");

@@ -11,6 +11,9 @@
 //!   comparison (optionally one block: `glucose`, `lactate`,
 //!   `glutamate`, `cyp`).
 //! * `survey` — the §2 classification registry statistics.
+//! * `gate` — the CI digest gate: every determinism scenario as one
+//!   table row of layouts, an inline golden digest, and mechanism
+//!   checks (`gate [scenario]`).
 //!
 //! Wall-clock benches (`cargo bench -p bios-bench`) measure simulation
 //! throughput of the physics kernels, the calibration protocols, and the

@@ -13,11 +13,11 @@
 //!    completed with the correct digest.
 //!
 //! Anything else — a panic or a digest divergence — is a bug, counted
-//! separately so the `torture_gate` binary can assert both stay zero.
-//! Every schedule is a pure function of its seed: the same campaign
-//! re-runs byte-identically on any machine.
+//! separately so `gate torture` can assert both stay zero. Every
+//! schedule is a pure function of its seed: the same campaign re-runs
+//! byte-identically on any machine.
 //!
-//! Three phases, shared by `torture_gate` and the `survey` JSON block:
+//! Three phases, shared by `gate torture` and the `survey` JSON block:
 //!
 //! * [`crash_sweep`] — crash at **every** op index of a reference
 //!   monolithic run (create, write, sync, rename, read — each

@@ -193,12 +193,7 @@ impl CatalogEntry {
         // The Debug rendering covers every field of the entry, and f64
         // Debug output is shortest-round-trip, so distinct bit patterns
         // render distinctly.
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for byte in format!("{self:?}").bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        hash
+        bios_prng::fnv1a(format!("{self:?}").as_bytes())
     }
 
     /// The apparent Michaelis constant implied by the reported linear

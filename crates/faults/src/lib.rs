@@ -27,19 +27,9 @@
 //! assert_eq!(faults, plan.realize("glucose/gox-swcnt", 7));
 //! ```
 
-use bios_prng::{Rng, SplitMix64};
-
-/// FNV-1a over a byte stream; the same idiom `bios-core` uses for
-/// protocol fingerprints, so plan fingerprints can join the memo-cache
-/// key without a new hashing scheme.
-fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in bytes {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
-}
+// The same FNV-1a `bios-core` uses for protocol fingerprints, so plan
+// fingerprints can join the memo-cache key without a new hashing scheme.
+use bios_prng::{fnv1a, Rng, SplitMix64};
 
 /// The taxonomy of injectable physical failures.
 ///
@@ -287,7 +277,7 @@ impl FaultPlan {
     /// same idiom as `CatalogEntry::protocol_fingerprint`. Two plans
     /// that would inject different faults have different fingerprints.
     pub fn fingerprint(&self) -> u64 {
-        fnv1a(format!("{self:?}").bytes())
+        fnv1a(format!("{self:?}").as_bytes())
     }
 
     /// Realize the faults this plan injects into one job.
@@ -297,7 +287,7 @@ impl FaultPlan {
     /// one spec never perturbs the others, and nothing depends on
     /// scheduling, retries, or worker count.
     pub fn realize(&self, sensor_id: &str, job_seed: u64) -> RealizedFaults {
-        let id_hash = fnv1a(sensor_id.bytes());
+        let id_hash = fnv1a(sensor_id.as_bytes());
         let base = SplitMix64::new(self.seed).derive(id_hash);
         let base = SplitMix64::new(base).derive(job_seed);
         let mut out = RealizedFaults::healthy();
@@ -467,7 +457,7 @@ impl FaultPlan {
         let Some(spec) = spec else {
             return 1;
         };
-        let id_hash = fnv1a(tenant.bytes());
+        let id_hash = fnv1a(tenant.as_bytes());
         let base = SplitMix64::new(self.seed).derive(id_hash);
         let stream = SplitMix64::new(base).derive(0x4075_0000 | spec.kind.stream_tag());
         let mut rng = Rng::seed_from_u64(stream);
@@ -524,7 +514,7 @@ impl FaultPlan {
             return None;
         }
         // Occurrence gate: this offender, this job.
-        let id_hash = fnv1a(sensor_id.bytes());
+        let id_hash = fnv1a(sensor_id.as_bytes());
         let base = SplitMix64::new(self.seed).derive(id_hash);
         let base = SplitMix64::new(base).derive(job_seed);
         let stream = SplitMix64::new(base).derive(0x51C7_0000 | spec.kind.stream_tag());
@@ -576,7 +566,7 @@ impl FaultPlan {
         let Some(spec) = spec else {
             return healthy;
         };
-        let id_hash = fnv1a(patient_id.bytes());
+        let id_hash = fnv1a(patient_id.as_bytes());
         let base = SplitMix64::new(self.seed).derive(id_hash);
         // A dedicated stream tag: the longitudinal profile must not
         // alias the per-job realization stream of the same spec.

@@ -182,9 +182,32 @@ pub fn cases(seed: u64, n: usize, mut property: impl FnMut(&mut Rng)) {
     }
 }
 
+/// FNV-1a over a byte slice — the one content hash of the platform:
+/// catalog protocol fingerprints, fault-plan fingerprints and per-id
+/// fault streams, journal and cache frame checksums, report digests,
+/// and tenant routing all use it, so every stable identity in the
+/// system shares a single definition.
+#[inline]
+#[must_use]
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for &byte in bytes {
+        hash ^= u64::from(byte);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    hash
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv1a_matches_reference_vectors() {
+        // Reference values from the FNV-1a specification.
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+    }
 
     #[test]
     fn splitmix_reference_vector() {

@@ -13,23 +13,15 @@
 
 use std::io::{self, Read, Write};
 
+// Frames are checksummed with the same FNV-1a the catalog and fault
+// plans use for fingerprints, so durable files need no new hashing
+// scheme.
+use bios_prng::fnv1a;
+
 /// The framing cannot describe payloads larger than this; a length
 /// prefix beyond it is treated as corruption rather than honoured with
 /// a giant allocation.
 pub const MAX_PAYLOAD: u32 = 64 * 1024 * 1024;
-
-/// FNV-1a over a byte slice — the same checksum idiom the catalog and
-/// fault plans use for fingerprints, so durable files need no new
-/// hashing scheme.
-#[must_use]
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &byte in bytes {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
-}
 
 /// Why a decode failed. Every variant is recoverable by the caller
 /// (typically: stop at the previous valid record).
@@ -398,12 +390,5 @@ mod tests {
             read_frame(&mut cursor).unwrap(),
             FrameRead::Corrupt(CodecError::OversizedPayload { .. })
         ));
-    }
-
-    #[test]
-    fn fnv1a_matches_reference_vectors() {
-        // Reference values from the FNV-1a specification.
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
     }
 }

@@ -56,7 +56,8 @@ pub mod codec;
 pub mod journal;
 pub mod sim;
 
-pub use codec::{fnv1a, ByteReader, ByteWriter, CodecError};
+pub use bios_prng::fnv1a;
+pub use codec::{ByteReader, ByteWriter, CodecError};
 pub use journal::{Disposition, JournalError, JournalReader, JournalWriter, LoadedJournal, Record};
 pub use sim::{
     classify_io, is_sim_crash, IoErrorClass, IoFaultScript, RealIo, SimIo, StorageFile, StorageIo,

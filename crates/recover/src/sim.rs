@@ -37,7 +37,7 @@ use std::io::{self, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use crate::codec::fnv1a;
+use bios_prng::fnv1a;
 
 /// An open, append-positioned file handle on a storage backend.
 ///

@@ -207,7 +207,7 @@ impl ShardedReport {
     /// merged-counters footer. Contains no placement, wall-clock, or
     /// shard-count field, so equal `(config, trace, plans)` produce
     /// byte-equal digests at any (shard count × worker count) — the
-    /// `shard_gate` contract.
+    /// `gate shard` contract.
     #[must_use]
     pub fn digest(&self) -> String {
         let mut out = String::new();
