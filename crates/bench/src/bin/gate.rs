@@ -29,7 +29,7 @@ use bios_faults::{FaultKind, FaultPlan};
 use bios_gateway::{BreakerConfig, Gateway, GatewayConfig, Request, TokenBucket};
 use bios_quorum::QuorumConfig;
 use bios_recover::fnv1a;
-use bios_runtime::{Fleet, JournalOptions, Runtime, RuntimeConfig};
+use bios_runtime::{Fleet, JournalOptions, MetricsSnapshot, Runtime, RuntimeConfig};
 use bios_shard::{tenant_trace, ShardChaos, ShardConfig, ShardedGateway, ShardedReport};
 use bios_stream::{StreamConfig, StreamEngine};
 
@@ -391,6 +391,7 @@ fn overload(layout: Layout) -> Result<Run, String> {
     let total = trace.len() as u64;
     let report = gateway.run(&trace);
     let c = report.counters;
+    let m = gateway.metrics();
     let executed = report.executed_ids().len() as u64;
     Ok(Run {
         digest: fnv1a(report.digest().as_bytes()),
@@ -406,6 +407,24 @@ fn overload(layout: Layout) -> Result<Run, String> {
             ("half executed", executed * 2 >= total),
             ("not all rejected", c.total_rejected() < total),
             ("clean drain", report.clean_drain()),
+            (
+                "metered gateway counters == report.counters",
+                [
+                    m.admission_rejected,
+                    m.rate_limited,
+                    m.breaker_trips,
+                    m.breaker_half_open_probes,
+                    m.browned_out,
+                    m.deadline_shed,
+                ] == [
+                    c.admission_rejected,
+                    c.rate_limited,
+                    c.breaker_trips,
+                    c.breaker_half_open_probes,
+                    c.browned_out,
+                    c.deadline_shed,
+                ],
+            ),
         ],
     })
 }
@@ -457,14 +476,17 @@ fn stream(layout: Layout) -> Result<Run, String> {
 // ---- shard and quorum: placement and voting never move a byte ----
 
 /// 8 wards x 6 requests with tight arrivals, shared by both rows.
-fn run_sharded(layout: Layout, chaos: &ShardChaos) -> (ShardedReport, Vec<(&'static str, bool)>) {
+fn run_sharded(
+    layout: Layout,
+    chaos: &ShardChaos,
+) -> (ShardedGateway, ShardedReport, Vec<(&'static str, bool)>) {
     let trace = tenant_trace(8, 6, 2, 96, None);
-    let report = ShardedGateway::new(
+    let sharded = ShardedGateway::new(
         ShardConfig::default()
             .with_shards(layout.shards)
             .with_workers_per_shard(layout.workers),
-    )
-    .run_with(&trace, chaos);
+    );
+    let report = sharded.run_with(&trace, chaos);
     let checks = vec![
         ("something executed", report.executed() > 0),
         (
@@ -472,7 +494,7 @@ fn run_sharded(layout: Layout, chaos: &ShardChaos) -> (ShardedReport, Vec<(&'sta
             report.outcomes.len() == trace.len(),
         ),
     ];
-    (report, checks)
+    (sharded, report, checks)
 }
 
 fn shard(layout: Layout) -> Result<Run, String> {
@@ -485,7 +507,7 @@ fn shard(layout: Layout) -> Result<Run, String> {
     } else {
         ShardChaos::none()
     };
-    let (report, mut checks) = run_sharded(layout, &chaos);
+    let (_, report, mut checks) = run_sharded(layout, &chaos);
     let redistributed: u64 = report.placement.iter().map(|p| p.redistributions_in).sum();
     let quarantined = report.quarantined_shards().len();
     if quarantine {
@@ -518,7 +540,15 @@ fn quorum(layout: Layout) -> Result<Run, String> {
             chaos = chaos.with_tenant_plan(&format!("ward-{ward:02}"), plan.clone());
         }
     }
-    let (report, mut checks) = run_sharded(layout, &chaos);
+    let (sharded, report, mut checks) = run_sharded(layout, &chaos);
+    // What the shards' runtimes metered, summed. `corruption_caught`
+    // has no mirror: integrity hops bump it beside the screen's votes.
+    let metered = |count: fn(&MetricsSnapshot) -> u64| -> u64 {
+        (0..sharded.shards())
+            .filter_map(|i| sharded.gateway(i))
+            .map(|g| count(&g.metrics()))
+            .sum()
+    };
     let counts = match (&report.quorum, armed) {
         (Some(q), true) => {
             checks.extend([
@@ -528,6 +558,18 @@ fn quorum(layout: Layout) -> Result<Run, String> {
                 ("catch rate >= 0.99", q.catch_rate() >= 0.99),
                 ("escaped == 0", q.escaped == 0),
                 ("repeat offenders quarantined", q.quarantined > 0),
+                (
+                    "metered quorum_votes == votes",
+                    metered(|m| m.quorum_votes) == q.votes,
+                ),
+                (
+                    "metered disagreements == disagreements",
+                    metered(|m| m.disagreements) == q.disagreements,
+                ),
+                (
+                    "metered suspects_quarantined == quarantined",
+                    metered(|m| m.suspects_quarantined) == q.quarantined,
+                ),
             ]);
             format!(
                 "{} votes, {} disagreements, {}/{} caught, {} escaped, {} lanes quarantined",

@@ -14,7 +14,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use bios_core::catalog::CatalogEntry;
 use bios_faults::FaultPlan;
 use bios_quorum::{QuorumScreen, QuorumSummary};
-use bios_runtime::{JobResult, JobStream, Runtime};
+use bios_runtime::{Counter, JobResult, JobStream, Runtime};
 
 use crate::breaker::{Admission, CircuitBreaker};
 use crate::bucket::TokenBucket;
@@ -304,7 +304,7 @@ impl<'g> GatewaySession<'g> {
             match breaker_verdict(&result) {
                 Some(ok) if breaker.on_result(ok, fin.probe, tick) => {
                     self.counters.breaker_trips += 1;
-                    metrics.record_breaker_trip();
+                    metrics.add(Counter::BreakerTrips, 1);
                 }
                 Some(_) => {}
                 None if fin.probe => breaker.cancel_probe(),
@@ -350,7 +350,7 @@ impl<'g> GatewaySession<'g> {
                 bucket.advance_to(tick);
                 if !bucket.try_take(TokenBucket::WHOLE_TOKEN) {
                     self.counters.rate_limited += 1;
-                    metrics.record_rate_limited();
+                    metrics.add(Counter::RateLimited, 1);
                     self.outcomes[idx] = Some(Disposition::Rejected(Rejected::RateLimited));
                     terminal.push(self.outcome_of(idx));
                     continue;
@@ -359,7 +359,7 @@ impl<'g> GatewaySession<'g> {
             let req = &self.requests[idx];
             if self.routine.len() + self.recal.len() >= config.queue_capacity.max(1) {
                 self.counters.admission_rejected += 1;
-                metrics.record_admission_rejected();
+                metrics.add(Counter::AdmissionRejected, 1);
                 self.outcomes[idx] = Some(Disposition::Rejected(Rejected::QueueFull));
                 terminal.push(self.outcome_of(idx));
                 continue;
@@ -376,7 +376,7 @@ impl<'g> GatewaySession<'g> {
                 }
                 Admission::Probe => {
                     self.counters.breaker_half_open_probes += 1;
-                    metrics.record_breaker_half_open_probe();
+                    metrics.add(Counter::BreakerHalfOpenProbes, 1);
                     self.probes.insert(idx);
                 }
                 Admission::Admit => {}
@@ -423,7 +423,7 @@ impl<'g> GatewaySession<'g> {
                     let thin_ticks = self.gateway.service_ticks(thin.calibration_workload());
                     if thin_ticks <= remaining && thin_ticks < full_ticks {
                         self.counters.browned_out += 1;
-                        metrics.record_browned_out();
+                        metrics.add(Counter::BrownedOut, 1);
                         Some((thin, Quality::Degraded, thin_ticks))
                     } else if fits_full {
                         // Pressured, but degradation cannot shrink this
@@ -452,7 +452,7 @@ impl<'g> GatewaySession<'g> {
                 }
                 None => {
                     self.counters.deadline_shed += 1;
-                    metrics.record_deadline_shed();
+                    metrics.add(Counter::DeadlineShed, 1);
                     if self.probes.remove(&idx) {
                         let family = self.requests[idx].family().to_owned();
                         if let Some(b) = self.breakers.get_mut(&family) {

@@ -59,7 +59,7 @@ pub mod vote;
 use bios_analytics::CalibrationSummary;
 use bios_faults::{FaultKind, FaultPlan};
 use bios_recover::fnv1a;
-use bios_runtime::{JobResult, RuntimeMetrics};
+use bios_runtime::{Counter, JobResult, RuntimeMetrics};
 
 pub use suspect::SuspectBoard;
 pub use vote::{Ballot, Tolerance};
@@ -372,16 +372,16 @@ impl QuorumScreen {
 }
 
 /// Folds one verdict into the runtime's metrics registry — the same
-/// counters `RuntimeMetrics::to_json` exports for scrapes.
+/// counters [`MetricsSnapshot::to_json`](bios_runtime::MetricsSnapshot::to_json)
+/// exports for scrapes.
 pub fn meter(verdict: &ScreenVerdict, metrics: &RuntimeMetrics) {
-    metrics.record_quorum_vote();
-    if verdict.disagreement {
-        metrics.record_disagreement();
-    }
-    metrics.record_corruption_caught(u64::from(verdict.caught));
-    for _ in &verdict.quarantined {
-        metrics.record_suspect_quarantined();
-    }
+    metrics.add(Counter::QuorumVotes, 1);
+    metrics.add(Counter::Disagreements, u64::from(verdict.disagreement));
+    metrics.add(Counter::CorruptionCaught, u64::from(verdict.caught));
+    metrics.add(
+        Counter::SuspectsQuarantined,
+        verdict.quarantined.len() as u64,
+    );
 }
 
 #[cfg(test)]

@@ -42,7 +42,7 @@ use bios_recover::sim::{is_sim_crash, RealIo, StorageIo};
 pub use bios_recover::journal::JournalError;
 
 use crate::fleet::{Fleet, FleetOutcome, FleetReport, Job, JobResult};
-use crate::Runtime;
+use crate::{Counter, Runtime};
 
 /// Whether a journal error is a simulated process crash — the one IO
 /// failure that must *not* be absorbed by graceful degradation: the
@@ -187,7 +187,7 @@ impl Runtime {
         let mut writer = Some(JournalWriter::create_with(io, path.as_ref(), &header)?);
         let mut fatal: Option<JournalError> = None;
         let mut jobs_done = 0u64;
-        let mut retired: Option<(u64, u64)> = None; // (records, retries)
+        let mut retired: Option<JournalWriter> = None;
         let report = self.run_with_observer(fleet, |result| {
             if fatal.is_some() {
                 return; // the run is already doomed; don't pile on
@@ -197,7 +197,7 @@ impl Runtime {
             // journal-append hop. A mismatch means the result mutated
             // in flight — refuse to make the corruption durable.
             if !result.verify_integrity() {
-                self.metrics.record_corruption_caught(1);
+                self.metrics.add(Counter::CorruptionCaught, 1);
                 fatal = Some(JournalError::Corrupt(CodecError::ChecksumMismatch {
                     stored: result.integrity,
                     computed: result.payload_checksum(),
@@ -227,10 +227,10 @@ impl Runtime {
                 Err(_) => {
                     // Transient retries exhausted or the disk is full:
                     // retire the journal, meter the loss, and let the
-                    // fleet finish non-durably.
-                    retired = Some((w.records_written(), w.io_retries()));
-                    self.metrics.record_journal_lost();
-                    writer = None;
+                    // fleet finish non-durably. Its IO is billed once
+                    // the run survives to the end.
+                    self.metrics.add(Counter::JournalLost, 1);
+                    retired = writer.take();
                 }
             }
         });
@@ -238,25 +238,10 @@ impl Runtime {
             return Err(e);
         }
         let digest = fnv1a(report.summaries_digest().as_bytes());
-        match writer.as_mut() {
-            Some(w) => match w.seal(jobs_done, digest) {
-                Ok(()) => {
-                    self.metrics.record_journal_records(w.records_written());
-                    self.metrics.record_journal_retries(w.io_retries());
-                }
-                Err(e) if is_crash(&e) => return Err(e),
-                Err(_) => {
-                    self.metrics.record_journal_records(w.records_written());
-                    self.metrics.record_journal_retries(w.io_retries());
-                    self.metrics.record_journal_lost();
-                }
-            },
-            None => {
-                if let Some((records, retries)) = retired {
-                    self.metrics.record_journal_records(records);
-                    self.metrics.record_journal_retries(retries);
-                }
-            }
+        if let Some(w) = writer.as_mut() {
+            self.seal_and_bill(w, jobs_done, digest)?;
+        } else if let Some(w) = &retired {
+            self.bill(w);
         }
         Ok(report)
     }
@@ -325,7 +310,7 @@ impl Runtime {
                 done.insert(job.index, job.clone());
             }
         }
-        self.metrics.record_resumed_jobs(done.len() as u64);
+        self.metrics.add(Counter::ResumedJobs, done.len() as u64);
 
         // Build the not-yet-journaled remainder as a dense sub-fleet
         // (the runtime collects by index, so indexes must be 0..k) and
@@ -358,7 +343,7 @@ impl Runtime {
                     // The journal survived the crash but the disk now
                     // refuses the re-open: execute the remainder
                     // non-durably rather than losing the run.
-                    self.metrics.record_journal_lost();
+                    self.metrics.add(Counter::JournalLost, 1);
                     None
                 }
             };
@@ -368,7 +353,7 @@ impl Runtime {
                     return;
                 }
                 if !result.verify_integrity() {
-                    self.metrics.record_corruption_caught(1);
+                    self.metrics.add(Counter::CorruptionCaught, 1);
                     fatal = Some(JournalError::Corrupt(CodecError::ChecksumMismatch {
                         stored: result.integrity,
                         computed: result.payload_checksum(),
@@ -389,9 +374,8 @@ impl Runtime {
                     Ok(()) => {}
                     Err(e) if is_crash(&e) => fatal = Some(e),
                     Err(_) => {
-                        self.metrics.record_journal_records(w.records_written());
-                        self.metrics.record_journal_retries(w.io_retries());
-                        self.metrics.record_journal_lost();
+                        self.bill(w);
+                        self.metrics.add(Counter::JournalLost, 1);
                         writer = None;
                     }
                 }
@@ -433,18 +417,7 @@ impl Runtime {
         let fresh = match fresh {
             Some((writer, report)) => {
                 if let Some(mut w) = writer {
-                    match w.seal(fleet.len() as u64, fnv1a(digest.as_bytes())) {
-                        Ok(()) => {
-                            self.metrics.record_journal_records(w.records_written());
-                            self.metrics.record_journal_retries(w.io_retries());
-                        }
-                        Err(e) if is_crash(&e) => return Err(e),
-                        Err(_) => {
-                            self.metrics.record_journal_records(w.records_written());
-                            self.metrics.record_journal_retries(w.io_retries());
-                            self.metrics.record_journal_lost();
-                        }
-                    }
+                    self.seal_and_bill(&mut w, fleet.len() as u64, fnv1a(digest.as_bytes()))?;
                 }
                 Some(report)
             }
@@ -454,20 +427,15 @@ impl Runtime {
                 // resume is a pure terminal replay.
                 if !loaded.sealed {
                     match JournalWriter::open_resume_with(io, path, loaded.valid_len) {
-                        Ok(mut w) => match w.seal(fleet.len() as u64, fnv1a(digest.as_bytes())) {
-                            Ok(()) => {
-                                self.metrics.record_journal_records(w.records_written());
-                                self.metrics.record_journal_retries(w.io_retries());
-                            }
-                            Err(e) if is_crash(&e) => return Err(e),
-                            Err(_) => {
-                                self.metrics.record_journal_records(w.records_written());
-                                self.metrics.record_journal_retries(w.io_retries());
-                                self.metrics.record_journal_lost();
-                            }
-                        },
+                        Ok(mut w) => {
+                            self.seal_and_bill(
+                                &mut w,
+                                fleet.len() as u64,
+                                fnv1a(digest.as_bytes()),
+                            )?;
+                        }
                         Err(e) if is_crash(&e) => return Err(e),
-                        Err(_) => self.metrics.record_journal_lost(),
+                        Err(_) => self.metrics.add(Counter::JournalLost, 1),
                     }
                 }
                 None
@@ -482,5 +450,33 @@ impl Runtime {
             fresh,
             digest,
         })
+    }
+
+    /// Bills a writer's IO to the journal counters: the records it
+    /// durably appended and the transient retries it absorbed.
+    fn bill(&self, w: &JournalWriter) {
+        self.metrics
+            .add(Counter::JournalRecords, w.records_written());
+        self.metrics.add(Counter::JournalRetries, w.io_retries());
+    }
+
+    /// Seals `w` and bills its IO. A failed seal retires the journal
+    /// (billed, and metered by `journal_lost`); a simulated crash
+    /// propagates unbilled, as the "process" is gone.
+    fn seal_and_bill(
+        &self,
+        w: &mut JournalWriter,
+        jobs: u64,
+        digest: u64,
+    ) -> Result<(), JournalError> {
+        match w.seal(jobs, digest) {
+            Ok(()) => self.bill(w),
+            Err(e) if is_crash(&e) => return Err(e),
+            Err(_) => {
+                self.bill(w);
+                self.metrics.add(Counter::JournalLost, 1);
+            }
+        }
+        Ok(())
     }
 }

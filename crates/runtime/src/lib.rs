@@ -84,7 +84,7 @@ use crate::watchdog::{WatchRegistry, Watchdog};
 pub use cache::{CacheKey, CacheLoadReport, ResultCache, DEFAULT_CAPACITY};
 pub use fleet::{Fleet, FleetBuilder, FleetOutcome, FleetReport, Job, JobError, JobResult};
 pub use journal::{JournalOptions, ResumeReport};
-pub use metrics::{MetricsSnapshot, RuntimeMetrics};
+pub use metrics::{Counter, MetricsSnapshot, RuntimeMetrics};
 pub use pool::{TaskVerdict, WorkerPool};
 
 /// Runtime construction options.
@@ -298,6 +298,44 @@ struct Completion {
     injected: FaultTally,
 }
 
+impl JobResult {
+    /// The sealed result of job `index` (`sensor`, `seed`) from its
+    /// worker's completion.
+    fn from_completion(
+        index: usize,
+        sensor: String,
+        seed: u64,
+        completion: Completion,
+    ) -> JobResult {
+        JobResult {
+            index,
+            sensor,
+            seed,
+            wall: completion.wall,
+            from_cache: completion.from_cache,
+            attempts: completion.attempts,
+            injected: completion.injected,
+            outcome: completion.outcome,
+            integrity: 0,
+        }
+        .sealed()
+    }
+
+    /// The deterministic failure surfaced for a job whose worker died
+    /// without reporting back.
+    fn worker_lost(index: usize, sensor: String, seed: u64) -> JobResult {
+        let lost = Completion {
+            index,
+            outcome: Err(JobError::Panicked("worker lost".into())),
+            wall: Duration::ZERO,
+            from_cache: false,
+            attempts: 0,
+            injected: FaultTally::default(),
+        };
+        JobResult::from_completion(index, sensor, seed, lost)
+    }
+}
+
 impl Runtime {
     /// Builds a runtime from `config`.
     #[must_use]
@@ -427,8 +465,8 @@ impl Runtime {
         // catching a panicking task (or absorbing a watchdog
         // cancellation) in an earlier run.
         let respawned = self.pool.heal();
-        self.metrics.record_worker_respawns(respawned as u64);
-        self.metrics.record_submitted(fleet.len() as u64);
+        self.metrics.add(Counter::WorkerRespawns, respawned as u64);
+        self.metrics.add(Counter::JobsSubmitted, fleet.len() as u64);
         // Arm the hang watchdog for the duration of the run; dropping
         // the handle at the end of this function stops the supervisor.
         let watchdog = (self.config.job_deadline > Duration::ZERO)
@@ -474,7 +512,7 @@ impl Runtime {
                     // The thread sat in a livelock until the watchdog
                     // cancelled it; finish the chunk (determinism), then
                     // retire so `heal` replaces it with a fresh thread.
-                    metrics.record_stalled_worker();
+                    metrics.add(Counter::StalledWorkers, 1);
                     TaskVerdict::Retire
                 } else {
                     TaskVerdict::Continue
@@ -488,21 +526,16 @@ impl Runtime {
         while received < fleet.len() {
             match rx.recv_timeout(Duration::from_millis(25)) {
                 Ok(completion) => {
-                    let job = &fleet.jobs()[completion.index];
-                    let result = JobResult {
-                        index: job.index,
-                        sensor: job.entry.id().to_owned(),
-                        seed: job.seed,
-                        wall: completion.wall,
-                        from_cache: completion.from_cache,
-                        attempts: completion.attempts,
-                        injected: completion.injected,
-                        outcome: completion.outcome,
-                        integrity: 0,
-                    }
-                    .sealed();
+                    let slot = completion.index;
+                    let job = &fleet.jobs()[slot];
+                    let result = JobResult::from_completion(
+                        job.index,
+                        job.entry.id().to_owned(),
+                        job.seed,
+                        completion,
+                    );
                     on_result(&result);
-                    slots[completion.index] = Some(result);
+                    slots[slot] = Some(result);
                     received += 1;
                 }
                 Err(mpsc::RecvTimeoutError::Timeout) => {
@@ -512,7 +545,7 @@ impl Runtime {
                     // deadlocking the collection loop.
                     if self.pool.live_workers() == 0 {
                         let respawned = self.pool.heal();
-                        self.metrics.record_worker_respawns(respawned as u64);
+                        self.metrics.add(Counter::WorkerRespawns, respawned as u64);
                         if respawned == 0 {
                             break; // OS refuses threads: report what we have
                         }
@@ -529,18 +562,7 @@ impl Runtime {
                 // A missing slot can only mean the worker died harder
                 // than catch_unwind (e.g. stack overflow aborts).
                 slot.unwrap_or_else(|| {
-                    JobResult {
-                        index: job.index,
-                        sensor: job.entry.id().to_owned(),
-                        seed: job.seed,
-                        wall: Duration::ZERO,
-                        from_cache: false,
-                        attempts: 0,
-                        injected: FaultTally::default(),
-                        outcome: Err(JobError::Panicked("worker lost".into())),
-                        integrity: 0,
-                    }
-                    .sealed()
+                    JobResult::worker_lost(job.index, job.entry.id().to_owned(), job.seed)
                 })
             })
             .collect();
@@ -560,7 +582,7 @@ impl Runtime {
     #[must_use]
     pub fn open_stream(&self) -> JobStream<'_> {
         let respawned = self.pool.heal();
-        self.metrics.record_worker_respawns(respawned as u64);
+        self.metrics.add(Counter::WorkerRespawns, respawned as u64);
         let (tx, rx) = mpsc::channel();
         JobStream {
             runtime: self,
@@ -577,7 +599,7 @@ impl Runtime {
     #[must_use]
     pub fn run_sequential(&self, fleet: &Fleet) -> FleetReport {
         let started = Instant::now();
-        self.metrics.record_submitted(fleet.len() as u64);
+        self.metrics.add(Counter::JobsSubmitted, fleet.len() as u64);
         let cache = self.config.cache.then_some(self.cache.as_ref());
         let policy = ExecPolicy::from_config(&self.config);
         let results = fleet
@@ -594,18 +616,12 @@ impl Runtime {
                     &self.metrics,
                     policy,
                 );
-                JobResult {
-                    index: job.index,
-                    sensor: job.entry.id().to_owned(),
-                    seed: job.seed,
-                    wall: completion.wall,
-                    from_cache: completion.from_cache,
-                    attempts: completion.attempts,
-                    injected: completion.injected,
-                    outcome: completion.outcome,
-                    integrity: 0,
-                }
-                .sealed()
+                JobResult::from_completion(
+                    job.index,
+                    job.entry.id().to_owned(),
+                    job.seed,
+                    completion,
+                )
             })
             .collect();
         FleetReport {
@@ -675,7 +691,7 @@ impl JobStream<'_> {
         self.next_ticket += 1;
         self.outstanding
             .insert(ticket, (entry.id().to_owned(), seed));
-        self.runtime.metrics.record_submitted(1);
+        self.runtime.metrics.add(Counter::JobsSubmitted, 1);
         let tx = self.tx.clone();
         let entry = entry.clone();
         let plan = plan.cloned();
@@ -725,18 +741,7 @@ impl JobStream<'_> {
                     if let Some((sensor, seed)) = self.outstanding.remove(&ticket) {
                         return Some((
                             ticket,
-                            JobResult {
-                                index: ticket as usize,
-                                sensor,
-                                seed,
-                                wall: completion.wall,
-                                from_cache: completion.from_cache,
-                                attempts: completion.attempts,
-                                injected: completion.injected,
-                                outcome: completion.outcome,
-                                integrity: 0,
-                            }
-                            .sealed(),
+                            JobResult::from_completion(ticket as usize, sensor, seed, completion),
                         ));
                     }
                 }
@@ -745,7 +750,7 @@ impl JobStream<'_> {
                         let respawned = self.runtime.pool.heal();
                         self.runtime
                             .metrics
-                            .record_worker_respawns(respawned as u64);
+                            .add(Counter::WorkerRespawns, respawned as u64);
                         if respawned == 0 {
                             // OS refuses threads: fail the oldest job
                             // deterministically rather than hang.
@@ -753,18 +758,7 @@ impl JobStream<'_> {
                             let (sensor, seed) = self.outstanding.remove(&ticket)?;
                             return Some((
                                 ticket,
-                                JobResult {
-                                    index: ticket as usize,
-                                    sensor,
-                                    seed,
-                                    wall: Duration::ZERO,
-                                    from_cache: false,
-                                    attempts: 0,
-                                    injected: FaultTally::default(),
-                                    outcome: Err(JobError::Panicked("worker lost".into())),
-                                    integrity: 0,
-                                }
-                                .sealed(),
+                                JobResult::worker_lost(ticket as usize, sensor, seed),
                             ));
                         }
                     }
@@ -814,7 +808,7 @@ fn execute_job(
     let injected = faults
         .as_ref()
         .map_or_else(FaultTally::default, |f| f.tally());
-    metrics.record_faults_injected(injected.total() as u64);
+    metrics.add(Counter::FaultsInjected, injected.total() as u64);
     let physics_plan = faults.as_ref().and(plan);
 
     // Budget gate, before the cache probe so the verdict is a pure
@@ -822,7 +816,7 @@ fn execute_job(
     if policy.job_budget > 0 {
         let required = entry.calibration_workload();
         if required > policy.job_budget {
-            metrics.record_budget_rejection();
+            metrics.add(Counter::BudgetRejections, 1);
             let wall = t0.elapsed();
             metrics.record_finished(false, false, wall);
             return Completion {
@@ -852,7 +846,7 @@ fn execute_job(
             simulate_stall(policy.job_deadline, token.as_ref());
             registry.end(index);
         }
-        metrics.record_deadline_kill();
+        metrics.add(Counter::DeadlineKills, 1);
         let wall = t0.elapsed();
         metrics.record_finished(false, false, wall);
         return Completion {
@@ -911,7 +905,7 @@ fn execute_job(
         match attempt_result {
             Ok(outcome) => break Ok(outcome),
             Err(error) if error.is_transient() && attempt < max_attempts => {
-                metrics.record_retry();
+                metrics.add(Counter::Retries, 1);
                 let backoff = policy.backoff_after(attempt);
                 if !backoff.is_zero() {
                     std::thread::sleep(backoff);
@@ -929,7 +923,7 @@ fn execute_job(
         if outcome_is_finite(&outcome) {
             Ok(outcome)
         } else {
-            metrics.record_nonfinite_quarantined();
+            metrics.add(Counter::NonfiniteQuarantined, 1);
             Err(JobError::NonFinite)
         }
     });

@@ -5,7 +5,12 @@
 //! log₂-spaced histogram of per-job wall times — so metering never
 //! perturbs the throughput it measures. Snapshots serialize to JSON by
 //! hand (the platform carries no serialization dependency).
+//!
+//! Every counter is declared once, as one row of the `counters!` table
+//! below. The row generates the [`Counter`] variant, its atomic slot in
+//! [`RuntimeMetrics`], the [`MetricsSnapshot`] field, and the JSON key.
 
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -13,37 +18,159 @@ use std::time::Duration;
 /// `[2^i, 2^(i+1))` microseconds; the last bucket is unbounded.
 pub const HISTOGRAM_BUCKETS: usize = 24;
 
+/// Generates [`Counter`], the [`MetricsSnapshot`] fields, the snapshot
+/// loads, and the counter keys of [`MetricsSnapshot::to_json`] from one
+/// table. A row is `field: Variant` for a counter the runtime bumps
+/// through [`RuntimeMetrics::add`], or a bare `field` for a count the
+/// [`crate::ResultCache`] owns: that one reads 0 in a raw
+/// [`RuntimeMetrics::snapshot`] and [`crate::Runtime::metrics`] merges
+/// it in. Row order is field order and JSON key order.
+macro_rules! counters {
+    ($( $(#[doc = $doc:literal])+ $field:ident $(: $variant:ident)?, )*) => {
+        /// One runtime counter, named after the [`MetricsSnapshot`]
+        /// field it fills; an index into [`RuntimeMetrics`]'s array.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Counter {
+            $($(
+                #[doc = concat!("Fills [`MetricsSnapshot::", stringify!($field), "`].")]
+                $variant,
+            )?)*
+        }
+
+        const COUNTERS: usize = [$($(stringify!($variant),)?)*].len();
+
+        #[cfg(test)]
+        impl Counter {
+            /// Every counter, in table order.
+            const ALL: [Counter; COUNTERS] = [$($(Counter::$variant,)?)*];
+        }
+
+        /// A point-in-time copy of the runtime counters.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub struct MetricsSnapshot {
+            $( $(#[doc = $doc])+ pub $field: u64, )*
+            /// Per-job wall-time histogram (log₂ µs buckets).
+            pub histogram: [u64; HISTOGRAM_BUCKETS],
+        }
+
+        impl RuntimeMetrics {
+            /// A consistent-enough point-in-time copy of every counter.
+            /// The cache-owned counts read 0 here; the runtime merges
+            /// them in when it assembles a snapshot.
+            #[must_use]
+            pub fn snapshot(&self) -> MetricsSnapshot {
+                MetricsSnapshot {
+                    $( $field: 0 $(+ self.load(Counter::$variant))?, )*
+                    histogram: std::array::from_fn(|i| self.histogram[i].load(Ordering::Relaxed)),
+                }
+            }
+        }
+
+        #[cfg(test)]
+        impl MetricsSnapshot {
+            /// The snapshot field counter `c` fills.
+            fn get(&self, c: Counter) -> u64 {
+                match c {
+                    $($(Counter::$variant => self.$field,)?)*
+                }
+            }
+        }
+
+        impl MetricsSnapshot {
+            /// Appends `"<field>":<value>,` for every row, in table order.
+            fn write_counters(&self, json: &mut String) {
+                $( let _ = write!(json, "\"{}\":{},", stringify!($field), self.$field); )*
+            }
+        }
+    };
+}
+
+counters! {
+    /// Jobs handed to the pool since runtime creation.
+    jobs_submitted: JobsSubmitted,
+    /// Jobs finished successfully.
+    jobs_completed: JobsCompleted,
+    /// Jobs finished with a per-job error.
+    jobs_failed: JobsFailed,
+    /// Jobs served from the memo cache.
+    cache_hits: CacheHits,
+    /// Jobs that had to run the simulation.
+    cache_misses: CacheMisses,
+    /// Total worker-side busy time, microseconds.
+    busy_micros: BusyMicros,
+    /// Transient-failure retries performed.
+    retries: Retries,
+    /// Individual faults injected by armed plans, across all jobs.
+    faults_injected: FaultsInjected,
+    /// Jobs rejected by the per-job sample budget.
+    budget_rejections: BudgetRejections,
+    /// Dead workers replaced by the pool's healing pass.
+    worker_respawns: WorkerRespawns,
+    /// Memo-cache entries evicted by the capacity bound (cache-owned:
+    /// merged in by [`crate::Runtime::metrics`], 0 in a raw snapshot).
+    cache_evictions,
+    /// Records durably appended to run journals (headers, job
+    /// completions, and seals).
+    journal_records: JournalRecords,
+    /// Journals retired mid-run after IO failed past its retry budget;
+    /// the fleet completed non-durably (metered graceful degradation).
+    journal_lost: JournalLost,
+    /// Transient journal-IO retries absorbed by bounded deterministic
+    /// backoff before the write eventually succeeded or gave up.
+    journal_retries: JournalRetries,
+    /// Jobs skipped on resume because the journal already held their
+    /// completed results.
+    resumed_jobs: ResumedJobs,
+    /// Workers retired by the watchdog after going silent past the
+    /// job deadline.
+    stalled_workers: StalledWorkers,
+    /// Jobs cancelled at their soft deadline.
+    deadline_kills: DeadlineKills,
+    /// Persisted-cache entries dropped at load time for failing
+    /// checksum or validation (cache-owned, like `cache_evictions`).
+    cache_corrupt_dropped,
+    /// Jobs quarantined for producing NaN/±Inf results.
+    nonfinite_quarantined: NonfiniteQuarantined,
+    /// Gateway requests refused because the bounded admission queue
+    /// was full.
+    admission_rejected: AdmissionRejected,
+    /// Gateway requests refused by a tenant's token bucket.
+    rate_limited: RateLimited,
+    /// Circuit-breaker trips (closed→open and a probe failure
+    /// re-opening a half-open breaker both count).
+    breaker_trips: BreakerTrips,
+    /// Requests admitted as half-open breaker probes.
+    breaker_half_open_probes: BreakerHalfOpenProbes,
+    /// Requests served at degraded resolution by the brownout policy.
+    browned_out: BrownedOut,
+    /// Requests shed because their remaining deadline budget could no
+    /// longer cover even a degraded execution.
+    deadline_shed: DeadlineShed,
+    /// Redundant-execution votes completed by the quorum layer.
+    quorum_votes: QuorumVotes,
+    /// Votes whose replica lanes disagreed beyond tolerance.
+    disagreements: Disagreements,
+    /// Silently-corrupted replica observations caught by a vote or an
+    /// integrity-checksum hop.
+    corruption_caught: CorruptionCaught,
+    /// Suspect lanes/shards quarantined after repeated lost votes.
+    suspects_quarantined: SuspectsQuarantined,
+}
+
 /// Shared, lock-free counters updated by every worker.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct RuntimeMetrics {
-    jobs_submitted: AtomicU64,
-    jobs_completed: AtomicU64,
-    jobs_failed: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    busy_micros: AtomicU64,
-    retries: AtomicU64,
-    faults_injected: AtomicU64,
-    budget_rejections: AtomicU64,
-    worker_respawns: AtomicU64,
-    journal_records: AtomicU64,
-    journal_lost: AtomicU64,
-    journal_retries: AtomicU64,
-    resumed_jobs: AtomicU64,
-    stalled_workers: AtomicU64,
-    deadline_kills: AtomicU64,
-    nonfinite_quarantined: AtomicU64,
-    admission_rejected: AtomicU64,
-    rate_limited: AtomicU64,
-    breaker_trips: AtomicU64,
-    breaker_half_open_probes: AtomicU64,
-    browned_out: AtomicU64,
-    deadline_shed: AtomicU64,
-    quorum_votes: AtomicU64,
-    disagreements: AtomicU64,
-    corruption_caught: AtomicU64,
-    suspects_quarantined: AtomicU64,
+    counts: [AtomicU64; COUNTERS],
     histogram: [AtomicU64; HISTOGRAM_BUCKETS],
+}
+
+impl Default for RuntimeMetrics {
+    fn default() -> RuntimeMetrics {
+        RuntimeMetrics {
+            counts: std::array::from_fn(|_| AtomicU64::new(0)),
+            histogram: std::array::from_fn(|_| AtomicU64::new(0)),
+        }
+    }
 }
 
 impl RuntimeMetrics {
@@ -53,279 +180,35 @@ impl RuntimeMetrics {
         RuntimeMetrics::default()
     }
 
-    /// Records a submitted job.
-    pub fn record_submitted(&self, n: u64) {
-        self.jobs_submitted.fetch_add(n, Ordering::Relaxed);
+    /// Adds `n` to counter `c`; `n == 0` touches nothing.
+    pub fn add(&self, c: Counter, n: u64) {
+        if n > 0 {
+            self.counts[c as usize].fetch_add(n, Ordering::Relaxed);
+        }
+    }
+
+    fn load(&self, c: Counter) -> u64 {
+        self.counts[c as usize].load(Ordering::Relaxed)
     }
 
     /// Records one finished job: success/failure, cache disposition,
     /// and its wall time.
     pub fn record_finished(&self, ok: bool, from_cache: bool, wall: Duration) {
         if ok {
-            self.jobs_completed.fetch_add(1, Ordering::Relaxed);
+            self.add(Counter::JobsCompleted, 1);
         } else {
-            self.jobs_failed.fetch_add(1, Ordering::Relaxed);
+            self.add(Counter::JobsFailed, 1);
         }
         if from_cache {
-            self.cache_hits.fetch_add(1, Ordering::Relaxed);
+            self.add(Counter::CacheHits, 1);
         } else {
-            self.cache_misses.fetch_add(1, Ordering::Relaxed);
+            self.add(Counter::CacheMisses, 1);
         }
         let micros = u64::try_from(wall.as_micros()).unwrap_or(u64::MAX);
-        self.busy_micros.fetch_add(micros, Ordering::Relaxed);
+        self.add(Counter::BusyMicros, micros);
         let bucket = (63 - micros.max(1).leading_zeros() as usize).min(HISTOGRAM_BUCKETS - 1);
         self.histogram[bucket].fetch_add(1, Ordering::Relaxed);
     }
-
-    /// Records one retry of a transiently-failed job.
-    pub fn record_retry(&self) {
-        self.retries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records `n` faults injected into a job by an armed plan.
-    pub fn record_faults_injected(&self, n: u64) {
-        if n > 0 {
-            self.faults_injected.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Records one job rejected by the per-job sample budget.
-    pub fn record_budget_rejection(&self) {
-        self.budget_rejections.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records `n` dead workers replaced by the pool's healing pass.
-    pub fn record_worker_respawns(&self, n: u64) {
-        if n > 0 {
-            self.worker_respawns.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Records `n` records durably appended to a run journal.
-    pub fn record_journal_records(&self, n: u64) {
-        if n > 0 {
-            self.journal_records.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Records one journal retired mid-run: IO failed past its retry
-    /// budget, so the fleet finished non-durably (metered graceful
-    /// degradation, never silent).
-    pub fn record_journal_lost(&self) {
-        self.journal_lost.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records `n` transient journal-IO retries absorbed by bounded
-    /// deterministic backoff before the write eventually succeeded.
-    pub fn record_journal_retries(&self, n: u64) {
-        if n > 0 {
-            self.journal_retries.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Records `n` jobs skipped on resume because the journal already
-    /// held their completed results.
-    pub fn record_resumed_jobs(&self, n: u64) {
-        if n > 0 {
-            self.resumed_jobs.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Records one worker that went silent past its deadline and was
-    /// retired by the watchdog.
-    pub fn record_stalled_worker(&self) {
-        self.stalled_workers.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one job cancelled at its soft deadline.
-    pub fn record_deadline_kill(&self) {
-        self.deadline_kills.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one job whose result contained NaN/±Inf and was
-    /// quarantined before reaching the cache or journal.
-    pub fn record_nonfinite_quarantined(&self) {
-        self.nonfinite_quarantined.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one request refused at the gateway intake because the
-    /// bounded admission queue was full.
-    pub fn record_admission_rejected(&self) {
-        self.admission_rejected.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one request refused by a tenant's token bucket.
-    pub fn record_rate_limited(&self) {
-        self.rate_limited.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one circuit breaker tripping open (including a
-    /// half-open probe failure re-opening it).
-    pub fn record_breaker_trip(&self) {
-        self.breaker_trips.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one request admitted as a half-open breaker probe.
-    pub fn record_breaker_half_open_probe(&self) {
-        self.breaker_half_open_probes
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one request downgraded (served at reduced resolution)
-    /// by the gateway's brownout policy.
-    pub fn record_browned_out(&self) {
-        self.browned_out.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one request shed because its remaining deadline budget
-    /// could no longer cover even a degraded execution.
-    pub fn record_deadline_shed(&self) {
-        self.deadline_shed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one redundant-execution vote completed by the quorum
-    /// layer (unanimous or not).
-    pub fn record_quorum_vote(&self) {
-        self.quorum_votes.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one vote whose replica lanes disagreed beyond the
-    /// configured tolerance and escalated to a tie-break.
-    pub fn record_disagreement(&self) {
-        self.disagreements.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records `n` silently-corrupted replica observations caught by
-    /// the vote or by an integrity-checksum hop before they could
-    /// reach the cache, journal, or merged report.
-    pub fn record_corruption_caught(&self, n: u64) {
-        if n > 0 {
-            self.corruption_caught.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Records one suspect (worker lane or shard) quarantined after
-    /// losing repeated votes.
-    pub fn record_suspect_quarantined(&self) {
-        self.suspects_quarantined.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A consistent-enough point-in-time copy of every counter.
-    /// `cache_evictions` lives in the cache, not here; the runtime
-    /// merges it in when it assembles a snapshot.
-    #[must_use]
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            jobs_submitted: self.jobs_submitted.load(Ordering::Relaxed),
-            jobs_completed: self.jobs_completed.load(Ordering::Relaxed),
-            jobs_failed: self.jobs_failed.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            busy_micros: self.busy_micros.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
-            faults_injected: self.faults_injected.load(Ordering::Relaxed),
-            budget_rejections: self.budget_rejections.load(Ordering::Relaxed),
-            worker_respawns: self.worker_respawns.load(Ordering::Relaxed),
-            cache_evictions: 0,
-            journal_records: self.journal_records.load(Ordering::Relaxed),
-            journal_lost: self.journal_lost.load(Ordering::Relaxed),
-            journal_retries: self.journal_retries.load(Ordering::Relaxed),
-            resumed_jobs: self.resumed_jobs.load(Ordering::Relaxed),
-            stalled_workers: self.stalled_workers.load(Ordering::Relaxed),
-            deadline_kills: self.deadline_kills.load(Ordering::Relaxed),
-            cache_corrupt_dropped: 0,
-            nonfinite_quarantined: self.nonfinite_quarantined.load(Ordering::Relaxed),
-            admission_rejected: self.admission_rejected.load(Ordering::Relaxed),
-            rate_limited: self.rate_limited.load(Ordering::Relaxed),
-            breaker_trips: self.breaker_trips.load(Ordering::Relaxed),
-            breaker_half_open_probes: self.breaker_half_open_probes.load(Ordering::Relaxed),
-            browned_out: self.browned_out.load(Ordering::Relaxed),
-            deadline_shed: self.deadline_shed.load(Ordering::Relaxed),
-            quorum_votes: self.quorum_votes.load(Ordering::Relaxed),
-            disagreements: self.disagreements.load(Ordering::Relaxed),
-            corruption_caught: self.corruption_caught.load(Ordering::Relaxed),
-            suspects_quarantined: self.suspects_quarantined.load(Ordering::Relaxed),
-            histogram: std::array::from_fn(|i| self.histogram[i].load(Ordering::Relaxed)),
-        }
-    }
-}
-
-/// A point-in-time copy of the runtime counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MetricsSnapshot {
-    /// Jobs handed to the pool since runtime creation.
-    pub jobs_submitted: u64,
-    /// Jobs finished successfully.
-    pub jobs_completed: u64,
-    /// Jobs finished with a per-job error.
-    pub jobs_failed: u64,
-    /// Jobs served from the memo cache.
-    pub cache_hits: u64,
-    /// Jobs that had to run the simulation.
-    pub cache_misses: u64,
-    /// Total worker-side busy time, microseconds.
-    pub busy_micros: u64,
-    /// Transient-failure retries performed.
-    pub retries: u64,
-    /// Individual faults injected by armed plans, across all jobs.
-    pub faults_injected: u64,
-    /// Jobs rejected by the per-job sample budget.
-    pub budget_rejections: u64,
-    /// Dead workers replaced by the pool's healing pass.
-    pub worker_respawns: u64,
-    /// Memo-cache entries evicted by the capacity bound (merged in
-    /// from the cache by the runtime; 0 in raw [`RuntimeMetrics`]
-    /// snapshots).
-    pub cache_evictions: u64,
-    /// Records durably appended to run journals (headers, job
-    /// completions, and seals).
-    pub journal_records: u64,
-    /// Journals retired mid-run after IO failed past its retry budget;
-    /// the fleet completed non-durably (metered graceful degradation).
-    pub journal_lost: u64,
-    /// Transient journal-IO retries absorbed by bounded deterministic
-    /// backoff before the write eventually succeeded or gave up.
-    pub journal_retries: u64,
-    /// Jobs skipped on resume because the journal already held their
-    /// completed results.
-    pub resumed_jobs: u64,
-    /// Workers retired by the watchdog after going silent past the
-    /// job deadline.
-    pub stalled_workers: u64,
-    /// Jobs cancelled at their soft deadline.
-    pub deadline_kills: u64,
-    /// Persisted-cache entries dropped at load time for failing
-    /// checksum or validation (merged in from the cache by the
-    /// runtime; 0 in raw [`RuntimeMetrics`] snapshots).
-    pub cache_corrupt_dropped: u64,
-    /// Jobs quarantined for producing NaN/±Inf results.
-    pub nonfinite_quarantined: u64,
-    /// Gateway requests refused because the bounded admission queue
-    /// was full.
-    pub admission_rejected: u64,
-    /// Gateway requests refused by a tenant's token bucket.
-    pub rate_limited: u64,
-    /// Circuit-breaker trips (closed→open and a probe failure
-    /// re-opening a half-open breaker both count).
-    pub breaker_trips: u64,
-    /// Requests admitted as half-open breaker probes.
-    pub breaker_half_open_probes: u64,
-    /// Requests served at degraded resolution by the brownout policy.
-    pub browned_out: u64,
-    /// Requests shed because their remaining deadline budget could no
-    /// longer cover even a degraded execution.
-    pub deadline_shed: u64,
-    /// Redundant-execution votes completed by the quorum layer.
-    pub quorum_votes: u64,
-    /// Votes whose replica lanes disagreed beyond tolerance.
-    pub disagreements: u64,
-    /// Silently-corrupted replica observations caught by a vote or an
-    /// integrity-checksum hop.
-    pub corruption_caught: u64,
-    /// Suspect lanes/shards quarantined after repeated lost votes.
-    pub suspects_quarantined: u64,
-    /// Per-job wall-time histogram (log₂ µs buckets).
-    pub histogram: [u64; HISTOGRAM_BUCKETS],
 }
 
 impl MetricsSnapshot {
@@ -362,9 +245,13 @@ impl MetricsSnapshot {
     }
 
     /// Renders the snapshot as a JSON object (hand-rolled; the platform
-    /// carries no serialization dependency).
+    /// carries no serialization dependency): every counter in table
+    /// order, then the derived hit rate and wall quantiles, then the
+    /// non-empty histogram buckets.
     #[must_use]
     pub fn to_json(&self) -> String {
+        let mut json = String::from("{");
+        self.write_counters(&mut json);
         let buckets: Vec<String> = self
             .histogram
             .iter()
@@ -372,58 +259,16 @@ impl MetricsSnapshot {
             .filter(|(_, count)| **count > 0)
             .map(|(i, count)| format!("{{\"le_micros\":{},\"count\":{count}}}", 1u64 << (i + 1)))
             .collect();
-        format!(
-            concat!(
-                "{{\"jobs_submitted\":{},\"jobs_completed\":{},\"jobs_failed\":{},",
-                "\"cache_hits\":{},\"cache_misses\":{},\"cache_hit_rate\":{:.4},",
-                "\"busy_micros\":{},\"wall_p50_micros\":{},\"wall_p99_micros\":{},",
-                "\"retries\":{},\"faults_injected\":{},\"budget_rejections\":{},",
-                "\"worker_respawns\":{},\"cache_evictions\":{},",
-                "\"journal_records\":{},\"journal_lost\":{},",
-                "\"journal_retries\":{},\"resumed_jobs\":{},",
-                "\"stalled_workers\":{},\"deadline_kills\":{},",
-                "\"cache_corrupt_dropped\":{},\"nonfinite_quarantined\":{},",
-                "\"admission_rejected\":{},\"rate_limited\":{},",
-                "\"breaker_trips\":{},\"breaker_half_open_probes\":{},",
-                "\"browned_out\":{},\"deadline_shed\":{},",
-                "\"quorum_votes\":{},\"disagreements\":{},",
-                "\"corruption_caught\":{},\"suspects_quarantined\":{},",
-                "\"wall_histogram\":[{}]}}"
-            ),
-            self.jobs_submitted,
-            self.jobs_completed,
-            self.jobs_failed,
-            self.cache_hits,
-            self.cache_misses,
+        let _ = write!(
+            json,
+            "\"cache_hit_rate\":{:.4},\"wall_p50_micros\":{},\"wall_p99_micros\":{},\
+             \"wall_histogram\":[{}]}}",
             self.cache_hit_rate(),
-            self.busy_micros,
             self.wall_quantile_micros(0.5),
             self.wall_quantile_micros(0.99),
-            self.retries,
-            self.faults_injected,
-            self.budget_rejections,
-            self.worker_respawns,
-            self.cache_evictions,
-            self.journal_records,
-            self.journal_lost,
-            self.journal_retries,
-            self.resumed_jobs,
-            self.stalled_workers,
-            self.deadline_kills,
-            self.cache_corrupt_dropped,
-            self.nonfinite_quarantined,
-            self.admission_rejected,
-            self.rate_limited,
-            self.breaker_trips,
-            self.breaker_half_open_probes,
-            self.browned_out,
-            self.deadline_shed,
-            self.quorum_votes,
-            self.disagreements,
-            self.corruption_caught,
-            self.suspects_quarantined,
             buckets.join(",")
-        )
+        );
+        json
     }
 }
 
@@ -434,7 +279,7 @@ mod tests {
     #[test]
     fn counters_accumulate() {
         let m = RuntimeMetrics::new();
-        m.record_submitted(3);
+        m.add(Counter::JobsSubmitted, 3);
         m.record_finished(true, false, Duration::from_micros(100));
         m.record_finished(true, true, Duration::from_micros(10));
         m.record_finished(false, false, Duration::from_micros(1000));
@@ -475,7 +320,7 @@ mod tests {
     #[test]
     fn json_is_well_formed_enough() {
         let m = RuntimeMetrics::new();
-        m.record_submitted(1);
+        m.add(Counter::JobsSubmitted, 1);
         m.record_finished(true, false, Duration::from_micros(42));
         let json = m.snapshot().to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
@@ -489,99 +334,49 @@ mod tests {
         let s = RuntimeMetrics::new().snapshot();
         assert_eq!(s.cache_hit_rate(), 0.0);
         assert_eq!(s.wall_quantile_micros(0.99), 0);
-        assert_eq!(s.retries, 0);
-        assert_eq!(s.faults_injected, 0);
-        assert_eq!(s.budget_rejections, 0);
-        assert_eq!(s.worker_respawns, 0);
+        assert!(Counter::ALL.iter().all(|&c| s.get(c) == 0));
         assert_eq!(s.cache_evictions, 0);
+        assert_eq!(s.cache_corrupt_dropped, 0);
+    }
+
+    /// `JournalLost` → `journal_lost`: the name a row's variant must
+    /// carry for the field it fills.
+    fn snake_case(camel: &str) -> String {
+        let mut out = String::new();
+        for ch in camel.chars() {
+            if ch.is_ascii_uppercase() && !out.is_empty() {
+                out.push('_');
+            }
+            out.push(ch.to_ascii_lowercase());
+        }
+        out
     }
 
     #[test]
-    fn gateway_counters_accumulate_and_serialize() {
+    fn every_counter_fills_its_own_field_and_key() {
         let m = RuntimeMetrics::new();
-        m.record_admission_rejected();
-        m.record_rate_limited();
-        m.record_rate_limited();
-        m.record_breaker_trip();
-        m.record_breaker_half_open_probe();
-        m.record_breaker_half_open_probe();
-        m.record_breaker_half_open_probe();
-        m.record_browned_out();
-        m.record_deadline_shed();
-        let s = m.snapshot();
-        assert_eq!(s.admission_rejected, 1);
-        assert_eq!(s.rate_limited, 2);
-        assert_eq!(s.breaker_trips, 1);
-        assert_eq!(s.breaker_half_open_probes, 3);
-        assert_eq!(s.browned_out, 1);
-        assert_eq!(s.deadline_shed, 1);
-        let json = s.to_json();
-        assert!(json.contains("\"admission_rejected\":1"));
-        assert!(json.contains("\"rate_limited\":2"));
-        assert!(json.contains("\"breaker_trips\":1"));
-        assert!(json.contains("\"breaker_half_open_probes\":3"));
-        assert!(json.contains("\"browned_out\":1"));
-        assert!(json.contains("\"deadline_shed\":1"));
-    }
-
-    #[test]
-    fn quorum_counters_accumulate_and_serialize() {
-        let m = RuntimeMetrics::new();
-        m.record_quorum_vote();
-        m.record_quorum_vote();
-        m.record_disagreement();
-        m.record_corruption_caught(3);
-        m.record_corruption_caught(0); // no-op
-        m.record_suspect_quarantined();
-        let s = m.snapshot();
-        assert_eq!(s.quorum_votes, 2);
-        assert_eq!(s.disagreements, 1);
-        assert_eq!(s.corruption_caught, 3);
-        assert_eq!(s.suspects_quarantined, 1);
-        let json = s.to_json();
-        assert!(json.contains("\"quorum_votes\":2"));
-        assert!(json.contains("\"disagreements\":1"));
-        assert!(json.contains("\"corruption_caught\":3"));
-        assert!(json.contains("\"suspects_quarantined\":1"));
-    }
-
-    #[test]
-    fn robustness_counters_accumulate_and_serialize() {
-        let m = RuntimeMetrics::new();
-        m.record_retry();
-        m.record_retry();
-        m.record_faults_injected(3);
-        m.record_faults_injected(0); // no-op
-        m.record_budget_rejection();
-        m.record_worker_respawns(2);
+        let value = |i: usize| 101 + i as u64;
+        for (i, &c) in Counter::ALL.iter().enumerate() {
+            m.add(c, value(i));
+            m.add(c, 0); // no-op
+        }
         let mut s = m.snapshot();
-        assert_eq!(s.retries, 2);
-        assert_eq!(s.faults_injected, 3);
-        assert_eq!(s.budget_rejections, 1);
-        assert_eq!(s.worker_respawns, 2);
-        s.cache_evictions = 5;
+        // Cache-owned rows stay 0 in a raw snapshot, whatever was added.
+        assert_eq!((s.cache_evictions, s.cache_corrupt_dropped), (0, 0));
+        s.cache_evictions = 7;
+        s.cache_corrupt_dropped = 8;
         let json = s.to_json();
-        assert!(json.contains("\"retries\":2"));
-        assert!(json.contains("\"faults_injected\":3"));
-        assert!(json.contains("\"budget_rejections\":1"));
-        assert!(json.contains("\"worker_respawns\":2"));
-        assert!(json.contains("\"cache_evictions\":5"));
-    }
-
-    #[test]
-    fn journal_loss_counters_accumulate_and_serialize() {
-        let m = RuntimeMetrics::new();
-        m.record_journal_lost();
-        m.record_journal_retries(4);
-        m.record_journal_retries(0); // no-op
-        m.record_journal_records(7);
-        let s = m.snapshot();
-        assert_eq!(s.journal_lost, 1);
-        assert_eq!(s.journal_retries, 4);
-        assert_eq!(s.journal_records, 7);
-        let json = s.to_json();
-        assert!(json.contains("\"journal_lost\":1"));
-        assert!(json.contains("\"journal_retries\":4"));
-        assert!(json.contains("\"journal_records\":7"));
+        for (i, &c) in Counter::ALL.iter().enumerate() {
+            let key = snake_case(&format!("{c:?}"));
+            assert_eq!(s.get(c), value(i), "{key}");
+            assert!(
+                json.contains(&format!("\"{key}\":{},", value(i))),
+                "{key} in {json}"
+            );
+        }
+        assert_eq!(s.jobs_submitted, value(0));
+        assert_eq!(s.suspects_quarantined, value(Counter::ALL.len() - 1));
+        assert!(json.contains("\"cache_evictions\":7,"));
+        assert!(json.contains("\"cache_corrupt_dropped\":8,"));
     }
 }

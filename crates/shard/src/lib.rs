@@ -60,7 +60,7 @@ use bios_gateway::{Disposition, Gateway, GatewayConfig, GatewayCounters, Priorit
 use bios_quorum::{meter, QuorumConfig, QuorumScreen};
 use bios_recover::{RealIo, StorageIo};
 use bios_runtime::journal::{JournalError, JournalOptions};
-use bios_runtime::{parse_env_value, Fleet, Job, JobError, Runtime, RuntimeConfig};
+use bios_runtime::{parse_env_value, Counter, Fleet, Job, JobError, Runtime, RuntimeConfig};
 
 pub mod merge;
 pub mod route;
@@ -433,7 +433,7 @@ impl ShardedGateway {
                             // The produce-time checksum no longer
                             // matches the payload: refuse to treat the
                             // value as clean and suspect the executor.
-                            metrics.record_corruption_caught(1);
+                            metrics.add(Counter::CorruptionCaught, 1);
                             supervisor.observe(HealthEvent::CorruptionSuspect {
                                 shard: host,
                                 tick: *done_tick,

@@ -11,13 +11,10 @@ run() {
 }
 
 run cargo build --release --workspace
+# Every suite, including the chaos (`bios-runtime --test
+# runtime_chaos`) and recovery (`--test runtime_recover`, `bios-recover`)
+# gates.
 run cargo test -q --workspace
-# Chaos gate: the hardened runtime must stay deterministic under an
-# armed fault plan (retries, panics, budgets, bounded cache).
-run cargo test -q -p bios-runtime --test runtime_chaos
-# Recovery gate: journal corruption, crash resume, and watchdog tests.
-run cargo test -q -p bios-runtime --test runtime_recover
-run cargo test -q -p bios-recover
 
 # Digest gate: every determinism scenario (crash-resume, overload,
 # stream, shard, quorum, storage torture) is one row of the `gate`
