@@ -28,6 +28,7 @@ use bios_faults::{FaultPlan, Faultable, RealizedFaults};
 use bios_instrument::noise::NoiseGenerator;
 use bios_instrument::{Adc, ReadoutChain, TransimpedanceAmplifier};
 use bios_nanomaterial::{Electrode, ElectrodeRole, ElectrodeStock, SurfaceModification};
+use bios_prng::Fnv1a;
 use bios_units::{
     Amperes, ConcentrationRange, Kelvin, Molar, Sensitivity, SquareCm, SurfaceLoading, Volts,
     FARADAY,
@@ -91,6 +92,9 @@ pub struct CatalogEntry {
     sweep_points: usize,
     film_activity: f64,
     is_ours: bool,
+    /// [`CatalogEntry::protocol_fingerprint`], computed whenever a field
+    /// is set (construction and every `with_*`), never on the job path.
+    fingerprint: u64,
 }
 
 impl CatalogEntry {
@@ -151,7 +155,7 @@ impl CatalogEntry {
     #[must_use]
     pub fn with_sweep_points(mut self, sweep_points: usize) -> CatalogEntry {
         self.sweep_points = sweep_points;
-        self
+        self.refingerprinted()
     }
 
     /// Returns the entry under a different id (e.g. to mount the same
@@ -159,7 +163,7 @@ impl CatalogEntry {
     #[must_use]
     pub fn with_id(mut self, id: &str) -> CatalogEntry {
         self.id = id.to_owned();
-        self
+        self.refingerprinted()
     }
 
     /// Retained enzyme-film activity this entry is assembled with
@@ -179,7 +183,7 @@ impl CatalogEntry {
     #[must_use]
     pub fn with_film_activity(mut self, activity: f64) -> CatalogEntry {
         self.film_activity = activity.clamp(0.05, 1.0);
-        self
+        self.refingerprinted()
     }
 
     /// A stable 64-bit fingerprint (FNV-1a) of everything that
@@ -188,12 +192,96 @@ impl CatalogEntry {
     /// recipe is derived from. Entries that would simulate differently
     /// fingerprint differently, so `(id, fingerprint, seed)` is a sound
     /// memo-cache key for [`CatalogEntry::run_calibration`].
+    ///
+    /// The value is computed once, when the entry is built or changed,
+    /// so reading it is free.
     #[must_use]
     pub fn protocol_fingerprint(&self) -> u64 {
-        // The Debug rendering covers every field of the entry, and f64
-        // Debug output is shortest-round-trip, so distinct bit patterns
-        // render distinctly.
-        bios_prng::fnv1a(format!("{self:?}").as_bytes())
+        self.fingerprint
+    }
+
+    /// Re-stamps the stored fingerprint after a field changed.
+    fn refingerprinted(mut self) -> CatalogEntry {
+        self.fingerprint = self.canonical_fingerprint();
+        self
+    }
+
+    /// FNV-1a over the canonical binary encoding of every field, in
+    /// declaration order (see [`Fnv1a`]: little-endian integers, floats
+    /// as bit patterns, length-prefixed strings). `Option`s and the
+    /// data-carrying enums are tagged with an explicit byte; field-less
+    /// enums contribute their declaration-order discriminant, so
+    /// reordering a variant moves fingerprints (the pinned
+    /// `our_glucose_sensor` vector in the tests catches layout drift).
+    fn canonical_fingerprint(&self) -> u64 {
+        let mut h = Fnv1a::new();
+        h.write_str(&self.id);
+        h.write_str(&self.label);
+        write_option(&mut h, self.citation.as_deref(), Fnv1a::write_str);
+        h.write_u8(self.analyte as u8);
+
+        let paper = &self.paper;
+        h.write_f64(paper.sensitivity.as_micro_amps_per_milli_molar_square_cm());
+        write_range(&mut h, paper.linear_range);
+        write_option(&mut h, paper.detection_limit, |h, lod| {
+            h.write_f64(lod.as_molar());
+        });
+
+        h.write_u8(self.electrode.material() as u8);
+        h.write_f64(self.electrode.area().as_square_cm());
+        h.write_u8(self.electrode.role() as u8);
+
+        let m = &self.modification;
+        h.write_str(m.name());
+        write_option(&mut h, m.dispersant(), |h, d| h.write_u8(d as u8));
+        h.write_f64(m.roughness());
+        h.write_f64(m.electron_transfer_gain());
+        h.write_f64(m.enzyme_capacity_gain());
+        h.write_f64(m.collection_efficiency());
+        write_option(&mut h, m.cnt_dimensions(), |h, cnt| {
+            h.write_f64(cnt.diameter.as_cm());
+            h.write_f64(cnt.length.as_cm());
+        });
+
+        match self.chemistry {
+            ChemistryKind::Oxidase(kind) => {
+                h.write_u8(0);
+                h.write_u8(kind as u8);
+            }
+            ChemistryKind::Cyp(isoform) => {
+                h.write_u8(1);
+                h.write_u8(isoform as u8);
+            }
+        }
+
+        match self.technique {
+            Technique::Chronoamperometry { bias } => {
+                h.write_u8(0);
+                h.write_f64(bias.as_volts());
+            }
+            Technique::CyclicVoltammetry { low, high, rate } => {
+                h.write_u8(1);
+                h.write_f64(low.as_volts());
+                h.write_f64(high.as_volts());
+                h.write_f64(rate.as_volts_per_second());
+            }
+            Technique::DifferentialPulseVoltammetry {
+                low,
+                high,
+                amplitude,
+            } => {
+                h.write_u8(2);
+                h.write_f64(low.as_volts());
+                h.write_f64(high.as_volts());
+                h.write_f64(amplitude.as_volts());
+            }
+        }
+
+        write_range(&mut h, self.sweep);
+        h.write_u64(self.sweep_points as u64);
+        h.write_f64(self.film_activity);
+        h.write_u8(u8::from(self.is_ours));
+        h.value()
     }
 
     /// The apparent Michaelis constant implied by the reported linear
@@ -404,6 +492,24 @@ impl CatalogEntry {
     }
 }
 
+/// Tags an `Option` with one byte (0 = `None`, 1 = `Some`) and encodes
+/// the value after a `Some`.
+fn write_option<T>(h: &mut Fnv1a, value: Option<T>, write: impl FnOnce(&mut Fnv1a, T)) {
+    match value {
+        None => h.write_u8(0),
+        Some(v) => {
+            h.write_u8(1);
+            write(h, v);
+        }
+    }
+}
+
+/// A concentration range as its two bounds, in molar.
+fn write_range(h: &mut Fnv1a, range: ConcentrationRange) {
+    h.write_f64(range.low().as_molar());
+    h.write_f64(range.high().as_molar());
+}
+
 /// The result of one end-to-end calibration run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CalibrationOutcome {
@@ -469,7 +575,9 @@ fn entry(
         sweep_points: 25,
         film_activity: 1.0,
         is_ours: citation.is_none(),
+        fingerprint: 0,
     }
+    .refingerprinted()
 }
 
 /// The paper's glucose sensor: MWCNT/Nafion on the microfabricated Au
@@ -1141,6 +1249,79 @@ mod tests {
         // Saturates instead of overflowing.
         let absurd = our_glucose_sensor().with_sweep_points(usize::MAX);
         assert_eq!(absurd.calibration_workload(), u64::MAX);
+    }
+
+    fn every_entry() -> Vec<CatalogEntry> {
+        let mut all = all_table2();
+        all.extend(multi_panel_sensors());
+        all
+    }
+
+    #[test]
+    fn stored_fingerprint_matches_a_fresh_recomputation() {
+        for e in every_entry() {
+            assert_eq!(
+                e.protocol_fingerprint(),
+                e.canonical_fingerprint(),
+                "{}",
+                e.id()
+            );
+            let aged = e.clone().with_film_activity(0.5).with_sweep_points(9);
+            assert_eq!(
+                aged.protocol_fingerprint(),
+                aged.canonical_fingerprint(),
+                "{}",
+                e.id()
+            );
+        }
+    }
+
+    #[test]
+    fn every_field_changing_builder_moves_the_fingerprint() {
+        for e in every_entry() {
+            let fp = e.protocol_fingerprint();
+            let changed = [
+                e.clone().with_id("renamed").protocol_fingerprint(),
+                e.clone()
+                    .with_sweep_points(e.sweep_points() + 1)
+                    .protocol_fingerprint(),
+                e.clone().with_film_activity(0.5).protocol_fingerprint(),
+            ];
+            for (k, moved) in changed.into_iter().enumerate() {
+                assert_ne!(
+                    moved,
+                    fp,
+                    "{}: builder {k} kept a stale fingerprint",
+                    e.id()
+                );
+            }
+            let same = e.clone().with_film_activity(e.film_activity());
+            assert_eq!(same.protocol_fingerprint(), fp, "{}", e.id());
+            assert_eq!(same, e);
+        }
+    }
+
+    #[test]
+    fn catalog_entries_fingerprint_distinctly() {
+        let mut fps: Vec<u64> = every_entry()
+            .iter()
+            .map(CatalogEntry::protocol_fingerprint)
+            .collect();
+        let n = fps.len();
+        fps.sort_unstable();
+        fps.dedup();
+        assert_eq!(fps.len(), n);
+    }
+
+    #[test]
+    fn glucose_fingerprint_reference_vector() {
+        // Pins the canonical encoding's layout (field order, widths,
+        // tags): any change to it moves this value, and with it every
+        // memo-cache key and journal fingerprint.
+        assert_eq!(
+            our_glucose_sensor().protocol_fingerprint(),
+            0x525e_aa61_3b2f_ab8e
+        );
     }
 
     #[test]

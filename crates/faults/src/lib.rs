@@ -273,9 +273,11 @@ impl FaultPlan {
         &self.specs
     }
 
-    /// Stable content hash (FNV-1a over the `Debug` rendering), the
-    /// same idiom as `CatalogEntry::protocol_fingerprint`. Two plans
-    /// that would inject different faults have different fingerprints.
+    /// Stable content hash: FNV-1a over the plan's `Debug` rendering,
+    /// recomputed on every call. Two plans that would inject different
+    /// faults have different fingerprints. (Catalog protocol
+    /// fingerprints have moved to a stored hash of a canonical binary
+    /// encoding; this one has not yet.)
     pub fn fingerprint(&self) -> u64 {
         fnv1a(format!("{self:?}").as_bytes())
     }

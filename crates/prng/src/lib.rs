@@ -190,12 +190,96 @@ pub fn cases(seed: u64, n: usize, mut property: impl FnMut(&mut Rng)) {
 #[inline]
 #[must_use]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &byte in bytes {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+    let mut hash = Fnv1a::new();
+    hash.write_bytes(bytes);
+    hash.value()
+}
+
+/// Streaming [`fnv1a`] over a canonical little-endian binary encoding.
+///
+/// Fingerprints and checksums feed their fields through the typed
+/// `write_*` methods in a fixed order instead of hashing a rendered
+/// string: integers as little-endian bytes, floats as their IEEE-754
+/// bit patterns (`0.0` and `-0.0` differ), strings with a `u64` length
+/// prefix (so `("ab", "c")` and `("a", "bc")` differ). Callers tag
+/// enum variants and `Option`s with an explicit byte. No step
+/// allocates, so the hash of a fixed-size record costs a few dozen
+/// nanoseconds.
+///
+/// Feeding raw bytes through [`Fnv1a::write_bytes`] hashes exactly as
+/// [`fnv1a`] does over their concatenation.
+///
+/// # Examples
+///
+/// ```
+/// use bios_prng::{fnv1a, Fnv1a};
+///
+/// let mut h = Fnv1a::new();
+/// h.write_bytes(b"a");
+/// assert_eq!(h.value(), fnv1a(b"a"));
+///
+/// let mut pos = Fnv1a::new();
+/// pos.write_f64(0.0);
+/// let mut neg = Fnv1a::new();
+/// neg.write_f64(-0.0);
+/// assert_ne!(pos.value(), neg.value());
+/// ```
+#[derive(Debug, Clone)]
+pub struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Fnv1a {
+        Fnv1a::new()
     }
-    hash
+}
+
+impl Fnv1a {
+    /// The FNV-1a offset basis: the hash of no input.
+    #[must_use]
+    pub const fn new() -> Fnv1a {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+
+    /// Feeds raw bytes.
+    #[inline]
+    pub fn write_bytes(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+
+    /// Feeds one byte (an enum or `Option` tag, a flag).
+    #[inline]
+    pub fn write_u8(&mut self, v: u8) {
+        self.write_bytes(&[v]);
+    }
+
+    /// Feeds a `u64` as 8 little-endian bytes.
+    #[inline]
+    pub fn write_u64(&mut self, v: u64) {
+        self.write_bytes(&v.to_le_bytes());
+    }
+
+    /// Feeds an `f64` as its IEEE-754 bit pattern.
+    #[inline]
+    pub fn write_f64(&mut self, v: f64) {
+        self.write_u64(v.to_bits());
+    }
+
+    /// Feeds a string as its `u64` byte length, then its UTF-8 bytes.
+    #[inline]
+    pub fn write_str(&mut self, s: &str) {
+        self.write_u64(s.len() as u64);
+        self.write_bytes(s.as_bytes());
+    }
+
+    /// The hash of everything fed so far.
+    #[inline]
+    #[must_use]
+    pub fn value(&self) -> u64 {
+        self.0
+    }
 }
 
 #[cfg(test)]
@@ -207,6 +291,26 @@ mod tests {
         // Reference values from the FNV-1a specification.
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+    }
+
+    #[test]
+    fn streaming_encoding_is_little_endian_and_length_prefixed() {
+        let mut h = Fnv1a::new();
+        h.write_u64(0x0102_0304_0506_0708);
+        assert_eq!(h.value(), fnv1a(&[8, 7, 6, 5, 4, 3, 2, 1]));
+        let mut h = Fnv1a::new();
+        h.write_f64(1.0);
+        assert_eq!(h.value(), fnv1a(&1.0f64.to_bits().to_le_bytes()));
+        let mut h = Fnv1a::new();
+        h.write_str("ab");
+        assert_eq!(h.value(), fnv1a(&[2, 0, 0, 0, 0, 0, 0, 0, b'a', b'b']));
+        let split = |a: &str, b: &str| {
+            let mut h = Fnv1a::new();
+            h.write_str(a);
+            h.write_str(b);
+            h.value()
+        };
+        assert_ne!(split("ab", "c"), split("a", "bc"));
     }
 
     #[test]

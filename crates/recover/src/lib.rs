@@ -56,7 +56,7 @@ pub mod codec;
 pub mod journal;
 pub mod sim;
 
-pub use bios_prng::fnv1a;
+pub use bios_prng::{fnv1a, Fnv1a};
 pub use codec::{ByteReader, ByteWriter, CodecError};
 pub use journal::{Disposition, JournalError, JournalReader, JournalWriter, LoadedJournal, Record};
 pub use sim::{

@@ -10,11 +10,18 @@
 //! The protocol fingerprint ([`bios_core::catalog::CatalogEntry::protocol_fingerprint`])
 //! covers every field that feeds the calibration — electrode, film
 //! recipe, technique, sweep — so two entries sharing an id but differing
-//! in recipe can never alias each other's results. The plan fingerprint
+//! in recipe can never alias each other's results. It is a hash of the
+//! entry's canonical binary encoding, stored when the entry is built, so
+//! building a key costs no hashing at all. The plan fingerprint
 //! ([`bios_faults::FaultPlan::fingerprint`]) does the same for injected
 //! faults: a faulted outcome can never masquerade as a healthy one
 //! (jobs whose realization is healthy store under plan fingerprint 0,
 //! because their outcome *is* the healthy outcome).
+//!
+//! Every resident entry carries an integrity checksum stamped at insert
+//! and re-verified on every hit: FNV-1a over the summary's canonical
+//! encoding, its five `f64` bit patterns (`summary_bits`). A hit
+//! therefore costs one lock, one map probe and a 40-byte hash.
 //!
 //! The cache is **bounded**: each shard evicts its least-recently-used
 //! entry once it exceeds its share of the configured capacity, so a
@@ -26,7 +33,8 @@
 //! entry to a checksummed snapshot file (same frame discipline as the
 //! run journal) and [`ResultCache::load`] reads one back, *dropping and
 //! counting* — never serving — any entry that fails its checksum or
-//! decodes to non-finite physics.
+//! decodes to non-finite physics. The snapshot carries the summary in
+//! the same five-bit-pattern encoding.
 
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
@@ -38,14 +46,16 @@ use bios_analytics::{CalibrationCurve, CalibrationPoint, CalibrationSummary};
 use bios_core::catalog::CalibrationOutcome;
 use bios_recover::codec::{read_frame, write_frame, FrameRead};
 use bios_recover::sim::{RealIo, StorageIo};
-use bios_recover::{fnv1a, ByteReader, ByteWriter, CodecError};
+use bios_recover::{ByteReader, ByteWriter, CodecError, Fnv1a};
 use bios_units::{Amperes, ConcentrationRange, Molar, Sensitivity, SquareCm};
 
 /// First bytes of a cache snapshot file.
 const CACHE_MAGIC: &[u8; 8] = b"BIOSCSH1";
 
-/// Snapshot format version carried in the header frame.
-const CACHE_VERSION: u32 = 1;
+/// Snapshot format version carried in the header frame. Version 2: keys
+/// carry the binary-encoding protocol fingerprints; a version-1 file's
+/// keys could never hit, so it is rejected whole.
+const CACHE_VERSION: u32 = 2;
 
 /// Number of independent shards; a small power of two keeps lock
 /// contention negligible at any plausible worker count.
@@ -81,14 +91,40 @@ struct Shard {
     tick: u64,
 }
 
-/// Integrity checksum of a memoized outcome: FNV-1a over the exact
-/// `{:?}` rendering of its summary that the fleet digest hashes. A
-/// cache hit whose recomputed checksum no longer matches its insert
-/// stamp was corrupted *at rest* — it is dropped and counted, never
-/// served, because a finite-but-wrong summary would sail through
-/// `NonFinite` quarantine and poison every later run that hits it.
+/// The canonical encoding of a [`CalibrationSummary`]: the IEEE-754 bit
+/// patterns of its five floats — sensitivity (µA·mM⁻¹·cm⁻²), linear
+/// range low and high (M), detection limit (M), R² — in that order.
+/// Equal encodings ⇔ bit-equal summaries ⇔ equal digest lines, so the
+/// cache checksum, the result seal and the snapshot codec all cover
+/// exactly what the fleet digest renders, without rendering it.
+pub(crate) fn summary_bits(s: &CalibrationSummary) -> [u64; 5] {
+    [
+        s.sensitivity.as_micro_amps_per_milli_molar_square_cm(),
+        s.linear_range.low().as_molar(),
+        s.linear_range.high().as_molar(),
+        s.detection_limit.as_molar(),
+        s.r_squared,
+    ]
+    .map(f64::to_bits)
+}
+
+/// Feeds [`summary_bits`] to a hasher, little-endian.
+pub(crate) fn hash_summary(h: &mut Fnv1a, s: &CalibrationSummary) {
+    for bits in summary_bits(s) {
+        h.write_u64(bits);
+    }
+}
+
+/// Integrity checksum of a memoized outcome: FNV-1a over its summary's
+/// [`summary_bits`]. A cache hit whose recomputed checksum no longer
+/// matches its insert stamp was corrupted *at rest* — it is dropped and
+/// counted, never served, because a finite-but-wrong summary would sail
+/// through `NonFinite` quarantine and poison every later run that hits
+/// it.
 fn outcome_checksum(outcome: &CalibrationOutcome) -> u64 {
-    fnv1a(format!("{:?}", outcome.summary).as_bytes())
+    let mut h = Fnv1a::new();
+    hash_summary(&mut h, &outcome.summary);
+    h.value()
 }
 
 /// A sharded, thread-safe, bounded memo table of calibration outcomes.
@@ -406,12 +442,9 @@ fn encode_entry(key: &CacheKey, outcome: &CalibrationOutcome) -> Vec<u8> {
     w.put_u64(key.protocol);
     w.put_u64(key.plan);
     w.put_u64(key.seed);
-    let s = &outcome.summary;
-    w.put_f64(s.sensitivity.as_micro_amps_per_milli_molar_square_cm());
-    w.put_f64(s.linear_range.low().as_molar());
-    w.put_f64(s.linear_range.high().as_molar());
-    w.put_f64(s.detection_limit.as_molar());
-    w.put_f64(s.r_squared);
+    for bits in summary_bits(&outcome.summary) {
+        w.put_u64(bits);
+    }
     let curve = &outcome.curve;
     w.put_f64(curve.electrode_area().as_square_cm());
     w.put_f64(curve.blank_sigma().as_amps());
@@ -439,19 +472,11 @@ fn decode_entry(payload: &[u8]) -> Result<(CacheKey, CalibrationOutcome), CodecE
         plan: r.get_u64()?,
         seed: r.get_u64()?,
     };
-    let sensitivity = finite(r.get_f64()?)?;
-    let low = finite(r.get_f64()?)?;
-    let high = finite(r.get_f64()?)?;
-    let detection_limit = finite(r.get_f64()?)?;
-    let r_squared = finite(r.get_f64()?)?;
-    let linear_range = ConcentrationRange::new(Molar::from_molar(low), Molar::from_molar(high))
-        .map_err(|_| CodecError::Truncated)?;
-    let summary = CalibrationSummary {
-        sensitivity: Sensitivity::new(sensitivity),
-        linear_range,
-        detection_limit: Molar::from_molar(detection_limit),
-        r_squared,
-    };
+    let mut bits = [0u64; 5];
+    for b in &mut bits {
+        *b = r.get_u64()?;
+    }
+    let summary = summary_from_bits(bits)?;
     let area = finite(r.get_f64()?)?;
     let blank_sigma = finite(r.get_f64()?)?;
     let n_points = r.get_u32()? as usize;
@@ -482,6 +507,23 @@ fn decode_entry(payload: &[u8]) -> Result<(CacheKey, CalibrationOutcome), CodecE
         Amperes::from_amps(blank_sigma),
     );
     Ok((key, CalibrationOutcome { summary, curve }))
+}
+
+/// The inverse of [`summary_bits`], rejecting non-finite floats and an
+/// inverted linear range.
+pub(crate) fn summary_from_bits(bits: [u64; 5]) -> Result<CalibrationSummary, CodecError> {
+    let [sensitivity, low, high, detection_limit, r_squared] = bits.map(f64::from_bits);
+    let linear_range = ConcentrationRange::new(
+        Molar::from_molar(finite(low)?),
+        Molar::from_molar(finite(high)?),
+    )
+    .map_err(|_| CodecError::Truncated)?;
+    Ok(CalibrationSummary {
+        sensitivity: Sensitivity::new(finite(sensitivity)?),
+        linear_range,
+        detection_limit: Molar::from_molar(finite(detection_limit)?),
+        r_squared: finite(r_squared)?,
+    })
 }
 
 /// Rejects NaN/±Inf at the decode boundary.
@@ -567,6 +609,23 @@ mod tests {
             "the rotten entry is gone, not re-served"
         );
         assert_eq!(cache.corrupt_dropped(), 1, "dropped exactly once");
+    }
+
+    #[test]
+    fn one_flipped_summary_float_is_dropped_at_serve_never_served() {
+        let honest = catalog::our_glucose_sensor().run_calibration(7).unwrap();
+        for k in 0..5 {
+            let cache = ResultCache::new();
+            cache.insert(key(7), honest.clone());
+            let mut bits = summary_bits(&honest.summary);
+            bits[k] ^= 1;
+            let mut rotten = honest.clone();
+            rotten.summary = summary_from_bits(bits).unwrap();
+            cache.tamper(&key(7), rotten);
+            assert!(cache.get(&key(7)).is_none(), "float {k} served");
+            assert_eq!(cache.corrupt_dropped(), 1, "float {k}");
+            assert!(cache.is_empty(), "float {k} stayed resident");
+        }
     }
 
     #[test]
@@ -698,6 +757,28 @@ mod tests {
         let err = cache.load(&path).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         assert!(cache.is_empty());
+        let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    fn version_1_snapshot_is_invalid_data_and_loads_nothing() {
+        // A version-1 file, written before keys carried binary-encoding
+        // fingerprints: a well-formed header plus one well-formed entry.
+        let outcome = catalog::our_glucose_sensor().run_calibration(1).unwrap();
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(CACHE_MAGIC);
+        let mut header = ByteWriter::new();
+        header.put_u32(1);
+        header.put_u64(1);
+        write_frame(&mut bytes, header.bytes()).unwrap();
+        write_frame(&mut bytes, &encode_entry(&key(1), &outcome)).unwrap();
+        let path = temp_path("v1");
+        std::fs::write(&path, &bytes).unwrap();
+        let cache = ResultCache::new();
+        let err = cache.load(&path).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(cache.is_empty());
+        assert_eq!(cache.corrupt_dropped(), 0);
         let _ = std::fs::remove_file(path);
     }
 

@@ -15,7 +15,9 @@ use std::time::Duration;
 use bios_core::catalog::{CalibrationOutcome, CatalogEntry};
 use bios_core::CoreError;
 use bios_faults::{FaultPlan, FaultTally};
+use bios_recover::Fnv1a;
 
+use crate::cache::hash_summary;
 use crate::metrics::MetricsSnapshot;
 
 /// One unit of fleet work: calibrate `entry` under `seed`.
@@ -102,29 +104,21 @@ impl Fleet {
 
     /// A stable fingerprint of everything that determines the fleet's
     /// physics results: each job's sensor identity, protocol
-    /// fingerprint, and seed, plus the armed fault plan. The fleet's
-    /// display name is deliberately excluded — renaming a run must not
-    /// invalidate its journal. Used to verify on resume that a journal
-    /// belongs to the fleet being resumed.
+    /// fingerprint, and seed, plus the armed fault plan (0 when none),
+    /// hashed in that order as a canonical binary encoding (see
+    /// [`Fnv1a`]). The fleet's display name is deliberately excluded —
+    /// renaming a run must not invalidate its journal. Used to verify on
+    /// resume that a journal belongs to the fleet being resumed.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
-        use fmt::Write;
-        let mut desc = String::new();
+        let mut h = Fnv1a::new();
         for job in &self.jobs {
-            let _ = writeln!(
-                desc,
-                "{} {:016x} {:016x}",
-                job.entry.id(),
-                job.entry.protocol_fingerprint(),
-                job.seed
-            );
+            h.write_str(job.entry.id());
+            h.write_u64(job.entry.protocol_fingerprint());
+            h.write_u64(job.seed);
         }
-        let _ = writeln!(
-            desc,
-            "plan {:016x}",
-            self.fault_plan.as_ref().map_or(0, |p| p.fingerprint())
-        );
-        bios_recover::fnv1a(desc.as_bytes())
+        h.write_u64(self.fault_plan.as_ref().map_or(0, |p| p.fingerprint()));
+        h.value()
     }
 
     /// Builds a fleet directly from pre-indexed jobs, reusing this
@@ -324,22 +318,42 @@ pub struct JobResult {
     pub injected: FaultTally,
     /// The calibration outcome or the per-job error.
     pub outcome: Result<Arc<CalibrationOutcome>, JobError>,
-    /// End-to-end integrity checksum: FNV-1a over the result's payload
-    /// ([`JobResult::digest_line`] bytes), computed once at produce
-    /// time on the worker. Every later hop — memo-cache insert, journal
-    /// append, report merge — re-derives the checksum from the payload
-    /// it sees and refuses a result whose bytes no longer match, so a
-    /// finite-but-wrong value corrupted *in flight* is caught even
-    /// though it would pass `NonFinite` quarantine.
+    /// End-to-end integrity checksum of the result's payload (see
+    /// [`JobResult::payload_checksum`]), stamped once by
+    /// [`JobResult::sealed`] on the worker thread that produced the
+    /// result, before it crosses the result channel. Every later hop —
+    /// the collector's journal append, the shard merge — re-derives the
+    /// checksum from the payload it sees and refuses a result whose
+    /// bytes no longer match, so a finite-but-wrong value corrupted *in
+    /// flight* is caught even though it would pass `NonFinite`
+    /// quarantine.
     pub integrity: u64,
 }
 
 impl JobResult {
     /// Re-derives the integrity checksum from the payload this result
-    /// currently carries (FNV-1a over [`JobResult::digest_line`]).
+    /// currently carries: FNV-1a over the sensor id, the seed, and then
+    /// either tag 0 and the summary's five `f64` bit patterns, or tag 1
+    /// and the error's `Display` text (strings length-prefixed). That
+    /// covers every field [`JobResult::digest_line`] renders; a success
+    /// is hashed from its bits, not its rendering (so `0.0` and `-0.0`
+    /// differ), and only the rare failure renders text.
     #[must_use]
     pub fn payload_checksum(&self) -> u64 {
-        bios_recover::fnv1a(self.digest_line().as_bytes())
+        let mut h = Fnv1a::new();
+        h.write_str(&self.sensor);
+        h.write_u64(self.seed);
+        match &self.outcome {
+            Ok(o) => {
+                h.write_u8(0);
+                hash_summary(&mut h, &o.summary);
+            }
+            Err(e) => {
+                h.write_u8(1);
+                h.write_str(&e.to_string());
+            }
+        }
+        h.value()
     }
 
     /// Stamps the produce-time integrity checksum. Call exactly once,
@@ -632,6 +646,68 @@ mod tests {
             .fault_plan(bios_faults::FaultPlan::chaos(7, 0.5))
             .build();
         assert_ne!(a.fingerprint(), armed.fingerprint());
+    }
+
+    fn sealed_result(summary: bios_analytics::CalibrationSummary) -> JobResult {
+        let mut outcome = catalog::our_glucose_sensor().run_calibration(3).unwrap();
+        outcome.summary = summary;
+        JobResult {
+            index: 0,
+            sensor: "glucose/ours".into(),
+            seed: 3,
+            wall: Duration::ZERO,
+            from_cache: false,
+            attempts: 1,
+            injected: FaultTally::default(),
+            outcome: Ok(Arc::new(outcome)),
+            integrity: 0,
+        }
+        .sealed()
+    }
+
+    #[test]
+    fn seal_covers_every_summary_float_the_seed_and_the_sensor() {
+        let summary = catalog::our_glucose_sensor()
+            .run_calibration(3)
+            .unwrap()
+            .summary;
+        let honest = sealed_result(summary);
+        assert!(honest.verify_integrity());
+        // One flipped low mantissa bit per summary float, behind the
+        // seal's back.
+        for k in 0..5 {
+            let mut bits = crate::cache::summary_bits(&summary);
+            bits[k] ^= 1;
+            let mut tampered = honest.clone();
+            let mut outcome = (**tampered.outcome.as_ref().unwrap()).clone();
+            outcome.summary = crate::cache::summary_from_bits(bits).unwrap();
+            tampered.outcome = Ok(Arc::new(outcome));
+            assert!(!tampered.verify_integrity(), "summary float {k} unsealed");
+        }
+        let mut reseeded = honest.clone();
+        reseeded.seed ^= 1;
+        assert!(!reseeded.verify_integrity(), "seed unsealed");
+        let mut renamed = honest.clone();
+        renamed.sensor = "glucose/ourt".into();
+        assert!(!renamed.verify_integrity(), "sensor id unsealed");
+        let mut failed = honest;
+        failed.outcome = Err(JobError::Deadline);
+        assert!(!failed.verify_integrity(), "outcome swap unsealed");
+    }
+
+    #[test]
+    fn positive_and_negative_zero_seal_differently() {
+        let mut summary = catalog::our_glucose_sensor()
+            .run_calibration(3)
+            .unwrap()
+            .summary;
+        summary.r_squared = 0.0;
+        let pos = sealed_result(summary);
+        summary.r_squared = -0.0;
+        let neg = sealed_result(summary);
+        assert_ne!(pos.integrity, neg.integrity);
+        // The digest contract tells them apart too.
+        assert_ne!(pos.digest_line(), neg.digest_line());
     }
 
     #[test]

@@ -288,51 +288,23 @@ pub struct Runtime {
     metrics: Arc<RuntimeMetrics>,
 }
 
-/// What one executed job sends back from its worker.
-struct Completion {
-    index: usize,
-    outcome: Result<Arc<CalibrationOutcome>, JobError>,
-    wall: Duration,
-    from_cache: bool,
-    attempts: u32,
-    injected: FaultTally,
-}
-
 impl JobResult {
-    /// The sealed result of job `index` (`sensor`, `seed`) from its
-    /// worker's completion.
-    fn from_completion(
-        index: usize,
-        sensor: String,
-        seed: u64,
-        completion: Completion,
-    ) -> JobResult {
+    /// The deterministic failure surfaced for a job whose worker died
+    /// without reporting back. No worker produced it, so the collector
+    /// seals it.
+    fn worker_lost(index: usize, sensor: String, seed: u64) -> JobResult {
         JobResult {
             index,
             sensor,
             seed,
-            wall: completion.wall,
-            from_cache: completion.from_cache,
-            attempts: completion.attempts,
-            injected: completion.injected,
-            outcome: completion.outcome,
-            integrity: 0,
-        }
-        .sealed()
-    }
-
-    /// The deterministic failure surfaced for a job whose worker died
-    /// without reporting back.
-    fn worker_lost(index: usize, sensor: String, seed: u64) -> JobResult {
-        let lost = Completion {
-            index,
-            outcome: Err(JobError::Panicked("worker lost".into())),
             wall: Duration::ZERO,
             from_cache: false,
             attempts: 0,
             injected: FaultTally::default(),
-        };
-        JobResult::from_completion(index, sensor, seed, lost)
+            outcome: Err(JobError::Panicked("worker lost".into())),
+            integrity: 0,
+        }
+        .sealed()
     }
 }
 
@@ -472,7 +444,7 @@ impl Runtime {
         let watchdog = (self.config.job_deadline > Duration::ZERO)
             .then(|| Watchdog::spawn(self.config.job_deadline));
         let registry = watchdog.as_ref().map(Watchdog::registry);
-        let (tx, rx) = mpsc::channel::<Completion>();
+        let (tx, rx) = mpsc::channel::<JobResult>();
         // Dispatch contiguous *chunks* of jobs rather than single jobs:
         // the job list is shared as one `Arc<[Job]>` and each boxed task
         // walks its index range, so the per-job dispatch cost (entry
@@ -494,7 +466,7 @@ impl Runtime {
             self.pool.execute_judged(move || {
                 let mut absorbed_stall = false;
                 for job in &jobs[start..end] {
-                    let completion = execute_job(
+                    let result = execute_job(
                         job.index,
                         &job.entry,
                         job.seed,
@@ -505,8 +477,8 @@ impl Runtime {
                         policy,
                     );
                     absorbed_stall |=
-                        registry.is_some() && matches!(completion.outcome, Err(JobError::Deadline));
-                    let _ = tx.send(completion);
+                        registry.is_some() && matches!(result.outcome, Err(JobError::Deadline));
+                    let _ = tx.send(result);
                 }
                 if absorbed_stall {
                     // The thread sat in a livelock until the watchdog
@@ -525,16 +497,9 @@ impl Runtime {
         let mut received = 0usize;
         while received < fleet.len() {
             match rx.recv_timeout(Duration::from_millis(25)) {
-                Ok(completion) => {
-                    let slot = completion.index;
-                    let job = &fleet.jobs()[slot];
-                    let result = JobResult::from_completion(
-                        job.index,
-                        job.entry.id().to_owned(),
-                        job.seed,
-                        completion,
-                    );
+                Ok(result) => {
                     on_result(&result);
+                    let slot = result.index;
                     slots[slot] = Some(result);
                     received += 1;
                 }
@@ -606,7 +571,7 @@ impl Runtime {
             .jobs()
             .iter()
             .map(|job| {
-                let completion = execute_job(
+                execute_job(
                     job.index,
                     &job.entry,
                     job.seed,
@@ -615,12 +580,6 @@ impl Runtime {
                     None,
                     &self.metrics,
                     policy,
-                );
-                JobResult::from_completion(
-                    job.index,
-                    job.entry.id().to_owned(),
-                    job.seed,
-                    completion,
                 )
             })
             .collect();
@@ -651,8 +610,8 @@ impl Runtime {
 #[derive(Debug)]
 pub struct JobStream<'rt> {
     runtime: &'rt Runtime,
-    tx: mpsc::Sender<(u64, Completion)>,
-    rx: mpsc::Receiver<(u64, Completion)>,
+    tx: mpsc::Sender<(u64, JobResult)>,
+    rx: mpsc::Receiver<(u64, JobResult)>,
     next_ticket: u64,
     /// Ticket → (sensor id, seed) for every submitted-but-uncollected
     /// job; `BTreeMap` so the oldest ticket is recoverable when a lost
@@ -703,7 +662,7 @@ impl JobStream<'_> {
         let metrics = Arc::clone(&self.runtime.metrics);
         let policy = ExecPolicy::from_config(&self.runtime.config);
         host.pool.execute(move || {
-            let completion = execute_job(
+            let result = execute_job(
                 ticket as usize,
                 &entry,
                 seed,
@@ -713,7 +672,7 @@ impl JobStream<'_> {
                 &metrics,
                 policy,
             );
-            let _ = tx.send((ticket, completion));
+            let _ = tx.send((ticket, result));
         });
         ticket
     }
@@ -735,14 +694,11 @@ impl JobStream<'_> {
         loop {
             self.outstanding.keys().next()?;
             match self.rx.recv_timeout(Duration::from_millis(25)) {
-                Ok((ticket, completion)) => {
-                    // A completion whose ticket was already synthesized
-                    // as lost (worker limped back) is dropped.
-                    if let Some((sensor, seed)) = self.outstanding.remove(&ticket) {
-                        return Some((
-                            ticket,
-                            JobResult::from_completion(ticket as usize, sensor, seed, completion),
-                        ));
+                Ok((ticket, result)) => {
+                    // A result whose ticket was already synthesized as
+                    // lost (worker limped back) is dropped.
+                    if self.outstanding.remove(&ticket).is_some() {
+                        return Some((ticket, result));
                     }
                 }
                 Err(mpsc::RecvTimeoutError::Timeout) => {
@@ -779,7 +735,9 @@ fn chunk_size(jobs: usize, workers: usize) -> usize {
 /// Runs one job: realize faults, budget gate, cache probe, then the
 /// attempt loop — simulate behind `catch_unwind`, retry transient
 /// failures with deterministic backoff, memoize successes, meter
-/// everything.
+/// everything. Returns the result already sealed, so the integrity
+/// stamp is taken on the thread that produced it, before the result
+/// crosses any channel.
 ///
 /// Every branch here is a pure function of `(entry, seed, plan,
 /// policy)` — never of the worker, the attempt wall-clock, or cache
@@ -796,7 +754,7 @@ fn execute_job(
     watch: Option<&WatchRegistry>,
     metrics: &RuntimeMetrics,
     policy: ExecPolicy,
-) -> Completion {
+) -> JobResult {
     let t0 = Instant::now();
     // Realize this job's faults once, up front: realization depends
     // only on (plan, sensor id, job seed), so retries and reruns see
@@ -810,6 +768,22 @@ fn execute_job(
         .map_or_else(FaultTally::default, |f| f.tally());
     metrics.add(Counter::FaultsInjected, injected.total() as u64);
     let physics_plan = faults.as_ref().and(plan);
+    let finish = |outcome, from_cache, attempts| {
+        let wall = t0.elapsed();
+        metrics.record_finished(Result::is_ok(&outcome), from_cache, wall);
+        JobResult {
+            index,
+            sensor: entry.id().to_owned(),
+            seed,
+            wall,
+            from_cache,
+            attempts,
+            injected,
+            outcome,
+            integrity: 0,
+        }
+        .sealed()
+    };
 
     // Budget gate, before the cache probe so the verdict is a pure
     // function of the job.
@@ -817,19 +791,8 @@ fn execute_job(
         let required = entry.calibration_workload();
         if required > policy.job_budget {
             metrics.add(Counter::BudgetRejections, 1);
-            let wall = t0.elapsed();
-            metrics.record_finished(false, false, wall);
-            return Completion {
-                index,
-                outcome: Err(JobError::Budget {
-                    required,
-                    budget: policy.job_budget,
-                }),
-                wall,
-                from_cache: false,
-                attempts: 0,
-                injected,
-            };
+            let budget = policy.job_budget;
+            return finish(Err(JobError::Budget { required, budget }), false, 0);
         }
     }
 
@@ -847,16 +810,7 @@ fn execute_job(
             registry.end(index);
         }
         metrics.add(Counter::DeadlineKills, 1);
-        let wall = t0.elapsed();
-        metrics.record_finished(false, false, wall);
-        return Completion {
-            index,
-            outcome: Err(JobError::Deadline),
-            wall,
-            from_cache: false,
-            attempts: 1,
-            injected,
-        };
+        return finish(Err(JobError::Deadline), false, 1);
     }
 
     let key = cache.map(|_| CacheKey {
@@ -867,16 +821,7 @@ fn execute_job(
     });
     if let (Some(cache), Some(key)) = (cache, &key) {
         if let Some(hit) = cache.get(key) {
-            let wall = t0.elapsed();
-            metrics.record_finished(true, true, wall);
-            return Completion {
-                index,
-                outcome: Ok(hit),
-                wall,
-                from_cache: true,
-                attempts: 0,
-                injected,
-            };
+            return finish(Ok(hit), true, 0);
         }
     }
 
@@ -931,16 +876,7 @@ fn execute_job(
         (Some(cache), Some(key)) => cache.insert(key, outcome),
         _ => Arc::new(outcome),
     });
-    let wall = t0.elapsed();
-    metrics.record_finished(outcome.is_ok(), false, wall);
-    Completion {
-        index,
-        outcome,
-        wall,
-        from_cache: false,
-        attempts: attempt,
-        injected,
-    }
+    finish(outcome, false, attempt)
 }
 
 /// A real livelock for the `WorkerStall` fault: spin a small diffusion
