@@ -16,7 +16,7 @@ use crate::rules::{Finding, WaiverRecord};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-/// Cache hit/miss counters for the run summary and the survey bin.
+/// Cache hit/miss counters for the run summary.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CacheStats {
     /// Files whose facts were served from the cache.

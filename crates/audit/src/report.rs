@@ -1,9 +1,8 @@
 //! The machine-readable summary: `AUDIT_report.json`.
 //!
-//! Hand-rolled JSON in the same discipline as `BENCH_runtime.json`
-//! (no serde in the offline workspace): line-stable output and a
-//! `schema_version` field so future PRs can track finding/waiver
-//! counts over time. Schema 2 adds the semantic-pass fields:
+//! Hand-rolled JSON (no serde in the offline workspace): line-stable
+//! output in a fixed key order and a `schema_version` field so
+//! finding/waiver counts can be tracked over time. Schema 2 adds the semantic-pass fields:
 //! per-family counts, the G-taint call chains, the facts-cache
 //! counters, and `elapsed_ms`. The elapsed time is the report's *only*
 //! impure field — everything else is a pure function of the tree, so

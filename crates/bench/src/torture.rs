@@ -17,7 +17,8 @@
 //! schedule is a pure function of its seed: the same campaign re-runs
 //! byte-identically on any machine.
 //!
-//! Three phases, shared by `gate torture` and the `survey` JSON block:
+//! Three phases, which `gate torture` composes (it checks the two crash
+//! sweeps separately from the mixed campaign):
 //!
 //! * [`crash_sweep`] — crash at **every** op index of a reference
 //!   monolithic run (create, write, sync, rename, read — each
@@ -342,23 +343,6 @@ pub fn mixed_campaign(
         ));
     }
     report
-}
-
-/// The full campaign: monolithic crash sweep + sharded crash sweep +
-/// `mixed_schedules` mixed-fault schedules, merged into one report.
-///
-/// # Errors
-///
-/// As [`reference_op_count`] / [`sharded_crash_sweep`]: the harness's
-/// own healthy reference runs failed, so no campaign ran.
-pub fn run_torture(mixed_schedules: u64) -> Result<TortureReport, String> {
-    let fleet = torture_fleet();
-    let golden = golden_digest(&fleet);
-    let ops = reference_op_count(&fleet, &golden)?;
-    let mut report = crash_sweep(&fleet, &golden, ops);
-    report.merge(&sharded_crash_sweep(&fleet, &golden)?);
-    report.merge(&mixed_campaign(&fleet, &golden, mixed_schedules, 0x70B7));
-    Ok(report)
 }
 
 #[cfg(test)]

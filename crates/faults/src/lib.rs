@@ -29,7 +29,7 @@
 
 // The same FNV-1a `bios-core` uses for protocol fingerprints, so plan
 // fingerprints can join the memo-cache key without a new hashing scheme.
-use bios_prng::{fnv1a, Rng, SplitMix64};
+use bios_prng::{fnv1a, Fnv1a, Rng, SplitMix64};
 
 /// The taxonomy of injectable physical failures.
 ///
@@ -273,13 +273,22 @@ impl FaultPlan {
         &self.specs
     }
 
-    /// Stable content hash: FNV-1a over the plan's `Debug` rendering,
-    /// recomputed on every call. Two plans that would inject different
-    /// faults have different fingerprints. (Catalog protocol
-    /// fingerprints have moved to a stored hash of a canonical binary
-    /// encoding; this one has not yet.)
+    /// Stable content hash: FNV-1a over a canonical binary encoding of
+    /// the plan (see [`Fnv1a`]) — the name, the seed, the spec count,
+    /// then each spec's kind tag, probability and intensity, in order.
+    /// Two plans that would inject different faults have different
+    /// fingerprints.
     pub fn fingerprint(&self) -> u64 {
-        fnv1a(format!("{self:?}").as_bytes())
+        let mut h = Fnv1a::new();
+        h.write_str(&self.name);
+        h.write_u64(self.seed);
+        h.write_u64(self.specs.len() as u64);
+        for spec in &self.specs {
+            h.write_u64(spec.kind.stream_tag());
+            h.write_f64(spec.probability);
+            h.write_f64(spec.intensity);
+        }
+        h.value()
     }
 
     /// Realize the faults this plan injects into one job.
@@ -947,6 +956,47 @@ mod tests {
             .build();
         assert_ne!(a.fingerprint(), b.fingerprint(), "seed must fingerprint");
         assert_eq!(a.fingerprint(), demo_plan().fingerprint());
+    }
+
+    #[test]
+    fn fingerprint_is_pinned_and_every_field_moves_it() {
+        // name "demo", seed 99, 3 specs: (0x01, 1.0, 0.8), (0x06, 1.0,
+        // 0.5), (0x08, 1.0, 1.0), encoded as documented on `fingerprint`.
+        let base = demo_plan();
+        assert_eq!(base.fingerprint(), 0x090b_3790_0408_fdb9);
+        let with_specs = |specs: &[FaultSpec]| FaultPlan {
+            specs: specs.to_vec(),
+            ..demo_plan()
+        };
+        let mut variants = vec![
+            FaultPlan {
+                name: "demo2".to_owned(),
+                ..demo_plan()
+            },
+            FaultPlan {
+                seed: 100,
+                ..demo_plan()
+            },
+            with_specs(&base.specs()[..2]),
+        ];
+        for i in 0..base.specs().len() {
+            let mut specs = base.specs().to_vec();
+            specs[i].kind = FaultKind::ShardLoss;
+            variants.push(with_specs(&specs));
+            specs[i] = base.specs()[i];
+            specs[i].probability = 0.5;
+            variants.push(with_specs(&specs));
+            specs[i] = base.specs()[i];
+            specs[i].intensity = 0.25;
+            variants.push(with_specs(&specs));
+        }
+        for variant in &variants {
+            assert_ne!(
+                variant.fingerprint(),
+                base.fingerprint(),
+                "{variant:?} must not share the demo plan's fingerprint"
+            );
+        }
     }
 
     #[test]

@@ -485,44 +485,6 @@ impl Default for GatewayConfig {
     }
 }
 
-impl GatewayConfig {
-    /// Defaults overridden from the environment:
-    ///
-    /// * `BIOS_GATEWAY_QPS` — whole tokens refilled per tick, > 0.
-    /// * `BIOS_BREAKER_THRESHOLD` — consecutive failures to trip, > 0.
-    ///
-    /// Malformed values produce one deterministic warning line on
-    /// stderr (via [`bios_runtime::parse_env_value`]) and keep the
-    /// default, same as [`bios_runtime::RuntimeConfig::from_env`].
-    #[must_use]
-    pub fn from_env() -> GatewayConfig {
-        let mut config = GatewayConfig::default();
-        if let Ok(raw) = std::env::var("BIOS_GATEWAY_QPS") {
-            if let Some(qps) =
-                bios_runtime::parse_env_value::<u64>("BIOS_GATEWAY_QPS", &raw, "a positive integer")
-                    .filter(|&q| q > 0)
-            {
-                config.bucket_refill_milli_per_tick = qps.saturating_mul(TokenBucket::WHOLE_TOKEN);
-                config.bucket_capacity_milli = config
-                    .bucket_capacity_milli
-                    .max(config.bucket_refill_milli_per_tick);
-            }
-        }
-        if let Ok(raw) = std::env::var("BIOS_BREAKER_THRESHOLD") {
-            if let Some(t) = bios_runtime::parse_env_value::<u32>(
-                "BIOS_BREAKER_THRESHOLD",
-                &raw,
-                "a positive integer",
-            )
-            .filter(|&t| t > 0)
-            {
-                config.breaker.trip_after = t;
-            }
-        }
-        config
-    }
-}
-
 /// The overload-robust front door. Owns a [`Runtime`] and feeds it
 /// per-tick batches of admitted work.
 #[derive(Debug)]
@@ -782,31 +744,6 @@ mod tests {
         let snap = gw.metrics();
         assert_eq!(snap.rate_limited, 2, "counters mirror runtime-side");
         assert_eq!(snap.admission_rejected, 0);
-    }
-
-    #[test]
-    fn from_env_reads_gateway_knobs_with_warnings() {
-        // Env-var tests share a process; mutate distinct vars only.
-        std::env::set_var("BIOS_GATEWAY_QPS", "5");
-        std::env::set_var("BIOS_BREAKER_THRESHOLD", "9");
-        let c = GatewayConfig::from_env();
-        assert_eq!(c.bucket_refill_milli_per_tick, 5 * TokenBucket::WHOLE_TOKEN);
-        assert_eq!(c.breaker.trip_after, 9);
-        std::env::set_var("BIOS_GATEWAY_QPS", "fast");
-        std::env::set_var("BIOS_BREAKER_THRESHOLD", "0");
-        let d = GatewayConfig::from_env();
-        assert_eq!(
-            d.bucket_refill_milli_per_tick,
-            GatewayConfig::default().bucket_refill_milli_per_tick,
-            "malformed qps keeps the default"
-        );
-        assert_eq!(
-            d.breaker.trip_after,
-            GatewayConfig::default().breaker.trip_after,
-            "zero threshold keeps the default"
-        );
-        std::env::remove_var("BIOS_GATEWAY_QPS");
-        std::env::remove_var("BIOS_BREAKER_THRESHOLD");
     }
 
     #[test]

@@ -31,14 +31,14 @@
 //! of `(config, plan, job stream)` and produces byte-identical
 //! verdicts at 1, 2, or 8 workers and on any shard layout.
 //!
-//! Honest lanes observe the committed result's actual bytes, so they
-//! agree *exactly*; each corrupt lane draws an independent delta of
-//! relative magnitude ≥ `1e-4` — orders of magnitude outside the
-//! default 4-ulp tolerance — so corrupt lanes land in singleton
-//! clusters. The majority cluster is therefore the truth whenever at
-//! least two honest lanes were polled, the vote's accepted value
-//! equals the value already committed, and the report digest is
-//! untouched by arming the screen. Corrupt observations are ephemeral
+//! Ballots agree only when their fields are bit-identical. Honest
+//! lanes observe the committed result's actual bytes, so they agree
+//! *exactly*; each corrupt lane draws an independent delta of relative
+//! magnitude ≥ `1e-4`, which no corrupted field survives bit-equal, so
+//! corrupt lanes land in singleton clusters. The majority cluster is
+//! therefore the truth whenever at least two honest lanes were polled,
+//! the vote's accepted value equals the value already committed, and
+//! the report digest is untouched by arming the screen. Corrupt observations are ephemeral
 //! ballots: they are never written to the memo cache or the journal.
 //!
 //! ```
@@ -62,7 +62,7 @@ use bios_recover::fnv1a;
 use bios_runtime::{Counter, JobResult, RuntimeMetrics};
 
 pub use suspect::SuspectBoard;
-pub use vote::{Ballot, Tolerance};
+pub use vote::Ballot;
 
 /// Knobs of the redundancy layer.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -74,8 +74,6 @@ pub struct QuorumConfig {
     /// Fraction of non-critical jobs sampled into coverage, in
     /// `[0, 1]`. Critical jobs (recalibrations) are always covered.
     pub sampling: f64,
-    /// Field-agreement tolerance for the vote.
-    pub tolerance: Tolerance,
     /// Lost votes before a lane is quarantined (count; clamped ≥ 1).
     pub strike_threshold: u32,
     /// Tie-breaker lanes a tied vote may escalate to before the
@@ -88,7 +86,6 @@ impl Default for QuorumConfig {
         QuorumConfig {
             replicas: 3,
             sampling: 0.25,
-            tolerance: Tolerance::default(),
             strike_threshold: 3,
             max_escalations: 3,
         }
@@ -190,10 +187,10 @@ pub struct ScreenVerdict {
     pub escaped: u32,
     /// Lanes newly quarantined by this vote's strikes (identifiers).
     pub quarantined: Vec<u64>,
-    /// Whether the winning cluster's observation agrees with the
-    /// committed value under the configured tolerance — the vote
-    /// *accepting* the commit. False only in the residual escape cases
-    /// counted by [`QuorumSummary::escaped`] (flag).
+    /// Whether the winning cluster's observation is bit-identical to
+    /// the committed value — the vote *accepting* the commit. False
+    /// only in the residual escape cases counted by
+    /// [`QuorumSummary::escaped`] (flag).
     pub accepted: bool,
 }
 
@@ -305,7 +302,7 @@ impl QuorumScreen {
 
         let mut escalations = 0u32;
         let (clusters, winner) = loop {
-            let clusters = vote::cluster(&ballots, &self.config.tolerance);
+            let clusters = vote::cluster(&ballots);
             if let Some(winner) = vote::decide(&clusters, false) {
                 break (clusters, winner);
             }
@@ -313,7 +310,7 @@ impl QuorumScreen {
                 // Deterministic last resort: among tied clusters take
                 // the one polled first. Any mistake this makes is
                 // counted (`escaped` / `false_suspects`), not hidden.
-                let clusters = vote::cluster(&ballots, &self.config.tolerance);
+                let clusters = vote::cluster(&ballots);
                 let winner = vote::decide(&clusters, true).unwrap_or(0);
                 break (clusters, winner);
             }
@@ -337,7 +334,7 @@ impl QuorumScreen {
             accepted: winning
                 .first()
                 .and_then(|&idx| ballots.get(idx))
-                .is_some_and(|b| self.config.tolerance.agrees_all(&b.fields, &truth)),
+                .is_some_and(|b| b.fields.map(f64::to_bits) == truth.map(f64::to_bits)),
         };
         for (idx, ballot) in ballots.iter().enumerate() {
             if ballot.corrupted {

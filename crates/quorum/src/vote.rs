@@ -1,14 +1,15 @@
-//! Field-wise tolerance comparison and the deterministic majority vote.
+//! Exact-bit field comparison and the deterministic majority vote.
 //!
 //! A [`Ballot`] is one replica lane's observation of a job's summary,
 //! flattened to the [`FIELDS`] comparable figures of merit
 //! (sensitivity, linear-range low, linear-range high, detection limit,
-//! R²). Lanes that observed bit-identical bytes always land in the same
-//! cluster; a corrupted lane's observation differs by a relative factor
-//! of at least `1e-4` ([`bios_faults::CorruptionDelta`]), which is
-//! orders of magnitude wider than the default 4-ulp tolerance, so a
-//! corruption is *detectable by construction* — the only question the
-//! vote answers is which cluster is the majority.
+//! R²). Two ballots agree when every field has the same bit pattern:
+//! honest lanes observe the committed bytes, so they always land in the
+//! same cluster, while a corrupted lane's observation differs by a
+//! relative factor of at least `1e-4` ([`bios_faults::CorruptionDelta`])
+//! and cannot share its bits — a corruption is *detectable by
+//! construction*, and the only question the vote answers is which
+//! cluster is the majority.
 //!
 //! Everything here is pure: clustering visits ballots in poll order,
 //! uses no maps keyed by hash, and never consults clocks or thread
@@ -20,81 +21,6 @@ use bios_faults::CorruptionDelta;
 
 /// Number of comparable summary fields a ballot carries (count).
 pub const FIELDS: usize = CorruptionDelta::FIELDS;
-
-/// Agreement tolerance for one summary field: two observations agree
-/// when they are bit-identical, within `abs` absolutely, or within
-/// `max_ulps` units-in-the-last-place of each other.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Tolerance {
-    /// Maximum units-in-the-last-place distance that still counts as
-    /// agreement (count). 4 ulps absorbs nothing in this codebase —
-    /// honest lanes observe *identical* bytes — but documents the
-    /// contract under which future lossy transports stay safe.
-    pub max_ulps: u32,
-    /// Absolute slack: `|a - b| <= abs` agrees regardless of ulps.
-    /// Zero by default (no slack).
-    pub abs: f64,
-}
-
-impl Default for Tolerance {
-    fn default() -> Self {
-        Tolerance {
-            max_ulps: 4,
-            abs: 0.0,
-        }
-    }
-}
-
-impl Tolerance {
-    /// Do two field observations agree under this tolerance?
-    ///
-    /// NaN agrees with nothing (including itself); infinities agree
-    /// only when bit-identical. `+0.0` and `-0.0` agree.
-    #[must_use]
-    pub fn agrees(&self, a: f64, b: f64) -> bool {
-        if a == b {
-            return true;
-        }
-        if !a.is_finite() || !b.is_finite() {
-            return false;
-        }
-        if (a - b).abs() <= self.abs {
-            return true;
-        }
-        ulps_apart(a, b) <= u64::from(self.max_ulps)
-    }
-
-    /// Do two full field vectors agree element-wise?
-    #[must_use]
-    pub fn agrees_all(&self, a: &[f64; FIELDS], b: &[f64; FIELDS]) -> bool {
-        a.iter().zip(b.iter()).all(|(&x, &y)| self.agrees(x, y))
-    }
-}
-
-/// Maps an `f64`'s bit pattern onto a signed integer line that is
-/// monotone in the float's value, so ulp distance is plain integer
-/// distance. Negative floats (sign bit set) land below zero; both
-/// zeros land at zero.
-fn monotone(x: f64) -> i64 {
-    let b = x.to_bits() as i64;
-    if b < 0 {
-        i64::MIN - b
-    } else {
-        b
-    }
-}
-
-/// Units-in-the-last-place distance between two finite floats (count).
-/// Crossing zero accumulates the full distance through both subnormal
-/// ranges, so tiny opposite-sign values are *far* apart, as they
-/// should be. NaN inputs return `u64::MAX`.
-#[must_use]
-pub fn ulps_apart(a: f64, b: f64) -> u64 {
-    if a.is_nan() || b.is_nan() {
-        return u64::MAX;
-    }
-    monotone(a).abs_diff(monotone(b))
-}
 
 /// Flattens a calibration summary to the [`FIELDS`] comparable figures
 /// of merit, in the fixed order corruption deltas index: sensitivity
@@ -147,24 +73,25 @@ pub struct Ballot {
     pub corrupted: bool,
 }
 
-/// Clusters ballots by tolerance-agreement, in poll order: each ballot
+/// Clusters ballots by exact-bit agreement, in poll order: each ballot
 /// joins the first existing cluster whose *representative* (first
-/// member) agrees with it, else opens a new cluster. Returns clusters
-/// as lists of ballot indexes, in first-appearance order.
+/// member) has the same field bit patterns, else opens a new cluster.
+/// Returns clusters as lists of ballot indexes, in first-appearance
+/// order.
 ///
 /// Honest lanes observe identical bytes, so they always share one
 /// cluster; corrupt lanes each draw an independent delta and land in
-/// singletons. Representative-based matching keeps the partition
-/// deterministic even though tolerance-agreement is not transitive.
+/// singletons.
 #[must_use]
-pub fn cluster(ballots: &[Ballot], tolerance: &Tolerance) -> Vec<Vec<usize>> {
+pub fn cluster(ballots: &[Ballot]) -> Vec<Vec<usize>> {
     let mut clusters: Vec<Vec<usize>> = Vec::new();
     for (idx, ballot) in ballots.iter().enumerate() {
+        let bits = ballot.fields.map(f64::to_bits);
         let home = clusters.iter_mut().find(|members| {
             members
                 .first()
                 .and_then(|&rep| ballots.get(rep))
-                .is_some_and(|rep| tolerance.agrees_all(&rep.fields, &ballot.fields))
+                .is_some_and(|rep| rep.fields.map(f64::to_bits) == bits)
         });
         match home {
             Some(members) => members.push(idx),
@@ -210,20 +137,18 @@ mod tests {
 
     #[test]
     fn identical_observations_agree_and_cluster_together() {
-        let tol = Tolerance::default();
         let ballots = vec![
             ballot(0, TRUTH, false),
             ballot(1, TRUTH, false),
             ballot(2, TRUTH, false),
         ];
-        let clusters = cluster(&ballots, &tol);
+        let clusters = cluster(&ballots);
         assert_eq!(clusters, vec![vec![0, 1, 2]]);
         assert_eq!(decide(&clusters, false), Some(0));
     }
 
     #[test]
     fn corrupt_singleton_loses_two_to_one() {
-        let tol = Tolerance::default();
         let delta = CorruptionDelta {
             field: 0,
             relative: 1.0e-4,
@@ -233,7 +158,7 @@ mod tests {
             ballot(1, observe(&TRUTH, Some(&delta)), true),
             ballot(2, TRUTH, false),
         ];
-        let clusters = cluster(&ballots, &tol);
+        let clusters = cluster(&ballots);
         assert_eq!(clusters.len(), 2);
         assert_eq!(decide(&clusters, false), Some(0));
         assert_eq!(clusters[0], vec![0, 2]);
@@ -242,7 +167,6 @@ mod tests {
 
     #[test]
     fn all_singletons_tie_until_forced() {
-        let tol = Tolerance::default();
         let d1 = CorruptionDelta {
             field: 1,
             relative: 2.0e-3,
@@ -256,64 +180,31 @@ mod tests {
             ballot(1, observe(&TRUTH, Some(&d1)), true),
             ballot(2, observe(&TRUTH, Some(&d2)), true),
         ];
-        let clusters = cluster(&ballots, &tol);
+        let clusters = cluster(&ballots);
         assert_eq!(clusters.len(), 3);
         assert_eq!(decide(&clusters, false), None, "three-way tie");
         assert_eq!(decide(&clusters, true), Some(0), "forced: earliest ballot");
     }
 
     #[test]
-    fn minimum_delta_is_far_outside_ulp_tolerance() {
-        let tol = Tolerance::default();
-        for &truth in &TRUTH {
-            let corrupt = truth * (1.0 + 1.0e-4);
-            assert!(
-                !tol.agrees(truth, corrupt),
-                "minimum corruption on {truth} must be detectable"
+    fn realized_corruption_never_bit_equals_the_truth() {
+        let with_zero = [0.0, 1.0e-6, 2.0e-3, 3.0e-7, 0.9991];
+        for truth in [TRUTH, with_zero] {
+            for field in 0..FIELDS {
+                for relative in [1.0e-4, -1.0e-4, 5.0e-3, -0.2] {
+                    let delta = CorruptionDelta { field, relative };
+                    let seen = observe(&truth, Some(&delta));
+                    assert_ne!(
+                        seen.map(f64::to_bits),
+                        truth.map(f64::to_bits),
+                        "corruption {relative} on field {field} of {truth:?} must be visible"
+                    );
+                }
+            }
+            assert_eq!(
+                observe(&truth, None).map(f64::to_bits),
+                truth.map(f64::to_bits)
             );
-            assert!(ulps_apart(truth, corrupt) > 1_000_000);
         }
-    }
-
-    #[test]
-    fn ulp_distance_is_tight_for_neighbours() {
-        let a = 1.0f64;
-        let b = f64::from_bits(a.to_bits() + 3);
-        assert_eq!(ulps_apart(a, b), 3);
-        assert!(Tolerance::default().agrees(a, b));
-        let c = f64::from_bits(a.to_bits() + 5);
-        assert!(!Tolerance::default().agrees(a, c));
-    }
-
-    #[test]
-    fn tolerance_edge_cases() {
-        let tol = Tolerance::default();
-        assert!(tol.agrees(0.0, -0.0));
-        assert!(!tol.agrees(f64::NAN, f64::NAN));
-        assert!(tol.agrees(f64::INFINITY, f64::INFINITY));
-        assert!(!tol.agrees(f64::INFINITY, f64::MAX));
-        // Crossing zero is far even for tiny magnitudes.
-        assert!(!tol.agrees(1.0e-300, -1.0e-300));
-        // Absolute slack rescues a wide gap when configured.
-        let loose = Tolerance {
-            max_ulps: 0,
-            abs: 0.5,
-        };
-        assert!(loose.agrees(1.0, 1.4));
-        assert!(!loose.agrees(1.0, 1.6));
-    }
-
-    #[test]
-    fn zero_field_is_perturbed_additively() {
-        let truth = [0.0, 1.0, 1.0, 1.0, 1.0];
-        let delta = CorruptionDelta {
-            field: 0,
-            relative: 5.0e-3,
-        };
-        let seen = observe(&truth, Some(&delta));
-        assert!(
-            !Tolerance::default().agrees(truth[0], seen[0]),
-            "corruption on a zero field must still be visible"
-        );
     }
 }

@@ -459,17 +459,6 @@ impl FleetReport {
         outcome
     }
 
-    /// Jobs per second of end-to-end wall time.
-    #[must_use]
-    pub fn throughput_jobs_per_sec(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs <= 0.0 {
-            0.0
-        } else {
-            self.results.len() as f64 / secs
-        }
-    }
-
     /// A canonical rendering of every job's figures of merit, in job
     /// order. Two runs of the same fleet are byte-identical here exactly
     /// when their physics results are bit-identical — the determinism

@@ -186,8 +186,8 @@ impl RuntimeConfig {
     /// the cache capacity from `BIOS_CACHE_CAP`, and the watchdog
     /// deadline from `BIOS_JOB_DEADLINE_MS`, when set and parseable.
     /// A set-but-malformed value is *not* silently ignored: it keeps
-    /// the default and prints one deterministic warning line to stderr
-    /// (see [`parse_env_value`]).
+    /// the default and prints one deterministic warning line to stderr,
+    /// `warning: ignoring malformed NAME="raw" (expected WHAT)`.
     ///
     /// `BIOS_CACHE_CAP` must be **positive**. In
     /// [`RuntimeConfig::with_cache_capacity`] a capacity of 0 means
@@ -224,12 +224,9 @@ impl RuntimeConfig {
 /// ignoring garbage: a malformed `raw` produces exactly one
 /// deterministic line on stderr —
 /// `warning: ignoring malformed NAME="raw" (expected WHAT)` — and
-/// `None`, so the caller keeps its default. Shared by
-/// [`RuntimeConfig::from_env`] and `bios-gateway`'s
-/// `GatewayConfig::from_env` (`BIOS_GATEWAY_QPS`,
-/// `BIOS_BREAKER_THRESHOLD`). `name`, `raw`, and `what` are free-form
-/// identifier/text strings.
-pub fn parse_env_value<T: std::str::FromStr>(name: &str, raw: &str, what: &str) -> Option<T> {
+/// `None`, so the caller keeps its default. `name`, `raw`, and `what`
+/// are free-form identifier/text strings.
+fn parse_env_value<T: std::str::FromStr>(name: &str, raw: &str, what: &str) -> Option<T> {
     match raw.parse::<T>() {
         Ok(v) => Some(v),
         Err(_) => {
@@ -1005,7 +1002,6 @@ mod tests {
     fn empty_fleet_reports_empty() {
         let report = Runtime::with_workers(2).run(&Fleet::builder("empty").build());
         assert!(report.results.is_empty());
-        assert_eq!(report.throughput_jobs_per_sec(), 0.0);
     }
 
     #[test]
@@ -1123,14 +1119,14 @@ mod tests {
         // Well-formed values parse...
         assert_eq!(parse_env_value::<usize>("BIOS_WORKERS", "4", "n"), Some(4));
         assert_eq!(
-            parse_env_value::<u64>("BIOS_GATEWAY_QPS", "250", "tokens per tick"),
+            parse_env_value::<u64>("BIOS_JOB_DEADLINE_MS", "250", "milliseconds"),
             Some(250)
         );
         // ...and every malformed shape yields None (plus one warning
         // line on stderr) instead of a silent skip or a panic.
         for bad in ["", "abc", "-3", "4.5", "1e3", " 8"] {
             assert_eq!(
-                parse_env_value::<u64>("BIOS_BREAKER_THRESHOLD", bad, "a positive integer"),
+                parse_env_value::<u64>("BIOS_CACHE_CAP", bad, "a positive integer"),
                 None,
                 "{bad:?} should not parse"
             );

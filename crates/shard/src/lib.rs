@@ -60,7 +60,7 @@ use bios_gateway::{Disposition, Gateway, GatewayConfig, GatewayCounters, Priorit
 use bios_quorum::{meter, QuorumConfig, QuorumScreen};
 use bios_recover::{RealIo, StorageIo};
 use bios_runtime::journal::{JournalError, JournalOptions};
-use bios_runtime::{parse_env_value, Counter, Fleet, Job, JobError, Runtime, RuntimeConfig};
+use bios_runtime::{Counter, Fleet, Job, JobError, Runtime, RuntimeConfig};
 
 pub mod merge;
 pub mod route;
@@ -104,45 +104,6 @@ impl Default for ShardConfig {
 }
 
 impl ShardConfig {
-    /// Defaults layered with the environment: the nested gateway and
-    /// runtime knobs come from their own `from_env` readers, the
-    /// shard count from `BIOS_SHARDS`, and the steal threshold from
-    /// `BIOS_STEAL_BATCH`. A set-but-malformed value keeps the
-    /// default and prints one deterministic warning line to stderr
-    /// (see [`parse_env_value`]).
-    ///
-    /// `BIOS_SHARDS` must be **positive**: a fleet-of-fleets needs at
-    /// least one fleet, and an operator writing `BIOS_SHARDS=0` most
-    /// likely meant "unsharded", which is spelled `BIOS_SHARDS=1`.
-    /// Like the `BIOS_CACHE_CAP=0` case in `bios-runtime`, the zero
-    /// is rejected with a warning rather than guessed at.
-    #[must_use]
-    pub fn from_env() -> ShardConfig {
-        let mut config = ShardConfig {
-            gateway: GatewayConfig::from_env(),
-            runtime: RuntimeConfig::from_env(),
-            ..ShardConfig::default()
-        };
-        match env_parsed::<usize>("BIOS_SHARDS", "a positive integer") {
-            Some(0) => eprintln!(
-                "warning: ignoring ambiguous BIOS_SHARDS=\"0\" (a sharded fleet needs at \
-                 least one shard; write BIOS_SHARDS=1 for an unsharded layout)"
-            ),
-            Some(n) => config.shards = n,
-            None => {}
-        }
-        match env_parsed::<usize>("BIOS_STEAL_BATCH", "a positive integer") {
-            Some(0) => eprintln!(
-                "warning: ignoring degenerate BIOS_STEAL_BATCH=\"0\" (a steal threshold must \
-                 be positive; keeping the default of {})",
-                ShardConfig::default().steal_batch
-            ),
-            Some(batch) => config.steal_batch = batch,
-            None => {}
-        }
-        config
-    }
-
     /// Overrides the shard count.
     #[must_use]
     pub fn with_shards(mut self, shards: usize) -> ShardConfig {
@@ -156,14 +117,6 @@ impl ShardConfig {
         self.runtime.workers = workers;
         self
     }
-}
-
-/// [`parse_env_value`] applied to the process environment; unset
-/// variables are silently `None`.
-fn env_parsed<T: std::str::FromStr>(name: &str, what: &str) -> Option<T> {
-    std::env::var(name)
-        .ok()
-        .and_then(|raw| parse_env_value(name, &raw, what))
 }
 
 /// The chaos inputs of a sharded run, all deterministic.
@@ -939,30 +892,6 @@ mod tests {
         assert_eq!(report.drained_tick, 0);
         assert_eq!(report.executed(), 0);
         assert!(report.digest().starts_with("drained_tick=0 "));
-    }
-
-    #[test]
-    fn from_env_reads_shard_knobs_and_rejects_zero_shards() {
-        // Env tests share a process; this is the only test touching
-        // BIOS_SHARDS / BIOS_STEAL_BATCH.
-        std::env::set_var("BIOS_SHARDS", "0");
-        assert_eq!(
-            ShardConfig::from_env().shards,
-            ShardConfig::default().shards,
-            "BIOS_SHARDS=0 must keep the default"
-        );
-        std::env::set_var("BIOS_SHARDS", "6");
-        std::env::set_var("BIOS_STEAL_BATCH", "9");
-        let config = ShardConfig::from_env();
-        assert_eq!(config.shards, 6);
-        assert_eq!(config.steal_batch, 9);
-        std::env::set_var("BIOS_SHARDS", "not-a-number");
-        std::env::set_var("BIOS_STEAL_BATCH", "0");
-        let config = ShardConfig::from_env();
-        assert_eq!(config.shards, ShardConfig::default().shards);
-        assert_eq!(config.steal_batch, ShardConfig::default().steal_batch);
-        std::env::remove_var("BIOS_SHARDS");
-        std::env::remove_var("BIOS_STEAL_BATCH");
     }
 
     fn scratch_dir(name: &str) -> PathBuf {

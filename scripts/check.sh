@@ -5,6 +5,14 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
+# Scratch space for the whole run. Cargo rewrites the stale entries of
+# the benchmark's lock file whenever it builds `perfbench`; that file
+# changes only with the benchmark, so it is saved here and restored on
+# exit.
+gate_dir="$(mktemp -d)"
+cp perfbench/Cargo.lock "$gate_dir/perfbench.Cargo.lock"
+trap 'cp "$gate_dir/perfbench.Cargo.lock" perfbench/Cargo.lock; rm -rf "$gate_dir"' EXIT
+
 run() {
     echo "==> $*"
     "$@"
@@ -23,6 +31,10 @@ run cargo test -q --workspace
 # mechanism check must hold (shedding fired, drift detected, corruption
 # caught, crashes recovered); any failure names its scenario and layout.
 run cargo run --release -q -p bios-bench --bin gate
+
+# The benchmark's own tests: `perfbench` is a package of its own, so a
+# crate API change that breaks it fails no workspace check above.
+run cargo test -q --release --manifest-path perfbench/Cargo.toml
 
 run cargo fmt --all -- --check
 run cargo clippy --workspace --all-targets -- -D warnings
@@ -52,8 +64,6 @@ esac
 # must exit non-zero on it, pinning the detectors end-to-end (the
 # golden tests pin the exact findings; this pins the exit code).
 echo "==> semantic fixture gate"
-gate_dir="$(mktemp -d)"
-trap 'rm -rf "$gate_dir"' EXIT
 audit_fixture() { # <family> <fixture> <staged-path>
     local fam="$1" fixture="$2" staged="$3"
     local fixroot="$gate_dir/audit-$fam"
