@@ -30,11 +30,11 @@
 //!   `ENOSPC`, failed syncs, and crashes at scripted rates.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::time::Duration;
 
 use bios_core::catalog;
-use bios_recover::{is_sim_crash, IoFaultScript, SimIo, StorageIo};
+use bios_recover::{is_sim_crash, IoFaultScript, SimIo};
 use bios_runtime::journal::JournalError;
 use bios_runtime::{Fleet, JournalOptions, Runtime, RuntimeConfig};
 use bios_shard::{ShardConfig, ShardedRuntime};
@@ -168,24 +168,6 @@ fn is_crash_error(e: &JournalError) -> bool {
     matches!(e, JournalError::Io(io_err) if is_sim_crash(io_err))
 }
 
-/// The documented post-crash recovery protocol: resume the surviving
-/// journal; when the crash predated the durable header (`NotFound`,
-/// `BadMagic`, `HeaderMissing` — nothing trustworthy on disk), run
-/// fresh. Any other error is the typed-error arm.
-fn resume_or_fresh(io: &dyn StorageIo, fleet: &Fleet, path: &Path) -> Result<String, JournalError> {
-    let runtime = torture_runtime();
-    match runtime.resume_on(io, fleet, path) {
-        Ok(report) => Ok(report.summaries_digest().to_string()),
-        Err(JournalError::BadMagic | JournalError::HeaderMissing) => runtime
-            .run_journaled_on(io, fleet, path, JournalOptions::default())
-            .map(|r| r.summaries_digest()),
-        Err(JournalError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => runtime
-            .run_journaled_on(io, fleet, path, JournalOptions::default())
-            .map(|r| r.summaries_digest()),
-        Err(e) => Err(e),
-    }
-}
-
 /// Classifies one monolithic schedule end to end.
 fn run_one_schedule(fleet: &Fleet, golden: &str, script: IoFaultScript) -> ScheduleOutcome {
     let outcome = catch_unwind(AssertUnwindSafe(|| {
@@ -207,8 +189,8 @@ fn run_one_schedule(fleet: &Fleet, golden: &str, script: IoFaultScript) -> Sched
                 // The process "died"; reboot the disk (same seed,
                 // faults disarmed) and recover from what survived.
                 io.reboot();
-                match resume_or_fresh(&io, fleet, &path) {
-                    Ok(digest) if digest == golden => ScheduleOutcome::Recovered,
+                match torture_runtime().recover_on(&io, fleet, &path) {
+                    Ok(report) if report.summaries_digest() == golden => ScheduleOutcome::Recovered,
                     Ok(_) => ScheduleOutcome::Diverged,
                     Err(_) => ScheduleOutcome::TypedError,
                 }

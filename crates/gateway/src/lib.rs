@@ -53,7 +53,6 @@
 #![warn(missing_docs)]
 
 use std::fmt;
-use std::time::Duration;
 
 use bios_core::catalog::CatalogEntry;
 use bios_runtime::{JobResult, Runtime};
@@ -434,9 +433,7 @@ impl GatewayReport {
 }
 
 /// Gateway construction options. All time-like fields are logical
-/// ticks except [`GatewayConfig::tick_wall`], which maps ticks onto
-/// the runtime watchdog's wall-clock deadline as an execution safety
-/// net — it is never an input to any admission decision.
+/// ticks; wall-clock time is never an input to any admission decision.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GatewayConfig {
     /// Bounded intake queue capacity; arrivals past it are rejected
@@ -459,10 +456,6 @@ pub struct GatewayConfig {
     pub breaker: BreakerConfig,
     /// Brownout watermark and resolution cut.
     pub degradation: DegradationPolicy,
-    /// Wall-clock length of one logical tick for the runtime watchdog
-    /// handoff. [`Duration::ZERO`] (the default) leaves the watchdog
-    /// alone.
-    pub tick_wall: Duration,
 }
 
 impl Default for GatewayConfig {
@@ -480,7 +473,6 @@ impl Default for GatewayConfig {
             bucket_refill_milli_per_tick: 2 * TokenBucket::WHOLE_TOKEN,
             breaker: BreakerConfig::default(),
             degradation: DegradationPolicy::default(),
-            tick_wall: Duration::ZERO,
         }
     }
 }
@@ -494,10 +486,7 @@ pub struct Gateway {
 }
 
 impl Gateway {
-    /// A gateway in front of `runtime`. When
-    /// [`GatewayConfig::tick_wall`] is non-zero the runtime's watchdog
-    /// deadline is derived from it (ticks × wall-per-tick ×
-    /// default deadline) purely as a hang safety net.
+    /// A gateway in front of `runtime`.
     #[must_use]
     pub fn new(config: GatewayConfig, runtime: Runtime) -> Gateway {
         Gateway { config, runtime }

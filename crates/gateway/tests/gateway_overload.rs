@@ -25,7 +25,6 @@ fn overload_config() -> GatewayConfig {
             probe_quota: 1,
         },
         degradation: DegradationPolicy::default(),
-        ..GatewayConfig::default()
     }
 }
 

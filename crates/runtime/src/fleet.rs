@@ -15,6 +15,7 @@ use std::time::Duration;
 use bios_core::catalog::{CalibrationOutcome, CatalogEntry};
 use bios_core::CoreError;
 use bios_faults::{FaultPlan, FaultTally};
+use bios_recover::journal::Disposition;
 use bios_recover::Fnv1a;
 
 use crate::cache::hash_summary;
@@ -380,6 +381,18 @@ impl JobResult {
         self.outcome.is_ok() && (self.attempts > 1 || self.injected.total() > 0)
     }
 
+    /// The job's three-way triage, as the fleet outcome counts it and
+    /// the journal records it.
+    pub(crate) fn disposition(&self) -> Disposition {
+        if self.outcome.is_err() {
+            Disposition::Failed
+        } else if self.is_degraded() {
+            Disposition::Degraded
+        } else {
+            Disposition::Completed
+        }
+    }
+
     /// The job's line in the canonical fleet digest (no trailing
     /// newline). Shared verbatim by [`FleetReport::summaries_digest`]
     /// and the run journal, so a resumed run reconstructs the
@@ -448,13 +461,7 @@ impl FleetReport {
     pub fn outcome_summary(&self) -> FleetOutcome {
         let mut outcome = FleetOutcome::default();
         for r in &self.results {
-            if r.outcome.is_err() {
-                outcome.failed += 1;
-            } else if r.is_degraded() {
-                outcome.degraded += 1;
-            } else {
-                outcome.completed += 1;
-            }
+            outcome.tally(r.disposition());
         }
         outcome
     }
@@ -491,6 +498,15 @@ pub struct FleetOutcome {
 }
 
 impl FleetOutcome {
+    /// Counts one more job of `disposition`.
+    pub(crate) fn tally(&mut self, disposition: Disposition) {
+        match disposition {
+            Disposition::Completed => self.completed += 1,
+            Disposition::Degraded => self.degraded += 1,
+            Disposition::Failed => self.failed += 1,
+        }
+    }
+
     /// Total jobs triaged.
     #[must_use]
     pub fn total(&self) -> usize {

@@ -11,6 +11,11 @@
 //! digest an uninterrupted run would have produced, at any worker
 //! count.
 //!
+//! Both entry points drive one write-ahead loop: a fresh run is a
+//! resume of an empty journal. [`Runtime::recover_on`] is the
+//! post-crash policy on top of it — resume, or run fresh when the
+//! crash left nothing trustworthy on disk.
+//!
 //! ```
 //! use bios_core::catalog;
 //! use bios_runtime::{Fleet, Runtime};
@@ -31,7 +36,7 @@
 //! # Ok::<(), bios_runtime::journal::JournalError>(())
 //! ```
 
-use std::collections::BTreeMap;
+use std::io::ErrorKind;
 use std::path::Path;
 
 use bios_recover::codec::CodecError;
@@ -41,7 +46,7 @@ use bios_recover::sim::{is_sim_crash, RealIo, StorageIo};
 
 pub use bios_recover::journal::JournalError;
 
-use crate::fleet::{Fleet, FleetOutcome, FleetReport, Job, JobResult};
+use crate::fleet::{Fleet, FleetOutcome, FleetReport, Job};
 use crate::{Counter, Runtime};
 
 /// Whether a journal error is a simulated process crash — the one IO
@@ -52,7 +57,7 @@ fn is_crash(e: &JournalError) -> bool {
     matches!(e, JournalError::Io(io_err) if is_sim_crash(io_err))
 }
 
-/// Knobs for [`Runtime::run_journaled_with`].
+/// Knobs for [`Runtime::run_journaled_on`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct JournalOptions {
     /// Abort the whole process (as `kill -9` would) immediately after
@@ -76,8 +81,9 @@ pub struct ResumeReport {
     pub executed_jobs: usize,
     /// Merged quorum triage across journaled and fresh jobs.
     pub outcome: FleetOutcome,
-    /// The fresh sub-run's report, when anything was left to execute.
-    pub fresh: Option<FleetReport>,
+    /// The run of the jobs the journal did not hold, indexed densely
+    /// in fleet order (no results when it held every job).
+    pub fresh: FleetReport,
     digest: String,
 }
 
@@ -98,25 +104,9 @@ impl ResumeReport {
     }
 }
 
-/// Triage of one result into the journal's three-way disposition.
-fn disposition_of(result: &JobResult) -> Disposition {
-    if result.outcome.is_err() {
-        Disposition::Failed
-    } else if result.is_degraded() {
-        Disposition::Degraded
-    } else {
-        Disposition::Completed
-    }
-}
-
-/// Folds one disposition into a [`FleetOutcome`].
-fn tally(outcome: &mut FleetOutcome, disposition: Disposition) {
-    match disposition {
-        Disposition::Completed => outcome.completed += 1,
-        Disposition::Degraded => outcome.degraded += 1,
-        Disposition::Failed => outcome.failed += 1,
-    }
-}
+/// A journal's `(disposition, digest line)` per fleet index; `None`
+/// marks a job it does not hold yet.
+type Journaled = Vec<Option<(Disposition, String)>>;
 
 impl Runtime {
     /// [`Runtime::run`] with a write-ahead journal at `path`: every
@@ -135,27 +125,12 @@ impl Runtime {
         fleet: &Fleet,
         path: impl AsRef<Path>,
     ) -> Result<FleetReport, JournalError> {
-        self.run_journaled_with(fleet, path, JournalOptions::default())
+        self.run_journaled_on(&RealIo, fleet, path, JournalOptions::default())
     }
 
-    /// [`Runtime::run_journaled`] with explicit [`JournalOptions`].
-    ///
-    /// # Errors
-    ///
-    /// [`JournalError::Io`] when the journal cannot be created,
-    /// appended, or sealed.
-    pub fn run_journaled_with(
-        &self,
-        fleet: &Fleet,
-        path: impl AsRef<Path>,
-        options: JournalOptions,
-    ) -> Result<FleetReport, JournalError> {
-        self.run_journaled_on(&RealIo, fleet, path, options)
-    }
-
-    /// [`Runtime::run_journaled_with`] on an explicit storage backend
-    /// — the seam the torture gate injects [`bios_recover::SimIo`]
-    /// through.
+    /// [`Runtime::run_journaled`] on an explicit storage backend — the
+    /// seam the torture gate injects [`bios_recover::SimIo`] through —
+    /// with explicit [`JournalOptions`].
     ///
     /// Failure policy (the trichotomy the torture gate asserts):
     ///
@@ -179,71 +154,26 @@ impl Runtime {
         path: impl AsRef<Path>,
         options: JournalOptions,
     ) -> Result<FleetReport, JournalError> {
+        self.run_fresh(io, fleet, path.as_ref(), options)
+            .map(|run| run.fresh)
+    }
+
+    /// Creates a journal for `fleet` at `path` and drives the whole
+    /// fleet through the write-ahead loop.
+    fn run_fresh(
+        &self,
+        io: &dyn StorageIo,
+        fleet: &Fleet,
+        path: &Path,
+        options: JournalOptions,
+    ) -> Result<ResumeReport, JournalError> {
         let header = RunHeader {
             fleet: fleet.name().to_owned(),
             fingerprint: fleet.fingerprint(),
             jobs: fleet.len() as u64,
         };
-        let mut writer = Some(JournalWriter::create_with(io, path.as_ref(), &header)?);
-        let mut fatal: Option<JournalError> = None;
-        let mut jobs_done = 0u64;
-        let mut retired: Option<JournalWriter> = None;
-        let report = self.run_with_observer(fleet, |result| {
-            if fatal.is_some() {
-                return; // the run is already doomed; don't pile on
-            }
-            // End-to-end integrity: the checksum stamped when the
-            // result was produced must still match its payload at the
-            // journal-append hop. A mismatch means the result mutated
-            // in flight — refuse to make the corruption durable.
-            if !result.verify_integrity() {
-                self.metrics.add(Counter::CorruptionCaught, 1);
-                fatal = Some(JournalError::Corrupt(CodecError::ChecksumMismatch {
-                    stored: result.integrity,
-                    computed: result.payload_checksum(),
-                }));
-                return;
-            }
-            let Some(w) = writer.as_mut() else {
-                return; // journal retired: non-durable mode
-            };
-            let record = Record::job_done(
-                result.index as u64,
-                disposition_of(result),
-                u64::from(result.attempts),
-                result.digest_line(),
-            );
-            match w.append(&record) {
-                Ok(()) => {
-                    jobs_done += 1;
-                    if options.crash_after_jobs == Some(jobs_done) {
-                        // The record above is flushed: die exactly as
-                        // hard as `kill -9` would, leaving the journal
-                        // for `resume` to pick up.
-                        std::process::abort();
-                    }
-                }
-                Err(e) if is_crash(&e) => fatal = Some(e),
-                Err(_) => {
-                    // Transient retries exhausted or the disk is full:
-                    // retire the journal, meter the loss, and let the
-                    // fleet finish non-durably. Its IO is billed once
-                    // the run survives to the end.
-                    self.metrics.add(Counter::JournalLost, 1);
-                    retired = writer.take();
-                }
-            }
-        });
-        if let Some(e) = fatal {
-            return Err(e);
-        }
-        let digest = fnv1a(report.summaries_digest().as_bytes());
-        if let Some(w) = writer.as_mut() {
-            self.seal_and_bill(w, jobs_done, digest)?;
-        } else if let Some(w) = &retired {
-            self.bill(w);
-        }
-        Ok(report)
+        let writer = JournalWriter::create_with(io, path, &header)?;
+        self.write_ahead(fleet, vec![None; fleet.len()], Some(writer), options)
     }
 
     /// Resumes a journaled run: verifies the journal belongs to `fleet`
@@ -291,7 +221,7 @@ impl Runtime {
         // leaves: its frame checksum failed, so the file was damaged at
         // rest. Surface the checksum error instead of silently
         // truncating and re-executing over untrusted provenance.
-        if let Some(e) = loaded.corrupt_error.clone() {
+        if let Some(e) = loaded.corrupt_error {
             return Err(JournalError::Corrupt(e));
         }
         let current = fleet.fingerprint();
@@ -304,39 +234,22 @@ impl Runtime {
         // Last record wins on (impossible in practice) duplicate
         // indexes; indexes beyond the fleet are ignored rather than
         // trusted.
-        let mut done = BTreeMap::new();
-        for job in &loaded.jobs {
-            if (job.index as usize) < fleet.len() {
-                done.insert(job.index, job.clone());
-            }
-        }
-        self.metrics.add(Counter::ResumedJobs, done.len() as u64);
-
-        // Build the not-yet-journaled remainder as a dense sub-fleet
-        // (the runtime collects by index, so indexes must be 0..k) and
-        // keep the mapping back to original fleet indexes. A sealed
-        // journal is terminal — it replays as-is, never re-executes —
-        // so the remainder is empty by construction.
-        let mut orig_of: Vec<usize> = Vec::new();
-        let mut sub_jobs: Vec<Job> = Vec::new();
-        if !loaded.sealed {
-            for job in fleet.jobs() {
-                if !done.contains_key(&(job.index as u64)) {
-                    orig_of.push(job.index);
-                    sub_jobs.push(Job {
-                        index: sub_jobs.len(),
-                        entry: job.entry.clone(),
-                        seed: job.seed,
-                    });
-                }
+        let mut journaled: Journaled = vec![None; fleet.len()];
+        for job in loaded.jobs {
+            if let Some(slot) = journaled.get_mut(job.index as usize) {
+                *slot = Some((job.disposition, job.digest_line));
             }
         }
 
-        let fresh = if sub_jobs.is_empty() {
+        // A sealed journal is terminal: it holds every job, replays
+        // as-is, and is never reopened. An unsealed one is reopened
+        // once, at its last valid frame, for the remainder and the
+        // seal — even when the crash landed after the last `JobDone`
+        // and only the seal is missing.
+        let writer = if loaded.sealed {
             None
         } else {
-            let sub_fleet = fleet.with_jobs(sub_jobs);
-            let mut writer = match JournalWriter::open_resume_with(io, path, loaded.valid_len) {
+            match JournalWriter::open_resume_with(io, path, loaded.valid_len) {
                 Ok(w) => Some(w),
                 Err(e) if is_crash(&e) => return Err(e),
                 Err(_) => {
@@ -346,137 +259,171 @@ impl Runtime {
                     self.metrics.add(Counter::JournalLost, 1);
                     None
                 }
-            };
-            let mut fatal: Option<JournalError> = None;
-            let report = self.run_with_observer(&sub_fleet, |result| {
-                if fatal.is_some() {
-                    return;
-                }
-                if !result.verify_integrity() {
-                    self.metrics.add(Counter::CorruptionCaught, 1);
-                    fatal = Some(JournalError::Corrupt(CodecError::ChecksumMismatch {
-                        stored: result.integrity,
-                        computed: result.payload_checksum(),
-                    }));
-                    return;
-                }
-                let Some(w) = writer.as_mut() else {
-                    return; // journal retired: non-durable mode
-                };
-                let record = Record::job_done(
-                    // bios-audit: allow(P-index) — result.index < sub_fleet.len() (= orig_of.len()) by worker-pool contract
-                    orig_of[result.index] as u64,
-                    disposition_of(result),
-                    u64::from(result.attempts),
-                    result.digest_line(),
-                );
-                match w.append(&record) {
-                    Ok(()) => {}
-                    Err(e) if is_crash(&e) => fatal = Some(e),
-                    Err(_) => {
-                        self.bill(w);
-                        self.metrics.add(Counter::JournalLost, 1);
-                        writer = None;
-                    }
-                }
-            });
-            if let Some(e) = fatal {
-                return Err(e);
             }
-            Some((writer, report))
+        };
+        self.write_ahead(fleet, journaled, writer, JournalOptions::default())
+    }
+
+    /// The post-crash recovery policy: resume the journal at `path`
+    /// or, when the crash left nothing trustworthy there — no file
+    /// (`NotFound`), a torn magic (`BadMagic`), or no durable header
+    /// (`HeaderMissing`) — run `fleet` fresh under a new journal.
+    ///
+    /// # Errors
+    ///
+    /// As [`Runtime::resume_on`], except the three cases above. A
+    /// [`JournalError::FingerprintMismatch`] or a corrupt body still
+    /// propagates: those bytes are *foreign* or damaged, not merely
+    /// torn.
+    pub fn recover_on(
+        &self,
+        io: &dyn StorageIo,
+        fleet: &Fleet,
+        path: impl AsRef<Path>,
+    ) -> Result<ResumeReport, JournalError> {
+        let path = path.as_ref();
+        match self.resume_on(io, fleet, path) {
+            Err(JournalError::BadMagic | JournalError::HeaderMissing) => {}
+            Err(JournalError::Io(e)) if e.kind() == ErrorKind::NotFound => {}
+            resumed => return resumed,
+        }
+        self.run_fresh(io, fleet, path, JournalOptions::default())
+    }
+
+    /// The write-ahead loop behind every journaled entry point: runs
+    /// the jobs `journaled` does not hold, appends each result to
+    /// `writer` before it is surfaced, merges journaled and fresh lines
+    /// in fleet order, and seals. `writer` is `None` when the journal
+    /// is sealed or could not be reopened; the remainder then runs
+    /// non-durably.
+    fn write_ahead(
+        &self,
+        fleet: &Fleet,
+        journaled: Journaled,
+        mut writer: Option<JournalWriter>,
+        options: JournalOptions,
+    ) -> Result<ResumeReport, JournalError> {
+        let resumed_jobs = journaled.iter().flatten().count();
+        self.metrics.add(Counter::ResumedJobs, resumed_jobs as u64);
+        // The remainder runs as a dense sub-fleet (the runtime collects
+        // by index, so indexes must be 0..k); `pending` maps back to
+        // fleet jobs. With nothing journaled — a fresh run — the fleet
+        // runs as-is.
+        let pending: Vec<&Job> = (fleet.jobs().iter().zip(&journaled))
+            .filter_map(|(job, slot)| slot.is_none().then_some(job))
+            .collect();
+        let sub_fleet;
+        let remainder = if pending.len() == fleet.len() {
+            fleet
+        } else {
+            sub_fleet = fleet.with_jobs(
+                pending
+                    .iter()
+                    .enumerate()
+                    .map(|(index, &job)| Job {
+                        index,
+                        ..job.clone()
+                    })
+                    .collect(),
+            );
+            &sub_fleet
         };
 
-        // Merge journaled and fresh results into index order.
+        let mut fatal: Option<JournalError> = None;
+        let mut appended = 0u64;
+        let mut retired = false;
+        let report = self.run_with_observer(remainder, |result| {
+            if fatal.is_some() {
+                return; // the run is already doomed; don't pile on
+            }
+            // End-to-end integrity: the checksum stamped when the
+            // result was produced must still match its payload at the
+            // journal-append hop. A mismatch means the result mutated
+            // in flight — refuse to make the corruption durable.
+            if !result.verify_integrity() {
+                self.metrics.add(Counter::CorruptionCaught, 1);
+                fatal = Some(JournalError::Corrupt(CodecError::ChecksumMismatch {
+                    stored: result.integrity,
+                    computed: result.payload_checksum(),
+                }));
+                return;
+            }
+            let Some(w) = writer.as_mut().filter(|_| !retired) else {
+                return; // no journal, or retired: non-durable mode
+            };
+            let record = Record::job_done(
+                // bios-audit: allow(P-index) — result.index < remainder.len() (= pending.len()) by worker-pool contract
+                pending[result.index].index as u64,
+                result.disposition(),
+                u64::from(result.attempts),
+                result.digest_line(),
+            );
+            match w.append(&record) {
+                Ok(()) => {
+                    appended += 1;
+                    if options.crash_after_jobs == Some(appended) {
+                        // The record above is flushed: die exactly as
+                        // hard as `kill -9` would, leaving the journal
+                        // for `resume` to pick up.
+                        std::process::abort();
+                    }
+                }
+                Err(e) if is_crash(&e) => fatal = Some(e),
+                Err(_) => {
+                    // Transient retries exhausted or the disk is full:
+                    // retire the journal, meter the loss, and let the
+                    // fleet finish non-durably.
+                    self.metrics.add(Counter::JournalLost, 1);
+                    retired = true;
+                }
+            }
+        });
+        if let Some(e) = fatal {
+            return Err(e);
+        }
+
+        // Merge journaled and fresh lines in fleet order: the fresh
+        // results arrive in remainder order, which is fleet order.
         let mut outcome = FleetOutcome::default();
         let mut digest = String::new();
-        let mut fresh_lines: BTreeMap<usize, (Disposition, String)> = BTreeMap::new();
-        if let Some((_, report)) = &fresh {
-            for result in &report.results {
-                fresh_lines.insert(
-                    // bios-audit: allow(P-index) — result.index < sub_fleet.len() (= orig_of.len()) by worker-pool contract
-                    orig_of[result.index],
-                    (disposition_of(result), result.digest_line()),
-                );
-            }
-        }
-        for job in fleet.jobs() {
-            let (disposition, line) = match done.get(&(job.index as u64)) {
-                Some(journaled) => (journaled.disposition, journaled.digest_line.clone()),
-                None => match fresh_lines.remove(&job.index) {
-                    Some(entry) => entry,
+        let mut fresh = report.results.iter();
+        for slot in journaled {
+            let (disposition, line) = match slot {
+                Some(held) => held,
+                None => match fresh.next() {
+                    Some(result) => (result.disposition(), result.digest_line()),
                     // Unreachable: every non-journaled job ran fresh.
                     None => continue,
                 },
             };
-            tally(&mut outcome, disposition);
+            outcome.tally(disposition);
             digest.push_str(&line);
             digest.push('\n');
         }
 
-        let executed_jobs = orig_of.len();
-        let fresh = match fresh {
-            Some((writer, report)) => {
-                if let Some(mut w) = writer {
-                    self.seal_and_bill(&mut w, fleet.len() as u64, fnv1a(digest.as_bytes()))?;
+        if let Some(w) = writer.as_mut() {
+            if !retired {
+                match w.seal(fleet.len() as u64, fnv1a(digest.as_bytes())) {
+                    Ok(()) => {}
+                    // The "process" is gone: its IO goes unbilled.
+                    Err(e) if is_crash(&e) => return Err(e),
+                    Err(_) => self.metrics.add(Counter::JournalLost, 1),
                 }
-                Some(report)
             }
-            None => {
-                // Crash landed after the last JobDone but before the
-                // seal: nothing to execute, but seal now so the next
-                // resume is a pure terminal replay.
-                if !loaded.sealed {
-                    match JournalWriter::open_resume_with(io, path, loaded.valid_len) {
-                        Ok(mut w) => {
-                            self.seal_and_bill(
-                                &mut w,
-                                fleet.len() as u64,
-                                fnv1a(digest.as_bytes()),
-                            )?;
-                        }
-                        Err(e) if is_crash(&e) => return Err(e),
-                        Err(_) => self.metrics.add(Counter::JournalLost, 1),
-                    }
-                }
-                None
-            }
-        };
+            // Bill the records the journal durably appended and the
+            // transient retries it absorbed, retired or not.
+            self.metrics
+                .add(Counter::JournalRecords, w.records_written());
+            self.metrics.add(Counter::JournalRetries, w.io_retries());
+        }
         Ok(ResumeReport {
             fleet: fleet.name().to_owned(),
             total_jobs: fleet.len(),
-            resumed_jobs: done.len(),
-            executed_jobs,
+            resumed_jobs,
+            executed_jobs: report.results.len(),
             outcome,
-            fresh,
+            fresh: report,
             digest,
         })
-    }
-
-    /// Bills a writer's IO to the journal counters: the records it
-    /// durably appended and the transient retries it absorbed.
-    fn bill(&self, w: &JournalWriter) {
-        self.metrics
-            .add(Counter::JournalRecords, w.records_written());
-        self.metrics.add(Counter::JournalRetries, w.io_retries());
-    }
-
-    /// Seals `w` and bills its IO. A failed seal retires the journal
-    /// (billed, and metered by `journal_lost`); a simulated crash
-    /// propagates unbilled, as the "process" is gone.
-    fn seal_and_bill(
-        &self,
-        w: &mut JournalWriter,
-        jobs: u64,
-        digest: u64,
-    ) -> Result<(), JournalError> {
-        match w.seal(jobs, digest) {
-            Ok(()) => self.bill(w),
-            Err(e) if is_crash(&e) => return Err(e),
-            Err(_) => {
-                self.bill(w);
-                self.metrics.add(Counter::JournalLost, 1);
-            }
-        }
-        Ok(())
     }
 }

@@ -369,21 +369,6 @@ impl Runtime {
         self.cache.save(path)
     }
 
-    /// [`Runtime::save_cache`] on an explicit storage backend (the
-    /// torture gate injects [`bios_recover::SimIo`] here to prove a
-    /// crash at any op leaves the previous snapshot intact).
-    ///
-    /// # Errors
-    ///
-    /// Propagates backend errors.
-    pub fn save_cache_on(
-        &self,
-        backend: &dyn bios_recover::StorageIo,
-        path: impl AsRef<Path>,
-    ) -> io::Result<u64> {
-        self.cache.save_with(backend, path)
-    }
-
     /// Loads a cache snapshot written by [`Runtime::save_cache`].
     /// Corrupt or non-finite entries are dropped and counted (surfacing
     /// as `cache_corrupt_dropped` in [`Runtime::metrics`]), never
@@ -395,19 +380,6 @@ impl Runtime {
     /// snapshot at all is [`io::ErrorKind::InvalidData`].
     pub fn load_cache(&self, path: impl AsRef<Path>) -> io::Result<CacheLoadReport> {
         self.cache.load(path)
-    }
-
-    /// [`Runtime::load_cache`] on an explicit storage backend.
-    ///
-    /// # Errors
-    ///
-    /// As [`Runtime::load_cache`].
-    pub fn load_cache_on(
-        &self,
-        backend: &dyn bios_recover::StorageIo,
-        path: impl AsRef<Path>,
-    ) -> io::Result<CacheLoadReport> {
-        self.cache.load_with(backend, path)
     }
 
     /// Runs the fleet across the worker pool and collects results by

@@ -12,8 +12,9 @@ use std::time::Duration;
 use bios_core::catalog;
 use bios_faults::{FaultKind, FaultPlan};
 use bios_prng::cases;
+use bios_recover::RealIo;
 use bios_runtime::journal::JournalError;
-use bios_runtime::{Fleet, JobError, Runtime, RuntimeConfig};
+use bios_runtime::{Fleet, JobError, JournalOptions, Runtime, RuntimeConfig};
 
 /// Unique temp path per test so parallel tests never collide.
 fn temp_journal(tag: &str) -> PathBuf {
@@ -263,10 +264,11 @@ fn crash_option_is_inert_when_unreached() {
     let fleet = mixed_fleet(3);
     let path = temp_journal("inert");
     let report = Runtime::new(config(2))
-        .run_journaled_with(
+        .run_journaled_on(
+            &RealIo,
             &fleet,
             &path,
-            bios_runtime::JournalOptions {
+            JournalOptions {
                 crash_after_jobs: Some(u64::MAX),
             },
         )
@@ -277,4 +279,74 @@ fn crash_option_is_inert_when_unreached() {
     assert_eq!(replay.executed_jobs, 0);
     assert_eq!(replay.summaries_digest(), report.summaries_digest());
     fs::remove_file(&path).ok();
+}
+
+/// The reference digest and sealed bytes of an uninterrupted journaled
+/// run of `fleet`.
+fn sealed_reference(fleet: &Fleet, tag: &str) -> Result<(String, Vec<u8>), JournalError> {
+    let path = temp_journal(tag);
+    let reference = Runtime::new(config(2)).run_journaled(fleet, &path)?;
+    let sealed = fs::read(&path)?;
+    fs::remove_file(&path).ok();
+    Ok((reference.summaries_digest(), sealed))
+}
+
+#[test]
+fn recover_runs_fresh_when_the_crash_left_nothing_trustworthy() {
+    let fleet = mixed_fleet(11);
+    let (ref_digest, sealed) = sealed_reference(&fleet, "policy-ref").expect("reference run");
+    // No file at all, a magic torn mid-write, and a magic whose header
+    // never reached the disk.
+    let wrecks: [(&str, Option<&[u8]>); 3] = [
+        ("missing", None),
+        ("torn-magic", Some(&sealed[..5])),
+        ("magic-only", Some(&sealed[..8])),
+    ];
+    for (tag, bytes) in wrecks {
+        let path = temp_journal(&format!("policy-{tag}"));
+        fs::remove_file(&path).ok();
+        if let Some(bytes) = bytes {
+            fs::write(&path, bytes).expect("write wrecked journal");
+        }
+        let recovered = Runtime::new(config(2))
+            .recover_on(&RealIo, &fleet, &path)
+            .expect("recover runs fresh");
+        assert_eq!(recovered.summaries_digest(), ref_digest, "{tag}");
+        assert_eq!(recovered.resumed_jobs, 0, "{tag}");
+        assert_eq!(recovered.executed_jobs, fleet.len(), "{tag}");
+        // The fresh run journaled and sealed: resuming it replays.
+        let replay = Runtime::new(config(2))
+            .resume(&fleet, &path)
+            .expect("replay of the recovered journal");
+        assert_eq!(replay.executed_jobs, 0, "{tag}");
+        assert_eq!(replay.resumed_jobs, fleet.len(), "{tag}");
+        assert_eq!(replay.summaries_digest(), ref_digest, "{tag}");
+        fs::remove_file(&path).ok();
+    }
+}
+
+#[test]
+fn recover_refuses_foreign_and_damaged_journals() {
+    let fleet = mixed_fleet(12);
+    let (_, sealed) = sealed_reference(&fleet, "refuse-ref").expect("reference run");
+    // Recovery refuses, and leaves the bytes it refused untouched.
+    let refuse = |fleet: &Fleet, bytes: &[u8], tag: &str| {
+        let path = temp_journal(&format!("refuse-{tag}"));
+        fs::write(&path, bytes).expect("write journal");
+        let refused = Runtime::new(config(2)).recover_on(&RealIo, fleet, &path);
+        assert_eq!(fs::read(&path).expect("reread journal"), bytes, "{tag}");
+        fs::remove_file(&path).ok();
+        refused
+    };
+    assert!(matches!(
+        refuse(&mixed_fleet(13), &sealed, "foreign"),
+        Err(JournalError::FingerprintMismatch { .. })
+    ));
+    // A flipped bit in the first body record fails its frame checksum.
+    let mut flipped = sealed.clone();
+    flipped[frame_boundaries(&sealed)[1] + 6] ^= 0x10;
+    assert!(matches!(
+        refuse(&fleet, &flipped, "flipped"),
+        Err(JournalError::Corrupt(_))
+    ));
 }

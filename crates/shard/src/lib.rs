@@ -58,7 +58,7 @@ use bios_core::catalog;
 use bios_faults::FaultPlan;
 use bios_gateway::{Disposition, Gateway, GatewayConfig, GatewayCounters, Priority, Request};
 use bios_quorum::{meter, QuorumConfig, QuorumScreen};
-use bios_recover::{RealIo, StorageIo};
+use bios_recover::StorageIo;
 use bios_runtime::journal::{JournalError, JournalOptions};
 use bios_runtime::{Counter, Fleet, Job, JobError, Runtime, RuntimeConfig};
 
@@ -589,102 +589,67 @@ impl ShardedRuntime {
 
     /// Runs a fleet with one write-ahead journal segment per shard
     /// (`dir/shard-<i>.journal`) and merges the per-shard digest
-    /// lines back into fleet job order.
+    /// lines back into fleet job order. Every segment goes through
+    /// `backend`, so the torture gate can crash or degrade individual
+    /// segments deterministically.
     ///
     /// # Errors
     ///
     /// [`JournalError::Io`] when a segment cannot be created,
     /// appended, or sealed.
-    pub fn run_journaled(
-        &self,
-        fleet: &Fleet,
-        dir: impl AsRef<Path>,
-    ) -> Result<ShardedFleetReport, JournalError> {
-        self.run_journaled_on(&RealIo, fleet, dir)
-    }
-
-    /// [`ShardedRuntime::run_journaled`] on an explicit storage
-    /// backend: every per-shard segment goes through `backend`, so the
-    /// torture gate can crash or degrade individual segments
-    /// deterministically.
-    ///
-    /// # Errors
-    ///
-    /// As [`ShardedRuntime::run_journaled`].
     pub fn run_journaled_on(
         &self,
         backend: &dyn StorageIo,
         fleet: &Fleet,
         dir: impl AsRef<Path>,
     ) -> Result<ShardedFleetReport, JournalError> {
-        let dir = dir.as_ref();
-        let mut lines: Vec<Option<String>> = vec![None; fleet.len()];
-        let mut per_shard_jobs = vec![0usize; self.shards.len()];
-        for (shard, (jobs, orig_of)) in self.partition(fleet).into_iter().enumerate() {
-            if jobs.is_empty() {
-                continue;
-            }
-            per_shard_jobs[shard] = jobs.len();
-            let sub_fleet = fleet.with_jobs(jobs);
-            let report = self.shards[shard].run_journaled_on(
-                backend,
-                &sub_fleet,
-                Self::segment_path(dir, shard),
-                JournalOptions::default(),
-            )?;
-            for result in &report.results {
-                if let Some(&orig) = orig_of.get(result.index) {
-                    lines[orig] = Some(result.digest_line());
-                }
-            }
-        }
-        let executed_jobs = fleet.len();
-        Ok(ShardedFleetReport {
-            total_jobs: fleet.len(),
-            resumed_jobs: 0,
-            executed_jobs,
-            per_shard_jobs,
-            digest: join_lines(lines),
+        self.each_segment(fleet, dir.as_ref(), |runtime, sub_fleet, path| {
+            let report =
+                runtime.run_journaled_on(backend, sub_fleet, path, JournalOptions::default())?;
+            Ok((0, sub_fleet.len(), report.summaries_digest()))
         })
     }
 
-    /// Resumes a sharded journaled run: every present segment is
-    /// fingerprint-verified against its shard's sub-fleet and
-    /// replayed/completed exactly like [`Runtime::resume`]; a
-    /// **missing** segment (the crash predated its creation) and a
-    /// **headerless** one (`BadMagic`/`HeaderMissing`: the crash
-    /// predated the durable header, so the file holds nothing
-    /// trustworthy) are tolerated by executing that shard's jobs
-    /// fresh under a new segment. The merged digest is byte-identical
-    /// to an uninterrupted unsharded run.
+    /// Resumes a sharded journaled run: each segment goes through
+    /// [`Runtime::recover_on`] against its shard's sub-fleet, so a
+    /// present segment is fingerprint-verified and replayed/completed
+    /// exactly like [`Runtime::resume`], while a **missing** segment
+    /// (the crash predated its creation) or a **headerless** one (the
+    /// crash predated the durable header) runs that shard's jobs fresh
+    /// under a new segment. The merged digest is byte-identical to an
+    /// uninterrupted unsharded run.
     ///
     /// # Errors
     ///
     /// * [`JournalError::FingerprintMismatch`] — a segment belongs to
     ///   a different fleet; resuming would alias its results;
     /// * other [`JournalError`]s as in [`Runtime::resume`].
-    pub fn resume(
-        &self,
-        fleet: &Fleet,
-        dir: impl AsRef<Path>,
-    ) -> Result<ShardedFleetReport, JournalError> {
-        self.resume_on(&RealIo, fleet, dir)
-    }
-
-    /// [`ShardedRuntime::resume`] on an explicit storage backend; the
-    /// per-segment existence check consults the backend, so a SimIo
-    /// disk is honored end to end.
-    ///
-    /// # Errors
-    ///
-    /// As [`ShardedRuntime::resume`].
     pub fn resume_on(
         &self,
         backend: &dyn StorageIo,
         fleet: &Fleet,
         dir: impl AsRef<Path>,
     ) -> Result<ShardedFleetReport, JournalError> {
-        let dir = dir.as_ref();
+        self.each_segment(fleet, dir.as_ref(), |runtime, sub_fleet, path| {
+            let report = runtime.recover_on(backend, sub_fleet, path)?;
+            Ok((
+                report.resumed_jobs,
+                report.executed_jobs,
+                report.summaries_digest().to_owned(),
+            ))
+        })
+    }
+
+    /// Partitions `fleet`, hands each non-empty shard's sub-fleet and
+    /// segment path to `segment` — which returns `(resumed, executed,
+    /// digest)` for it — and merges the per-segment digest lines back
+    /// into fleet job order.
+    fn each_segment(
+        &self,
+        fleet: &Fleet,
+        dir: &Path,
+        mut segment: impl FnMut(&Runtime, &Fleet, &Path) -> Result<(usize, usize, String), JournalError>,
+    ) -> Result<ShardedFleetReport, JournalError> {
         let mut lines: Vec<Option<String>> = vec![None; fleet.len()];
         let mut per_shard_jobs = vec![0usize; self.shards.len()];
         let mut resumed_jobs = 0usize;
@@ -696,46 +661,11 @@ impl ShardedRuntime {
             per_shard_jobs[shard] = jobs.len();
             let sub_fleet = fleet.with_jobs(jobs);
             let path = Self::segment_path(dir, shard);
-            let needs_fresh_run = if backend.exists(&path) {
-                match self.shards[shard].resume_on(backend, &sub_fleet, &path) {
-                    Ok(report) => {
-                        resumed_jobs += report.resumed_jobs;
-                        executed_jobs += report.executed_jobs;
-                        for (sub_index, line) in report.summaries_digest().lines().enumerate() {
-                            if let Some(&orig) = orig_of.get(sub_index) {
-                                lines[orig] = Some(line.to_string());
-                            }
-                        }
-                        false
-                    }
-                    // A crash can predate the segment's durable
-                    // header: the magic or header frame never hit the
-                    // platter, so the file carries nothing
-                    // trustworthy. Treat it exactly like a missing
-                    // segment — execute the shard fresh. A
-                    // fingerprint mismatch or corrupt body still
-                    // propagates: those mean the bytes are *foreign*,
-                    // not merely torn.
-                    Err(JournalError::BadMagic | JournalError::HeaderMissing) => true,
-                    Err(JournalError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => true,
-                    Err(e) => return Err(e),
-                }
-            } else {
-                true
-            };
-            if needs_fresh_run {
-                let report = self.shards[shard].run_journaled_on(
-                    backend,
-                    &sub_fleet,
-                    &path,
-                    JournalOptions::default(),
-                )?;
-                executed_jobs += sub_fleet.len();
-                for result in &report.results {
-                    if let Some(&orig) = orig_of.get(result.index) {
-                        lines[orig] = Some(result.digest_line());
-                    }
-                }
+            let (resumed, executed, digest) = segment(&self.shards[shard], &sub_fleet, &path)?;
+            resumed_jobs += resumed;
+            executed_jobs += executed;
+            for (line, &orig) in digest.lines().zip(&orig_of) {
+                lines[orig] = Some(line.to_owned());
             }
         }
         Ok(ShardedFleetReport {
@@ -764,6 +694,7 @@ fn join_lines(lines: Vec<Option<String>>) -> String {
 mod tests {
     use super::*;
     use bios_faults::FaultKind;
+    use bios_recover::RealIo;
 
     fn shard_config(shards: usize, workers: usize) -> ShardConfig {
         ShardConfig::default()
@@ -915,7 +846,7 @@ mod tests {
         let dir = scratch_dir("journal");
         let fleet = demo_fleet();
         let sharded = ShardedRuntime::new(&shard_config(4, 2));
-        let report = match sharded.run_journaled(&fleet, &dir) {
+        let report = match sharded.run_journaled_on(&RealIo, &fleet, &dir) {
             Ok(r) => r,
             Err(e) => panic!("journaled run failed: {e:?}"),
         };
@@ -935,12 +866,12 @@ mod tests {
         let dir = scratch_dir("resume");
         let fleet = demo_fleet();
         let sharded = ShardedRuntime::new(&shard_config(4, 2));
-        let first = match sharded.run_journaled(&fleet, &dir) {
+        let first = match sharded.run_journaled_on(&RealIo, &fleet, &dir) {
             Ok(r) => r,
             Err(e) => panic!("journaled run failed: {e:?}"),
         };
         // A pure replay resumes everything and executes nothing.
-        let replay = match sharded.resume(&fleet, &dir) {
+        let replay = match sharded.resume_on(&RealIo, &fleet, &dir) {
             Ok(r) => r,
             Err(e) => panic!("replay failed: {e:?}"),
         };
@@ -954,7 +885,7 @@ mod tests {
             None => panic!("no populated shard"),
         };
         std::fs::remove_file(ShardedRuntime::segment_path(&dir, victim)).ok();
-        let partial = match sharded.resume(&fleet, &dir) {
+        let partial = match sharded.resume_on(&RealIo, &fleet, &dir) {
             Ok(r) => r,
             Err(e) => panic!("partial resume failed: {e:?}"),
         };
@@ -1219,7 +1150,7 @@ mod tests {
         let dir = scratch_dir("bitflip");
         let fleet = demo_fleet();
         let sharded = ShardedRuntime::new(&shard_config(4, 2));
-        let first = match sharded.run_journaled(&fleet, &dir) {
+        let first = match sharded.run_journaled_on(&RealIo, &fleet, &dir) {
             Ok(r) => r,
             Err(e) => panic!("journaled run failed: {e:?}"),
         };
@@ -1244,7 +1175,7 @@ mod tests {
             panic!("rewrite failed: {e}");
         }
         for attempt in 0..2 {
-            match sharded.resume(&fleet, &dir) {
+            match sharded.resume_on(&RealIo, &fleet, &dir) {
                 Err(JournalError::Corrupt(_)) => {}
                 Err(e) => panic!("attempt {attempt}: expected Corrupt, got {e:?}"),
                 Ok(_) => panic!("attempt {attempt}: resume merged a bit-flipped record"),
@@ -1257,14 +1188,14 @@ mod tests {
     fn resume_rejects_a_foreign_fleet() {
         let dir = scratch_dir("foreign");
         let sharded = ShardedRuntime::new(&shard_config(2, 1));
-        if let Err(e) = sharded.run_journaled(&demo_fleet(), &dir) {
+        if let Err(e) = sharded.run_journaled_on(&RealIo, &demo_fleet(), &dir) {
             panic!("journaled run failed: {e:?}");
         }
         let other = Fleet::builder("other")
             .sensors(catalog::cyp_sensors())
             .seeds([9, 10, 11])
             .build();
-        match sharded.resume(&other, &dir) {
+        match sharded.resume_on(&RealIo, &other, &dir) {
             Err(JournalError::FingerprintMismatch { .. }) => {}
             other => panic!("expected FingerprintMismatch, got {other:?}"),
         }

@@ -91,6 +91,11 @@ pub mod prelude {
     };
 }
 
+/// Compiles and runs every Rust example in `README.md` as a doctest.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;
+
 #[cfg(test)]
 mod tests {
     #[test]
