@@ -389,7 +389,13 @@ impl CatalogEntry {
     /// under `seed`.
     #[must_use]
     pub fn build_readout(&self, seed: u64) -> ReadoutChain {
-        let sensor = self.build_sensor();
+        self.readout_for(&self.build_sensor(), seed)
+    }
+
+    /// [`build_readout`](Self::build_readout) around an already-built
+    /// healthy sensor (from [`build_sensor`](Self::build_sensor)), whose
+    /// full-scale current ranges the amplifier.
+    fn readout_for(&self, sensor: &Biosensor, seed: u64) -> ReadoutChain {
         let max_current = sensor.faradaic_current(self.sweep.high());
         let rail = Volts::from_volts(3.3);
         let tia = TransimpedanceAmplifier::auto_range(max_current * 1.2, rail);
@@ -469,7 +475,13 @@ impl CatalogEntry {
     ) -> Result<CalibrationOutcome> {
         let realized = plan.map(|p| p.realize(&self.id, seed));
         let (sensor, mut chain) = match &realized {
-            None => (self.build_sensor(), self.build_readout(seed)),
+            None => {
+                let sensor = self.build_sensor();
+                let chain = self.readout_for(&sensor, seed);
+                (sensor, chain)
+            }
+            // The amplifier is ranged for the healthy device, so the
+            // injected faults show up in the readings, not the range.
             Some(faults) => (
                 // An injected denaturation compounds with the entry's
                 // own aged-film state multiplicatively.

@@ -85,10 +85,41 @@ pub struct CacheKey {
 /// the least-recently-used entry. The third field is the entry's
 /// integrity checksum, stamped at insert and re-verified at every
 /// serve (see [`outcome_checksum`]).
+///
+/// `lru` is the eviction queue, stamp → key, updated lazily: an insert
+/// queues its key at the insert stamp, but a hit only moves the stamp
+/// in `map`. Every resident key is queued at least once, at a stamp no
+/// later than its current one, so the queue's first entry is either the
+/// least-recently-used key (its stamps agree) or a stale one to
+/// re-queue at its current stamp (see [`Shard::evict_lru`]).
 #[derive(Debug, Default)]
 struct Shard {
     map: BTreeMap<CacheKey, (Arc<CalibrationOutcome>, u64, u64)>,
+    lru: BTreeMap<u64, CacheKey>,
     tick: u64,
+}
+
+impl Shard {
+    /// Removes the least-recently-used entry; `false` when the shard is
+    /// empty. Amortized O(log n): each stale queue entry is popped once
+    /// and re-queued at most once per hit.
+    fn evict_lru(&mut self) -> bool {
+        while let Some((queued, key)) = self.lru.pop_first() {
+            match self.map.get(&key).map(|(_, stamp, _)| *stamp) {
+                Some(stamp) if stamp == queued => {
+                    self.map.remove(&key);
+                    return true;
+                }
+                // Touched since it was queued: queue it where it is now.
+                Some(stamp) => {
+                    self.lru.insert(stamp, key);
+                }
+                // Dropped since it was queued (corruption at serve).
+                None => {}
+            }
+        }
+        false
+    }
 }
 
 /// The canonical encoding of a [`CalibrationSummary`]: the IEEE-754 bit
@@ -125,6 +156,14 @@ fn outcome_checksum(outcome: &CalibrationOutcome) -> u64 {
     let mut h = Fnv1a::new();
     hash_summary(&mut h, &outcome.summary);
     h.value()
+}
+
+/// Which of the [`SHARDS`] shards holds `key`.
+fn shard_index(key: &CacheKey) -> usize {
+    use std::hash::{Hash, Hasher};
+    let mut hasher = std::collections::hash_map::DefaultHasher::new();
+    key.hash(&mut hasher);
+    (hasher.finish() as usize) % SHARDS
 }
 
 /// A sharded, thread-safe, bounded memo table of calibration outcomes.
@@ -183,11 +222,8 @@ impl ResultCache {
     }
 
     fn shard(&self, key: &CacheKey) -> &Mutex<Shard> {
-        use std::hash::{Hash, Hasher};
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut hasher);
-        // bios-audit: allow(P-index) — `% SHARDS` keeps the index in bounds
-        &self.shards[(hasher.finish() as usize) % SHARDS]
+        // bios-audit: allow(P-index) — `shard_index` is `< SHARDS`
+        &self.shards[shard_index(key)]
     }
 
     /// Looks up a memoized outcome, refreshing its recency stamp. The
@@ -225,20 +261,15 @@ impl ResultCache {
         if let Ok(mut shard) = self.shard(&key).lock() {
             shard.tick += 1;
             let tick = shard.tick;
-            shard.map.insert(key, (Arc::clone(&outcome), tick, sum));
-            while shard.map.len() > self.shard_capacity {
-                let oldest = shard
-                    .map
-                    .iter()
-                    .min_by_key(|(_, (_, stamp, _))| *stamp)
-                    .map(|(k, _)| k.clone());
-                match oldest {
-                    Some(k) => {
-                        shard.map.remove(&k);
-                        self.evictions.fetch_add(1, Ordering::Relaxed);
-                    }
-                    None => break,
-                }
+            let replaced = shard
+                .map
+                .insert(key.clone(), (Arc::clone(&outcome), tick, sum));
+            // A replaced entry is already queued, at an earlier stamp.
+            if replaced.is_none() {
+                shard.lru.insert(tick, key);
+            }
+            while shard.map.len() > self.shard_capacity && shard.evict_lru() {
+                self.evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
         outcome
@@ -284,11 +315,22 @@ impl ResultCache {
         }
     }
 
+    /// Test hook: every resident key, without touching any stamp.
+    #[cfg(test)]
+    fn keys(&self) -> std::collections::BTreeSet<CacheKey> {
+        self.shards
+            .iter()
+            .filter_map(|s| s.lock().ok())
+            .flat_map(|shard| shard.map.keys().cloned().collect::<Vec<_>>())
+            .collect()
+    }
+
     /// Drops every memoized outcome (does not count as evictions).
     pub fn clear(&self) {
         for shard in &self.shards {
             if let Ok(mut shard) = shard.lock() {
                 shard.map.clear();
+                shard.lru.clear();
             }
         }
     }
@@ -667,6 +709,102 @@ mod tests {
             cache.insert(key(seed), outcome.clone());
         }
         assert!(cache.get(&key(0)).is_some(), "hot entry was evicted");
+    }
+
+    /// The eviction policy the lazy queue replaced, kept as its
+    /// reference: per shard, a stamp per key and a full scan for the
+    /// minimum stamp on every over-capacity insert.
+    struct ScanLru {
+        shards: Vec<(BTreeMap<CacheKey, u64>, u64)>,
+        shard_capacity: usize,
+    }
+
+    impl ScanLru {
+        fn new(shard_capacity: usize) -> ScanLru {
+            ScanLru {
+                shards: (0..SHARDS).map(|_| (BTreeMap::new(), 0)).collect(),
+                shard_capacity,
+            }
+        }
+
+        /// A probe; a hit on a `corrupt` entry drops it instead.
+        fn get(&mut self, key: &CacheKey, corrupt: bool) {
+            let (map, tick) = &mut self.shards[shard_index(key)];
+            *tick += 1;
+            if corrupt {
+                map.remove(key);
+            } else if let Some(stamp) = map.get_mut(key) {
+                *stamp = *tick;
+            }
+        }
+
+        /// An insert; returns the keys it evicted, in order.
+        fn insert(&mut self, key: CacheKey) -> Vec<CacheKey> {
+            let (map, tick) = &mut self.shards[shard_index(&key)];
+            *tick += 1;
+            map.insert(key, *tick);
+            let mut victims = Vec::new();
+            while map.len() > self.shard_capacity {
+                let oldest = map
+                    .iter()
+                    .min_by_key(|(_, stamp)| **stamp)
+                    .map(|(k, _)| k.clone())
+                    .unwrap();
+                map.remove(&oldest);
+                victims.push(oldest);
+            }
+            victims
+        }
+    }
+
+    #[test]
+    fn lazy_queue_evicts_the_same_victims_as_the_scan() {
+        // 32 entries → 2 per shard, over 48 keys: most inserts evict,
+        // and hits keep reordering the queue behind its back.
+        let cache = ResultCache::with_capacity(32);
+        let mut reference = ScanLru::new(cache.shard_capacity);
+        let honest = catalog::our_glucose_sensor().run_calibration(7).unwrap();
+        let impostor = catalog::our_glucose_sensor().run_calibration(8).unwrap();
+        let (mut expected, mut actual) = (Vec::new(), Vec::new());
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        for _ in 0..4000 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let k = key(state % 48);
+            match (state >> 32) % 20 {
+                // Insert (fresh or replacing).
+                0..=9 => {
+                    let before = cache.keys();
+                    cache.insert(k.clone(), honest.clone());
+                    let after = cache.keys();
+                    actual.extend(before.difference(&after).cloned());
+                    expected.extend(reference.insert(k));
+                }
+                // Hit or miss.
+                10..=16 => {
+                    let _ = cache.get(&k);
+                    reference.get(&k, false);
+                }
+                // At-rest corruption caught at serve: the entry is
+                // dropped, and any queue entry it had goes stale.
+                _ => {
+                    cache.tamper(&k, impostor.clone());
+                    let _ = cache.get(&k);
+                    reference.get(&k, true);
+                }
+            }
+            assert_eq!(actual, expected, "victims diverged");
+        }
+        assert!(expected.len() > 500, "only {} evictions", expected.len());
+        assert!(cache.corrupt_dropped() > 100, "too few corrupt drops");
+        assert_eq!(cache.evictions(), expected.len() as u64);
+        let resident: std::collections::BTreeSet<CacheKey> = reference
+            .shards
+            .iter()
+            .flat_map(|(map, _)| map.keys().cloned())
+            .collect();
+        assert_eq!(cache.keys(), resident);
     }
 
     fn temp_path(tag: &str) -> std::path::PathBuf {

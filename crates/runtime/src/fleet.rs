@@ -46,10 +46,14 @@ pub struct Job {
 ///     .build();
 /// assert_eq!(fleet.len(), 18);
 /// ```
+///
+/// The job list is immutable once built and shared behind an `Arc`:
+/// cloning a fleet, or handing its jobs to the runtime's workers, copies
+/// a pointer, never a [`CatalogEntry`].
 #[derive(Debug, Clone)]
 pub struct Fleet {
     name: String,
-    jobs: Vec<Job>,
+    jobs: Arc<[Job]>,
     fault_plan: Option<Arc<FaultPlan>>,
 }
 
@@ -91,6 +95,12 @@ impl Fleet {
         &self.jobs
     }
 
+    /// The shared job list itself, for handing to workers without
+    /// copying it.
+    pub(crate) fn shared_jobs(&self) -> Arc<[Job]> {
+        Arc::clone(&self.jobs)
+    }
+
     /// Number of jobs.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -113,7 +123,7 @@ impl Fleet {
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
         let mut h = Fnv1a::new();
-        for job in &self.jobs {
+        for job in self.jobs.iter() {
             h.write_str(job.entry.id());
             h.write_u64(job.entry.protocol_fingerprint());
             h.write_u64(job.seed);
@@ -130,7 +140,7 @@ impl Fleet {
     pub fn with_jobs(&self, jobs: Vec<Job>) -> Fleet {
         Fleet {
             name: self.name.clone(),
-            jobs,
+            jobs: jobs.into(),
             fault_plan: self.fault_plan.clone(),
         }
     }

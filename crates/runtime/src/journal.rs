@@ -16,6 +16,11 @@
 //! post-crash policy on top of it — resume, or run fresh when the
 //! crash left nothing trustworthy on disk.
 //!
+//! Workers hand results to the journaling collector in batches of up to
+//! 64. A crash therefore loses at most one unsent batch per worker:
+//! those jobs finished but were never journaled (nor surfaced), and
+//! resume re-executes them along with everything that never ran.
+//!
 //! ```
 //! use bios_core::catalog;
 //! use bios_runtime::{Fleet, Runtime};
@@ -332,6 +337,9 @@ impl Runtime {
         let mut fatal: Option<JournalError> = None;
         let mut appended = 0u64;
         let mut retired = false;
+        // Each journaled fresh job's digest line, rendered once for its
+        // record and kept for the merge, by remainder index.
+        let mut rendered: Vec<Option<String>> = vec![None; remainder.len()];
         let report = self.run_with_observer(remainder, |result| {
             if fatal.is_some() {
                 return; // the run is already doomed; don't pile on
@@ -358,7 +366,11 @@ impl Runtime {
                 u64::from(result.attempts),
                 result.digest_line(),
             );
-            match w.append(&record) {
+            let written = w.append(&record);
+            if let (Record::JobDone(done), Some(slot)) = (record, rendered.get_mut(result.index)) {
+                *slot = Some(done.digest_line);
+            }
+            match written {
                 Ok(()) => {
                     appended += 1;
                     if options.crash_after_jobs == Some(appended) {
@@ -383,15 +395,20 @@ impl Runtime {
         }
 
         // Merge journaled and fresh lines in fleet order: the fresh
-        // results arrive in remainder order, which is fleet order.
+        // results arrive in remainder order, which is fleet order. A
+        // fresh line is rendered here only when no record rendered it
+        // (no journal, or a retired one).
         let mut outcome = FleetOutcome::default();
         let mut digest = String::new();
-        let mut fresh = report.results.iter();
+        let mut fresh = report.results.iter().zip(rendered);
         for slot in journaled {
             let (disposition, line) = match slot {
                 Some(held) => held,
                 None => match fresh.next() {
-                    Some(result) => (result.disposition(), result.digest_line()),
+                    Some((result, line)) => (
+                        result.disposition(),
+                        line.unwrap_or_else(|| result.digest_line()),
+                    ),
                     // Unreachable: every non-journaled job ran fresh.
                     None => continue,
                 },

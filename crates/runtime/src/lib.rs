@@ -392,10 +392,16 @@ impl Runtime {
     }
 
     /// [`Runtime::run`] with a completion observer: `on_result` fires
-    /// for every job *as it completes* (arbitrary order), before the
-    /// result is surfaced in the report. The journal layer uses this as
-    /// its write-ahead point — a result is durably journaled before the
-    /// caller can see it.
+    /// once for every job, in completion order (arbitrary across
+    /// chunks), before the result is surfaced in the report. The journal
+    /// layer uses this as its write-ahead point — a result is durably
+    /// journaled before the caller can see it.
+    ///
+    /// Workers hand results back in batches of up to [`RESULT_BATCH`],
+    /// so the observer sees a job only once its batch arrives. A process
+    /// that dies mid-run therefore loses at most one unsent batch per
+    /// worker: those jobs were computed but never observed, and a resume
+    /// re-executes them.
     pub(crate) fn run_with_observer(
         &self,
         fleet: &Fleet,
@@ -413,14 +419,17 @@ impl Runtime {
         let watchdog = (self.config.job_deadline > Duration::ZERO)
             .then(|| Watchdog::spawn(self.config.job_deadline));
         let registry = watchdog.as_ref().map(Watchdog::registry);
-        let (tx, rx) = mpsc::channel::<JobResult>();
+        let (tx, rx) = mpsc::channel::<Vec<JobResult>>();
         // Dispatch contiguous *chunks* of jobs rather than single jobs:
-        // the job list is shared as one `Arc<[Job]>` and each boxed task
-        // walks its index range, so the per-job dispatch cost (entry
-        // clone, box, enqueue, dequeue handoff) is amortized over the
-        // chunk. Several chunks per worker keep the load balanced when
-        // job costs are uneven.
-        let jobs: Arc<[Job]> = fleet.jobs().into();
+        // every boxed task holds a clone of the fleet's shared
+        // `Arc<[Job]>` (a pointer, not a copy of the jobs) and walks its
+        // index range, so the per-job dispatch cost (box, enqueue,
+        // dequeue handoff) is amortized over the chunk. Several chunks
+        // per worker keep the load balanced when job costs are uneven.
+        // Each task sends its results back in batches of `RESULT_BATCH`
+        // and at the end of its chunk, so the collector wakes once per
+        // batch instead of once per job.
+        let jobs = fleet.shared_jobs();
         let policy = ExecPolicy::from_config(&self.config);
         let chunk = chunk_size(jobs.len(), self.workers());
         let mut start = 0;
@@ -434,20 +443,27 @@ impl Runtime {
             let registry = registry.clone();
             self.pool.execute_judged(move || {
                 let mut absorbed_stall = false;
-                for job in &jobs[start..end] {
-                    let result = execute_job(
-                        job.index,
-                        &job.entry,
-                        job.seed,
-                        plan.as_deref(),
-                        cache.as_deref(),
-                        registry.as_deref(),
-                        &metrics,
-                        policy,
-                    );
-                    absorbed_stall |=
-                        registry.is_some() && matches!(result.outcome, Err(JobError::Deadline));
-                    let _ = tx.send(result);
+                for batch in jobs[start..end].chunks(RESULT_BATCH) {
+                    let results: Vec<JobResult> = batch
+                        .iter()
+                        .map(|job| {
+                            execute_job(
+                                job.index,
+                                &job.entry,
+                                job.seed,
+                                plan.as_deref(),
+                                cache.as_deref(),
+                                registry.as_deref(),
+                                &metrics,
+                                policy,
+                            )
+                        })
+                        .collect();
+                    absorbed_stall |= registry.is_some()
+                        && results
+                            .iter()
+                            .any(|r| matches!(r.outcome, Err(JobError::Deadline)));
+                    let _ = tx.send(results);
                 }
                 if absorbed_stall {
                     // The thread sat in a livelock until the watchdog
@@ -466,11 +482,13 @@ impl Runtime {
         let mut received = 0usize;
         while received < fleet.len() {
             match rx.recv_timeout(Duration::from_millis(25)) {
-                Ok(result) => {
-                    on_result(&result);
-                    let slot = result.index;
-                    slots[slot] = Some(result);
-                    received += 1;
+                Ok(batch) => {
+                    for result in batch {
+                        on_result(&result);
+                        let slot = result.index;
+                        slots[slot] = Some(result);
+                        received += 1;
+                    }
                 }
                 Err(mpsc::RecvTimeoutError::Timeout) => {
                     // Workers retire mid-run on watchdog cancellations;
@@ -693,6 +711,13 @@ impl JobStream<'_> {
         }
     }
 }
+
+/// Results a chunk task collects before sending them to the collector
+/// in one message (a chunk's last batch may be shorter). Larger batches
+/// mean fewer channel sends and collector wake-ups; smaller ones bound
+/// the work a crash throws away, since a worker's unsent batch was
+/// never journaled and a resume re-executes it.
+const RESULT_BATCH: usize = 64;
 
 /// Jobs per dispatched chunk: aim for four chunks per worker so slow
 /// jobs can't strand the batch behind one thread, but never less than
@@ -968,6 +993,29 @@ mod tests {
         let a = report.outcome("lactate/ours", 1).unwrap();
         let b = report.outcome("lactate/ours", 2).unwrap();
         assert_ne!(a.summary.sensitivity, b.summary.sensitivity);
+    }
+
+    #[test]
+    fn fleet_clones_and_runs_share_one_job_allocation() {
+        let fleet = Fleet::builder("shared")
+            .sensors(catalog::cyp_sensors())
+            .seeds([1, 2])
+            .build();
+        let copy = fleet.clone();
+        let jobs = fleet.shared_jobs();
+        assert!(Arc::ptr_eq(&jobs, &copy.shared_jobs()));
+        // Three handles here (fleet, copy, `jobs`); a run that hands the
+        // same allocation to its workers holds at least one more while
+        // it collects. A run working on a copy would leave three.
+        let mut in_flight = 0;
+        let report = Runtime::with_workers(1).run_with_observer(&copy, |_| {
+            in_flight = in_flight.max(Arc::strong_count(&jobs));
+        });
+        assert_eq!(report.results.len(), fleet.len());
+        assert!(
+            in_flight >= 4,
+            "the run copied the jobs ({in_flight} handles)"
+        );
     }
 
     #[test]

@@ -350,3 +350,42 @@ fn recover_refuses_foreign_and_damaged_journals() {
         Err(JournalError::Corrupt(_))
     ));
 }
+
+#[test]
+fn results_crossing_batch_boundaries_match_the_sequential_reference() {
+    // 612 jobs: one worker runs chunks of 153 (batches of 64, 64, 25),
+    // two workers chunks of 77 (64, 13), so every chunk sends more than
+    // one batch and the last batch of each is short.
+    let fleet = Fleet::builder("batches")
+        .sensors(catalog::all_table2())
+        .seeds(0..34)
+        .fault_plan(mixed_plan())
+        .build();
+    assert_eq!(fleet.len(), 612);
+    let reference = Runtime::new(config(1))
+        .run_sequential(&fleet)
+        .summaries_digest();
+    for workers in [1, 2] {
+        let report = Runtime::new(config(workers)).run(&fleet);
+        assert_eq!(report.summaries_digest(), reference, "{workers} workers");
+    }
+
+    let path = temp_journal("batches");
+    let runtime = Runtime::new(config(2));
+    let journaled = runtime.run_journaled(&fleet, &path).expect("journaled run");
+    assert_eq!(journaled.summaries_digest(), reference);
+    // The header, one `JobDone` per job, and the seal.
+    assert_eq!(runtime.metrics().journal_records, fleet.len() as u64 + 2);
+    let bytes = fs::read(&path).expect("read sealed journal");
+    // The boundaries after the magic, after the header, after each job
+    // and after the seal.
+    assert_eq!(frame_boundaries(&bytes).len(), fleet.len() + 3);
+
+    let replay = Runtime::new(config(1))
+        .resume(&fleet, &path)
+        .expect("replay sealed journal");
+    assert_eq!(replay.executed_jobs, 0);
+    assert_eq!(replay.resumed_jobs, fleet.len());
+    assert_eq!(replay.summaries_digest(), reference);
+    fs::remove_file(&path).ok();
+}

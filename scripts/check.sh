@@ -38,6 +38,10 @@ run cargo test -q --release --manifest-path perfbench/Cargo.toml
 
 run cargo fmt --all -- --check
 run cargo clippy --workspace --all-targets -- -D warnings
+# The same two for the benchmark's own package, which the workspace
+# commands above do not reach.
+run cargo fmt --manifest-path perfbench/Cargo.toml -- --check
+run cargo clippy --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
 
 # Static-analysis gate: the source-level determinism / panic-freedom /
 # float-hygiene / API-hygiene audit (DESIGN.md §11) plus the semantic
