@@ -7,6 +7,15 @@
 //! constantly, so the runtime memoizes outcomes behind a sharded map
 //! keyed by `(sensor id, protocol fingerprint, plan fingerprint, seed)`.
 //!
+//! Each shard indexes its entries by one `u64`, a splitmix64 mix of
+//! `(protocol, plan, seed)` that also picks the shard, so a probe
+//! compares integers rather than strings. The sensor id stays out of
+//! the mix because the protocol fingerprint already hashes it. Every
+//! entry keeps its full [`CacheKey`], and a probe serves only when the
+//! whole stored key equals the probe: two keys that share an index
+//! never serve each other's outcome, and an insert displaces the
+//! resident that shares its index.
+//!
 //! The protocol fingerprint ([`bios_core::catalog::CatalogEntry::protocol_fingerprint`])
 //! covers every field that feeds the calibration — electrode, film
 //! recipe, technique, sweep — so two entries sharing an id but differing
@@ -21,7 +30,8 @@
 //! Every resident entry carries an integrity checksum stamped at insert
 //! and re-verified on every hit: FNV-1a over the summary's canonical
 //! encoding, its five `f64` bit patterns (`summary_bits`). A hit
-//! therefore costs one lock, one map probe and a 40-byte hash.
+//! therefore costs one lock, a walk of integer comparisons down one
+//! shard's map, one key comparison and a 40-byte hash.
 //!
 //! The cache is **bounded**: each shard evicts its least-recently-used
 //! entry once it exceeds its share of the configured capacity, so a
@@ -44,6 +54,7 @@ use std::sync::{Arc, Mutex};
 
 use bios_analytics::{CalibrationCurve, CalibrationPoint, CalibrationSummary};
 use bios_core::catalog::CalibrationOutcome;
+use bios_prng::SplitMix64;
 use bios_recover::codec::{read_frame, write_frame, FrameRead};
 use bios_recover::sim::{RealIo, StorageIo};
 use bios_recover::{ByteReader, ByteWriter, CodecError, Fnv1a};
@@ -80,22 +91,58 @@ pub struct CacheKey {
     pub seed: u64,
 }
 
-/// One shard: the map plus a monotonic touch counter. An entry's stamp
-/// is the shard tick at its last get/insert, so the minimum stamp is
-/// the least-recently-used entry. The third field is the entry's
-/// integrity checksum, stamped at insert and re-verified at every
-/// serve (see [`outcome_checksum`]).
+impl CacheKey {
+    /// This key's [`key_index`].
+    fn index(&self) -> u64 {
+        key_index(self.protocol, self.plan, self.seed)
+    }
+
+    /// Whether this key names the job `(sensor, protocol, plan, seed)`.
+    fn is(&self, sensor: &str, protocol: u64, plan: u64, seed: u64) -> bool {
+        self.protocol == protocol && self.plan == plan && self.seed == seed && self.sensor == sensor
+    }
+}
+
+/// The 64-bit index of a key: a splitmix64 mix of `(protocol, plan,
+/// seed)`. The sensor id is left out because the protocol fingerprint
+/// already hashes it. The index picks the shard and orders the shard's
+/// map; two keys that share one are told apart by the full key stored
+/// in the entry.
+fn key_index(protocol: u64, plan: u64, seed: u64) -> u64 {
+    SplitMix64::new(SplitMix64::new(protocol).derive(plan)).derive(seed)
+}
+
+/// Which of the [`SHARDS`] shards holds the key with this index.
+fn shard_of(index: u64) -> usize {
+    (index % SHARDS as u64) as usize
+}
+
+/// One resident outcome: the full key it was stored under, the shared
+/// outcome, its recency stamp (the shard tick at its last get/insert),
+/// and its integrity checksum, stamped at insert and re-verified at
+/// every serve (see [`outcome_checksum`]).
+#[derive(Debug)]
+struct Entry {
+    key: CacheKey,
+    outcome: Arc<CalibrationOutcome>,
+    stamp: u64,
+    checksum: u64,
+}
+
+/// One shard: entries by [`key_index`], plus a monotonic touch counter.
+/// The minimum stamp is the least-recently-used entry. A map probe
+/// compares `u64`s only; the stored key is compared once, at the end.
 ///
-/// `lru` is the eviction queue, stamp → key, updated lazily: an insert
-/// queues its key at the insert stamp, but a hit only moves the stamp
-/// in `map`. Every resident key is queued at least once, at a stamp no
+/// `lru` is the eviction queue, stamp → index, updated lazily: an insert
+/// queues its index at the insert stamp, but a hit only moves the stamp
+/// in `map`. Every resident index is queued at least once, at a stamp no
 /// later than its current one, so the queue's first entry is either the
-/// least-recently-used key (its stamps agree) or a stale one to
+/// least-recently-used entry (its stamps agree) or a stale one to
 /// re-queue at its current stamp (see [`Shard::evict_lru`]).
 #[derive(Debug, Default)]
 struct Shard {
-    map: BTreeMap<CacheKey, (Arc<CalibrationOutcome>, u64, u64)>,
-    lru: BTreeMap<u64, CacheKey>,
+    map: BTreeMap<u64, Entry>,
+    lru: BTreeMap<u64, u64>,
     tick: u64,
 }
 
@@ -104,15 +151,15 @@ impl Shard {
     /// empty. Amortized O(log n): each stale queue entry is popped once
     /// and re-queued at most once per hit.
     fn evict_lru(&mut self) -> bool {
-        while let Some((queued, key)) = self.lru.pop_first() {
-            match self.map.get(&key).map(|(_, stamp, _)| *stamp) {
+        while let Some((queued, index)) = self.lru.pop_first() {
+            match self.map.get(&index).map(|entry| entry.stamp) {
                 Some(stamp) if stamp == queued => {
-                    self.map.remove(&key);
+                    self.map.remove(&index);
                     return true;
                 }
                 // Touched since it was queued: queue it where it is now.
                 Some(stamp) => {
-                    self.lru.insert(stamp, key);
+                    self.lru.insert(stamp, index);
                 }
                 // Dropped since it was queued (corruption at serve).
                 None => {}
@@ -156,14 +203,6 @@ fn outcome_checksum(outcome: &CalibrationOutcome) -> u64 {
     let mut h = Fnv1a::new();
     hash_summary(&mut h, &outcome.summary);
     h.value()
-}
-
-/// Which of the [`SHARDS`] shards holds `key`.
-fn shard_index(key: &CacheKey) -> usize {
-    use std::hash::{Hash, Hasher};
-    let mut hasher = std::collections::hash_map::DefaultHasher::new();
-    key.hash(&mut hasher);
-    (hasher.finish() as usize) % SHARDS
 }
 
 /// A sharded, thread-safe, bounded memo table of calibration outcomes.
@@ -221,9 +260,11 @@ impl ResultCache {
         }
     }
 
-    fn shard(&self, key: &CacheKey) -> &Mutex<Shard> {
-        // bios-audit: allow(P-index) — `shard_index` is `< SHARDS`
-        &self.shards[shard_index(key)]
+    /// The shard that holds `index`; every shard lookup goes through
+    /// here.
+    fn shard(&self, index: u64) -> &Mutex<Shard> {
+        // bios-audit: allow(P-index) — `shard_of` is `< SHARDS`
+        &self.shards[shard_of(index)]
     }
 
     /// Looks up a memoized outcome, refreshing its recency stamp. The
@@ -233,40 +274,57 @@ impl ResultCache {
     /// caller recomputes instead of consuming rotten bytes.
     #[must_use]
     pub fn get(&self, key: &CacheKey) -> Option<Arc<CalibrationOutcome>> {
-        let mut shard = self.shard(key).lock().ok()?;
+        self.probe(&key.sensor, key.protocol, key.plan, key.seed)
+    }
+
+    /// [`ResultCache::get`] from the key's parts, so a probe needs no
+    /// owned [`CacheKey`]. A resident that shares the probe's index but
+    /// not its whole key is a miss, and is left untouched.
+    pub(crate) fn probe(
+        &self,
+        sensor: &str,
+        protocol: u64,
+        plan: u64,
+        seed: u64,
+    ) -> Option<Arc<CalibrationOutcome>> {
+        let index = key_index(protocol, plan, seed);
+        let mut shard = self.shard(index).lock().ok()?;
         shard.tick += 1;
         let tick = shard.tick;
-        let served = {
-            let (outcome, stamp, sum) = shard.map.get_mut(key)?;
-            if outcome_checksum(outcome) == *sum {
-                *stamp = tick;
-                Some(Arc::clone(outcome))
-            } else {
-                None
-            }
-        };
-        if served.is_none() {
-            shard.map.remove(key);
-            self.corrupt_dropped.fetch_add(1, Ordering::Relaxed);
+        let entry = shard
+            .map
+            .get_mut(&index)
+            .filter(|entry| entry.key.is(sensor, protocol, plan, seed))?;
+        if outcome_checksum(&entry.outcome) == entry.checksum {
+            entry.stamp = tick;
+            return Some(Arc::clone(&entry.outcome));
         }
-        served
+        shard.map.remove(&index);
+        self.corrupt_dropped.fetch_add(1, Ordering::Relaxed);
+        None
     }
 
     /// Stores an outcome, returning the shared handle. Evicts the
     /// shard's least-recently-used entry when the shard is over
-    /// capacity.
+    /// capacity. A resident under a different key that shares this
+    /// key's index is displaced; that is not counted as an eviction.
     pub fn insert(&self, key: CacheKey, outcome: CalibrationOutcome) -> Arc<CalibrationOutcome> {
-        let sum = outcome_checksum(&outcome);
+        let checksum = outcome_checksum(&outcome);
         let outcome = Arc::new(outcome);
-        if let Ok(mut shard) = self.shard(&key).lock() {
+        let index = key.index();
+        if let Ok(mut shard) = self.shard(index).lock() {
             shard.tick += 1;
-            let tick = shard.tick;
-            let replaced = shard
-                .map
-                .insert(key.clone(), (Arc::clone(&outcome), tick, sum));
-            // A replaced entry is already queued, at an earlier stamp.
-            if replaced.is_none() {
-                shard.lru.insert(tick, key);
+            let stamp = shard.tick;
+            let entry = Entry {
+                key,
+                outcome: Arc::clone(&outcome),
+                stamp,
+                checksum,
+            };
+            // A replaced entry's index is already queued, at an earlier
+            // stamp.
+            if shard.map.insert(index, entry).is_none() {
+                shard.lru.insert(stamp, index);
             }
             while shard.map.len() > self.shard_capacity && shard.evict_lru() {
                 self.evictions.fetch_add(1, Ordering::Relaxed);
@@ -308,9 +366,10 @@ impl ResultCache {
     /// corruption of a resident entry.
     #[cfg(test)]
     fn tamper(&self, key: &CacheKey, outcome: CalibrationOutcome) {
-        if let Ok(mut shard) = self.shard(key).lock() {
-            if let Some(entry) = shard.map.get_mut(key) {
-                entry.0 = Arc::new(outcome);
+        let index = key.index();
+        if let Ok(mut shard) = self.shard(index).lock() {
+            if let Some(entry) = shard.map.get_mut(&index).filter(|e| e.key == *key) {
+                entry.outcome = Arc::new(outcome);
             }
         }
     }
@@ -321,7 +380,13 @@ impl ResultCache {
         self.shards
             .iter()
             .filter_map(|s| s.lock().ok())
-            .flat_map(|shard| shard.map.keys().cloned().collect::<Vec<_>>())
+            .flat_map(|shard| {
+                shard
+                    .map
+                    .values()
+                    .map(|entry| entry.key.clone())
+                    .collect::<Vec<_>>()
+            })
             .collect()
     }
 
@@ -362,13 +427,13 @@ impl ResultCache {
         let mut entries: Vec<(CacheKey, Arc<CalibrationOutcome>)> = Vec::new();
         for shard in &self.shards {
             let Ok(shard) = shard.lock() else { continue };
-            let mut in_shard: Vec<_> = shard
-                .map
-                .iter()
-                .map(|(k, (outcome, stamp, _))| (*stamp, k.clone(), Arc::clone(outcome)))
-                .collect();
-            in_shard.sort_by_key(|(stamp, _, _)| *stamp);
-            entries.extend(in_shard.into_iter().map(|(_, k, o)| (k, o)));
+            let mut in_shard: Vec<&Entry> = shard.map.values().collect();
+            in_shard.sort_by_key(|entry| entry.stamp);
+            entries.extend(
+                in_shard
+                    .into_iter()
+                    .map(|entry| (entry.key.clone(), Arc::clone(&entry.outcome))),
+            );
         }
         // Serialize fully in memory first: the file sees whole frames
         // only, so a short write can never interleave with encoding.
@@ -671,6 +736,78 @@ mod tests {
     }
 
     #[test]
+    fn keys_sharing_an_index_never_serve_each_other() {
+        let entry = catalog::our_glucose_sensor();
+        let (own, other) = (
+            entry.run_calibration(7).unwrap(),
+            entry.run_calibration(8).unwrap(),
+        );
+        let a = key(7);
+        let b = CacheKey {
+            sensor: "glucose/impostor".to_owned(),
+            ..key(7)
+        };
+        assert_eq!(a.index(), b.index(), "sensor is not part of the index");
+        let bits = |o: &CalibrationOutcome| summary_bits(&o.summary);
+        for (first, second) in [(&a, &b), (&b, &a)] {
+            let cache = ResultCache::new();
+            cache.insert(first.clone(), own.clone());
+            assert!(cache.get(second).is_none(), "served another key's outcome");
+            let hit = cache.get(first).expect("resident key serves");
+            assert_eq!(bits(&hit), bits(&own));
+            // The second insert displaces the first: each key still gets
+            // its own outcome or a miss.
+            cache.insert(second.clone(), other.clone());
+            assert_eq!(cache.len(), 1);
+            assert!(
+                cache.get(first).is_none(),
+                "served the displacing key's outcome"
+            );
+            let hit = cache.get(second).expect("displacing key serves");
+            assert_eq!(bits(&hit), bits(&other));
+            assert_eq!((cache.evictions(), cache.corrupt_dropped()), (0, 0));
+
+            // A corrupt resident: the other key's probe misses without
+            // dropping it, its own probe drops it, and the other key's
+            // insert then serves only its own outcome.
+            let cache = ResultCache::new();
+            cache.insert(first.clone(), own.clone());
+            cache.tamper(first, other.clone());
+            assert!(cache.get(second).is_none());
+            assert_eq!((cache.len(), cache.corrupt_dropped()), (1, 0));
+            assert!(cache.get(first).is_none(), "served a tampered outcome");
+            assert_eq!((cache.len(), cache.corrupt_dropped()), (0, 1));
+            cache.insert(second.clone(), other.clone());
+            assert!(cache.get(first).is_none());
+            let hit = cache.get(second).expect("fresh insert serves");
+            assert_eq!(bits(&hit), bits(&other));
+        }
+    }
+
+    #[test]
+    fn warm_campaign_keys_fit_every_shard() {
+        // The catalog crossed with 128 seeds, as the warm benchmark runs
+        // it: no shard may overflow its share of the default capacity,
+        // or a fleet that fits the cache would evict.
+        let mut entries = catalog::all_table2();
+        entries.extend(catalog::multi_panel_sensors());
+        let bound = DEFAULT_CAPACITY / SHARDS;
+        for base in [0, 1, 1 << 20, 0x00ab_cdef_1234, 0x00ff_ffff_ff00, 1 << 39] {
+            let mut per_shard = [0usize; SHARDS];
+            let mut indices = std::collections::BTreeSet::new();
+            for entry in &entries {
+                for seed in base..base + 128 {
+                    let index = key_index(entry.protocol_fingerprint(), 0, seed);
+                    assert!(indices.insert(index), "two warm keys share an index");
+                    per_shard[shard_of(index)] += 1;
+                }
+            }
+            let fullest = per_shard.iter().max().copied().unwrap_or(0);
+            assert!(fullest <= bound, "base {base}: {fullest} keys in one shard");
+        }
+    }
+
+    #[test]
     fn clear_empties_all_shards() {
         let cache = ResultCache::new();
         let outcome = catalog::our_glucose_sensor().run_calibration(7).unwrap();
@@ -729,7 +866,7 @@ mod tests {
 
         /// A probe; a hit on a `corrupt` entry drops it instead.
         fn get(&mut self, key: &CacheKey, corrupt: bool) {
-            let (map, tick) = &mut self.shards[shard_index(key)];
+            let (map, tick) = &mut self.shards[shard_of(key.index())];
             *tick += 1;
             if corrupt {
                 map.remove(key);
@@ -740,7 +877,7 @@ mod tests {
 
         /// An insert; returns the keys it evicted, in order.
         fn insert(&mut self, key: CacheKey) -> Vec<CacheKey> {
-            let (map, tick) = &mut self.shards[shard_index(&key)];
+            let (map, tick) = &mut self.shards[shard_of(key.index())];
             *tick += 1;
             map.insert(key, *tick);
             let mut victims = Vec::new();

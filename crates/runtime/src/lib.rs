@@ -79,6 +79,7 @@ use bios_electrochem::diffusion::DiffusionGrid;
 use bios_faults::{FaultPlan, FaultTally};
 use bios_units::{DiffusionCoefficient, Molar, Seconds};
 
+use crate::metrics::JobTally;
 use crate::watchdog::{WatchRegistry, Watchdog};
 
 pub use cache::{CacheKey, CacheLoadReport, ResultCache, DEFAULT_CAPACITY};
@@ -443,6 +444,7 @@ impl Runtime {
             let registry = registry.clone();
             self.pool.execute_judged(move || {
                 let mut absorbed_stall = false;
+                let mut tally = JobTally::default();
                 for batch in jobs[start..end].chunks(RESULT_BATCH) {
                     let results: Vec<JobResult> = batch
                         .iter()
@@ -455,6 +457,7 @@ impl Runtime {
                                 cache.as_deref(),
                                 registry.as_deref(),
                                 &metrics,
+                                &mut tally,
                                 policy,
                             )
                         })
@@ -463,6 +466,9 @@ impl Runtime {
                         && results
                             .iter()
                             .any(|r| matches!(r.outcome, Err(JobError::Deadline)));
+                    // Bill the batch before sending it, so every result
+                    // the collector observes is already counted.
+                    metrics.bill(&mut tally);
                     let _ = tx.send(results);
                 }
                 if absorbed_stall {
@@ -554,11 +560,12 @@ impl Runtime {
         self.metrics.add(Counter::JobsSubmitted, fleet.len() as u64);
         let cache = self.config.cache.then_some(self.cache.as_ref());
         let policy = ExecPolicy::from_config(&self.config);
+        let mut tally = JobTally::default();
         let results = fleet
             .jobs()
             .iter()
             .map(|job| {
-                execute_job(
+                let result = execute_job(
                     job.index,
                     &job.entry,
                     job.seed,
@@ -566,8 +573,11 @@ impl Runtime {
                     cache,
                     None,
                     &self.metrics,
+                    &mut tally,
                     policy,
-                )
+                );
+                self.metrics.bill(&mut tally);
+                result
             })
             .collect();
         FleetReport {
@@ -649,6 +659,7 @@ impl JobStream<'_> {
         let metrics = Arc::clone(&self.runtime.metrics);
         let policy = ExecPolicy::from_config(&self.runtime.config);
         host.pool.execute(move || {
+            let mut tally = JobTally::default();
             let result = execute_job(
                 ticket as usize,
                 &entry,
@@ -657,8 +668,10 @@ impl JobStream<'_> {
                 cache.as_deref(),
                 None,
                 &metrics,
+                &mut tally,
                 policy,
             );
+            metrics.bill(&mut tally);
             let _ = tx.send((ticket, result));
         });
         ticket
@@ -733,6 +746,10 @@ fn chunk_size(jobs: usize, workers: usize) -> usize {
 /// stamp is taken on the thread that produced it, before the result
 /// crosses any channel.
 ///
+/// Rare events (faults, retries, rejections, quarantines) go straight
+/// to `metrics`; the finish — completed or failed, hit or miss, wall
+/// time — is counted in `tally`, which the caller bills.
+///
 /// Every branch here is a pure function of `(entry, seed, plan,
 /// policy)` — never of the worker, the attempt wall-clock, or cache
 /// state (the budget gate runs *before* the cache probe so a rejection
@@ -747,6 +764,7 @@ fn execute_job(
     cache: Option<&ResultCache>,
     watch: Option<&WatchRegistry>,
     metrics: &RuntimeMetrics,
+    tally: &mut JobTally,
     policy: ExecPolicy,
 ) -> JobResult {
     let t0 = Instant::now();
@@ -762,9 +780,9 @@ fn execute_job(
         .map_or_else(FaultTally::default, |f| f.tally());
     metrics.add(Counter::FaultsInjected, injected.total() as u64);
     let physics_plan = faults.as_ref().and(plan);
-    let finish = |outcome, from_cache, attempts| {
+    let mut finish = |outcome, from_cache, attempts| {
         let wall = t0.elapsed();
-        metrics.record_finished(Result::is_ok(&outcome), from_cache, wall);
+        tally.record(Result::is_ok(&outcome), from_cache, wall);
         JobResult {
             index,
             sensor: entry.id().to_owned(),
@@ -807,14 +825,14 @@ fn execute_job(
         return finish(Err(JobError::Deadline), false, 1);
     }
 
-    let key = cache.map(|_| CacheKey {
-        sensor: entry.id().to_owned(),
-        protocol: entry.protocol_fingerprint(),
-        plan: physics_plan.map_or(0, FaultPlan::fingerprint),
-        seed,
+    // The probe borrows the key's parts; the owned key is built only
+    // on a miss, for the insert.
+    let memo = cache.map(|cache| {
+        let plan = physics_plan.map_or(0, FaultPlan::fingerprint);
+        (cache, entry.protocol_fingerprint(), plan)
     });
-    if let (Some(cache), Some(key)) = (cache, &key) {
-        if let Some(hit) = cache.get(key) {
+    if let Some((cache, protocol, plan)) = memo {
+        if let Some(hit) = cache.probe(entry.id(), protocol, plan, seed) {
             return finish(Ok(hit), true, 0);
         }
     }
@@ -866,9 +884,20 @@ fn execute_job(
             Err(JobError::NonFinite)
         }
     });
-    let outcome = outcome.map(|outcome| match (cache, key) {
-        (Some(cache), Some(key)) => cache.insert(key, outcome),
-        _ => Arc::new(outcome),
+    let outcome = outcome.map(|outcome| match memo {
+        Some((cache, protocol, plan)) => {
+            let sensor = entry.id().to_owned();
+            cache.insert(
+                CacheKey {
+                    sensor,
+                    protocol,
+                    plan,
+                    seed,
+                },
+                outcome,
+            )
+        }
+        None => Arc::new(outcome),
     });
     finish(outcome, false, attempt)
 }
@@ -1016,6 +1045,96 @@ mod tests {
             in_flight >= 4,
             "the run copied the jobs ({in_flight} handles)"
         );
+    }
+
+    /// All of Table 2 under a transient/panic/denaturation plan, at 30
+    /// seeds: 540 jobs, so every chunk spans more than one result batch
+    /// at 1 and 2 workers.
+    fn batched_fleet() -> Fleet {
+        use bios_faults::FaultKind;
+        let plan = FaultPlan::builder("batch-billing", 0xB111)
+            .spec(FaultKind::TransientGlitch, 0.6, 0.4)
+            .spec(FaultKind::WorkerPanic, 0.2, 1.0)
+            .spec(FaultKind::FilmDenaturation, 0.5, 0.6)
+            .build();
+        let fleet = Fleet::builder("batch-billing")
+            .sensors(catalog::all_table2())
+            .seeds(0..30)
+            .fault_plan(plan)
+            .build();
+        assert!(chunk_size(fleet.len(), 2) > RESULT_BATCH);
+        fleet
+    }
+
+    fn batch_runtime(workers: usize) -> Runtime {
+        Runtime::new(
+            RuntimeConfig::default()
+                .with_workers(workers)
+                .with_retry_backoff(Duration::from_micros(10)),
+        )
+    }
+
+    #[test]
+    fn per_batch_billing_matches_per_job_billing() {
+        let fleet = batched_fleet();
+        let path = std::env::temp_dir().join(format!(
+            "bios-runtime-batch-billing-{}.journal",
+            std::process::id()
+        ));
+        // Two passes each: the second serves every success from cache.
+        let snapshots: Vec<MetricsSnapshot> = ["run@1", "run@2", "journaled@2", "sequential"]
+            .into_iter()
+            .map(|layout| {
+                let runtime = batch_runtime(if layout.ends_with("@2") { 2 } else { 1 });
+                let run = || match layout {
+                    "journaled@2" => runtime.run_journaled(&fleet, &path).expect("journaled"),
+                    "sequential" => runtime.run_sequential(&fleet),
+                    _ => runtime.run(&fleet),
+                };
+                let (first, second) = (run(), run());
+                let m = runtime.metrics();
+                let jobs = 2 * fleet.len() as u64;
+                let failed = first.failures().count() + second.failures().count();
+                assert_eq!(m.jobs_completed + m.jobs_failed, jobs, "{layout}");
+                assert_eq!(m.jobs_failed, failed as u64, "{layout}");
+                assert_eq!(m.cache_hits, second.cache_hits() as u64, "{layout}");
+                assert_eq!(m.histogram.iter().sum::<u64>(), jobs, "{layout}");
+                m
+            })
+            .collect();
+        let _ = std::fs::remove_file(&path);
+        let billed = |m: &MetricsSnapshot| {
+            (
+                m.jobs_completed,
+                m.jobs_failed,
+                m.cache_hits,
+                m.cache_misses,
+            )
+        };
+        let reference = billed(&snapshots[0]);
+        assert!(reference.1 > 0 && reference.2 > 0, "{reference:?}");
+        for m in &snapshots {
+            assert_eq!(billed(m), reference);
+        }
+    }
+
+    #[test]
+    fn every_observed_result_is_already_billed() {
+        // The observer is where `run_journaled` appends each record.
+        let fleet = batched_fleet();
+        let runtime = batch_runtime(2);
+        let mut observed = 0u64;
+        let report = runtime.run_with_observer(&fleet, |_| {
+            observed += 1;
+            let m = runtime.metrics.snapshot();
+            assert!(
+                m.jobs_completed + m.jobs_failed >= observed,
+                "{observed} observed, {} billed",
+                m.jobs_completed + m.jobs_failed
+            );
+        });
+        assert_eq!(observed, fleet.len() as u64);
+        assert_eq!(report.results.len(), fleet.len());
     }
 
     #[test]

@@ -6,6 +6,14 @@
 //! perturbs the throughput it measures. Snapshots serialize to JSON by
 //! hand (the platform carries no serialization dependency).
 //!
+//! A finished job drives four counters and the histogram, so the job
+//! path counts it in a plain `JobTally` and bills the tally in one
+//! step. Fleet runs bill once per result batch, before the batch is
+//! sent to the collector: a snapshot taken mid-run may lag results that
+//! are computed but not yet sent, never results already delivered.
+//! Streams and sequential runs bill per job. End-of-run snapshots are
+//! the same either way.
+//!
 //! Every counter is declared once, as one row of the `counters!` table
 //! below. The row generates the [`Counter`] variant, its atomic slot in
 //! [`RuntimeMetrics`], the [`MetricsSnapshot`] field, and the JSON key.
@@ -194,20 +202,59 @@ impl RuntimeMetrics {
     /// Records one finished job: success/failure, cache disposition,
     /// and its wall time.
     pub fn record_finished(&self, ok: bool, from_cache: bool, wall: Duration) {
+        let mut tally = JobTally::default();
+        tally.record(ok, from_cache, wall);
+        self.bill(&mut tally);
+    }
+
+    /// Adds everything `tally` counted and empties it.
+    pub(crate) fn bill(&self, tally: &mut JobTally) {
+        let tally = std::mem::take(tally);
+        self.add(Counter::JobsCompleted, tally.completed);
+        self.add(Counter::JobsFailed, tally.failed);
+        self.add(Counter::CacheHits, tally.hits);
+        self.add(Counter::CacheMisses, tally.misses);
+        self.add(Counter::BusyMicros, tally.busy_micros);
+        for (slot, n) in self.histogram.iter().zip(tally.histogram) {
+            if n > 0 {
+                slot.fetch_add(n, Ordering::Relaxed);
+            }
+        }
+    }
+}
+
+/// What finished jobs add to [`RuntimeMetrics`], counted in plain
+/// integers by one thread and billed in one step with
+/// [`RuntimeMetrics::bill`]. A fleet's chunk task bills once per result
+/// batch instead of making several atomic writes per job.
+#[derive(Debug, Default)]
+pub(crate) struct JobTally {
+    completed: u64,
+    failed: u64,
+    hits: u64,
+    misses: u64,
+    busy_micros: u64,
+    histogram: [u64; HISTOGRAM_BUCKETS],
+}
+
+impl JobTally {
+    /// Counts one finished job: success/failure, cache disposition, and
+    /// its wall time.
+    pub(crate) fn record(&mut self, ok: bool, from_cache: bool, wall: Duration) {
         if ok {
-            self.add(Counter::JobsCompleted, 1);
+            self.completed += 1;
         } else {
-            self.add(Counter::JobsFailed, 1);
+            self.failed += 1;
         }
         if from_cache {
-            self.add(Counter::CacheHits, 1);
+            self.hits += 1;
         } else {
-            self.add(Counter::CacheMisses, 1);
+            self.misses += 1;
         }
         let micros = u64::try_from(wall.as_micros()).unwrap_or(u64::MAX);
-        self.add(Counter::BusyMicros, micros);
+        self.busy_micros = self.busy_micros.saturating_add(micros);
         let bucket = (63 - micros.max(1).leading_zeros() as usize).min(HISTOGRAM_BUCKETS - 1);
-        self.histogram[bucket].fetch_add(1, Ordering::Relaxed);
+        self.histogram[bucket] += 1;
     }
 }
 

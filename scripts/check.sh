@@ -46,14 +46,24 @@ run cargo clippy --manifest-path perfbench/Cargo.toml --all-targets -- -D warnin
 # Static-analysis gate: the source-level determinism / panic-freedom /
 # float-hygiene / API-hygiene audit (DESIGN.md §11) plus the semantic
 # pass (DESIGN.md §16): call-graph determinism taint, crate-layer
-# proofs, and lock discipline. Any finding fails the gate; the waiver
-# count is part of the printed summary. The audit runs twice — the
+# proofs, and lock discipline. Any finding fails the gate, and so does
+# a waiver count above the pinned bound. The audit runs twice — the
 # second run must ride the per-file facts cache.
 run cargo run --release -q -p bios-audit
 if ! grep -q '"schema_version": 2,' AUDIT_report.json; then
     echo "audit gate: AUDIT_report.json has an unknown schema_version (expected 2)" >&2
     exit 1
 fi
+# The waiver count is pinned: a new waiver is a reviewed decision that
+# raises this bound and the count README.md shows, never a silent
+# escape hatch.
+max_waivers=9
+waivers="$(sed -n 's/.*"waiver_count": *\([0-9][0-9]*\).*/\1/p' AUDIT_report.json)"
+if [ -z "$waivers" ] || [ "$waivers" -gt "$max_waivers" ]; then
+    echo "audit gate: ${waivers:-unknown} waiver(s), more than the pinned $max_waivers" >&2
+    exit 1
+fi
+echo "    $waivers waiver(s), at most $max_waivers"
 audit_warm="$(cargo run --release -q -p bios-audit 2>&1 | tail -1)"
 echo "    $audit_warm"
 case "$audit_warm" in
