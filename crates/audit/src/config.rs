@@ -253,7 +253,7 @@ pub struct Config {
     /// fingerprints, cached outcomes, or durable journal frames.
     pub digest_paths: Vec<String>,
     /// Scope of `P-index`: durability modules where an indexing panic
-    /// would tear a journal or snapshot mid-write.
+    /// would tear a journal mid-write.
     pub index_paths: Vec<String>,
     /// Scope of the F family: solver and analytics code.
     pub float_paths: Vec<String>,
@@ -413,14 +413,6 @@ impl Config {
             | Rule::WWaiver => return true,
         };
         scopes.iter().any(|s| scope_matches(s, path))
-    }
-
-    /// FNV-1a fingerprint of the whole rule table plus the tool
-    /// version. Any change to either invalidates the per-file facts
-    /// cache.
-    pub fn fingerprint(&self) -> u64 {
-        let rendered = format!("v{}|{:?}", env!("CARGO_PKG_VERSION"), self);
-        crate::graph::fnv1a(rendered.as_bytes())
     }
 }
 

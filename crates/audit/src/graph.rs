@@ -49,27 +49,6 @@ pub enum CallKind {
     Method,
 }
 
-impl CallKind {
-    /// Single-letter tag for the cache serialization.
-    pub fn tag(self) -> char {
-        match self {
-            CallKind::Free => 'F',
-            CallKind::Path => 'P',
-            CallKind::Method => 'M',
-        }
-    }
-
-    /// Inverse of [`CallKind::tag`].
-    pub fn from_tag(c: char) -> Option<CallKind> {
-        match c {
-            'F' => Some(CallKind::Free),
-            'P' => Some(CallKind::Path),
-            'M' => Some(CallKind::Method),
-            _ => None,
-        }
-    }
-}
-
 /// One call site inside a function body.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CallSite {
@@ -121,13 +100,11 @@ pub struct UseDep {
 }
 
 /// The per-file facts feeding the cross-file passes. Produced by
-/// [`crate::rules::analyze_file`], cacheable by source-byte FNV.
+/// [`crate::rules::analyze_file`].
 #[derive(Debug, Clone, Default)]
 pub struct FileFacts {
     /// Repo-relative path with forward slashes.
     pub path: String,
-    /// FNV-1a of the source bytes, the cache key.
-    pub source_fnv: u64,
     /// Local (single-file) findings, *before* waiver application.
     pub local_findings: Vec<Finding>,
     /// Waivers declared in the file.
@@ -136,17 +113,6 @@ pub struct FileFacts {
     pub fns: Vec<FnFact>,
     /// Workspace crates this file references outside test code.
     pub use_deps: Vec<UseDep>,
-}
-
-/// FNV-1a over arbitrary bytes — the same hash discipline as the rest
-/// of the workspace (`bios-faults`, `bios-recover`).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 /// The crate short name a repo-relative path belongs to:
@@ -773,7 +739,6 @@ mod tests {
         let (fns, use_deps) = extract_facts(path, &tokens, &masked, &items);
         FileFacts {
             path: path.to_string(),
-            source_fnv: fnv1a(src.as_bytes()),
             fns,
             use_deps,
             ..FileFacts::default()

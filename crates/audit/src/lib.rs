@@ -38,7 +38,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod cache;
 pub mod config;
 pub mod graph;
 pub mod items;
@@ -48,7 +47,6 @@ pub mod rules;
 pub mod walk;
 pub mod workspace;
 
-pub use cache::CacheStats;
 pub use config::{Config, Rule};
 pub use graph::{FileFacts, TaintChain};
 pub use items::{parse_items, Item, ItemKind};

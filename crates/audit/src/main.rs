@@ -5,13 +5,12 @@
 //! cargo run -q -p bios-audit -- --json out.json --root /path/to/repo
 //! cargo run -q -p bios-audit -- file.rs …     # audit specific files
 //! cargo run -q -p bios-audit -- --explain G-taint
-//! cargo run -q -p bios-audit -- --no-cache    # cold semantic pass
 //! ```
 //!
 //! Whole-workspace runs include the semantic pass (G-taint layering,
-//! call-graph taint, L-family discipline) with the per-file facts
-//! cache under `target/`; explicit-file runs stay single-file (the
-//! cross-file rules need the whole tree).
+//! call-graph taint, L-family discipline) over every file;
+//! explicit-file runs stay single-file (the cross-file rules need the
+//! whole tree).
 //!
 //! Exit status: 0 when the tree is clean (waivers are fine), 1 when
 //! any finding survives, 2 on usage or I/O errors.
@@ -39,7 +38,6 @@ fn run() -> Result<usize, String> {
     let mut json_path: Option<PathBuf> = None;
     let mut root_arg: Option<PathBuf> = None;
     let mut explicit_files: Vec<PathBuf> = Vec::new();
-    let mut use_cache = true;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -65,12 +63,10 @@ fn run() -> Result<usize, String> {
                 println!("{}", rule.explain());
                 return Ok(0);
             }
-            "--no-cache" => use_cache = false,
-            "--cache" => use_cache = true,
             "--help" | "-h" => {
                 println!(
                     "bios-audit — workspace static-analysis gate\n\
-                     usage: bios-audit [--root DIR] [--json FILE] [--no-cache] [FILES…]\n\
+                     usage: bios-audit [--root DIR] [--json FILE] [FILES…]\n\
                      \x20      bios-audit --explain <rule-id>"
                 );
                 return Ok(0);
@@ -91,13 +87,12 @@ fn run() -> Result<usize, String> {
 
     // Explicit files: single-file rules only (the semantic pass needs
     // the whole tree). Workspace runs go through the full pipeline.
-    let (findings, waivers, chains, cache_stats, files_scanned);
+    let (findings, waivers, chains, files_scanned);
     if explicit_files.is_empty() {
-        let outcome = bios_audit::audit_workspace(&root, &config, use_cache)?;
+        let outcome = bios_audit::audit_workspace(&root, &config)?;
         findings = outcome.findings;
         waivers = outcome.waivers;
         chains = outcome.chains;
-        cache_stats = outcome.cache;
         files_scanned = outcome.files_scanned;
     } else {
         let mut fs_acc = Vec::new();
@@ -113,7 +108,6 @@ fn run() -> Result<usize, String> {
         findings = fs_acc;
         waivers = ws_acc;
         chains = Vec::new();
-        cache_stats = bios_audit::CacheStats::default();
         files_scanned = explicit_files.len();
     }
 
@@ -123,14 +117,11 @@ fn run() -> Result<usize, String> {
     let used = waivers.iter().filter(|w| w.used).count();
     let elapsed_ms = started.elapsed().as_millis();
     println!(
-        "bios-audit: {} file(s), {} finding(s), {} waiver(s) ({} used), \
-         cache {}/{} hit, {} ms",
+        "bios-audit: {} file(s), {} finding(s), {} waiver(s) ({} used), {} ms",
         files_scanned,
         findings.len(),
         waivers.len(),
         used,
-        cache_stats.hits,
-        cache_stats.hits + cache_stats.misses,
         elapsed_ms
     );
 
@@ -139,7 +130,6 @@ fn run() -> Result<usize, String> {
         findings: &findings,
         waivers: &waivers,
         chains: &chains,
-        cache: cache_stats,
         elapsed_ms,
     });
     let json_out = json_path.unwrap_or_else(|| root.join("AUDIT_report.json"));

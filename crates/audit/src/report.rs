@@ -2,14 +2,14 @@
 //!
 //! Hand-rolled JSON (no serde in the offline workspace): line-stable
 //! output in a fixed key order and a `schema_version` field so
-//! finding/waiver counts can be tracked over time. Schema 2 adds the semantic-pass fields:
-//! per-family counts, the G-taint call chains, the facts-cache
-//! counters, and `elapsed_ms`. The elapsed time is the report's *only*
+//! finding/waiver counts can be tracked over time. Schema 2 added the
+//! semantic-pass fields: per-family counts, the G-taint call chains,
+//! and `elapsed_ms`. Schema 3 drops the facts-cache counters: every run
+//! analyses every file. The elapsed time is the report's *only*
 //! impure field — everything else is a pure function of the tree, so
 //! `scripts/check.sh` can grep the schema and counts stably while the
 //! timing stays observable.
 
-use crate::cache::CacheStats;
 use crate::config::Rule;
 use crate::graph::TaintChain;
 use crate::rules::{Finding, WaiverRecord};
@@ -17,7 +17,7 @@ use std::collections::BTreeMap;
 
 /// Bump when the report shape changes. `scripts/check.sh` refuses
 /// reports with a schema it does not know.
-pub const SCHEMA_VERSION: u32 = 2;
+pub const SCHEMA_VERSION: u32 = 3;
 
 /// Everything the report renders, gathered by the caller.
 #[derive(Debug, Default)]
@@ -30,8 +30,6 @@ pub struct ReportInput<'a> {
     pub waivers: &'a [WaiverRecord],
     /// Call chains backing the G-taint findings.
     pub chains: &'a [TaintChain],
-    /// Facts-cache counters for this run.
-    pub cache: CacheStats,
     /// Wall-clock duration of the run in milliseconds.
     pub elapsed_ms: u128,
 }
@@ -43,7 +41,6 @@ pub fn render_json(input: &ReportInput<'_>) -> String {
         findings,
         waivers,
         chains,
-        cache,
         elapsed_ms,
     } = input;
     let mut by_rule: BTreeMap<&str, usize> = BTreeMap::new();
@@ -67,12 +64,6 @@ pub fn render_json(input: &ReportInput<'_>) -> String {
     out.push_str(&format!("  \"elapsed_ms\": {elapsed_ms},\n"));
     out.push_str(&format!("  \"finding_count\": {},\n", findings.len()));
     out.push_str(&format!("  \"waiver_count\": {},\n", waivers.len()));
-    out.push_str(&format!(
-        "  \"cache\": {{\"hits\": {}, \"misses\": {}, \"hit_rate\": {:.3}}},\n",
-        cache.hits,
-        cache.misses,
-        cache.hit_rate()
-    ));
 
     out.push_str("  \"findings_by_family\": {");
     let mut first = true;
@@ -202,18 +193,17 @@ mod tests {
             findings: &findings,
             waivers: &waivers,
             chains: &chains,
-            cache: CacheStats { hits: 4, misses: 1 },
             elapsed_ms: 12,
         };
         let a = render_json(&input);
         let b = render_json(&input);
         assert_eq!(a, b, "report must be a pure function of its inputs");
-        assert!(a.contains("\"schema_version\": 2"));
+        assert!(a.contains("\"schema_version\": 3"));
         assert!(a.contains("\"elapsed_ms\": 12"));
         assert!(a.contains("\\\"quotes\\\""));
         assert!(a.contains("\"P-unwrap\": 1"));
         assert!(a.contains("\"findings_by_family\""));
-        assert!(a.contains("\"hit_rate\": 0.800"));
+        assert!(!a.contains("\"cache\""));
         assert!(a.contains("\"chain\": [\"x::digest\", \"x::helper\"]"));
         assert!(a.ends_with("}\n"));
     }

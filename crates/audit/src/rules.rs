@@ -26,7 +26,7 @@
 //! in a deterministic order.
 
 use crate::config::{Config, Rule};
-use crate::graph::{extract_facts, fnv1a, FileFacts};
+use crate::graph::{extract_facts, FileFacts};
 use crate::items::{parse_items, Item, ItemKind};
 use crate::lexer::{tokenize, Token, TokenKind};
 
@@ -108,8 +108,7 @@ pub fn audit_source(path: &str, source: &str, config: &Config) -> AuditOutcome {
 
 /// Analyze one file into its pre-waiver [`FileFacts`]: local findings
 /// (D/P/F/U/L), declared waivers, and the call/dependency facts the
-/// graph passes consume. Pure in `(path, source, config)` — the unit
-/// the FNV cache stores.
+/// graph passes consume. Pure in `(path, source, config)`.
 pub fn analyze_file(path: &str, source: &str, config: &Config) -> FileFacts {
     let tokens = tokenize(source);
     let masked = mask_ignored_regions(&tokens);
@@ -130,7 +129,6 @@ pub fn analyze_file(path: &str, source: &str, config: &Config) -> FileFacts {
 
     FileFacts {
         path: path.to_string(),
-        source_fnv: fnv1a(source.as_bytes()),
         local_findings: findings,
         waivers,
         fns,

@@ -7,15 +7,14 @@
 //! pipeline:
 //!
 //! 1. walk the tree ([`crate::walk`]);
-//! 2. per file, fetch [`crate::graph::FileFacts`] from the FNV cache
-//!    or re-analyze ([`crate::rules::analyze_file`]);
+//! 2. analyze every file into its [`crate::graph::FileFacts`]
+//!    ([`crate::rules::analyze_file`]);
 //! 3. parse every crate manifest and run the G-layer checks;
 //! 4. build the approximate call graph and run the G-taint pass;
 //! 5. apply waivers to the *combined* finding set — a waiver next to a
 //!    banned token suppresses the G-taint finding anchored there just
 //!    like a local D finding — and sort into report order.
 
-use crate::cache::{CacheStats, FactsCache};
 use crate::config::Config;
 use crate::graph::{self, FileFacts, TaintChain};
 use crate::rules::{self, Finding, WaiverRecord};
@@ -33,45 +32,17 @@ pub struct WorkspaceOutcome {
     pub chains: Vec<TaintChain>,
     /// Number of `.rs` files audited.
     pub files_scanned: usize,
-    /// Facts-cache hit/miss counters.
-    pub cache: CacheStats,
 }
 
 /// Run the full semantic audit over the workspace at `root`.
-///
-/// `use_cache` governs the per-file facts cache under `target/`; the
-/// findings are byte-identical either way — the cache only changes how
-/// much work a warm run repeats.
-pub fn audit_workspace(
-    root: &Path,
-    config: &Config,
-    use_cache: bool,
-) -> Result<WorkspaceOutcome, String> {
+pub fn audit_workspace(root: &Path, config: &Config) -> Result<WorkspaceOutcome, String> {
     let files = walk::collect_sources(root).map_err(|e| e.to_string())?;
-    let cache_path = FactsCache::path_for(root);
-    let fingerprint = config.fingerprint();
-    let mut cache = if use_cache {
-        FactsCache::load(&cache_path, fingerprint)
-    } else {
-        FactsCache::load(Path::new("/nonexistent"), fingerprint)
-    };
-    let mut stats = CacheStats::default();
-
     let mut facts: Vec<FileFacts> = Vec::with_capacity(files.len());
     for file in &files {
         let source =
             std::fs::read_to_string(file).map_err(|e| format!("read {}: {e}", file.display()))?;
         let label = walk::display_path(root, file);
-        let fnv = graph::fnv1a(source.as_bytes());
-        if let Some(hit) = cache.get(&label, fnv) {
-            stats.hits += 1;
-            facts.push(hit.clone());
-        } else {
-            stats.misses += 1;
-            let f = rules::analyze_file(&label, &source, config);
-            cache.put(f.clone());
-            facts.push(f);
-        }
+        facts.push(rules::analyze_file(&label, &source, config));
     }
 
     // G-layer: manifests + in-source crate references.
@@ -109,15 +80,10 @@ pub fn audit_workspace(
         .filter(|c| survived.contains(&(c.file.clone(), c.line, c.col)))
         .collect();
 
-    if use_cache {
-        cache.store(&cache_path);
-    }
-
     Ok(WorkspaceOutcome {
         findings,
         waivers,
         chains,
         files_scanned: files.len(),
-        cache: stats,
     })
 }

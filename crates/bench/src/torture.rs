@@ -21,7 +21,7 @@
 //! sweeps separately from the mixed campaign):
 //!
 //! * [`crash_sweep`] — crash at **every** op index of a reference
-//!   monolithic run (create, write, sync, rename, read — each
+//!   monolithic run (create, write, sync, read — each
 //!   boundary), reboot, resume; must recover every time.
 //! * [`sharded_crash_sweep`] — the same sweep over a
 //!   [`ShardedRuntime`] run with per-shard segments, exercising the

@@ -1,7 +1,7 @@
 //! Little-endian field encoding and checksummed record framing.
 //!
-//! Every durable file the platform writes — the write-ahead run journal
-//! and the persisted memo cache — shares one wire discipline:
+//! The one durable file the platform writes, the write-ahead run
+//! journal (whole or as per-shard segments), has one wire discipline:
 //!
 //! * scalar fields are little-endian (`u32`/`u64`; `f64` travels as its
 //!   IEEE-754 bit pattern, so round trips are *bit-exact*);

@@ -25,8 +25,8 @@
 //!   panics on hostile bytes.
 //!
 //! The crate is a leaf: it knows nothing about sensors, physics, or the
-//! runtime. `bios-runtime` builds its crash-resume and persisted-cache
-//! layers on top of these primitives.
+//! runtime. `bios-runtime` builds its crash-resume layer on top of these
+//! primitives.
 //!
 //! ```
 //! use bios_recover::journal::{JournalWriter, JournalReader, Record, RunHeader};

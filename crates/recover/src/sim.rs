@@ -1,8 +1,8 @@
 //! Deterministic storage-fault simulation: an injectable IO layer
 //! under the durability stack.
 //!
-//! Every byte the durability layer writes — journal frames, cache
-//! snapshots, per-shard segments — goes through a [`StorageIo`]
+//! Every byte the durability layer writes — journal frames and
+//! per-shard segments — goes through a [`StorageIo`]
 //! backend. Production uses [`RealIo`], a thin passthrough to
 //! `std::fs`. Tests and the torture gate use [`SimIo`], an in-memory
 //! disk whose faults are a *pure function of (seed, op-index)* — the
@@ -20,7 +20,7 @@
 //!   persist any prefix of un-fsynced data).
 //!
 //! Op indices count *mutating* syscalls plus reads (create, open,
-//! write, truncate, sync, rename, read) in issue order, so a crash
+//! write, truncate, sync, read) in issue order, so a crash
 //! schedule `crash_at(k)` is reproducible: same seed, same workload,
 //! same surviving bytes. `exists` is a pure query and is not an op.
 //!
@@ -42,7 +42,7 @@ use bios_prng::fnv1a;
 /// An open, append-positioned file handle on a storage backend.
 ///
 /// `io::Write` supplies `write`/`flush`; the two extra methods are the
-/// durability points the journal and snapshot writers need.
+/// durability points the journal writer needs.
 pub trait StorageFile: io::Write + Send + fmt::Debug {
     /// Forces written bytes to stable storage (fsync).
     ///
@@ -61,7 +61,7 @@ pub trait StorageFile: io::Write + Send + fmt::Debug {
     fn truncate(&mut self, len: u64) -> io::Result<()>;
 }
 
-/// A storage backend: the five syscalls the durability stack is
+/// A storage backend: the four syscalls the durability stack is
 /// allowed to issue. [`RealIo`] passes through to `std::fs`; [`SimIo`]
 /// replays them against a deterministic in-memory disk.
 pub trait StorageIo: Send + Sync + fmt::Debug {
@@ -86,17 +86,6 @@ pub trait StorageIo: Send + Sync + fmt::Debug {
     ///
     /// Backend failure, including a missing file.
     fn read_all(&self, path: &Path) -> io::Result<Vec<u8>>;
-
-    /// Atomically replaces `to` with `from` — the commit point of the
-    /// write-tmp-sync-rename snapshot protocol. Renames are modeled as
-    /// atomic and immediately durable (journaled-filesystem metadata
-    /// semantics); file *content* durability still requires
-    /// [`StorageFile::sync_all`] before the rename.
-    ///
-    /// # Errors
-    ///
-    /// Backend failure, including a missing source.
-    fn rename(&self, from: &Path, to: &Path) -> io::Result<()>;
 
     /// Whether a file exists. A pure query, not an op.
     fn exists(&self, path: &Path) -> bool;
@@ -154,10 +143,6 @@ impl StorageIo for RealIo {
         std::fs::read(path)
     }
 
-    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
-        std::fs::rename(from, to)
-    }
-
     fn exists(&self, path: &Path) -> bool {
         path.exists()
     }
@@ -169,7 +154,7 @@ pub const ENOSPC_RAW: i32 = 28;
 /// flaky device.
 pub const EIO_RAW: i32 = 5;
 
-/// What a journal/snapshot writer should do with a failed IO op —
+/// What a journal writer should do with a failed IO op —
 /// the storage-layer mirror of the runtime's `JobError` transient/
 /// permanent split.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -245,7 +230,7 @@ fn splitmix64(x: u64) -> u64 {
 }
 
 /// Which syscall an op index belongs to; faults are kind-specific
-/// (a sync cannot hit `ENOSPC`, a rename cannot short-write).
+/// (a sync cannot hit `ENOSPC`, only a write can short-write).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum OpKind {
     Create,
@@ -253,7 +238,6 @@ enum OpKind {
     Write,
     Truncate,
     Sync,
-    Rename,
     Read,
 }
 
@@ -376,7 +360,7 @@ impl IoFaultScript {
                     return Some(SimFault::SyncFail);
                 }
             }
-            OpKind::Open | OpKind::Truncate | OpKind::Rename | OpKind::Read => {}
+            OpKind::Open | OpKind::Truncate | OpKind::Read => {}
         }
         None
     }
@@ -646,21 +630,6 @@ impl StorageIo for SimIo {
         }
     }
 
-    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
-        let mut state = lock_state(&self.state);
-        state.next_op(OpKind::Rename)?;
-        match state.files.remove(from) {
-            Some(file) => {
-                state.files.insert(to.to_path_buf(), file);
-                Ok(())
-            }
-            None => Err(io::Error::new(
-                io::ErrorKind::NotFound,
-                "no such simulated file",
-            )),
-        }
-    }
-
     fn exists(&self, path: &Path) -> bool {
         lock_state(&self.state).files.contains_key(path)
     }
@@ -775,22 +744,6 @@ mod tests {
     }
 
     #[test]
-    fn rename_replaces_destination() {
-        let io = SimIo::perfect(0);
-        let mut old = io.create(&p("snap")).unwrap();
-        old.write_all(b"old").unwrap();
-        old.sync_all().unwrap();
-        drop(old);
-        let mut tmp = io.create(&p("snap.tmp")).unwrap();
-        tmp.write_all(b"new").unwrap();
-        tmp.sync_all().unwrap();
-        drop(tmp);
-        io.rename(&p("snap.tmp"), &p("snap")).unwrap();
-        assert_eq!(io.read_all(&p("snap")).unwrap(), b"new");
-        assert!(!io.exists(&p("snap.tmp")));
-    }
-
-    #[test]
     fn real_io_round_trips_through_the_filesystem() {
         let dir = std::env::temp_dir().join("bios-recover-sim-tests");
         std::fs::create_dir_all(&dir).unwrap();
@@ -805,14 +758,11 @@ mod tests {
         drop(f);
         assert_eq!(io.read_all(&path).unwrap(), b"0123XY");
         assert!(io.exists(&path));
-        let renamed = dir.join(format!("real-{}.renamed", std::process::id()));
-        io.rename(&path, &renamed).unwrap();
-        assert!(!io.exists(&path) && io.exists(&renamed));
-        let mut f = io.open_truncated(&renamed, 4).unwrap();
+        let mut f = io.open_truncated(&path, 4).unwrap();
         f.write_all(b"Z").unwrap();
         drop(f);
-        assert_eq!(io.read_all(&renamed).unwrap(), b"0123Z");
-        std::fs::remove_file(&renamed).ok();
+        assert_eq!(io.read_all(&path).unwrap(), b"0123Z");
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -38,35 +38,15 @@
 //! long-lived runtime sweeping thousands of seeds cannot grow without
 //! limit. Evictions are counted and surfaced through the runtime
 //! metrics.
-//!
-//! The cache is also **persistable**: [`ResultCache::save`] writes every
-//! entry to a checksummed snapshot file (same frame discipline as the
-//! run journal) and [`ResultCache::load`] reads one back, *dropping and
-//! counting* — never serving — any entry that fails its checksum or
-//! decodes to non-finite physics. The snapshot carries the summary in
-//! the same five-bit-pattern encoding.
 
 use std::collections::BTreeMap;
-use std::io::{self, Read, Write};
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use bios_analytics::{CalibrationCurve, CalibrationPoint, CalibrationSummary};
+use bios_analytics::CalibrationSummary;
 use bios_core::catalog::CalibrationOutcome;
 use bios_prng::SplitMix64;
-use bios_recover::codec::{read_frame, write_frame, FrameRead};
-use bios_recover::sim::{RealIo, StorageIo};
-use bios_recover::{ByteReader, ByteWriter, CodecError, Fnv1a};
-use bios_units::{Amperes, ConcentrationRange, Molar, Sensitivity, SquareCm};
-
-/// First bytes of a cache snapshot file.
-const CACHE_MAGIC: &[u8; 8] = b"BIOSCSH1";
-
-/// Snapshot format version carried in the header frame. Version 2: keys
-/// carry the binary-encoding protocol fingerprints; a version-1 file's
-/// keys could never hit, so it is rejected whole.
-const CACHE_VERSION: u32 = 2;
+use bios_recover::Fnv1a;
 
 /// Number of independent shards; a small power of two keeps lock
 /// contention negligible at any plausible worker count.
@@ -173,8 +153,8 @@ impl Shard {
 /// patterns of its five floats — sensitivity (µA·mM⁻¹·cm⁻²), linear
 /// range low and high (M), detection limit (M), R² — in that order.
 /// Equal encodings ⇔ bit-equal summaries ⇔ equal digest lines, so the
-/// cache checksum, the result seal and the snapshot codec all cover
-/// exactly what the fleet digest renders, without rendering it.
+/// cache checksum and the result seal both cover exactly what the fleet
+/// digest renders, without rendering it.
 pub(crate) fn summary_bits(s: &CalibrationSummary) -> [u64; 5] {
     [
         s.sensitivity.as_micro_amps_per_milli_molar_square_cm(),
@@ -190,6 +170,23 @@ pub(crate) fn summary_bits(s: &CalibrationSummary) -> [u64; 5] {
 pub(crate) fn hash_summary(h: &mut Fnv1a, s: &CalibrationSummary) {
     for bits in summary_bits(s) {
         h.write_u64(bits);
+    }
+}
+
+/// Test hook: `s` with the low mantissa bit of its `k`-th
+/// [`summary_bits`] float flipped.
+#[cfg(test)]
+pub(crate) fn flip_summary_bit(s: &CalibrationSummary, k: usize) -> CalibrationSummary {
+    use bios_units::{ConcentrationRange, Molar, Sensitivity};
+    let mut bits = summary_bits(s);
+    bits[k] ^= 1;
+    let [sensitivity, low, high, detection_limit, r_squared] = bits.map(f64::from_bits);
+    CalibrationSummary {
+        sensitivity: Sensitivity::new(sensitivity),
+        linear_range: ConcentrationRange::new(Molar::from_molar(low), Molar::from_molar(high))
+            .unwrap(),
+        detection_limit: Molar::from_molar(detection_limit),
+        r_squared,
     }
 }
 
@@ -216,16 +213,6 @@ pub struct ResultCache {
     shard_capacity: usize,
     evictions: AtomicU64,
     corrupt_dropped: AtomicU64,
-}
-
-/// What [`ResultCache::load`] did with a snapshot file.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheLoadReport {
-    /// Entries that passed checksum + validation and were inserted.
-    pub loaded: u64,
-    /// Entries dropped for failing their checksum, decoding badly, or
-    /// carrying non-finite/inconsistent physics. Never served.
-    pub corrupt_dropped: u64,
 }
 
 impl Default for ResultCache {
@@ -354,8 +341,9 @@ impl ResultCache {
         self.evictions.load(Ordering::Relaxed)
     }
 
-    /// Snapshot entries dropped by [`ResultCache::load`] for corruption
-    /// or failed validation since creation.
+    /// Resident entries that failed their integrity checksum when a
+    /// probe found them, since creation: each is dropped at serve time
+    /// and never served.
     #[must_use]
     pub fn corrupt_dropped(&self) -> u64 {
         self.corrupt_dropped.load(Ordering::Relaxed)
@@ -398,247 +386,6 @@ impl ResultCache {
                 shard.lru.clear();
             }
         }
-    }
-
-    /// Writes every entry to `path` as a checksummed snapshot and
-    /// returns the entry count. Entries are written in recency order
-    /// (least-recently-used first, per shard), so reloading them in file
-    /// order reproduces each shard's eviction order.
-    ///
-    /// The replace is **atomic**: the snapshot is written to
-    /// `<path>.tmp`, synced to stable storage, and renamed over the
-    /// destination — a crash at any point leaves either the previous
-    /// good snapshot or the new one, never a half-written file.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors; the cache itself cannot fail.
-    pub fn save(&self, path: impl AsRef<Path>) -> io::Result<u64> {
-        self.save_with(&RealIo, path)
-    }
-
-    /// [`ResultCache::save`] on an explicit storage backend.
-    ///
-    /// # Errors
-    ///
-    /// As [`ResultCache::save`].
-    pub fn save_with(&self, backend: &dyn StorageIo, path: impl AsRef<Path>) -> io::Result<u64> {
-        let path = path.as_ref();
-        let mut entries: Vec<(CacheKey, Arc<CalibrationOutcome>)> = Vec::new();
-        for shard in &self.shards {
-            let Ok(shard) = shard.lock() else { continue };
-            let mut in_shard: Vec<&Entry> = shard.map.values().collect();
-            in_shard.sort_by_key(|entry| entry.stamp);
-            entries.extend(
-                in_shard
-                    .into_iter()
-                    .map(|entry| (entry.key.clone(), Arc::clone(&entry.outcome))),
-            );
-        }
-        // Serialize fully in memory first: the file sees whole frames
-        // only, so a short write can never interleave with encoding.
-        let mut buf: Vec<u8> = Vec::with_capacity(4096);
-        buf.extend_from_slice(CACHE_MAGIC);
-        let mut header = ByteWriter::new();
-        header.put_u32(CACHE_VERSION);
-        header.put_u64(entries.len() as u64);
-        write_frame(&mut buf, header.bytes())?;
-        for (key, outcome) in &entries {
-            write_frame(&mut buf, &encode_entry(key, outcome))?;
-        }
-        let tmp = snapshot_tmp_path(path);
-        let mut file = backend.create(&tmp)?;
-        file.write_all(&buf)?;
-        file.flush()?;
-        file.sync_all()?;
-        drop(file);
-        backend.rename(&tmp, path)?;
-        Ok(entries.len() as u64)
-    }
-
-    /// Loads a snapshot written by [`ResultCache::save`] into this
-    /// cache, inserting entries in file order. Any entry that fails its
-    /// checksum, decodes badly, or carries non-finite physics is
-    /// dropped and counted — it can never be served. Framing after the
-    /// first torn or corrupt frame is untrusted, so loading stops there
-    /// and the undelivered remainder counts as dropped.
-    ///
-    /// # Errors
-    ///
-    /// Returns filesystem errors as-is; a file that is not a cache
-    /// snapshot at all (bad magic, unreadable header, or unknown
-    /// version) is [`io::ErrorKind::InvalidData`].
-    pub fn load(&self, path: impl AsRef<Path>) -> io::Result<CacheLoadReport> {
-        self.load_with(&RealIo, path)
-    }
-
-    /// [`ResultCache::load`] on an explicit storage backend.
-    ///
-    /// # Errors
-    ///
-    /// As [`ResultCache::load`].
-    pub fn load_with(
-        &self,
-        backend: &dyn StorageIo,
-        path: impl AsRef<Path>,
-    ) -> io::Result<CacheLoadReport> {
-        let bytes = backend.read_all(path.as_ref())?;
-        let mut r = io::Cursor::new(bytes);
-        let mut magic = [0u8; 8];
-        r.read_exact(&mut magic)
-            .map_err(|_| invalid_snapshot("file too short for a cache snapshot"))?;
-        if &magic != CACHE_MAGIC {
-            return Err(invalid_snapshot("not a cache snapshot (bad magic)"));
-        }
-        let header = match read_frame(&mut r)? {
-            FrameRead::Payload(p) => p,
-            _ => return Err(invalid_snapshot("cache snapshot header unreadable")),
-        };
-        let mut hr = ByteReader::new(&header);
-        let (version, declared) = match (hr.get_u32(), hr.get_u64()) {
-            (Ok(v), Ok(n)) => (v, n),
-            _ => return Err(invalid_snapshot("cache snapshot header truncated")),
-        };
-        if version != CACHE_VERSION {
-            return Err(invalid_snapshot("unknown cache snapshot version"));
-        }
-        let mut loaded = 0u64;
-        let mut dropped = 0u64;
-        for _ in 0..declared {
-            match read_frame(&mut r)? {
-                FrameRead::Payload(payload) => match decode_entry(&payload) {
-                    Ok((key, outcome)) => {
-                        self.insert(key, outcome);
-                        loaded += 1;
-                    }
-                    Err(_) => dropped += 1,
-                },
-                // Torn or corrupt framing: nothing after it can be
-                // trusted, so the rest of the declared entries are lost.
-                FrameRead::Eof | FrameRead::TornTail | FrameRead::Corrupt(_) => {
-                    dropped += declared - loaded - dropped;
-                    break;
-                }
-            }
-        }
-        self.corrupt_dropped.fetch_add(dropped, Ordering::Relaxed);
-        Ok(CacheLoadReport {
-            loaded,
-            corrupt_dropped: dropped,
-        })
-    }
-}
-
-fn invalid_snapshot(msg: &str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.to_owned())
-}
-
-/// `<path>.tmp` — the staging file of the atomic snapshot replace.
-fn snapshot_tmp_path(path: &Path) -> PathBuf {
-    let mut os = path.as_os_str().to_os_string();
-    os.push(".tmp");
-    PathBuf::from(os)
-}
-
-/// Serializes one cache entry. Every float travels as its IEEE-754 bit
-/// pattern, so a load is bit-exact and a reloaded cache serves the same
-/// bytes the original computed.
-fn encode_entry(key: &CacheKey, outcome: &CalibrationOutcome) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.put_str(&key.sensor);
-    w.put_u64(key.protocol);
-    w.put_u64(key.plan);
-    w.put_u64(key.seed);
-    for bits in summary_bits(&outcome.summary) {
-        w.put_u64(bits);
-    }
-    let curve = &outcome.curve;
-    w.put_f64(curve.electrode_area().as_square_cm());
-    w.put_f64(curve.blank_sigma().as_amps());
-    w.put_u32(curve.points().len() as u32);
-    for point in curve.points() {
-        w.put_f64(point.concentration().as_molar());
-        w.put_u32(point.replicates().len() as u32);
-        for i in point.replicates() {
-            w.put_f64(i.as_amps());
-        }
-    }
-    w.into_bytes()
-}
-
-/// Deserializes and *validates* one cache entry. Checksummed framing
-/// already rules out random damage; this guards the semantic layer —
-/// non-finite floats, inverted ranges, or empty replicate sets — so a
-/// snapshot written by a buggy or hostile writer still cannot poison
-/// the cache.
-fn decode_entry(payload: &[u8]) -> Result<(CacheKey, CalibrationOutcome), CodecError> {
-    let mut r = ByteReader::new(payload);
-    let key = CacheKey {
-        sensor: r.get_str()?,
-        protocol: r.get_u64()?,
-        plan: r.get_u64()?,
-        seed: r.get_u64()?,
-    };
-    let mut bits = [0u64; 5];
-    for b in &mut bits {
-        *b = r.get_u64()?;
-    }
-    let summary = summary_from_bits(bits)?;
-    let area = finite(r.get_f64()?)?;
-    let blank_sigma = finite(r.get_f64()?)?;
-    let n_points = r.get_u32()? as usize;
-    let mut points = Vec::with_capacity(n_points.min(1024));
-    for _ in 0..n_points {
-        let concentration = finite(r.get_f64()?)?;
-        let n_reps = r.get_u32()? as usize;
-        if n_reps == 0 {
-            // `CalibrationPoint::new` panics on empty replicates; a
-            // snapshot can never be allowed to trigger that.
-            return Err(CodecError::Truncated);
-        }
-        let mut replicates = Vec::with_capacity(n_reps.min(1024));
-        for _ in 0..n_reps {
-            replicates.push(Amperes::from_amps(finite(r.get_f64()?)?));
-        }
-        points.push(CalibrationPoint::new(
-            Molar::from_molar(concentration),
-            replicates,
-        ));
-    }
-    if r.remaining() != 0 {
-        return Err(CodecError::Truncated);
-    }
-    let curve = CalibrationCurve::new(
-        points,
-        SquareCm::from_square_cm(area),
-        Amperes::from_amps(blank_sigma),
-    );
-    Ok((key, CalibrationOutcome { summary, curve }))
-}
-
-/// The inverse of [`summary_bits`], rejecting non-finite floats and an
-/// inverted linear range.
-pub(crate) fn summary_from_bits(bits: [u64; 5]) -> Result<CalibrationSummary, CodecError> {
-    let [sensitivity, low, high, detection_limit, r_squared] = bits.map(f64::from_bits);
-    let linear_range = ConcentrationRange::new(
-        Molar::from_molar(finite(low)?),
-        Molar::from_molar(finite(high)?),
-    )
-    .map_err(|_| CodecError::Truncated)?;
-    Ok(CalibrationSummary {
-        sensitivity: Sensitivity::new(finite(sensitivity)?),
-        linear_range,
-        detection_limit: Molar::from_molar(finite(detection_limit)?),
-        r_squared: finite(r_squared)?,
-    })
-}
-
-/// Rejects NaN/±Inf at the decode boundary.
-fn finite(v: f64) -> Result<f64, CodecError> {
-    if v.is_finite() {
-        Ok(v)
-    } else {
-        Err(CodecError::Truncated)
     }
 }
 
@@ -724,10 +471,8 @@ mod tests {
         for k in 0..5 {
             let cache = ResultCache::new();
             cache.insert(key(7), honest.clone());
-            let mut bits = summary_bits(&honest.summary);
-            bits[k] ^= 1;
             let mut rotten = honest.clone();
-            rotten.summary = summary_from_bits(bits).unwrap();
+            rotten.summary = flip_summary_bit(&honest.summary, k);
             cache.tamper(&key(7), rotten);
             assert!(cache.get(&key(7)).is_none(), "float {k} served");
             assert_eq!(cache.corrupt_dropped(), 1, "float {k}");
@@ -944,153 +689,6 @@ mod tests {
         assert_eq!(cache.keys(), resident);
     }
 
-    fn temp_path(tag: &str) -> std::path::PathBuf {
-        std::env::temp_dir().join(format!("bios-cache-{tag}-{}.snap", std::process::id()))
-    }
-
-    #[test]
-    fn snapshot_round_trip_is_bit_exact() {
-        let cache = ResultCache::new();
-        let entry = catalog::our_glucose_sensor();
-        for seed in 0..5 {
-            cache.insert(key(seed), entry.run_calibration(seed).unwrap());
-        }
-        let path = temp_path("roundtrip");
-        assert_eq!(cache.save(&path).unwrap(), 5);
-        let restored = ResultCache::new();
-        let report = restored.load(&path).unwrap();
-        assert_eq!(report.loaded, 5);
-        assert_eq!(report.corrupt_dropped, 0);
-        assert_eq!(restored.len(), 5);
-        for seed in 0..5 {
-            let orig = cache.get(&key(seed)).unwrap();
-            let loaded = restored.get(&key(seed)).unwrap();
-            // Bit-exact: the digest contract depends on it.
-            assert_eq!(
-                format!("{:?}", orig.summary),
-                format!("{:?}", loaded.summary)
-            );
-            assert_eq!(orig.curve, loaded.curve);
-        }
-        let _ = std::fs::remove_file(path);
-    }
-
-    #[test]
-    fn corrupted_snapshot_entries_are_dropped_and_counted_never_served() {
-        let cache = ResultCache::new();
-        let entry = catalog::our_glucose_sensor();
-        for seed in 0..4 {
-            cache.insert(key(seed), entry.run_calibration(seed).unwrap());
-        }
-        let path = temp_path("corrupt");
-        cache.save(&path).unwrap();
-        // Flip one byte well past the header: at least one entry frame
-        // fails its checksum, and everything after it is untrusted.
-        let mut bytes = std::fs::read(&path).unwrap();
-        let k = bytes.len() / 2;
-        bytes[k] ^= 0xFF;
-        std::fs::write(&path, &bytes).unwrap();
-        let restored = ResultCache::new();
-        let report = restored.load(&path).unwrap();
-        assert!(report.corrupt_dropped >= 1, "damage must be counted");
-        assert_eq!(report.loaded + report.corrupt_dropped, 4);
-        assert_eq!(restored.len() as u64, report.loaded);
-        assert_eq!(restored.corrupt_dropped(), report.corrupt_dropped);
-        // Every entry that *was* served must be intact.
-        for seed in 0..4 {
-            if let Some(loaded) = restored.get(&key(seed)) {
-                let orig = cache.get(&key(seed)).unwrap();
-                assert_eq!(orig.curve, loaded.curve);
-            }
-        }
-        let _ = std::fs::remove_file(path);
-    }
-
-    #[test]
-    fn truncated_snapshot_loads_surviving_prefix() {
-        let cache = ResultCache::new();
-        let entry = catalog::our_glucose_sensor();
-        for seed in 0..4 {
-            cache.insert(key(seed), entry.run_calibration(seed).unwrap());
-        }
-        let path = temp_path("torn");
-        cache.save(&path).unwrap();
-        let bytes = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &bytes[..bytes.len() - 7]).unwrap();
-        let restored = ResultCache::new();
-        let report = restored.load(&path).unwrap();
-        assert_eq!(report.loaded, 3, "torn last frame drops exactly one");
-        assert_eq!(report.corrupt_dropped, 1);
-        let _ = std::fs::remove_file(path);
-    }
-
-    #[test]
-    fn non_snapshot_file_is_invalid_data_not_a_panic() {
-        let path = temp_path("garbage");
-        std::fs::write(&path, b"definitely not a snapshot").unwrap();
-        let cache = ResultCache::new();
-        let err = cache.load(&path).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        assert!(cache.is_empty());
-        let _ = std::fs::remove_file(path);
-    }
-
-    #[test]
-    fn version_1_snapshot_is_invalid_data_and_loads_nothing() {
-        // A version-1 file, written before keys carried binary-encoding
-        // fingerprints: a well-formed header plus one well-formed entry.
-        let outcome = catalog::our_glucose_sensor().run_calibration(1).unwrap();
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(CACHE_MAGIC);
-        let mut header = ByteWriter::new();
-        header.put_u32(1);
-        header.put_u64(1);
-        write_frame(&mut bytes, header.bytes()).unwrap();
-        write_frame(&mut bytes, &encode_entry(&key(1), &outcome)).unwrap();
-        let path = temp_path("v1");
-        std::fs::write(&path, &bytes).unwrap();
-        let cache = ResultCache::new();
-        let err = cache.load(&path).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        assert!(cache.is_empty());
-        assert_eq!(cache.corrupt_dropped(), 0);
-        let _ = std::fs::remove_file(path);
-    }
-
-    #[test]
-    fn nonfinite_snapshot_floats_are_quarantined() {
-        let cache = ResultCache::new();
-        let entry = catalog::our_glucose_sensor();
-        cache.insert(key(1), entry.run_calibration(1).unwrap());
-        let path = temp_path("nonfinite");
-        cache.save(&path).unwrap();
-        // Rewrite the single entry frame with its r_squared replaced by
-        // NaN and a *recomputed* checksum: framing-valid, semantically
-        // poisonous. Layout after the key: 4 f64s then r_squared.
-        let bytes = std::fs::read(&path).unwrap();
-        let mut cursor = std::io::Cursor::new(&bytes[8..]);
-        let FrameRead::Payload(header) = read_frame(&mut cursor).unwrap() else {
-            panic!("header frame");
-        };
-        let FrameRead::Payload(mut payload) = read_frame(&mut cursor).unwrap() else {
-            panic!("entry frame");
-        };
-        let sensor_len = u32::from_le_bytes(payload[..4].try_into().unwrap()) as usize;
-        let r2_at = 4 + sensor_len + 3 * 8 + 4 * 8;
-        payload[r2_at..r2_at + 8].copy_from_slice(&f64::NAN.to_bits().to_le_bytes());
-        let mut rewritten = Vec::new();
-        rewritten.extend_from_slice(CACHE_MAGIC);
-        write_frame(&mut rewritten, &header).unwrap();
-        write_frame(&mut rewritten, &payload).unwrap();
-        std::fs::write(&path, &rewritten).unwrap();
-        let restored = ResultCache::new();
-        let report = restored.load(&path).unwrap();
-        assert_eq!(report.loaded, 0, "NaN entry must never be served");
-        assert_eq!(report.corrupt_dropped, 1);
-        assert!(restored.is_empty());
-        let _ = std::fs::remove_file(path);
-    }
-
     #[test]
     fn zero_capacity_means_unbounded() {
         let cache = ResultCache::with_capacity(0);
@@ -1100,60 +698,5 @@ mod tests {
         }
         assert_eq!(cache.len(), 300);
         assert_eq!(cache.evictions(), 0);
-    }
-
-    #[test]
-    fn snapshot_tmp_path_appends_suffix() {
-        assert_eq!(
-            snapshot_tmp_path(Path::new("/var/run/bios.cache")),
-            PathBuf::from("/var/run/bios.cache.tmp")
-        );
-    }
-
-    #[test]
-    fn crash_at_every_save_op_never_destroys_the_previous_snapshot() {
-        use bios_recover::sim::{is_sim_crash, IoFaultScript, SimIo};
-        let entry = catalog::our_glucose_sensor();
-        let path = PathBuf::from("/sim/bios.cache");
-        let old = ResultCache::new();
-        old.insert(key(1), entry.run_calibration(1).unwrap());
-        let newer = ResultCache::new();
-        newer.insert(key(1), entry.run_calibration(1).unwrap());
-        newer.insert(key(2), entry.run_calibration(2).unwrap());
-
-        // Count the ops one save costs (create, write, sync, rename).
-        let probe = SimIo::perfect(0);
-        old.save_with(&probe, &path).unwrap();
-        let save_ops = probe.op_count();
-        assert!(save_ops >= 4, "expected at least create/write/sync/rename");
-
-        for k in 0..save_ops {
-            // Fresh disk holding the old snapshot, then a save of the
-            // newer cache that crashes at its k-th op.
-            let io = SimIo::perfect(k);
-            old.save_with(&io, &path).unwrap();
-            io.set_script(IoFaultScript::crash_at(k, save_ops + k));
-            let err = newer.save_with(&io, &path).unwrap_err();
-            assert!(is_sim_crash(&err), "op {k} must die by simulated crash");
-            io.reboot();
-            let loader = ResultCache::new();
-            let report = loader.load_with(&io, &path).unwrap();
-            assert_eq!(
-                report.corrupt_dropped, 0,
-                "crash at op {k} must never leave a half-written snapshot served"
-            );
-            assert_eq!(
-                report.loaded, 1,
-                "old snapshot must survive every pre-rename crash point (op {k})"
-            );
-        }
-
-        // And with no crash, the replace commits the new snapshot.
-        let io = SimIo::perfect(99);
-        old.save_with(&io, &path).unwrap();
-        newer.save_with(&io, &path).unwrap();
-        let loader = ResultCache::new();
-        assert_eq!(loader.load_with(&io, &path).unwrap().loaded, 2);
-        assert!(!io.exists(Path::new("/sim/bios.cache.tmp")));
     }
 }

@@ -691,11 +691,9 @@ mod tests {
         // One flipped low mantissa bit per summary float, behind the
         // seal's back.
         for k in 0..5 {
-            let mut bits = crate::cache::summary_bits(&summary);
-            bits[k] ^= 1;
             let mut tampered = honest.clone();
             let mut outcome = (**tampered.outcome.as_ref().unwrap()).clone();
-            outcome.summary = crate::cache::summary_from_bits(bits).unwrap();
+            outcome.summary = crate::cache::flip_summary_bit(&summary, k);
             tampered.outcome = Ok(Arc::new(outcome));
             assert!(!tampered.verify_integrity(), "summary float {k} unsealed");
         }

@@ -12,9 +12,8 @@
 //!   `std::sync::mpsc`;
 //! * [`fleet`] — the `Job`/`Fleet` batch API with **per-job** error
 //!   aggregation instead of fail-fast;
-//! * [`cache`] — a memoizing result cache keyed by
-//!   `(sensor id, protocol fingerprint, seed)`, persistable to a
-//!   checksummed snapshot file;
+//! * [`cache`] — a bounded, checksummed memoizing result cache keyed
+//!   by `(sensor id, protocol fingerprint, fault plan, seed)`;
 //! * [`metrics`] — atomic counters plus a per-job wall-time histogram,
 //!   dumpable as JSON;
 //! * [`journal`] — a write-ahead run journal giving fleets crash
@@ -66,9 +65,8 @@ pub mod pool;
 mod watchdog;
 
 use std::collections::BTreeMap;
-use std::io;
+use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::Path;
 use std::sync::atomic::AtomicBool;
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -82,7 +80,7 @@ use bios_units::{DiffusionCoefficient, Molar, Seconds};
 use crate::metrics::JobTally;
 use crate::watchdog::{WatchRegistry, Watchdog};
 
-pub use cache::{CacheKey, CacheLoadReport, ResultCache, DEFAULT_CAPACITY};
+pub use cache::{CacheKey, ResultCache, DEFAULT_CAPACITY};
 pub use fleet::{Fleet, FleetBuilder, FleetOutcome, FleetReport, Job, JobError, JobResult};
 pub use journal::{JournalOptions, ResumeReport};
 pub use metrics::{Counter, MetricsSnapshot, RuntimeMetrics};
@@ -189,6 +187,7 @@ impl RuntimeConfig {
     /// A set-but-malformed value is *not* silently ignored: it keeps
     /// the default and prints one deterministic warning line to stderr,
     /// `warning: ignoring malformed NAME="raw" (expected WHAT)`.
+    /// `BIOS_WORKERS=0` is malformed: a pool needs at least one worker.
     ///
     /// `BIOS_CACHE_CAP` must be **positive**. In
     /// [`RuntimeConfig::with_cache_capacity`] a capacity of 0 means
@@ -200,10 +199,8 @@ impl RuntimeConfig {
     #[must_use]
     pub fn from_env() -> RuntimeConfig {
         let mut config = RuntimeConfig::default();
-        if let Some(n) =
-            env_parsed::<usize>("BIOS_WORKERS", "a positive integer").filter(|&n| n > 0)
-        {
-            config.workers = n;
+        if let Some(n) = env_parsed::<NonZeroUsize>("BIOS_WORKERS", "a positive integer") {
+            config.workers = n.get();
         }
         match env_parsed::<usize>("BIOS_CACHE_CAP", "a positive integer") {
             Some(0) => eprintln!(
@@ -358,29 +355,6 @@ impl Runtime {
     /// Drops every memoized outcome (the next run re-simulates).
     pub fn clear_cache(&self) {
         self.cache.clear();
-    }
-
-    /// Persists the memo cache to a checksummed snapshot file; returns
-    /// the entry count written. See [`ResultCache::save`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn save_cache(&self, path: impl AsRef<Path>) -> io::Result<u64> {
-        self.cache.save(path)
-    }
-
-    /// Loads a cache snapshot written by [`Runtime::save_cache`].
-    /// Corrupt or non-finite entries are dropped and counted (surfacing
-    /// as `cache_corrupt_dropped` in [`Runtime::metrics`]), never
-    /// served. See [`ResultCache::load`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors; a file that is not a cache
-    /// snapshot at all is [`io::ErrorKind::InvalidData`].
-    pub fn load_cache(&self, path: impl AsRef<Path>) -> io::Result<CacheLoadReport> {
-        self.cache.load(path)
     }
 
     /// Runs the fleet across the worker pool and collects results by
@@ -1234,15 +1208,24 @@ mod tests {
     }
 
     #[test]
-    fn from_env_rejects_zero_cache_cap() {
-        // `from_env` is the only reader of BIOS_CACHE_CAP, and the other
-        // env test asserts nothing about cache capacity, so mutating
-        // just this variable is race-free.
+    fn from_env_rejects_zero_cache_cap_and_zero_workers() {
+        // `from_env` is the only reader of BIOS_CACHE_CAP and
+        // BIOS_WORKERS, and the other env test asserts only that the
+        // worker count is positive, so mutating these two variables is
+        // race-free.
         std::env::set_var("BIOS_CACHE_CAP", "0");
         assert_eq!(RuntimeConfig::from_env().cache_capacity, DEFAULT_CAPACITY);
         std::env::set_var("BIOS_CACHE_CAP", "512");
         assert_eq!(RuntimeConfig::from_env().cache_capacity, 512);
         std::env::remove_var("BIOS_CACHE_CAP");
+        std::env::set_var("BIOS_WORKERS", "0");
+        assert_eq!(
+            RuntimeConfig::from_env().workers,
+            WorkerPool::default_workers()
+        );
+        std::env::set_var("BIOS_WORKERS", "3");
+        assert_eq!(RuntimeConfig::from_env().workers, 3);
+        std::env::remove_var("BIOS_WORKERS");
     }
 
     #[test]

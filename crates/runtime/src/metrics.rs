@@ -134,8 +134,9 @@ counters! {
     stalled_workers: StalledWorkers,
     /// Jobs cancelled at their soft deadline.
     deadline_kills: DeadlineKills,
-    /// Persisted-cache entries dropped at load time for failing
-    /// checksum or validation (cache-owned, like `cache_evictions`).
+    /// Resident cache entries that failed their integrity checksum at
+    /// serve time and were dropped, never served (cache-owned, like
+    /// `cache_evictions`).
     cache_corrupt_dropped,
     /// Jobs quarantined for producing NaN/±Inf results.
     nonfinite_quarantined: NonfiniteQuarantined,

@@ -47,11 +47,10 @@ run cargo clippy --manifest-path perfbench/Cargo.toml --all-targets -- -D warnin
 # float-hygiene / API-hygiene audit (DESIGN.md §11) plus the semantic
 # pass (DESIGN.md §16): call-graph determinism taint, crate-layer
 # proofs, and lock discipline. Any finding fails the gate, and so does
-# a waiver count above the pinned bound. The audit runs twice — the
-# second run must ride the per-file facts cache.
+# a waiver count above the pinned bound. One run analyses every file.
 run cargo run --release -q -p bios-audit
-if ! grep -q '"schema_version": 2,' AUDIT_report.json; then
-    echo "audit gate: AUDIT_report.json has an unknown schema_version (expected 2)" >&2
+if ! grep -q '"schema_version": 3,' AUDIT_report.json; then
+    echo "audit gate: AUDIT_report.json has an unknown schema_version (expected 3)" >&2
     exit 1
 fi
 # The waiver count is pinned: a new waiver is a reviewed decision that
@@ -64,14 +63,6 @@ if [ -z "$waivers" ] || [ "$waivers" -gt "$max_waivers" ]; then
     exit 1
 fi
 echo "    $waivers waiver(s), at most $max_waivers"
-audit_warm="$(cargo run --release -q -p bios-audit 2>&1 | tail -1)"
-echo "    $audit_warm"
-case "$audit_warm" in
-*"cache 0/"*)
-    echo "audit gate: second run had zero facts-cache hits" >&2
-    exit 1
-    ;;
-esac
 
 # Semantic fixture gate: each new rule family must still *fire*. Every
 # firing fixture is staged into a synthetic workspace and the audit
@@ -85,7 +76,7 @@ audit_fixture() { # <family> <fixture> <staged-path>
     printf '[workspace]\nmembers = ["crates/*"]\n' >"$fixroot/Cargo.toml"
     cp "crates/audit/tests/fixtures/$fixture" "$fixroot/$staged"
     if cargo run --release -q -p bios-audit -- \
-        --root "$fixroot" --no-cache --json "$fixroot/report.json" >/dev/null; then
+        --root "$fixroot" --json "$fixroot/report.json" >/dev/null; then
         echo "audit gate: $fam fixture $fixture did not fail the audit" >&2
         exit 1
     fi

@@ -26,7 +26,7 @@
 //! | [`prng`] | `bios-prng` | deterministic random streams (splitmix64 + xoshiro256\*\*) |
 //! | [`core`] | `bios-core` | the composed platform, protocols, Table 1/2 catalog |
 //! | [`faults`] | `bios-faults` | deterministic fault plans injected across the physical layers |
-//! | [`recover`] | `bios-recover` | checksummed journal + snapshot primitives for crash resume |
+//! | [`recover`] | `bios-recover` | checksummed journal primitives and simulated storage for crash resume |
 //! | [`runtime`] | `bios-runtime` | hardened concurrent fleet simulation, bounded result cache, metrics |
 //! | [`gateway`] | `bios-gateway` | overload-robust admission control, circuit breaking, brownout degradation |
 //! | [`quorum`] | `bios-quorum` | N-modular redundancy: replica voting, silent-corruption detection, suspect quarantine |
