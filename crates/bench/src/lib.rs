@@ -15,14 +15,12 @@
 //!   table row of layouts, an inline golden digest, and mechanism
 //!   checks (`gate [scenario]`).
 //!
-//! Wall-clock benches (`cargo bench -p bios-bench`) measure simulation
-//! throughput of the physics kernels, the calibration protocols, and the
-//! full table regeneration via the std-only [`timing`] harness.
+//! Performance is measured by the standalone `perfbench` package, not
+//! here.
 
 #![warn(missing_docs)]
 
 pub mod ablation;
-pub mod timing;
 pub mod torture;
 
 /// Installs a panic hook that swallows the backtrace spam from

@@ -83,15 +83,6 @@ pub enum FaultKind {
     /// when work shows up, not what any single job computes.
     /// Layer: `bios-gateway`.
     TrafficBurst,
-    /// A whole tenant shard goes away mid-run — host reboot, cgroup
-    /// OOM-kill, or a maintenance drain that never came back. Like
-    /// [`TrafficBurst`] this is an infrastructure fault, not a device
-    /// fault: it is realized at the *placement* level
-    /// ([`FaultPlan::shard_loss_tick`]), changing *where* pending work
-    /// runs, never what any single job computes. Layer: `bios-shard`.
-    ///
-    /// [`TrafficBurst`]: FaultKind::TrafficBurst
-    ShardLoss,
     /// Demand concentrates on a few tenants instead of spreading
     /// evenly — the ward that batch-uploads ten times the panels of
     /// its neighbors. Realized at the *trace-shaping* level
@@ -115,7 +106,7 @@ pub enum FaultKind {
 
 impl FaultKind {
     /// Every kind, in taxonomy order.
-    pub const ALL: [FaultKind; 14] = [
+    pub const ALL: [FaultKind; 13] = [
         FaultKind::FilmDenaturation,
         FaultKind::ElectrodeFouling,
         FaultKind::ReferenceDrift,
@@ -127,12 +118,13 @@ impl FaultKind {
         FaultKind::WorkerPanic,
         FaultKind::WorkerStall,
         FaultKind::TrafficBurst,
-        FaultKind::ShardLoss,
         FaultKind::TenantHotspot,
         FaultKind::SilentCorruption,
     ];
 
     /// Stable tag used to derive an independent PRNG stream per kind.
+    /// Tags are never renumbered (0x0C is unused), so every plan
+    /// fingerprint and fault stream keeps its value.
     fn stream_tag(self) -> u64 {
         match self {
             FaultKind::FilmDenaturation => 0x01,
@@ -146,7 +138,6 @@ impl FaultKind {
             FaultKind::WorkerPanic => 0x09,
             FaultKind::WorkerStall => 0x0A,
             FaultKind::TrafficBurst => 0x0B,
-            FaultKind::ShardLoss => 0x0C,
             FaultKind::TenantHotspot => 0x0D,
             FaultKind::SilentCorruption => 0x0E,
         }
@@ -166,7 +157,6 @@ impl FaultKind {
             FaultKind::WorkerPanic => "worker panic",
             FaultKind::WorkerStall => "worker stall",
             FaultKind::TrafficBurst => "traffic burst",
-            FaultKind::ShardLoss => "shard loss",
             FaultKind::TenantHotspot => "tenant hotspot",
             FaultKind::SilentCorruption => "silent corruption",
         }
@@ -350,11 +340,6 @@ impl FaultPlan {
                     // Arrival-level fault: shapes *when* jobs arrive
                     // (see `arrival_ticks`), never what one computes.
                 }
-                FaultKind::ShardLoss => {
-                    // Placement-level fault: decides *where* pending
-                    // work runs (see `shard_loss_tick`), never what
-                    // one job computes.
-                }
                 FaultKind::TenantHotspot => {
                     // Trace-shaping fault: scales how many requests a
                     // tenant contributes (see `hotspot_factor`), never
@@ -417,34 +402,6 @@ impl FaultPlan {
             out.push(tick);
         }
         out
-    }
-
-    /// Realizes this plan's [`FaultKind::ShardLoss`] spec for one
-    /// shard: the logical tick the shard is lost, or `None` when it
-    /// survives the horizon.
-    ///
-    /// Pure function of `(plan seed, spec, shard_index, horizon_ticks)`:
-    /// each shard draws from its own `SplitMix64`-derived stream
-    /// (dedicated tag, so it can never alias the per-job realization
-    /// stream), and a realized loss lands in the first half of the
-    /// horizon so the supervisor's quarantine-and-redistribute path is
-    /// actually exercised before the run drains. Without a `ShardLoss`
-    /// spec (or with zero probability) every shard survives.
-    #[must_use]
-    pub fn shard_loss_tick(&self, shard_index: usize, horizon_ticks: u64) -> Option<u64> {
-        let spec = self
-            .specs
-            .iter()
-            .find(|s| s.kind == FaultKind::ShardLoss)
-            .copied()
-            .filter(|s| s.probability > 0.0)?;
-        let base = SplitMix64::new(self.seed).derive(shard_index as u64);
-        let stream = SplitMix64::new(base).derive(0x5AAD_0000 | spec.kind.stream_tag());
-        let mut rng = Rng::seed_from_u64(stream);
-        if rng.uniform() >= spec.probability {
-            return None;
-        }
-        Some((rng.uniform() * 0.5 * horizon_ticks.max(1) as f64).floor() as u64)
     }
 
     /// Realizes this plan's [`FaultKind::TenantHotspot`] spec for one
@@ -964,6 +921,15 @@ mod tests {
         // 0.5), (0x08, 1.0, 1.0), encoded as documented on `fingerprint`.
         let base = demo_plan();
         assert_eq!(base.fingerprint(), 0x090b_3790_0408_fdb9);
+        // One spec of every kind pins every remaining tag at once.
+        let every_kind = FaultKind::ALL
+            .iter()
+            .fold(FaultPlan::builder("every kind", 24), |b, &kind| {
+                b.spec(kind, 0.5, 0.25)
+            })
+            .build();
+        assert_eq!(every_kind.specs().len(), 13);
+        assert_eq!(every_kind.fingerprint(), 0x92c8_31f2_97cc_9dce);
         let with_specs = |specs: &[FaultSpec]| FaultPlan {
             specs: specs.to_vec(),
             ..demo_plan()
@@ -981,7 +947,7 @@ mod tests {
         ];
         for i in 0..base.specs().len() {
             let mut specs = base.specs().to_vec();
-            specs[i].kind = FaultKind::ShardLoss;
+            specs[i].kind = FaultKind::WorkerStall;
             variants.push(with_specs(&specs));
             specs[i] = base.specs()[i];
             specs[i].probability = 0.5;
@@ -1042,42 +1008,13 @@ mod tests {
     }
 
     #[test]
-    fn shard_loss_never_touches_job_physics() {
-        let plan = FaultPlan::builder("loss-only", 13)
-            .spec(FaultKind::ShardLoss, 1.0, 1.0)
+    fn tenant_hotspot_never_touches_job_physics() {
+        let plan = FaultPlan::builder("hotspot-only", 13)
             .spec(FaultKind::TenantHotspot, 1.0, 1.0)
             .build();
         for seed in 0..16 {
             assert!(plan.realize("glucose/gox", seed).is_healthy());
         }
-    }
-
-    #[test]
-    fn shard_loss_tick_is_deterministic_and_in_the_first_half() {
-        let plan = FaultPlan::builder("lossy", 0x10_55)
-            .spec(FaultKind::ShardLoss, 1.0, 1.0)
-            .build();
-        let mut distinct = std::collections::BTreeSet::new();
-        for shard in 0..8 {
-            let tick = plan.shard_loss_tick(shard, 288);
-            assert_eq!(tick, plan.shard_loss_tick(shard, 288));
-            let t = tick.unwrap_or(u64::MAX);
-            assert!(t < 144, "loss tick {t} outside the first half");
-            distinct.insert(t);
-        }
-        assert!(distinct.len() > 1, "shards must draw independent ticks");
-    }
-
-    #[test]
-    fn shard_loss_without_spec_never_fires() {
-        let plan = demo_plan();
-        for shard in 0..8 {
-            assert_eq!(plan.shard_loss_tick(shard, 288), None);
-        }
-        let zero = FaultPlan::builder("zero", 1)
-            .spec(FaultKind::ShardLoss, 0.0, 1.0)
-            .build();
-        assert_eq!(zero.shard_loss_tick(0, 288), None);
     }
 
     #[test]

@@ -13,7 +13,6 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use bios_core::catalog::CatalogEntry;
 use bios_faults::FaultPlan;
-use bios_quorum::{QuorumScreen, QuorumSummary};
 use bios_runtime::{Counter, JobResult, JobStream, Runtime};
 
 use crate::breaker::{Admission, CircuitBreaker};
@@ -85,10 +84,6 @@ pub struct GatewaySession<'g> {
     /// dispatches; `None` means the session's own gateway runtime (see
     /// [`GatewaySession::set_execution_host`]).
     host: Option<&'g Runtime>,
-    /// Optional redundancy screen (the `bios-quorum` seam): covered
-    /// completions are re-polled across replica lanes and voted before
-    /// the result stands (see [`GatewaySession::set_quorum`]).
-    quorum: Option<QuorumScreen>,
 }
 
 impl<'g> GatewaySession<'g> {
@@ -111,7 +106,6 @@ impl<'g> GatewaySession<'g> {
             drained_tick: None,
             plan: None,
             host: None,
-            quorum: None,
         }
     }
 
@@ -133,27 +127,6 @@ impl<'g> GatewaySession<'g> {
     /// host-independent.
     pub fn set_execution_host(&mut self, host: Option<&'g Runtime>) {
         self.host = host;
-    }
-
-    /// Arms (or disarms) the redundancy screen on this session's
-    /// completions. Every recalibration-class completion and a sampled
-    /// fraction of routine ones is re-polled across replica lanes and
-    /// majority-voted before the result stands; disagreements, catches,
-    /// and quarantines are metered on the home runtime's registry. The
-    /// vote validates the already-committed value, so arming a screen
-    /// never changes a digest — only what is observed about it.
-    pub fn set_quorum(&mut self, screen: Option<QuorumScreen>) {
-        self.quorum = screen;
-    }
-
-    /// Totals accumulated by the armed quorum screen, if any.
-    pub fn quorum_summary(&self) -> Option<QuorumSummary> {
-        self.quorum.as_ref().map(QuorumScreen::summary)
-    }
-
-    /// The armed quorum screen, if any (scoreboard inspection).
-    pub fn quorum(&self) -> Option<&QuorumScreen> {
-        self.quorum.as_ref()
     }
 
     /// Offers one request to the session. A request whose arrival tick
@@ -309,12 +282,6 @@ impl<'g> GatewaySession<'g> {
                 Some(_) => {}
                 None if fin.probe => breaker.cancel_probe(),
                 None => {}
-            }
-            if let Some(screen) = self.quorum.as_mut() {
-                let critical = self.requests[fin.idx].is_recalibration();
-                if let Some(verdict) = screen.screen_result(self.plan.as_ref(), &result, critical) {
-                    bios_quorum::meter(&verdict, &metrics);
-                }
             }
             self.drained_tick = Some(
                 self.drained_tick

@@ -17,8 +17,8 @@
 //! The only defense that works without trusting any single executor is
 //! redundancy: run the job on multiple *replica lanes*, compare the
 //! observations field-wise, and let the majority commit. This crate is
-//! that layer, sitting between the gateway (which decides *what* runs)
-//! and the runtime (which runs it).
+//! that layer, armed fleet-wide on `bios-shard`'s completion path
+//! (`ShardedGateway::run_with`), between admission and the runtime.
 //!
 //! # Determinism
 //!

@@ -37,7 +37,7 @@ use std::io::{self, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use bios_prng::fnv1a;
+use bios_prng::{fnv1a, SplitMix64};
 
 /// An open, append-positioned file handle on a storage backend.
 ///
@@ -220,15 +220,6 @@ fn short_write_error(wrote: usize, len: usize) -> io::Error {
     )
 }
 
-/// SplitMix64 — the one-shot mixer behind every fault draw, so a
-/// schedule is a pure function of (seed, op-index).
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Which syscall an op index belongs to; faults are kind-specific
 /// (a sync cannot hit `ENOSPC`, only a write can short-write).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -311,13 +302,6 @@ impl IoFaultScript {
         self
     }
 
-    /// Adds a deterministic hard crash at op index `op`.
-    #[must_use]
-    pub fn with_crash_at(mut self, op: u64) -> IoFaultScript {
-        self.crash_at = Some(op);
-        self
-    }
-
     /// The script's seed.
     #[must_use]
     pub fn seed(&self) -> u64 {
@@ -325,7 +309,9 @@ impl IoFaultScript {
     }
 
     fn roll(&self, op: u64) -> u64 {
-        splitmix64(self.seed ^ op.wrapping_mul(0xA076_1D64_78BD_642F)) % 1000
+        // One SplitMix64 step per draw, so a schedule is a pure
+        // function of (seed, op-index).
+        SplitMix64::new(self.seed ^ op.wrapping_mul(0xA076_1D64_78BD_642F)).next_u64() % 1000
     }
 
     fn decide(&self, op: u64, kind: OpKind) -> Option<SimFault> {
@@ -415,7 +401,8 @@ impl SimState {
                 continue;
             }
             let path_hash = fnv1a(path.as_os_str().as_encoded_bytes());
-            let cut = splitmix64(seed ^ op.rotate_left(23) ^ path_hash) as usize % (unsynced + 1);
+            let cut = SplitMix64::new(seed ^ op.rotate_left(23) ^ path_hash).next_u64() as usize
+                % (unsynced + 1);
             let keep = file.synced_len + cut;
             file.bytes.truncate(keep);
             file.synced_len = keep;
@@ -531,7 +518,7 @@ impl io::Write for SimFile {
                 let wrote = if buf.is_empty() {
                     0
                 } else {
-                    splitmix64(seed ^ op.rotate_left(41)) as usize % buf.len()
+                    SplitMix64::new(seed ^ op.rotate_left(41)).next_u64() as usize % buf.len()
                 };
                 file.bytes
                     .extend_from_slice(buf.get(..wrote).unwrap_or(buf));

@@ -377,16 +377,6 @@ impl ResultCache {
             })
             .collect()
     }
-
-    /// Drops every memoized outcome (does not count as evictions).
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            if let Ok(mut shard) = shard.lock() {
-                shard.map.clear();
-                shard.lru.clear();
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -550,19 +540,6 @@ mod tests {
             let fullest = per_shard.iter().max().copied().unwrap_or(0);
             assert!(fullest <= bound, "base {base}: {fullest} keys in one shard");
         }
-    }
-
-    #[test]
-    fn clear_empties_all_shards() {
-        let cache = ResultCache::new();
-        let outcome = catalog::our_glucose_sensor().run_calibration(7).unwrap();
-        for seed in 0..40 {
-            cache.insert(key(seed), outcome.clone());
-        }
-        assert_eq!(cache.len(), 40);
-        cache.clear();
-        assert!(cache.is_empty());
-        assert_eq!(cache.evictions(), 0, "clear is not eviction");
     }
 
     #[test]

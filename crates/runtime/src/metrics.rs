@@ -200,14 +200,6 @@ impl RuntimeMetrics {
         self.counts[c as usize].load(Ordering::Relaxed)
     }
 
-    /// Records one finished job: success/failure, cache disposition,
-    /// and its wall time.
-    pub fn record_finished(&self, ok: bool, from_cache: bool, wall: Duration) {
-        let mut tally = JobTally::default();
-        tally.record(ok, from_cache, wall);
-        self.bill(&mut tally);
-    }
-
     /// Adds everything `tally` counted and empties it.
     pub(crate) fn bill(&self, tally: &mut JobTally) {
         let tally = std::mem::take(tally);
@@ -328,9 +320,11 @@ mod tests {
     fn counters_accumulate() {
         let m = RuntimeMetrics::new();
         m.add(Counter::JobsSubmitted, 3);
-        m.record_finished(true, false, Duration::from_micros(100));
-        m.record_finished(true, true, Duration::from_micros(10));
-        m.record_finished(false, false, Duration::from_micros(1000));
+        let mut tally = JobTally::default();
+        tally.record(true, false, Duration::from_micros(100));
+        tally.record(true, true, Duration::from_micros(10));
+        tally.record(false, false, Duration::from_micros(1000));
+        m.bill(&mut tally);
         let s = m.snapshot();
         assert_eq!(s.jobs_submitted, 3);
         assert_eq!(s.jobs_completed, 2);
@@ -344,9 +338,11 @@ mod tests {
     #[test]
     fn histogram_buckets_by_log2_micros() {
         let m = RuntimeMetrics::new();
-        m.record_finished(true, false, Duration::from_micros(1)); // bucket 0
-        m.record_finished(true, false, Duration::from_micros(3)); // bucket 1
-        m.record_finished(true, false, Duration::from_micros(1500)); // bucket 10
+        let mut tally = JobTally::default();
+        tally.record(true, false, Duration::from_micros(1)); // bucket 0
+        tally.record(true, false, Duration::from_micros(3)); // bucket 1
+        tally.record(true, false, Duration::from_micros(1500)); // bucket 10
+        m.bill(&mut tally);
         let s = m.snapshot();
         assert_eq!(s.histogram[0], 1);
         assert_eq!(s.histogram[1], 1);
@@ -356,10 +352,12 @@ mod tests {
     #[test]
     fn quantiles_track_the_histogram() {
         let m = RuntimeMetrics::new();
+        let mut tally = JobTally::default();
         for _ in 0..99 {
-            m.record_finished(true, false, Duration::from_micros(100)); // bucket 6
+            tally.record(true, false, Duration::from_micros(100)); // bucket 6
         }
-        m.record_finished(true, false, Duration::from_micros(100_000)); // bucket 16
+        tally.record(true, false, Duration::from_micros(100_000)); // bucket 16
+        m.bill(&mut tally);
         let s = m.snapshot();
         assert_eq!(s.wall_quantile_micros(0.5), 1 << 7);
         assert_eq!(s.wall_quantile_micros(0.999), 1 << 17);
@@ -369,7 +367,9 @@ mod tests {
     fn json_is_well_formed_enough() {
         let m = RuntimeMetrics::new();
         m.add(Counter::JobsSubmitted, 1);
-        m.record_finished(true, false, Duration::from_micros(42));
+        let mut tally = JobTally::default();
+        tally.record(true, false, Duration::from_micros(42));
+        m.bill(&mut tally);
         let json = m.snapshot().to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"jobs_completed\":1"));

@@ -18,10 +18,10 @@
 //!   and logically invisible to it.
 //! * **Supervision** ([`supervisor`]) — a pure fold over logical
 //!   health events quarantines wedged shards (deadline-kill storms),
-//!   poisoned shards (respawn exhaustion), and lost shards
-//!   ([`bios_faults::FaultKind::ShardLoss`]); pending work of a quarantined
-//!   shard's tenants deterministically redistributes to healthy
-//!   shards.
+//!   poisoned shards (respawn exhaustion), and lost shards (a forced
+//!   `(shard, tick)` loss, [`ShardChaos::with_shard_loss_at`]);
+//!   pending work of a quarantined shard's tenants deterministically
+//!   redistributes to healthy shards.
 //! * **Work-stealing** — tick-aligned: when a home shard's logical
 //!   backlog reaches [`ShardConfig::steal_batch`] and a healthy shard
 //!   sits idle, the lowest-indexed idle shard hosts that tenant's
@@ -125,16 +125,8 @@ pub struct ShardChaos {
     /// Per-tenant fault plans: armed on that tenant's session only,
     /// so the bulkhead keeps them invisible to every neighbor.
     pub tenant_plans: BTreeMap<String, FaultPlan>,
-    /// Infrastructure plan whose [`bios_faults::FaultKind::ShardLoss`] spec decides
-    /// which shards are lost when (see
-    /// [`FaultPlan::shard_loss_tick`]).
-    pub infra: Option<FaultPlan>,
-    /// Horizon handed to [`FaultPlan::shard_loss_tick`] — losses land
-    /// in its first half.
-    pub horizon_ticks: u64,
-    /// Explicit `(shard, tick)` losses, injected in addition to the
-    /// plan-derived ones; the deterministic hook tests and the CI
-    /// gate use to force a quarantine.
+    /// Explicit `(shard, tick)` losses, fired as the run's global
+    /// tick passes them: the one way a shard is lost.
     pub forced_losses: Vec<(usize, u64)>,
     /// Arms the redundancy screen over the whole fleet's completions:
     /// covered jobs are re-polled across replica lanes and
@@ -157,14 +149,6 @@ impl ShardChaos {
     #[must_use]
     pub fn with_tenant_plan(mut self, tenant: &str, plan: FaultPlan) -> ShardChaos {
         self.tenant_plans.insert(tenant.to_string(), plan);
-        self
-    }
-
-    /// Arms an infrastructure plan over `horizon_ticks`.
-    #[must_use]
-    pub fn with_infra(mut self, plan: FaultPlan, horizon_ticks: u64) -> ShardChaos {
-        self.infra = Some(plan);
-        self.horizon_ticks = horizon_ticks;
         self
     }
 
@@ -244,9 +228,9 @@ impl ShardedGateway {
     /// 3. otherwise → home.
     ///
     /// Sessions are advanced in ascending tenant order, and health
-    /// events (deadline kills, panic losses, plan-derived and forced
-    /// shard losses) fold into the supervisor in that same order —
-    /// the whole run is a pure function of `(config, trace, chaos)`
+    /// events (deadline kills, panic losses, forced shard losses)
+    /// fold into the supervisor in that same order — the whole run is
+    /// a pure function of `(config, trace, chaos)`
     /// and its digest is placement-independent by construction.
     #[must_use]
     pub fn run_with(&self, trace: &[Request], chaos: &ShardChaos) -> ShardedReport {
@@ -286,23 +270,13 @@ impl ShardedGateway {
             sessions[slot].offer(request.clone());
         }
 
-        // Shard losses: plan-derived plus forced, fired as the global
-        // tick passes them.
+        // Forced shard losses, fired as the global tick passes them.
         let mut supervisor = ShardSupervisor::new(self.config.supervisor, shards);
         // One fleet-wide redundancy screen: replica lanes are logical
         // identities, so the scoreboard is shared across shards and the
         // verdict stream is placement-independent.
         let mut quorum = chaos.quorum.map(QuorumScreen::new);
-        let mut losses: Vec<(usize, u64)> = (0..shards)
-            .filter_map(|i| {
-                chaos
-                    .infra
-                    .as_ref()
-                    .and_then(|p| p.shard_loss_tick(i, chaos.horizon_ticks))
-                    .map(|t| (i, t))
-            })
-            .collect();
-        losses.extend(chaos.forced_losses.iter().copied());
+        let mut losses = chaos.forced_losses.clone();
         losses.sort_unstable_by_key(|&(shard, tick)| (tick, shard));
         let mut next_loss = 0usize;
 

@@ -4,7 +4,7 @@
 //! The supervisor never probes, times, or threads anything — it is a
 //! pure fold over [`HealthEvent`]s that the sharded gateway derives
 //! from *logical* outcomes (a deadline-killed job, a panicked worker,
-//! an armed [`bios_faults::FaultKind::ShardLoss`] realization). Fed
+//! a forced `(shard, tick)` loss). Fed
 //! the same event sequence it always reaches the same
 //! [`ShardHealth`] per shard, so quarantine decisions — and the
 //! redistribution they trigger — are as reproducible as everything
@@ -19,8 +19,8 @@
 //! * **Respawn exhaustion** — cumulative panic losses reach
 //!   [`SupervisorConfig::respawn_budget`]: the pool keeps burning
 //!   threads on poisoned work and should stop taking new tenants.
-//! * **Shard loss** — the infrastructure fault layer says the shard
-//!   is gone ([`HealthEvent::ShardLost`]); quarantine is immediate.
+//! * **Shard loss** — the run's chaos inputs say the shard is gone
+//!   ([`HealthEvent::ShardLost`]); quarantine is immediate.
 //!
 //! Quarantine is terminal for a run: a lost or poisoned shard does
 //! not silently rejoin mid-trace, which keeps the host sequence of
@@ -80,8 +80,8 @@ pub enum HealthEvent {
         /// Logical tick the panic surfaced.
         tick: u64,
     },
-    /// The infrastructure layer lost the shard outright at `tick`
-    /// (see [`bios_faults::FaultPlan::shard_loss_tick`]).
+    /// The shard was lost outright at `tick` (see
+    /// [`crate::ShardChaos::with_shard_loss_at`]).
     ShardLost {
         /// The lost shard.
         shard: usize,

@@ -50,12 +50,11 @@ pub struct StreamConfig {
     /// The sensor-aging plan; its `FilmDenaturation` spec decides who
     /// ages, when, and how fast (see [`FaultPlan::aging_profile`]).
     pub aging: FaultPlan,
-    /// Tenant id stamped on every recalibration request the engine
-    /// offers to the gateway. The default (`"stream"`) preserves the
-    /// historical digests; a sharded deployment sets one tenant per
-    /// stream so `bios-shard` can home and bulkhead it.
-    pub tenant: String,
 }
+
+/// Tenant id stamped on every recalibration request the engine offers
+/// to the gateway.
+const TENANT: &str = "stream";
 
 impl StreamConfig {
     /// A config for `patients` over `horizon_ticks` from `seed`: window
@@ -76,15 +75,7 @@ impl StreamConfig {
             aging: FaultPlan::builder("stream-aging", seed)
                 .spec(FaultKind::FilmDenaturation, 0.35, 0.8)
                 .build(),
-            tenant: "stream".to_string(),
         }
-    }
-
-    /// Overrides the tenant id carried by recalibration requests.
-    #[must_use]
-    pub fn with_tenant(mut self, tenant: &str) -> StreamConfig {
-        self.tenant = tenant.to_string();
-        self
     }
 
     /// Overrides the aging plan.
@@ -94,25 +85,10 @@ impl StreamConfig {
         self
     }
 
-    /// Overrides the drift-monitor window and threshold.
-    #[must_use]
-    pub fn with_monitor(mut self, window: usize, threshold: f64) -> StreamConfig {
-        self.monitor_window = window;
-        self.monitor_threshold = threshold;
-        self
-    }
-
     /// Overrides the per-patient recalibration cap.
     #[must_use]
     pub fn with_max_recalibrations(mut self, max: u32) -> StreamConfig {
         self.max_recalibrations = max;
-        self
-    }
-
-    /// Overrides the post-failure retry backoff.
-    #[must_use]
-    pub fn with_retry_backoff_ticks(mut self, ticks: u64) -> StreamConfig {
-        self.retry_backoff_ticks = ticks;
         self
     }
 }
@@ -392,15 +368,8 @@ impl StreamEngine {
                     .with_film_activity((activity * 1e6).round() / 1e6);
                 let seed = SplitMix64::new(p.cal_seed).derive(u64::from(epoch.index) + 1);
                 session.offer(
-                    Request::new(
-                        rid,
-                        &cfg.tenant,
-                        aged,
-                        seed,
-                        tick + 1,
-                        cfg.recal_deadline_ticks,
-                    )
-                    .with_priority(Priority::Recalibration),
+                    Request::new(rid, TENANT, aged, seed, tick + 1, cfg.recal_deadline_ticks)
+                        .with_priority(Priority::Recalibration),
                 );
                 rid_map.insert(rid, pi);
                 state.inflight = Some(rid);
@@ -545,15 +514,6 @@ mod tests {
             ..RuntimeConfig::default()
         });
         StreamEngine::new(config, Gateway::new(GatewayConfig::default(), runtime))
-    }
-
-    #[test]
-    fn tenant_override_is_digest_neutral() {
-        // The tenant id only decides where a sharded deployment homes
-        // the stream's recalibrations; it must never reach outcomes.
-        let a = engine(StreamConfig::new(6, 96, 11), 2).run();
-        let b = engine(StreamConfig::new(6, 96, 11).with_tenant("ward-07"), 2).run();
-        assert_eq!(a.digest(), b.digest());
     }
 
     #[test]

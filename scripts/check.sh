@@ -18,11 +18,16 @@ run() {
     "$@"
 }
 
-run cargo build --release --workspace
+# Every workspace cargo command runs `--locked`: a manifest edit that
+# leaves `Cargo.lock` stale fails the gate instead of being rewritten
+# silently. The root lock holds only path crates, so this works
+# offline. The `perfbench` commands stay unlocked: its lock file is
+# restored on exit instead.
+run cargo build --locked --release --workspace
 # Every suite, including the chaos (`bios-runtime --test
 # runtime_chaos`) and recovery (`--test runtime_recover`, `bios-recover`)
 # gates.
-run cargo test -q --workspace
+run cargo test --locked -q --workspace
 
 # Digest gate: every determinism scenario (crash-resume, overload,
 # stream, shard, quorum, storage torture) is one row of the `gate`
@@ -30,14 +35,14 @@ run cargo test -q --workspace
 # reproduce the golden digest written inline in that row, and every
 # mechanism check must hold (shedding fired, drift detected, corruption
 # caught, crashes recovered); any failure names its scenario and layout.
-run cargo run --release -q -p bios-bench --bin gate
+run cargo run --locked --release -q -p bios-bench --bin gate
 
 # The benchmark's own tests: `perfbench` is a package of its own, so a
 # crate API change that breaks it fails no workspace check above.
 run cargo test -q --release --manifest-path perfbench/Cargo.toml
 
 run cargo fmt --all -- --check
-run cargo clippy --workspace --all-targets -- -D warnings
+run cargo clippy --locked --workspace --all-targets -- -D warnings
 # The same two for the benchmark's own package, which the workspace
 # commands above do not reach.
 run cargo fmt --manifest-path perfbench/Cargo.toml -- --check
@@ -48,7 +53,7 @@ run cargo clippy --manifest-path perfbench/Cargo.toml --all-targets -- -D warnin
 # pass (DESIGN.md §16): call-graph determinism taint, crate-layer
 # proofs, and lock discipline. Any finding fails the gate, and so does
 # a waiver count above the pinned bound. One run analyses every file.
-run cargo run --release -q -p bios-audit
+run cargo run --locked --release -q -p bios-audit
 if ! grep -q '"schema_version": 3,' AUDIT_report.json; then
     echo "audit gate: AUDIT_report.json has an unknown schema_version (expected 3)" >&2
     exit 1
@@ -75,7 +80,7 @@ audit_fixture() { # <family> <fixture> <staged-path>
     mkdir -p "$fixroot/$(dirname "$staged")"
     printf '[workspace]\nmembers = ["crates/*"]\n' >"$fixroot/Cargo.toml"
     cp "crates/audit/tests/fixtures/$fixture" "$fixroot/$staged"
-    if cargo run --release -q -p bios-audit -- \
+    if cargo run --locked --release -q -p bios-audit -- \
         --root "$fixroot" --json "$fixroot/report.json" >/dev/null; then
         echo "audit gate: $fam fixture $fixture did not fail the audit" >&2
         exit 1
@@ -88,7 +93,7 @@ audit_fixture L-lock l_lock_firing.rs crates/faults/src/plan.rs
 
 # Doc gate: rustdoc must build clean — broken intra-doc links and
 # missing docs are errors, not warnings.
-echo "==> cargo doc --no-deps (warnings as errors)"
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q
+echo "==> cargo doc --locked --no-deps (warnings as errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --locked --no-deps --workspace -q
 
 echo "==> all checks passed"
