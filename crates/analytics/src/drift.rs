@@ -86,7 +86,10 @@ impl ResidualRing {
     /// Pushes one residual, evicting the oldest once full.
     pub fn push(&mut self, z: f64) {
         self.slots[self.head] = z;
-        self.head = (self.head + 1) % self.capacity();
+        self.head += 1;
+        if self.head == self.capacity() {
+            self.head = 0;
+        }
         self.len = (self.len + 1).min(self.capacity());
     }
 
@@ -99,11 +102,19 @@ impl ResidualRing {
         if self.len == 0 {
             return 0.0;
         }
-        let cap = self.capacity();
-        let start = (self.head + cap - self.len) % cap;
+        // `head` and `len` both start at 0 and advance together until
+        // the ring fills, so a ring that is not full holds
+        // `slots[..len]`; a full one holds `slots[head..]` (oldest)
+        // then `slots[..head]`.
+        let (before, after) = self.slots.split_at(self.head);
+        let (oldest, newest) = if self.is_full() {
+            (after, before)
+        } else {
+            (before, &[][..])
+        };
         let mut sum = 0.0;
-        for k in 0..self.len {
-            sum += self.slots[(start + k) % cap];
+        for z in oldest.iter().chain(newest) {
+            sum += z;
         }
         sum / self.len as f64
     }
@@ -504,6 +515,31 @@ mod tests {
                 }
             }
             assert_eq!(got.to_bits(), expected.to_bits());
+        });
+    }
+
+    #[test]
+    fn ring_mean_matches_its_window_at_every_push_and_after_clear() {
+        bios_prng::cases(0x41B6_D220, 64, |rng| {
+            let cap = 1 + (rng.uniform() * 12.0) as usize;
+            let z: Vec<f64> = (0..40).map(|_| rng.gaussian() * 3.0).collect();
+            let cleared_at = (rng.uniform() * 40.0) as usize;
+            let mut ring = ResidualRing::new(cap);
+            let mut since = 0;
+            for (i, &v) in z.iter().enumerate() {
+                if i == cleared_at {
+                    ring.clear();
+                    since = i;
+                }
+                ring.push(v);
+                let window = &z[since.max(i + 1 - cap.min(i + 1))..=i];
+                let mut sum = 0.0;
+                for w in window {
+                    sum += w;
+                }
+                let expected = sum / window.len() as f64;
+                assert_eq!(ring.mean().to_bits(), expected.to_bits(), "push {i}");
+            }
         });
     }
 

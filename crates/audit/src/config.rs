@@ -200,7 +200,8 @@ impl Rule {
             Rule::GTaint => {
                 "The D bans are proven *transitively*: every function reachable from \
                  a determinism entry point (digest, digest_fnv, summaries_digest, \
-                 digest_line, fingerprint, journal append/seal) over the approximate \
+                 digest_line, fingerprint, journal append/seal, and the integrity \
+                 checksums payload_checksum/outcome_checksum) over the approximate \
                  workspace call graph must be free of HashMap/HashSet/Instant::now/\
                  SystemTime::now/thread::current wherever it lives — per-module \
                  scoping cannot see a nondeterministic helper one call away. The \
@@ -278,7 +279,8 @@ pub struct Config {
     /// anything else they depend on is a finding.
     pub leaf_crates: Vec<(String, Vec<String>)>,
     /// Function names that start the `G-taint` reachability pass:
-    /// digest/fingerprint/journal/codec entry points.
+    /// digest/fingerprint/journal/codec entry points and the integrity
+    /// checksums.
     pub taint_entries: Vec<String>,
 }
 
@@ -374,6 +376,10 @@ impl Default for Config {
                 "fingerprint",
                 "append",
                 "seal",
+                // The integrity checksums: the result seal's payload
+                // and the cache's at-rest check.
+                "payload_checksum",
+                "outcome_checksum",
             ]
             .iter()
             .map(|s| (*s).to_string())

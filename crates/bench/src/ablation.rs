@@ -288,30 +288,36 @@ pub fn render_chaos_ablation(seed: u64) -> String {
         "LOD ratio",
     ]);
     for intensity in [0.0, 0.25, 0.5, 0.75, 1.0] {
-        let report = runtime.run(
-            &Fleet::builder("chaos-ramp")
-                .sensors(sensors())
-                .seeds(seeds.clone())
-                .fault_plan(FaultPlan::chaos(seed, intensity))
-                .build(),
-        );
+        let plan = FaultPlan::chaos(seed, intensity);
+        let fleet = Fleet::builder("chaos-ramp")
+            .sensors(sensors())
+            .seeds(seeds.clone())
+            .fault_plan(plan.clone())
+            .build();
+        let report = runtime.run(&fleet);
         let injected: u32 = report.results.iter().map(|r| r.injected.total()).sum();
         let outcome = report.outcome_summary();
         // Drift check: each surviving faulted channel against its own
-        // healthy calibration (same sensor, same seed).
+        // healthy calibration (same sensor, same seed). Fleet outcomes
+        // are summary-only, so both curves are recalibrated here.
         let mut faulted_survivors = 0usize;
         let mut detected = 0usize;
-        for (result, observed) in report.successes() {
-            if result.injected.total() == 0 {
+        for (job, result) in fleet.jobs().iter().zip(&report.results) {
+            if result.outcome.is_err() || result.injected.total() == 0 {
                 continue;
             }
             faulted_survivors += 1;
-            if let Some(reference) = healthy.outcome(&result.sensor, result.seed) {
-                if let Ok(assessment) = detector.assess(&reference.curve, &observed.curve) {
-                    if assessment.drifted {
-                        detected += 1;
-                    }
-                }
+            let (Ok(reference), Ok(observed)) = (
+                job.entry.run_calibration(job.seed),
+                job.entry.run_calibration_with(job.seed, Some(&plan)),
+            ) else {
+                continue;
+            };
+            if detector
+                .assess(&reference.curve, &observed.curve)
+                .is_ok_and(|a| a.drifted)
+            {
+                detected += 1;
             }
         }
         let ratio =
@@ -824,6 +830,18 @@ mod tests {
         // The full-intensity row must inject faults into the fleet.
         let full = fields("1.00");
         assert_ne!(full[1], "0", "i=1 must inject faults: {full:?}");
+        // The drift detector compares full curves: point-less ones
+        // would read 0/n on every row.
+        for (prefix, drift) in [
+            ("0.00", "0/0"),
+            ("0.25", "9/17"),
+            ("0.50", "10/15"),
+            ("0.75", "12/15"),
+            ("1.00", "9/11"),
+        ] {
+            let row = fields(prefix);
+            assert_eq!(row[3], drift, "drift column at i={prefix}: {row:?}");
+        }
     }
 
     #[test]

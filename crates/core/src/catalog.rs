@@ -531,6 +531,27 @@ pub struct CalibrationOutcome {
     pub curve: CalibrationCurve,
 }
 
+impl CalibrationOutcome {
+    /// This outcome without its calibration points: the summary, plus a
+    /// point-less curve that keeps the electrode area and blank sigma.
+    /// The fleet runtime hands out and memoizes outcomes in this shape,
+    /// because nothing downstream of a finished job reads the raw
+    /// readings; [`CatalogEntry::run_calibration_with`] still returns
+    /// the full curve.
+    #[must_use]
+    pub fn summary_only(self) -> CalibrationOutcome {
+        let curve = CalibrationCurve::new(
+            Vec::new(),
+            self.curve.electrode_area(),
+            self.curve.blank_sigma(),
+        );
+        CalibrationOutcome {
+            summary: self.summary,
+            curve,
+        }
+    }
+}
+
 fn glassy_carbon() -> Electrode {
     ElectrodeStock::GlassyCarbonDisc.working_electrode()
 }

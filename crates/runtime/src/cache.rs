@@ -27,11 +27,18 @@
 //! (jobs whose realization is healthy store under plan fingerprint 0,
 //! because their outcome *is* the healthy outcome).
 //!
+//! Residents are summary-only ([`CalibrationOutcome::summary_only`]):
+//! an insert drops the curve's calibration points before it takes the
+//! shard lock, so whoever inserts, an entry holds the five summary
+//! floats plus the electrode area and blank sigma, never the raw
+//! readings.
+//!
 //! Every resident entry carries an integrity checksum stamped at insert
-//! and re-verified on every hit: FNV-1a over the summary's canonical
-//! encoding, its five `f64` bit patterns (`summary_bits`). A hit
-//! therefore costs one lock, a walk of integer comparisons down one
-//! shard's map, one key comparison and a 40-byte hash.
+//! and re-verified on every hit: FNV-1a over everything a hit serves,
+//! the summary's canonical encoding (its five `f64` bit patterns,
+//! `summary_bits`) followed by the electrode area and blank sigma bits.
+//! A hit therefore costs one lock, a walk of integer comparisons down
+//! one shard's map, one key comparison and a 56-byte hash.
 //!
 //! The cache is **bounded**: each shard evicts its least-recently-used
 //! entry once it exceeds its share of the configured capacity, so a
@@ -190,22 +197,28 @@ pub(crate) fn flip_summary_bit(s: &CalibrationSummary, k: usize) -> CalibrationS
     }
 }
 
-/// Integrity checksum of a memoized outcome: FNV-1a over its summary's
-/// [`summary_bits`]. A cache hit whose recomputed checksum no longer
-/// matches its insert stamp was corrupted *at rest* — it is dropped and
-/// counted, never served, because a finite-but-wrong summary would sail
-/// through `NonFinite` quarantine and poison every later run that hits
-/// it.
+/// Integrity checksum of a memoized outcome: FNV-1a over everything a
+/// hit serves, its summary's [`summary_bits`] and then the bits of its
+/// curve's electrode area and blank sigma (stream epochs multiply the
+/// sensitivity by the area). A cache hit whose recomputed checksum no
+/// longer matches its insert stamp was corrupted *at rest* — it is
+/// dropped and counted, never served, because a finite-but-wrong value
+/// would sail through `NonFinite` quarantine and poison every later run
+/// that hits it.
 fn outcome_checksum(outcome: &CalibrationOutcome) -> u64 {
     let mut h = Fnv1a::new();
     hash_summary(&mut h, &outcome.summary);
+    h.write_u64(outcome.curve.electrode_area().as_square_cm().to_bits());
+    h.write_u64(outcome.curve.blank_sigma().as_amps().to_bits());
     h.value()
 }
 
-/// A sharded, thread-safe, bounded memo table of calibration outcomes.
+/// A sharded, thread-safe, bounded memo table of summary-only
+/// calibration outcomes.
 ///
-/// Outcomes are stored behind `Arc` so a cache hit is a pointer clone,
-/// not a deep copy of the calibration curve.
+/// Outcomes are stored behind `Arc` so a cache hit is a pointer clone.
+/// An entry holds no calibration points: [`ResultCache::insert`] keeps
+/// only the summary, electrode area and blank sigma.
 #[derive(Debug)]
 pub struct ResultCache {
     shards: Vec<Mutex<Shard>>,
@@ -291,11 +304,13 @@ impl ResultCache {
         None
     }
 
-    /// Stores an outcome, returning the shared handle. Evicts the
-    /// shard's least-recently-used entry when the shard is over
-    /// capacity. A resident under a different key that shares this
-    /// key's index is displaced; that is not counted as an eviction.
+    /// Stores an outcome's [`CalibrationOutcome::summary_only`] form,
+    /// returning the shared handle. Evicts the shard's
+    /// least-recently-used entry when the shard is over capacity. A
+    /// resident under a different key that shares this key's index is
+    /// displaced; that is not counted as an eviction.
     pub fn insert(&self, key: CacheKey, outcome: CalibrationOutcome) -> Arc<CalibrationOutcome> {
+        let outcome = outcome.summary_only();
         let checksum = outcome_checksum(&outcome);
         let outcome = Arc::new(outcome);
         let index = key.index();
@@ -403,6 +418,7 @@ mod tests {
         cache.insert(key(7), outcome.clone());
         let hit = cache.get(&key(7)).expect("hit");
         assert_eq!(hit.summary, outcome.summary);
+        assert!(hit.curve.points().is_empty(), "resident kept its points");
         assert_eq!(cache.len(), 1);
     }
 
@@ -457,16 +473,38 @@ mod tests {
 
     #[test]
     fn one_flipped_summary_float_is_dropped_at_serve_never_served() {
-        let honest = catalog::our_glucose_sensor().run_calibration(7).unwrap();
-        for k in 0..5 {
+        use bios_analytics::CalibrationCurve;
+        use bios_units::{Amperes, SquareCm};
+        let honest = catalog::our_glucose_sensor()
+            .run_calibration(7)
+            .unwrap()
+            .summary_only();
+        let flip = |x: f64| f64::from_bits(x.to_bits() ^ 1);
+        let (area, sigma) = (honest.curve.electrode_area(), honest.curve.blank_sigma());
+        let mut rotten: Vec<(String, CalibrationOutcome)> = (0..5)
+            .map(|k| {
+                let mut o = honest.clone();
+                o.summary = flip_summary_bit(&honest.summary, k);
+                (format!("summary float {k}"), o)
+            })
+            .collect();
+        // A hit also serves the area (stream epochs multiply by it) and
+        // the blank sigma.
+        let point_less = |area, sigma| CalibrationOutcome {
+            curve: CalibrationCurve::new(Vec::new(), area, sigma),
+            ..honest.clone()
+        };
+        let area_flipped = SquareCm::from_square_cm(flip(area.as_square_cm()));
+        let sigma_flipped = Amperes::from_amps(flip(sigma.as_amps()));
+        rotten.push(("electrode area".into(), point_less(area_flipped, sigma)));
+        rotten.push(("blank sigma".into(), point_less(area, sigma_flipped)));
+        for (what, rotten) in rotten {
             let cache = ResultCache::new();
             cache.insert(key(7), honest.clone());
-            let mut rotten = honest.clone();
-            rotten.summary = flip_summary_bit(&honest.summary, k);
             cache.tamper(&key(7), rotten);
-            assert!(cache.get(&key(7)).is_none(), "float {k} served");
-            assert_eq!(cache.corrupt_dropped(), 1, "float {k}");
-            assert!(cache.is_empty(), "float {k} stayed resident");
+            assert!(cache.get(&key(7)).is_none(), "{what} served");
+            assert_eq!(cache.corrupt_dropped(), 1, "{what}");
+            assert!(cache.is_empty(), "{what} stayed resident");
         }
     }
 

@@ -327,7 +327,10 @@ pub struct JobResult {
     /// Faults injected into this job by the fleet's armed plan, by
     /// layer. All-zero when no plan is armed or nothing realized.
     pub injected: FaultTally,
-    /// The calibration outcome or the per-job error.
+    /// The calibration outcome or the per-job error. A success is
+    /// summary-only ([`CalibrationOutcome::summary_only`]): its curve
+    /// keeps the electrode area and blank sigma but no calibration
+    /// points, whether or not it came from the cache.
     pub outcome: Result<Arc<CalibrationOutcome>, JobError>,
     /// End-to-end integrity checksum of the result's payload (see
     /// [`JobResult::payload_checksum`]), stamped once by
@@ -434,7 +437,8 @@ pub struct FleetReport {
 }
 
 impl FleetReport {
-    /// Successful results, in job order.
+    /// Successful results, in job order. Each outcome is summary-only
+    /// (see [`JobResult::outcome`]).
     pub fn successes(&self) -> impl Iterator<Item = (&JobResult, &CalibrationOutcome)> {
         self.results
             .iter()
@@ -448,7 +452,9 @@ impl FleetReport {
             .filter_map(|r| r.outcome.as_ref().err().map(|e| (r, e)))
     }
 
-    /// The outcome for a (sensor id, seed) pair, if that job succeeded.
+    /// The summary-only outcome for a (sensor id, seed) pair, if that
+    /// job succeeded. Rerun [`CatalogEntry::run_calibration_with`] for
+    /// the calibration points.
     #[must_use]
     pub fn outcome(&self, sensor: &str, seed: u64) -> Option<&CalibrationOutcome> {
         self.results

@@ -841,34 +841,43 @@ fn execute_job(
             Err(error) => break Err(error),
         }
     };
-    // NaN/±Inf guardrail: a non-finite outcome is quarantined *before*
-    // it can reach the cache or a run journal — a poisoned figure of
-    // merit served from the cache would silently corrupt every later
-    // run that hits it.
-    let outcome = outcome.and_then(|outcome| {
-        if outcome_is_finite(&outcome) {
-            Ok(outcome)
-        } else {
-            metrics.add(Counter::NonfiniteQuarantined, 1);
-            Err(JobError::NonFinite)
-        }
-    });
-    let outcome = outcome.map(|outcome| match memo {
-        Some((cache, protocol, plan)) => {
-            let sensor = entry.id().to_owned();
-            cache.insert(
-                CacheKey {
-                    sensor,
-                    protocol,
-                    plan,
-                    seed,
-                },
-                outcome,
-            )
-        }
-        None => Arc::new(outcome),
-    });
+    // Past the finiteness gate, which reads the full curve, every path
+    // keeps the summary-only form: the cache strips the points in
+    // `insert`, the uncached branch here.
+    let outcome = outcome
+        .and_then(|outcome| quarantine_nonfinite(outcome, metrics))
+        .map(|outcome| match memo {
+            Some((cache, protocol, plan)) => {
+                let sensor = entry.id().to_owned();
+                cache.insert(
+                    CacheKey {
+                        sensor,
+                        protocol,
+                        plan,
+                        seed,
+                    },
+                    outcome,
+                )
+            }
+            None => Arc::new(outcome.summary_only()),
+        });
     finish(outcome, false, attempt)
+}
+
+/// NaN/±Inf guardrail: a non-finite outcome is quarantined as
+/// [`JobError::NonFinite`] (and counted) *before* it can reach the
+/// cache or a run journal — a poisoned figure of merit served from the
+/// cache would silently corrupt every later run that hits it.
+fn quarantine_nonfinite(
+    outcome: CalibrationOutcome,
+    metrics: &RuntimeMetrics,
+) -> Result<CalibrationOutcome, JobError> {
+    if outcome_is_finite(&outcome) {
+        Ok(outcome)
+    } else {
+        metrics.add(Counter::NonfiniteQuarantined, 1);
+        Err(JobError::NonFinite)
+    }
 }
 
 /// A real livelock for the `WorkerStall` fault: spin a small diffusion
@@ -1104,6 +1113,103 @@ mod tests {
         });
         assert_eq!(observed, fleet.len() as u64);
         assert_eq!(report.results.len(), fleet.len());
+    }
+
+    #[test]
+    fn nan_replicate_or_area_is_quarantined_before_the_points_drop() {
+        use bios_analytics::{CalibrationCurve, CalibrationPoint};
+        use bios_units::{Amperes, SquareCm};
+        let honest = catalog::our_glucose_sensor().run_calibration(7).unwrap();
+        let (area, sigma) = (honest.curve.electrode_area(), honest.curve.blank_sigma());
+        // The summary stays finite; only one raw value is poisoned.
+        let with_curve = |curve| CalibrationOutcome {
+            curve,
+            ..honest.clone()
+        };
+        let points: Vec<CalibrationPoint> = honest
+            .curve
+            .points()
+            .iter()
+            .enumerate()
+            .map(|(i, p)| {
+                let mut replicates = p.replicates().to_vec();
+                if i == 3 {
+                    replicates[1] = Amperes::from_amps(f64::NAN);
+                }
+                CalibrationPoint::new(p.concentration(), replicates)
+            })
+            .collect();
+        let nan_replicate = with_curve(CalibrationCurve::new(points, area, sigma));
+        let nan_area = with_curve(CalibrationCurve::new(
+            honest.curve.points().to_vec(),
+            SquareCm::from_square_cm(f64::NAN),
+            sigma,
+        ));
+        let metrics = RuntimeMetrics::new();
+        for poisoned in [nan_replicate.clone(), nan_area] {
+            assert!(matches!(
+                quarantine_nonfinite(poisoned, &metrics),
+                Err(JobError::NonFinite)
+            ));
+        }
+        // Stripped first, the NaN replicate would pass: the gate must
+        // see the full curve.
+        assert!(quarantine_nonfinite(nan_replicate.summary_only(), &metrics).is_ok());
+        assert!(quarantine_nonfinite(honest, &metrics).is_ok());
+        assert_eq!(metrics.snapshot().nonfinite_quarantined, 2);
+    }
+
+    #[test]
+    fn results_and_residents_are_summary_only_with_or_without_cache() {
+        use bios_faults::FaultKind;
+        let plan = FaultPlan::builder("summary-only", 3)
+            .spec(FaultKind::FilmDenaturation, 0.5, 0.6)
+            .build();
+        let fleet = Fleet::builder("summary-only")
+            .sensors(catalog::glucose_sensors())
+            .seeds([1, 2])
+            .fault_plan(plan.clone())
+            .build();
+        let bits = |o: &CalibrationOutcome| {
+            (
+                cache::summary_bits(&o.summary),
+                o.curve.electrode_area().as_square_cm().to_bits(),
+                o.curve.blank_sigma().as_amps().to_bits(),
+            )
+        };
+        for cached in [true, false] {
+            let runtime = Runtime::new(RuntimeConfig::default().with_workers(2).with_cache(cached));
+            let report = runtime.run(&fleet);
+            let mut faulted = 0;
+            for job in fleet.jobs() {
+                let expected = job
+                    .entry
+                    .run_calibration_with(job.seed, Some(&plan))
+                    .unwrap();
+                assert!(!expected.curve.points().is_empty());
+                let healthy = plan.realize(job.entry.id(), job.seed).is_healthy();
+                faulted += usize::from(!healthy);
+                let served = report.results[job.index].outcome.as_ref().unwrap();
+                let mut shapes = vec![Arc::clone(served)];
+                if cached {
+                    let key = CacheKey {
+                        sensor: job.entry.id().to_owned(),
+                        protocol: job.entry.protocol_fingerprint(),
+                        plan: if healthy { 0 } else { plan.fingerprint() },
+                        seed: job.seed,
+                    };
+                    shapes.push(runtime.cache.get(&key).expect("resident"));
+                }
+                for shape in shapes {
+                    let at = (job.entry.id(), job.seed, cached);
+                    assert!(shape.curve.points().is_empty(), "{at:?} kept points");
+                    assert_eq!(bits(&shape), bits(&expected), "{at:?}");
+                }
+            }
+            assert!(0 < faulted && faulted < fleet.len(), "{faulted} faulted");
+            let resident = if cached { fleet.len() } else { 0 };
+            assert_eq!(runtime.cache_len(), resident);
+        }
     }
 
     #[test]
