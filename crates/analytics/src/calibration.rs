@@ -48,24 +48,6 @@ impl CalibrationPoint {
         let sum: f64 = self.replicates.iter().map(|i| i.as_amps()).sum();
         Amperes::from_amps(sum / self.replicates.len() as f64)
     }
-
-    /// Sample standard deviation across replicates (zero with one
-    /// replicate).
-    #[must_use]
-    pub fn current_sd(&self) -> Amperes {
-        let n = self.replicates.len();
-        if n < 2 {
-            return Amperes::ZERO;
-        }
-        let mean = self.mean_current().as_amps();
-        let var: f64 = self
-            .replicates
-            .iter()
-            .map(|i| (i.as_amps() - mean).powi(2))
-            .sum::<f64>()
-            / (n - 1) as f64;
-        Amperes::from_amps(var.sqrt())
-    }
 }
 
 /// A full calibration: standards, electrode area, and the blank noise.
@@ -84,7 +66,7 @@ impl CalibrationPoint {
 /// let curve = CalibrationCurve::new(
 ///     points,
 ///     SquareCm::from_square_cm(0.13),
-///     Amperes::from_nano_amps(1.0),
+///     Amperes::from_amps(1.0e-9),
 /// );
 /// let s = curve.sensitivity()?;
 /// assert!((s.as_micro_amps_per_milli_molar_square_cm() - 7.2 / 0.13).abs() < 0.1);
@@ -153,41 +135,6 @@ impl CalibrationCurve {
             .collect()
     }
 
-    /// Least-squares fit over *all* points (µA vs mM).
-    ///
-    /// # Errors
-    ///
-    /// Propagates regression errors (too few points, degenerate x, …).
-    pub fn fit_all(&self) -> Result<LinearFit> {
-        LinearFit::fit(
-            &self.concentrations_milli_molar(),
-            &self.mean_currents_micro_amps(),
-        )
-    }
-
-    /// Variance-weighted fit over all points, weighting each standard by
-    /// `1/σ²` of its replicates (floored at the blank σ so noiseless
-    /// points don't dominate). The right estimator when replicate scatter
-    /// varies along the curve (heteroscedastic calibrations).
-    ///
-    /// # Errors
-    ///
-    /// Propagates regression errors.
-    pub fn fit_all_weighted(&self) -> Result<LinearFit> {
-        let xs = self.concentrations_milli_molar();
-        let ys = self.mean_currents_micro_amps();
-        let floor = self.blank_sigma.as_micro_amps().max(1e-12);
-        let weights: Vec<f64> = self
-            .points
-            .iter()
-            .map(|p| {
-                let sd = p.current_sd().as_micro_amps().max(floor);
-                1.0 / (sd * sd)
-            })
-            .collect();
-        LinearFit::fit_weighted(&xs, &ys, Some(&weights))
-    }
-
     /// Detects the linear range and returns `(range, fit within range)`.
     ///
     /// # Errors
@@ -227,16 +174,6 @@ impl CalibrationCurve {
         Ok(Sensitivity::new(
             fit.slope() / self.electrode_area.as_square_cm(),
         ))
-    }
-
-    /// 3σ detection limit using the linear-range fit (default options).
-    ///
-    /// # Errors
-    ///
-    /// Propagates regression errors and non-positive slopes.
-    pub fn detection_limit(&self) -> Result<Molar> {
-        let (_, fit) = self.linear_range(&LinearRangeOptions::default())?;
-        detection_limit(self.blank_sigma, &fit)
     }
 
     /// Full summary: sensitivity, linear range, detection limit, and R².
@@ -285,7 +222,7 @@ mod tests {
         CalibrationCurve::new(
             points,
             SquareCm::from_square_cm(1.0),
-            Amperes::from_nano_amps(5.0),
+            Amperes::from_amps(5.0e-9),
         )
     }
 
@@ -300,16 +237,6 @@ mod tests {
             ],
         );
         assert!((p.mean_current().as_micro_amps() - 2.0).abs() < 1e-12);
-        assert!((p.current_sd().as_micro_amps() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn single_replicate_has_zero_sd() {
-        let p = CalibrationPoint::new(
-            Molar::from_milli_molar(1.0),
-            vec![Amperes::from_micro_amps(1.0)],
-        );
-        assert_eq!(p.current_sd(), Amperes::ZERO);
     }
 
     #[test]
@@ -343,7 +270,10 @@ mod tests {
     #[test]
     fn detection_limit_is_3_sigma_over_slope() {
         let curve = linear_curve(10.0, 8, 1.0); // slope 10 µA/mM, σ = 5 nA
-        let lod = curve.detection_limit().unwrap();
+        let lod = curve
+            .summary(&LinearRangeOptions::default())
+            .unwrap()
+            .detection_limit;
         // 3 × 5e-3 µA / 10 µA/mM = 1.5e-3 mM = 1.5 µM.
         assert!((lod.as_micro_molar() - 1.5).abs() < 0.01);
     }
@@ -358,45 +288,6 @@ mod tests {
     }
 
     #[test]
-    fn weighted_fit_matches_ols_on_homoscedastic_data() {
-        let curve = linear_curve(10.0, 8, 1.0);
-        let ols = curve.fit_all().unwrap();
-        let wls = curve.fit_all_weighted().unwrap();
-        assert!((ols.slope() - wls.slope()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn weighted_fit_discounts_noisy_standards() {
-        // Clean points on y = 10x plus one standard with huge replicate
-        // scatter pulling the mean off the line.
-        let mut points: Vec<CalibrationPoint> = (0..6)
-            .map(|k| {
-                let c = k as f64 * 0.2;
-                CalibrationPoint::new(
-                    Molar::from_milli_molar(c),
-                    vec![Amperes::from_micro_amps(10.0 * c)],
-                )
-            })
-            .collect();
-        points.push(CalibrationPoint::new(
-            Molar::from_milli_molar(1.2),
-            vec![
-                Amperes::from_micro_amps(2.0),
-                Amperes::from_micro_amps(34.0),
-            ], // mean 18, true 12, sd huge
-        ));
-        let curve = CalibrationCurve::new(
-            points,
-            SquareCm::from_square_cm(1.0),
-            Amperes::from_nano_amps(5.0),
-        );
-        let ols = curve.fit_all().unwrap();
-        let wls = curve.fit_all_weighted().unwrap();
-        assert!((wls.slope() - 10.0).abs() < (ols.slope() - 10.0).abs());
-        assert!((wls.slope() - 10.0).abs() < 0.2);
-    }
-
-    #[test]
     fn non_positive_slope_is_an_error() {
         let points = (0..5)
             .map(|k| {
@@ -407,7 +298,11 @@ mod tests {
             })
             .collect();
         let curve = CalibrationCurve::new(points, SquareCm::from_square_cm(1.0), Amperes::ZERO);
-        let fit = curve.fit_all().unwrap();
+        let fit = LinearFit::fit(
+            &curve.concentrations_milli_molar(),
+            &curve.mean_currents_micro_amps(),
+        )
+        .unwrap();
         assert!(matches!(
             curve.sensitivity_from_fit(&fit),
             Err(AnalyticsError::NonPositiveSlope)

@@ -65,18 +65,6 @@ impl ResidualRing {
         self.slots.len()
     }
 
-    /// Residuals currently retained (≤ capacity).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether nothing has been pushed since construction/`clear`.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Whether the window has filled to capacity.
     #[must_use]
     pub fn is_full(&self) -> bool {
@@ -316,42 +304,11 @@ impl DriftMonitor {
         }
     }
 
-    /// A monitor with the same window and threshold as `detector`.
-    #[must_use]
-    pub fn from_detector(detector: &DriftDetector) -> DriftMonitor {
-        DriftMonitor::new(detector.window(), detector.threshold())
-    }
-
-    /// Rolling-window length in observations.
-    #[must_use]
-    pub fn window(&self) -> usize {
-        self.ring.capacity()
-    }
-
-    /// Detection threshold on the baseline-corrected window mean.
-    #[must_use]
-    pub fn threshold(&self) -> f64 {
-        self.threshold
-    }
-
     /// Whether the monitor has tripped since the last
     /// [`DriftMonitor::rebaseline`] / [`DriftMonitor::rearm`].
     #[must_use]
     pub fn tripped(&self) -> bool {
         self.tripped
-    }
-
-    /// Whether the warm-up baseline has been established.
-    #[must_use]
-    pub fn warmed(&self) -> bool {
-        self.baseline.is_some()
-    }
-
-    /// The last baseline-corrected |window mean|, in σ units (0.0 until
-    /// warmed).
-    #[must_use]
-    pub fn score(&self) -> f64 {
-        self.score
     }
 
     /// Pushes one normalized residual and returns the (latched) trip
@@ -603,7 +560,7 @@ mod tests {
         for _ in 0..16 {
             monitor.observe(0.0);
         }
-        assert!(monitor.warmed());
+        assert!(monitor.baseline.is_some());
         assert!(!monitor.tripped());
         let mut t = 0u64;
         let tripped_at = loop {
@@ -619,7 +576,7 @@ mod tests {
         assert!(monitor.tripped());
         monitor.rebaseline();
         assert!(!monitor.tripped());
-        assert!(!monitor.warmed());
+        assert!(monitor.baseline.is_none());
     }
 
     #[test]

@@ -5,13 +5,12 @@
 //! paper's Table 2 reports — **sensitivity**, **linear range**, and
 //! **limit of detection**.
 //!
-//! * [`regression`] — ordinary and weighted least squares with full
-//!   diagnostics (standard errors, R², residual SD).
+//! * [`regression`] — ordinary least squares with R².
 //! * [`calibration`] — calibration curves built from replicate
 //!   measurements at each standard concentration.
 //! * [`linear_range`] — data-driven detection of where a calibration
 //!   stops being linear.
-//! * [`limits`] — 3σ detection and 10σ quantification limits.
+//! * [`limits`] — the 3σ detection limit.
 //! * [`drift`] — rolling-residual drift/fault detection between a
 //!   reference calibration and a fresh one.
 //! * [`report`] — plain-text table rendering for the bench harness.
@@ -43,8 +42,7 @@ pub mod report;
 pub mod standard_addition;
 
 pub use calibration::{CalibrationCurve, CalibrationPoint, CalibrationSummary};
-pub use drift::{DriftAssessment, DriftDetector, DriftMonitor, ResidualRing};
-pub use error::{AnalyticsError, Result};
-pub use limits::{detection_limit, quantification_limit};
-pub use linear_range::{detect_linear_range, LinearRangeOptions};
+pub use drift::{DriftDetector, DriftMonitor};
+pub use error::AnalyticsError;
+pub use linear_range::LinearRangeOptions;
 pub use regression::LinearFit;

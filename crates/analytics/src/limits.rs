@@ -1,4 +1,4 @@
-//! Detection and quantification limits.
+//! The detection limit.
 
 use bios_units::{Amperes, Molar};
 
@@ -19,35 +19,22 @@ use crate::regression::LinearFit;
 /// # Examples
 ///
 /// ```
-/// use bios_analytics::{detection_limit, LinearFit};
+/// use bios_analytics::limits::detection_limit;
+/// use bios_analytics::LinearFit;
 /// use bios_units::Amperes;
 ///
 /// // 10 µA/mM calibration with 5 nA blank noise → LOD = 1.5 µM.
 /// let fit = LinearFit::fit(&[0.0, 1.0], &[0.0, 10.0])?;
-/// let lod = detection_limit(Amperes::from_nano_amps(5.0), &fit)?;
+/// let lod = detection_limit(Amperes::from_amps(5.0e-9), &fit)?;
 /// assert!((lod.as_micro_molar() - 1.5).abs() < 1e-9);
 /// # Ok::<(), bios_analytics::AnalyticsError>(())
 /// ```
 pub fn detection_limit(blank_sigma: Amperes, fit: &LinearFit) -> Result<Molar> {
-    limit_with_factor(blank_sigma, fit, 3.0)
-}
-
-/// 10σ limit of quantification, `LOQ = 10·σ_blank / slope`.
-///
-/// # Errors
-///
-/// Returns [`AnalyticsError::NonPositiveSlope`] if the calibration slope
-/// is not positive.
-pub fn quantification_limit(blank_sigma: Amperes, fit: &LinearFit) -> Result<Molar> {
-    limit_with_factor(blank_sigma, fit, 10.0)
-}
-
-fn limit_with_factor(blank_sigma: Amperes, fit: &LinearFit, k: f64) -> Result<Molar> {
     if fit.slope() <= 0.0 {
         return Err(AnalyticsError::NonPositiveSlope);
     }
     // slope: µA/mM; sigma in µA → concentration in mM.
-    let lod_milli_molar = k * blank_sigma.as_micro_amps() / fit.slope();
+    let lod_milli_molar = 3.0 * blank_sigma.as_micro_amps() / fit.slope();
     Ok(Molar::from_milli_molar(lod_milli_molar))
 }
 
@@ -62,33 +49,24 @@ mod tests {
     #[test]
     fn lod_scales_with_noise() {
         let f = fit(10.0);
-        let a = detection_limit(Amperes::from_nano_amps(5.0), &f).unwrap();
-        let b = detection_limit(Amperes::from_nano_amps(10.0), &f).unwrap();
+        let a = detection_limit(Amperes::from_amps(5.0e-9), &f).unwrap();
+        let b = detection_limit(Amperes::from_amps(10.0e-9), &f).unwrap();
         assert!((b.as_molar() / a.as_molar() - 2.0).abs() < 1e-12);
     }
 
     #[test]
     fn lod_scales_inverse_with_slope() {
-        let sigma = Amperes::from_nano_amps(5.0);
+        let sigma = Amperes::from_amps(5.0e-9);
         let a = detection_limit(sigma, &fit(10.0)).unwrap();
         let b = detection_limit(sigma, &fit(20.0)).unwrap();
         assert!((a.as_molar() / b.as_molar() - 2.0).abs() < 1e-12);
     }
 
     #[test]
-    fn loq_is_ten_thirds_of_lod() {
-        let sigma = Amperes::from_nano_amps(5.0);
-        let f = fit(10.0);
-        let lod = detection_limit(sigma, &f).unwrap();
-        let loq = quantification_limit(sigma, &f).unwrap();
-        assert!((loq.as_molar() / lod.as_molar() - 10.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn flat_calibration_rejected() {
         let f = LinearFit::fit(&[0.0, 1.0, 2.0], &[1.0, 1.0, 1.0]).unwrap();
         assert!(matches!(
-            detection_limit(Amperes::from_nano_amps(1.0), &f),
+            detection_limit(Amperes::from_amps(1.0e-9), &f),
             Err(AnalyticsError::NonPositiveSlope)
         ));
     }

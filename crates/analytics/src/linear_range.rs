@@ -50,8 +50,8 @@ impl Default for LinearRangeOptions {
 /// # Examples
 ///
 /// ```
-/// use bios_analytics::{detect_linear_range, LinearRangeOptions,
-///                      CalibrationCurve, CalibrationPoint};
+/// use bios_analytics::linear_range::detect_linear_range;
+/// use bios_analytics::{CalibrationCurve, CalibrationPoint, LinearRangeOptions};
 /// use bios_units::{Amperes, Molar, SquareCm};
 ///
 /// // Michaelis–Menten data: linear early, saturating late.
@@ -64,7 +64,7 @@ impl Default for LinearRangeOptions {
 ///     )
 /// }).collect();
 /// let curve = CalibrationCurve::new(
-///     points, SquareCm::from_square_cm(1.0), Amperes::from_nano_amps(1.0));
+///     points, SquareCm::from_square_cm(1.0), Amperes::from_amps(1.0e-9));
 /// let (range, fit) = detect_linear_range(&curve, &LinearRangeOptions::default())?;
 /// // Detector cuts off well before saturation.
 /// assert!(range.high().as_milli_molar() < 3.0);
@@ -139,7 +139,7 @@ mod tests {
         CalibrationCurve::new(
             points,
             SquareCm::from_square_cm(1.0),
-            Amperes::from_nano_amps(1.0),
+            Amperes::from_amps(1.0e-9),
         )
     }
 
@@ -201,7 +201,7 @@ mod tests {
         // A tiny offset at C=0 would give infinite relative deviation
         // without the noise floor exemption.
         let points = vec![
-            CalibrationPoint::new(Molar::ZERO, vec![Amperes::from_nano_amps(2.0)]),
+            CalibrationPoint::new(Molar::ZERO, vec![Amperes::from_amps(2.0e-9)]),
             CalibrationPoint::new(
                 Molar::from_milli_molar(0.2),
                 vec![Amperes::from_micro_amps(2.0)],
@@ -222,7 +222,7 @@ mod tests {
         let curve = CalibrationCurve::new(
             points,
             SquareCm::from_square_cm(1.0),
-            Amperes::from_nano_amps(1.0),
+            Amperes::from_amps(1.0e-9),
         );
         let (range, fit) = detect_linear_range(&curve, &LinearRangeOptions::default()).unwrap();
         assert!((range.high().as_milli_molar() - 0.8).abs() < 1e-9);

@@ -1,10 +1,10 @@
-//! Least-squares line fitting with diagnostics.
+//! Ordinary least-squares line fitting.
 
 use crate::error::{AnalyticsError, Result};
 use bios_units::nearly_zero;
 
-/// An ordinary-least-squares line `y = slope·x + intercept` with the
-/// diagnostics a calibration report needs.
+/// An ordinary-least-squares line `y = slope·x + intercept` with its
+/// coefficient of determination.
 ///
 /// # Examples
 ///
@@ -23,10 +23,6 @@ pub struct LinearFit {
     slope: f64,
     intercept: f64,
     r_squared: f64,
-    slope_se: f64,
-    intercept_se: f64,
-    residual_sd: f64,
-    n: usize,
 }
 
 impl LinearFit {
@@ -39,17 +35,6 @@ impl LinearFit {
     /// * [`AnalyticsError::NonFiniteInput`] on NaN/∞ values.
     /// * [`AnalyticsError::DegenerateAbscissa`] if all x are equal.
     pub fn fit(xs: &[f64], ys: &[f64]) -> Result<LinearFit> {
-        LinearFit::fit_weighted(xs, ys, None)
-    }
-
-    /// Weighted least squares; `weights`, when given, must match the data
-    /// length and be positive.
-    ///
-    /// # Errors
-    ///
-    /// As [`LinearFit::fit`]; additionally [`AnalyticsError::NonFiniteInput`]
-    /// for non-positive weights.
-    pub fn fit_weighted(xs: &[f64], ys: &[f64], weights: Option<&[f64]>) -> Result<LinearFit> {
         if xs.len() != ys.len() {
             return Err(AnalyticsError::LengthMismatch {
                 xs: xs.len(),
@@ -62,61 +47,37 @@ impl LinearFit {
                 got: xs.len(),
             });
         }
-        if let Some(w) = weights {
-            if w.len() != xs.len() {
-                return Err(AnalyticsError::LengthMismatch {
-                    xs: xs.len(),
-                    ys: w.len(),
-                });
-            }
-            if w.iter().any(|&wi| !wi.is_finite() || wi <= 0.0) {
-                return Err(AnalyticsError::NonFiniteInput);
-            }
-        }
         if xs.iter().chain(ys.iter()).any(|v| !v.is_finite()) {
             return Err(AnalyticsError::NonFiniteInput);
         }
 
         let n = xs.len();
-        let w_of = |i: usize| weights.map_or(1.0, |w| w[i]);
-        let sw: f64 = (0..n).map(w_of).sum();
-        let mean_x: f64 = (0..n).map(|i| w_of(i) * xs[i]).sum::<f64>() / sw;
-        let mean_y: f64 = (0..n).map(|i| w_of(i) * ys[i]).sum::<f64>() / sw;
+        let count = n as f64;
+        let mean_x: f64 = xs.iter().sum::<f64>() / count;
+        let mean_y: f64 = ys.iter().sum::<f64>() / count;
 
-        let sxx: f64 = (0..n).map(|i| w_of(i) * (xs[i] - mean_x).powi(2)).sum();
+        let sxx: f64 = xs.iter().map(|x| (x - mean_x).powi(2)).sum();
         if nearly_zero(sxx) {
             return Err(AnalyticsError::DegenerateAbscissa);
         }
-        let sxy: f64 = (0..n)
-            .map(|i| w_of(i) * (xs[i] - mean_x) * (ys[i] - mean_y))
-            .sum();
+        let sxy: f64 = (0..n).map(|i| (xs[i] - mean_x) * (ys[i] - mean_y)).sum();
         let slope = sxy / sxx;
         let intercept = mean_y - slope * mean_x;
 
         let ss_res: f64 = (0..n)
-            .map(|i| w_of(i) * (ys[i] - slope * xs[i] - intercept).powi(2))
+            .map(|i| (ys[i] - slope * xs[i] - intercept).powi(2))
             .sum();
-        let ss_tot: f64 = (0..n).map(|i| w_of(i) * (ys[i] - mean_y).powi(2)).sum();
+        let ss_tot: f64 = ys.iter().map(|y| (y - mean_y).powi(2)).sum();
         let r_squared = if nearly_zero(ss_tot) {
             1.0
         } else {
             1.0 - ss_res / ss_tot
         };
 
-        let dof = (n.saturating_sub(2)).max(1) as f64;
-        let residual_var = ss_res / dof;
-        let residual_sd = residual_var.sqrt();
-        let slope_se = (residual_var / sxx).sqrt();
-        let intercept_se = (residual_var * (1.0 / sw + mean_x * mean_x / sxx)).sqrt();
-
         Ok(LinearFit {
             slope,
             intercept,
             r_squared,
-            slope_se,
-            intercept_se,
-            residual_sd,
-            n,
         })
     }
 
@@ -136,37 +97,6 @@ impl LinearFit {
     #[must_use]
     pub fn r_squared(&self) -> f64 {
         self.r_squared
-    }
-
-    /// Standard error of the slope.
-    #[must_use]
-    pub fn slope_se(&self) -> f64 {
-        self.slope_se
-    }
-
-    /// Standard error of the intercept.
-    #[must_use]
-    pub fn intercept_se(&self) -> f64 {
-        self.intercept_se
-    }
-
-    /// Residual standard deviation.
-    #[must_use]
-    pub fn residual_sd(&self) -> f64 {
-        self.residual_sd
-    }
-
-    /// Number of points fitted.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Whether the fit is based on no points (never true for a
-    /// successfully constructed fit).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
     }
 
     /// Predicted y at `x`.
@@ -204,7 +134,6 @@ mod tests {
         assert!((fit.slope() - 3.5).abs() < 1e-12);
         assert!((fit.intercept() + 2.0).abs() < 1e-12);
         assert!((fit.r_squared() - 1.0).abs() < 1e-12);
-        assert!(fit.residual_sd() < 1e-10);
     }
 
     #[test]
@@ -219,7 +148,6 @@ mod tests {
         let fit = LinearFit::fit(&xs, &ys).unwrap();
         assert!((fit.slope() - 2.0).abs() < 0.02);
         assert!(fit.r_squared() > 0.999);
-        assert!(fit.slope_se() > 0.0 && fit.slope_se() < 0.01);
     }
 
     #[test]
@@ -240,24 +168,6 @@ mod tests {
             LinearFit::fit(&[1.0, f64::NAN], &[1.0, 2.0]),
             Err(AnalyticsError::NonFiniteInput)
         ));
-    }
-
-    #[test]
-    fn weights_pull_fit_toward_heavy_points() {
-        let xs = [0.0, 1.0, 2.0];
-        let ys = [0.0, 1.0, 5.0]; // last point is an outlier from y=x
-        let unweighted = LinearFit::fit(&xs, &ys).unwrap();
-        let w = [100.0, 100.0, 0.01];
-        let weighted = LinearFit::fit_weighted(&xs, &ys, Some(&w)).unwrap();
-        assert!((weighted.slope() - 1.0).abs() < (unweighted.slope() - 1.0).abs());
-    }
-
-    #[test]
-    fn bad_weights_rejected() {
-        let xs = [0.0, 1.0, 2.0];
-        let ys = [0.0, 1.0, 2.0];
-        assert!(LinearFit::fit_weighted(&xs, &ys, Some(&[1.0, -1.0, 1.0])).is_err());
-        assert!(LinearFit::fit_weighted(&xs, &ys, Some(&[1.0, 1.0])).is_err());
     }
 
     #[test]

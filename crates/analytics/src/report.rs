@@ -48,18 +48,6 @@ impl TextTable {
         self.rows.push(row);
     }
 
-    /// Number of data rows.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Renders the table with a separator under the header.
     #[must_use]
     pub fn render(&self) -> String {
@@ -121,14 +109,6 @@ mod tests {
         t.add_row(vec!["55.5".into()]);
         let s = t.render();
         assert!(s.contains("µA·mM⁻¹·cm⁻²"));
-    }
-
-    #[test]
-    fn empty_and_len() {
-        let mut t = TextTable::new(vec!["x"]);
-        assert!(t.is_empty());
-        t.add_row(vec!["1".into()]);
-        assert_eq!(t.len(), 1);
     }
 
     #[test]

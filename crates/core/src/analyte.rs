@@ -58,22 +58,6 @@ impl Analyte {
         }
     }
 
-    /// Whether this is one of the paper's seven target analytes (vs an
-    /// interferent).
-    #[must_use]
-    pub fn is_platform_target(&self) -> bool {
-        matches!(
-            self,
-            Analyte::Glucose
-                | Analyte::Lactate
-                | Analyte::Glutamate
-                | Analyte::ArachidonicAcid
-                | Analyte::Cyclophosphamide
-                | Analyte::Ifosfamide
-                | Analyte::Ftorafur
-        )
-    }
-
     /// Whether this analyte is a drug (exogenous) rather than a
     /// metabolite (endogenous) — the paper's two detection families.
     #[must_use]
@@ -104,20 +88,6 @@ impl Analyte {
             _ => None,
         }
     }
-
-    /// All seven platform targets in Table 1 order.
-    #[must_use]
-    pub fn platform_targets() -> [Analyte; 7] {
-        [
-            Analyte::Glucose,
-            Analyte::Lactate,
-            Analyte::Glutamate,
-            Analyte::ArachidonicAcid,
-            Analyte::Ftorafur,
-            Analyte::Cyclophosphamide,
-            Analyte::Ifosfamide,
-        ]
-    }
 }
 
 impl std::fmt::Display for Analyte {
@@ -129,24 +99,6 @@ impl std::fmt::Display for Analyte {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn seven_platform_targets() {
-        let targets = Analyte::platform_targets();
-        assert_eq!(targets.len(), 7);
-        assert!(targets.iter().all(Analyte::is_platform_target));
-    }
-
-    #[test]
-    fn interferents_are_not_targets() {
-        for a in [
-            Analyte::AscorbicAcid,
-            Analyte::UricAcid,
-            Analyte::Paracetamol,
-        ] {
-            assert!(!a.is_platform_target());
-        }
-    }
 
     #[test]
     fn drug_vs_metabolite_split() {

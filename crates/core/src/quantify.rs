@@ -80,24 +80,6 @@ impl Quantifier {
         }
     }
 
-    /// The calibration slope in µA/mM.
-    #[must_use]
-    pub fn slope_micro_amps_per_milli_molar(&self) -> f64 {
-        self.slope_micro_amps_per_milli_molar
-    }
-
-    /// The channel's detection limit.
-    #[must_use]
-    pub fn detection_limit(&self) -> Molar {
-        self.detection_limit
-    }
-
-    /// The validated concentration window.
-    #[must_use]
-    pub fn linear_range(&self) -> ConcentrationRange {
-        self.linear_range
-    }
-
     /// Converts a measured current into a concentration verdict.
     #[must_use]
     pub fn quantify(&self, current: Amperes) -> Quantification {
@@ -183,7 +165,7 @@ mod tests {
     #[test]
     fn negative_noise_readings_clamp_to_below_detection() {
         let (q, _) = quantifier();
-        let verdict = q.quantify(Amperes::from_nano_amps(-0.5));
+        let verdict = q.quantify(Amperes::from_amps(-0.5e-9));
         assert!(matches!(verdict, Quantification::BelowDetection { .. }));
     }
 

@@ -106,13 +106,6 @@ impl Sample {
         self
     }
 
-    /// Returns a copy with the analyte removed.
-    #[must_use]
-    pub fn without_analyte(mut self, analyte: Analyte) -> Sample {
-        self.concentrations.remove(&analyte);
-        self
-    }
-
     /// Concentration of `analyte` (zero if absent).
     #[must_use]
     pub fn concentration(&self, analyte: Analyte) -> Molar {
@@ -120,25 +113,6 @@ impl Sample {
             .get(&analyte)
             .copied()
             .unwrap_or(Molar::ZERO)
-    }
-
-    /// All analytes present at non-zero concentration.
-    #[must_use]
-    pub fn analytes(&self) -> Vec<Analyte> {
-        let mut v: Vec<Analyte> = self
-            .concentrations
-            .iter()
-            .filter(|(_, c)| c.as_molar() > 0.0)
-            .map(|(a, _)| *a)
-            .collect();
-        v.sort_by_key(|a| a.name());
-        v
-    }
-
-    /// Whether the sample contains nothing.
-    #[must_use]
-    pub fn is_blank(&self) -> bool {
-        self.analytes().is_empty()
     }
 
     /// A dilution of this sample by `factor` (> 1 dilutes).
@@ -165,7 +139,6 @@ mod tests {
 
     #[test]
     fn blank_is_blank() {
-        assert!(Sample::blank().is_blank());
         assert_eq!(Sample::blank().concentration(Analyte::Glucose), Molar::ZERO);
     }
 
@@ -178,11 +151,9 @@ mod tests {
     }
 
     #[test]
-    fn with_and_without_round_trip() {
+    fn with_analyte_round_trips() {
         let s = Sample::blank().with_analyte(Analyte::Ifosfamide, Molar::from_micro_molar(80.0));
         assert!((s.concentration(Analyte::Ifosfamide).as_micro_molar() - 80.0).abs() < 1e-9);
-        let s = s.without_analyte(Analyte::Ifosfamide);
-        assert!(s.is_blank());
     }
 
     #[test]
@@ -211,15 +182,6 @@ mod tests {
     fn dilution_scales_everything() {
         let s = Sample::physiological_serum().diluted(10.0);
         assert!((s.concentration(Analyte::Glucose).as_milli_molar() - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn analytes_listing_is_sorted_and_nonzero_only() {
-        let s = Sample::blank()
-            .with_analyte(Analyte::UricAcid, Molar::from_micro_molar(10.0))
-            .with_analyte(Analyte::Glucose, Molar::ZERO);
-        let list = s.analytes();
-        assert_eq!(list, vec![Analyte::UricAcid]);
     }
 
     #[test]

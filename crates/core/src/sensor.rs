@@ -40,15 +40,6 @@ pub enum Technique {
         /// Sweep rate.
         rate: ScanRate,
     },
-    /// Staircase + pulse readout (the DNA-based CP baseline of \[32\]).
-    DifferentialPulseVoltammetry {
-        /// Start potential.
-        low: Volts,
-        /// End potential.
-        high: Volts,
-        /// Pulse amplitude.
-        amplitude: Volts,
-    },
 }
 
 impl Technique {
@@ -76,7 +67,6 @@ impl Technique {
         match self {
             Technique::Chronoamperometry { .. } => "Chronoamperometry",
             Technique::CyclicVoltammetry { .. } => "Cyclic voltammetry",
-            Technique::DifferentialPulseVoltammetry { .. } => "Differential pulse voltammetry",
         }
     }
 }
@@ -191,12 +181,6 @@ impl Biosensor {
             chemistry: None,
             technique: Technique::paper_chronoamperometry(),
         }
-    }
-
-    /// Display name.
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
     }
 
     /// The analyte this channel detects.
@@ -600,7 +584,7 @@ mod tests {
                 i.as_micro_amps() / c.as_milli_molar() / sensor.electrode().area().as_square_cm();
             let rel = (numeric - s_model.as_micro_amps_per_milli_molar_square_cm()).abs()
                 / s_model.as_micro_amps_per_milli_molar_square_cm();
-            assert!(rel < 0.01, "{}: {rel}", sensor.name());
+            assert!(rel < 0.01, "{}: {rel}", sensor.name);
         }
     }
 

@@ -3,7 +3,7 @@
 //! The oxidase sensors in the paper are read out by chronoamperometry —
 //! the working electrode is held at +650 mV and the current sampled once
 //! the transient settles. The Cottrell relation is the ideal response to
-//! the potential step and anchors the steady-state current model.
+//! the potential step; the diffusion solver is checked against it.
 
 use bios_units::{Amperes, DiffusionCoefficient, Molar, Seconds, SquareCm, FARADAY};
 
@@ -49,91 +49,6 @@ pub fn cottrell_current(
         * c
         * (d.as_square_cm_per_second() / (std::f64::consts::PI * t.as_seconds())).sqrt();
     Amperes::from_amps(i)
-}
-
-/// Full Cottrell transient sampled at `times`.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`cottrell_current`].
-#[must_use]
-pub fn cottrell_transient(
-    n: u32,
-    area: SquareCm,
-    d: DiffusionCoefficient,
-    bulk: Molar,
-    times: &[Seconds],
-) -> Vec<Amperes> {
-    times
-        .iter()
-        .map(|&t| cottrell_current(n, area, d, bulk, t))
-        .collect()
-}
-
-/// Steady-state current through a stagnant diffusion layer of thickness
-/// `delta_cm` (Nernst diffusion-layer model):
-///
-/// `i_ss = n·F·A·D·C/δ`
-///
-/// Real chronoamperometric sensors settle to this plateau (set by
-/// convection or by the enzyme-film thickness) instead of decaying
-/// forever; it is the current the paper's calibration points sample.
-///
-/// # Panics
-///
-/// Panics if `delta_cm` is not positive or `n == 0`.
-///
-/// # Examples
-///
-/// ```
-/// use bios_electrochem::cottrell::steady_state_current;
-/// use bios_units::{DiffusionCoefficient, Molar, SquareCm};
-///
-/// let i = steady_state_current(
-///     2,
-///     SquareCm::from_square_mm(0.25),
-///     DiffusionCoefficient::from_square_cm_per_second(1.43e-5),
-///     Molar::from_milli_molar(0.5),
-///     20e-4, // 20 µm diffusion layer
-/// );
-/// assert!(i.as_micro_amps() > 0.0);
-/// ```
-#[must_use]
-pub fn steady_state_current(
-    n: u32,
-    area: SquareCm,
-    d: DiffusionCoefficient,
-    bulk: Molar,
-    delta_cm: f64,
-) -> Amperes {
-    assert!(n > 0, "electron count must be at least 1");
-    assert!(
-        delta_cm > 0.0 && delta_cm.is_finite(),
-        "diffusion layer thickness must be positive"
-    );
-    let c = bulk.as_molar() * 1e-3;
-    Amperes::from_amps(
-        f64::from(n) * FARADAY * area.as_square_cm() * d.as_square_cm_per_second() * c / delta_cm,
-    )
-}
-
-/// Time after the step at which the Cottrell current decays to the
-/// steady-state plateau — the crossover where sampling should happen.
-///
-/// Setting `i_cottrell(t*) = i_ss` gives `t* = D·δ²/(π·D²) = δ²/(π·D)`.
-///
-/// # Panics
-///
-/// Panics if `delta_cm` is not positive.
-#[must_use]
-pub fn settling_time(d: DiffusionCoefficient, delta_cm: f64) -> Seconds {
-    assert!(
-        delta_cm > 0.0 && delta_cm.is_finite(),
-        "diffusion layer thickness must be positive"
-    );
-    Seconds::from_seconds(
-        delta_cm * delta_cm / (std::f64::consts::PI * d.as_square_cm_per_second()),
-    )
 }
 
 #[cfg(test)]
@@ -183,41 +98,6 @@ mod tests {
     }
 
     #[test]
-    fn transient_is_monotone_decreasing() {
-        let times: Vec<Seconds> = (1..10).map(|k| Seconds::from_seconds(k as f64)).collect();
-        let trace = cottrell_transient(
-            1,
-            SquareCm::from_square_cm(0.1),
-            d(),
-            Molar::from_milli_molar(1.0),
-            &times,
-        );
-        for w in trace.windows(2) {
-            assert!(w[0] > w[1]);
-        }
-    }
-
-    #[test]
-    fn steady_state_scales_inverse_delta() {
-        let a = SquareCm::from_square_cm(0.1);
-        let c = Molar::from_milli_molar(1.0);
-        let thin = steady_state_current(1, a, d(), c, 10e-4);
-        let thick = steady_state_current(1, a, d(), c, 20e-4);
-        assert!((thin.as_amps() / thick.as_amps() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn settling_time_matches_crossover() {
-        let delta = 20e-4;
-        let ts = settling_time(d(), delta);
-        let a = SquareCm::from_square_cm(0.1);
-        let c = Molar::from_milli_molar(1.0);
-        let cot = cottrell_current(1, a, d(), c, ts);
-        let ss = steady_state_current(1, a, d(), c, delta);
-        assert!((cot.as_amps() / ss.as_amps() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
     #[should_panic(expected = "diverges")]
     fn zero_time_panics() {
         let _ = cottrell_current(
@@ -225,7 +105,7 @@ mod tests {
             SquareCm::from_square_cm(0.1),
             d(),
             Molar::from_milli_molar(1.0),
-            Seconds::ZERO,
+            Seconds::from_seconds(0.0),
         );
     }
 }

@@ -20,23 +20,16 @@
 use bios_faults::{Faultable, RealizedFaults};
 use bios_units::{nearly_zero, Kelvin, Volts, FARADAY, GAS_CONSTANT};
 
-use crate::error::ElectrochemError;
-
 /// Degradation state of a working/reference electrode pair.
 ///
 /// # Examples
 ///
 /// ```
 /// use bios_electrochem::degradation::ElectrodeHealth;
-/// use bios_units::{Kelvin, Volts};
+/// use bios_units::Kelvin;
 ///
 /// let healthy = ElectrodeHealth::pristine();
 /// assert_eq!(healthy.current_factor(1, 0.5, Kelvin::ROOM), 1.0);
-///
-/// let fouled = ElectrodeHealth::new(0.3, Volts::from_milli_volts(-40.0))
-///     .expect("valid health");
-/// let factor = fouled.current_factor(1, 0.5, Kelvin::ROOM);
-/// assert!(factor < 0.7 && factor > 0.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ElectrodeHealth {
@@ -54,42 +47,6 @@ impl ElectrodeHealth {
             fouling_coverage: 0.0,
             reference_drift: Volts::ZERO,
         }
-    }
-
-    /// Builds a health state, validating that coverage lies in `[0, 1)`
-    /// and the drift is finite.
-    pub fn new(
-        fouling_coverage: f64,
-        reference_drift: Volts,
-    ) -> Result<ElectrodeHealth, ElectrochemError> {
-        if !(0.0..1.0).contains(&fouling_coverage) || !fouling_coverage.is_finite() {
-            return Err(ElectrochemError::InvalidParameter {
-                name: "fouling coverage",
-                value: fouling_coverage,
-            });
-        }
-        if !reference_drift.as_volts().is_finite() {
-            return Err(ElectrochemError::InvalidParameter {
-                name: "reference drift",
-                value: reference_drift.as_volts(),
-            });
-        }
-        Ok(ElectrodeHealth {
-            fouling_coverage,
-            reference_drift,
-        })
-    }
-
-    /// Passivated area fraction.
-    #[must_use]
-    pub fn fouling_coverage(&self) -> f64 {
-        self.fouling_coverage
-    }
-
-    /// Reference potential error.
-    #[must_use]
-    pub fn reference_drift(&self) -> Volts {
-        self.reference_drift
     }
 
     /// True when the pair is factory-fresh (both factors exactly 1).
@@ -154,23 +111,30 @@ impl Faultable for ElectrodeHealth {
 mod tests {
     use super::*;
 
+    fn health(fouling_coverage: f64, reference_drift_volts: f64) -> ElectrodeHealth {
+        let mut faults = RealizedFaults::healthy();
+        faults.fouling_coverage = fouling_coverage;
+        faults.reference_drift_volts = reference_drift_volts;
+        ElectrodeHealth::pristine().with_faults(&faults)
+    }
+
     #[test]
     fn pristine_is_identity() {
         let h = ElectrodeHealth::pristine();
         assert!(h.is_pristine());
         assert_eq!(h.current_factor(1, 0.5, Kelvin::ROOM), 1.0);
-        assert_eq!(h.current_factor(2, 0.3, Kelvin::from_celsius(37.0)), 1.0);
+        assert_eq!(h.current_factor(2, 0.3, Kelvin::ROOM), 1.0);
     }
 
     #[test]
     fn fouling_scales_linearly_with_free_area() {
-        let h = ElectrodeHealth::new(0.4, Volts::ZERO).unwrap();
+        let h = health(0.4, 0.0);
         assert!((h.current_factor(1, 0.5, Kelvin::ROOM) - 0.6).abs() < 1e-12);
     }
 
     #[test]
     fn negative_drift_follows_tafel_slope() {
-        let h = ElectrodeHealth::new(0.0, Volts::from_milli_volts(-59.0)).unwrap();
+        let h = health(0.0, -0.059);
         let factor = h.drift_factor(1, 0.5, Kelvin::ROOM);
         // α·f·ΔE ≈ 0.5 · 38.92 V⁻¹ · −0.059 V ≈ −1.148 → e^−1.148 ≈ 0.317.
         assert!((factor - (-1.148f64).exp()).abs() < 0.01, "factor {factor}");
@@ -178,30 +142,8 @@ mod tests {
 
     #[test]
     fn positive_drift_is_capped_on_the_plateau() {
-        let h = ElectrodeHealth::new(0.0, Volts::from_milli_volts(80.0)).unwrap();
+        let h = health(0.0, 0.080);
         assert_eq!(h.drift_factor(1, 0.5, Kelvin::ROOM), 1.0);
-    }
-
-    #[test]
-    fn invalid_inputs_are_typed_errors() {
-        assert!(matches!(
-            ElectrodeHealth::new(1.0, Volts::ZERO),
-            Err(ElectrochemError::InvalidParameter {
-                name: "fouling coverage",
-                ..
-            })
-        ));
-        assert!(matches!(
-            ElectrodeHealth::new(-0.1, Volts::ZERO),
-            Err(ElectrochemError::InvalidParameter { .. })
-        ));
-        assert!(matches!(
-            ElectrodeHealth::new(0.0, Volts::from_volts(f64::NAN)),
-            Err(ElectrochemError::InvalidParameter {
-                name: "reference drift",
-                ..
-            })
-        ));
     }
 
     #[test]
@@ -212,12 +154,9 @@ mod tests {
 
     #[test]
     fn injected_fouling_and_drift_compose() {
-        let mut faults = RealizedFaults::healthy();
-        faults.fouling_coverage = 0.25;
-        faults.reference_drift_volts = -0.02;
-        let h = ElectrodeHealth::pristine().with_faults(&faults);
-        assert!((h.fouling_coverage() - 0.25).abs() < 1e-12);
-        assert!((h.reference_drift().as_volts() + 0.02).abs() < 1e-12);
+        let h = health(0.25, -0.02);
+        assert!((h.fouling_factor() - 0.75).abs() < 1e-12);
+        assert!(h.drift_factor(1, 0.5, Kelvin::ROOM) < 1.0);
         assert!(h.current_factor(1, 0.5, Kelvin::ROOM) < 0.75);
     }
 }

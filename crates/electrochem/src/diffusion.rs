@@ -14,7 +14,7 @@
 
 use bios_units::{DiffusionCoefficient, Molar, Seconds};
 
-use crate::checkpoint::{CheckPoint, NeverCancel, POLL_INTERVAL};
+use crate::checkpoint::{CheckPoint, POLL_INTERVAL};
 use crate::error::ElectrochemError;
 
 /// Boundary condition applied at the electrode surface (`x = 0`).
@@ -31,12 +31,13 @@ pub enum SurfaceBoundary {
 /// A 1-D diffusion field on a uniform grid.
 ///
 /// Concentrations are stored in mol/cm³ internally (consistent with CGS
-/// transport constants); construction and readout use [`Molar`].
+/// transport constants); construction takes [`Molar`].
 ///
 /// # Examples
 ///
 /// ```
 /// use bios_electrochem::diffusion::{DiffusionGrid, SurfaceBoundary};
+/// use bios_electrochem::checkpoint::NeverCancel;
 /// use bios_units::{DiffusionCoefficient, Molar, Seconds};
 ///
 /// let mut grid = DiffusionGrid::new(
@@ -47,9 +48,9 @@ pub enum SurfaceBoundary {
 /// )
 /// .expect("valid grid");
 /// grid.set_surface(SurfaceBoundary::Concentration(0.0));
-/// grid.advance(Seconds::from_millis(100.0), Seconds::from_millis(1.0));
-/// // Material has been consumed at the electrode:
-/// assert!(grid.concentration_at(0).as_milli_molar() < 1e-6);
+/// grid.advance_checked(Seconds::from_millis(100.0), Seconds::from_millis(1.0), &NeverCancel)
+///     .expect("healthy field stays finite");
+/// // Material flows toward the consuming electrode:
 /// assert!(grid.flux_mol_per_cm2_s() > 0.0);
 /// ```
 #[derive(Debug, Clone)]
@@ -104,60 +105,9 @@ impl DiffusionGrid {
         })
     }
 
-    /// Number of grid nodes.
-    #[must_use]
-    pub fn nodes(&self) -> usize {
-        self.c.len()
-    }
-
-    /// Node spacing in cm.
-    #[must_use]
-    pub fn dx_cm(&self) -> f64 {
-        self.dx
-    }
-
     /// Sets the electrode-surface boundary condition.
     pub fn set_surface(&mut self, surface: SurfaceBoundary) {
         self.surface = surface;
-    }
-
-    /// Replaces the pinned bulk concentration (a standard-addition step).
-    pub fn set_bulk(&mut self, bulk: Molar) {
-        self.bulk = bulk.as_molar() * 1e-3;
-        let last = self.c.len() - 1;
-        self.c[last] = self.bulk;
-    }
-
-    /// Resets every node to the bulk concentration.
-    pub fn reset(&mut self) {
-        let bulk = self.bulk;
-        self.c.fill(bulk);
-    }
-
-    /// Concentration at node `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of bounds.
-    #[must_use]
-    pub fn concentration_at(&self, i: usize) -> Molar {
-        Molar::from_molar(self.c[i] * 1e3)
-    }
-
-    /// The full profile as molar concentrations.
-    #[must_use]
-    pub fn profile(&self) -> Vec<Molar> {
-        self.c.iter().map(|&v| Molar::from_molar(v * 1e3)).collect()
-    }
-
-    /// Total moles per unit area in the domain (the conserved quantity
-    /// under no-flux boundaries), mol/cm².
-    #[must_use]
-    pub fn inventory_mol_per_cm2(&self) -> f64 {
-        // Trapezoidal rule.
-        let n = self.c.len();
-        let interior: f64 = self.c[1..n - 1].iter().sum();
-        (interior + 0.5 * (self.c[0] + self.c[n - 1])) * self.dx
     }
 
     /// Diffusive flux into the electrode, mol · cm⁻² · s⁻¹ (positive when
@@ -179,21 +129,6 @@ impl DiffusionGrid {
     #[must_use]
     pub fn max_stable_dt(&self) -> Seconds {
         Seconds::from_seconds(0.5 * self.dx * self.dx / self.d)
-    }
-
-    /// Advances one explicit (FTCS) step of length `dt`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ElectrochemError::UnstableStep`] if `dt` exceeds the
-    /// stability limit [`Self::max_stable_dt`].
-    pub fn step_explicit(&mut self, dt: Seconds) -> Result<(), ElectrochemError> {
-        let r = self.d * dt.as_seconds() / (self.dx * self.dx);
-        if r > 0.5 + 1e-12 {
-            return Err(ElectrochemError::UnstableStep { ratio: r });
-        }
-        self.step_explicit_unchecked(dt);
-        Ok(())
     }
 
     /// FTCS update body; callers must have verified stability.
@@ -308,17 +243,10 @@ impl DiffusionGrid {
     }
 
     /// Runs the simulation for `duration` using steps of `dt`, choosing
-    /// the explicit integrator when stable and Crank–Nicolson otherwise.
-    pub fn advance(&mut self, duration: Seconds, dt: Seconds) {
-        // NeverCancel never trips, and an already-finite field that goes
-        // non-finite would have produced the same garbage before the
-        // guard existed — stopping early changes nothing observable.
-        let _ = self.advance_checked(duration, dt, &NeverCancel);
-    }
-
-    /// [`Self::advance`] with cooperative cancellation and a numerical
-    /// guardrail: every [`POLL_INTERVAL`] steps the solver polls `cp`
-    /// and scans the field for NaN/±Inf.
+    /// the explicit integrator when stable and Crank–Nicolson otherwise,
+    /// with cooperative cancellation and a numerical guardrail: every
+    /// [`POLL_INTERVAL`] steps the solver polls `cp` and scans the field
+    /// for NaN/±Inf.
     ///
     /// # Errors
     ///
@@ -360,48 +288,12 @@ impl DiffusionGrid {
     pub fn is_finite(&self) -> bool {
         self.c.iter().all(|v| v.is_finite())
     }
-
-    /// The brownout resolution-downgrade hook: a fresh grid spanning
-    /// the same domain (same length in cm, same bulk [`Molar`]
-    /// concentration, same boundary condition) with roughly
-    /// `1/factor` of the nodes, floored at the 3-node minimum. Under
-    /// sustained overload the gateway trades spatial resolution for
-    /// service time instead of dropping work — a coarser grid takes
-    /// proportionally fewer explicit steps to cover the same physical
-    /// duration (the stable step grows as Δx²).
-    ///
-    /// The returned grid starts from a uniform bulk field: coarsening
-    /// is a *job-level* downgrade applied before simulating, not a
-    /// mid-run resampling, so a degraded run is still a pure function
-    /// of its inputs.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ElectrochemError::InvalidParameter`] when `factor`
-    /// is zero.
-    pub fn coarsened(&self, factor: usize) -> Result<DiffusionGrid, ElectrochemError> {
-        if factor == 0 {
-            return Err(ElectrochemError::InvalidParameter {
-                name: "coarsening factor",
-                value: 0.0,
-            });
-        }
-        let nodes = (self.c.len().div_ceil(factor)).max(3);
-        let length_cm = self.dx * (self.c.len() - 1) as f64;
-        let mut grid = DiffusionGrid::new(
-            DiffusionCoefficient::from_square_cm_per_second(self.d),
-            Molar::from_molar(self.bulk * 1e3),
-            length_cm,
-            nodes,
-        )?;
-        grid.set_surface(self.surface);
-        Ok(grid)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::NeverCancel;
 
     fn grid() -> DiffusionGrid {
         DiffusionGrid::new(
@@ -413,24 +305,127 @@ mod tests {
         .expect("valid grid")
     }
 
+    fn advance(g: &mut DiffusionGrid, duration_ms: f64, dt_ms: f64) {
+        g.advance_checked(
+            Seconds::from_millis(duration_ms),
+            Seconds::from_millis(dt_ms),
+            &NeverCancel,
+        )
+        .expect("healthy field stays finite");
+    }
+
+    /// Total moles per unit area in the domain (trapezoidal rule), the
+    /// quantity a no-flux wall conserves.
+    fn inventory_mol_per_cm2(g: &DiffusionGrid) -> f64 {
+        let n = g.c.len();
+        let interior: f64 = g.c[1..n - 1].iter().sum();
+        (interior + 0.5 * (g.c[0] + g.c[n - 1])) * g.dx
+    }
+
     #[test]
     fn blocking_wall_conserves_mass_explicit() {
         let mut g = grid();
-        let before = g.inventory_mol_per_cm2();
+        let before = inventory_mol_per_cm2(&g);
         let dt = g.max_stable_dt() * 0.9;
         for _ in 0..200 {
-            g.step_explicit(dt).expect("stable step");
+            g.step_explicit_unchecked(dt);
         }
-        let after = g.inventory_mol_per_cm2();
+        let after = inventory_mol_per_cm2(&g);
         assert!((after - before).abs() / before < 1e-9);
+    }
+
+    /// Mass is conserved by the explicit solver under a blocking wall
+    /// for any stable step size.
+    #[test]
+    fn diffusion_conserves_mass() {
+        bios_prng::cases(0x0105, 24, |rng| {
+            let nodes = rng.index_in(11, 200);
+            let bulk = rng.log_uniform_in(0.01, 10.0);
+            let frac = rng.uniform_in(0.1, 0.95);
+            let steps = rng.index_in(1, 150);
+            let mut g = DiffusionGrid::new(
+                DiffusionCoefficient::from_square_cm_per_second(1e-5),
+                Molar::from_milli_molar(bulk),
+                50e-4,
+                nodes,
+            )
+            .expect("valid grid");
+            let before = inventory_mol_per_cm2(&g);
+            let dt = g.max_stable_dt() * frac;
+            for _ in 0..steps {
+                g.step_explicit_unchecked(dt);
+            }
+            let after = inventory_mol_per_cm2(&g);
+            assert!((after - before).abs() / before < 1e-9);
+        });
+    }
+
+    /// Concentrations never go negative or exceed bulk under a
+    /// consuming surface.
+    #[test]
+    fn diffusion_respects_physical_bounds() {
+        bios_prng::cases(0x0106, 24, |rng| {
+            let steps = rng.index_in(1, 300);
+            let frac = rng.uniform_in(0.1, 0.95);
+            let bulk = 1.0;
+            let mut g = DiffusionGrid::new(
+                DiffusionCoefficient::from_square_cm_per_second(1e-5),
+                Molar::from_milli_molar(bulk),
+                50e-4,
+                101,
+            )
+            .expect("valid grid");
+            g.set_surface(SurfaceBoundary::Concentration(0.0));
+            let dt = g.max_stable_dt() * frac;
+            for _ in 0..steps {
+                g.step_explicit_unchecked(dt);
+            }
+            for (i, &c) in g.c.iter().enumerate() {
+                let c = c * 1e6;
+                assert!(c >= -1e-12, "node {i} negative: {c}");
+                assert!(c <= bulk + 1e-9, "node {i} exceeds bulk: {c}");
+            }
+        });
+    }
+
+    /// Crank–Nicolson agrees with the explicit integrator at matched
+    /// (stable) steps, for random durations.
+    #[test]
+    fn integrators_agree() {
+        bios_prng::cases(0x0107, 16, |rng| {
+            let steps = rng.index_in(10, 200);
+            let make = || {
+                let mut g = DiffusionGrid::new(
+                    DiffusionCoefficient::from_square_cm_per_second(1e-5),
+                    Molar::from_milli_molar(1.0),
+                    50e-4,
+                    101,
+                )
+                .expect("valid grid");
+                g.set_surface(SurfaceBoundary::Concentration(0.0));
+                g
+            };
+            let mut ge = make();
+            let mut gc = make();
+            let dt = ge.max_stable_dt() * 0.5;
+            for _ in 0..steps {
+                ge.step_explicit_unchecked(dt);
+                gc.step_crank_nicolson(dt);
+            }
+            for i in 0..ge.c.len() {
+                let a = ge.c[i] * 1e6;
+                let b = gc.c[i] * 1e6;
+                assert!((a - b).abs() < 1e-2, "node {i}: {a} vs {b}");
+            }
+        });
     }
 
     #[test]
     fn uniform_field_is_steady_state() {
         let mut g = grid();
-        g.advance(Seconds::from_millis(50.0), Seconds::from_millis(0.1));
-        for i in 0..g.nodes() {
-            assert!((g.concentration_at(i).as_milli_molar() - 1.0).abs() < 1e-9);
+        advance(&mut g, 50.0, 0.1);
+        for &c in &g.c {
+            assert!((c * 1e6 - 1.0).abs() < 1e-9);
         }
     }
 
@@ -438,14 +433,13 @@ mod tests {
     fn consuming_surface_depletes_near_field() {
         let mut g = grid();
         g.set_surface(SurfaceBoundary::Concentration(0.0));
-        g.advance(Seconds::from_millis(100.0), Seconds::from_millis(0.2));
+        advance(&mut g, 100.0, 0.2);
         // Monotone profile from 0 at the electrode to bulk far away.
-        let profile = g.profile();
-        assert!(profile[0].as_milli_molar() < 1e-9);
-        for w in profile.windows(2) {
+        assert!(g.c[0] * 1e6 < 1e-9);
+        for w in g.c.windows(2) {
             assert!(w[1] >= w[0]);
         }
-        assert!((profile.last().unwrap().as_milli_molar() - 1.0).abs() < 1e-9);
+        assert!((g.c[g.c.len() - 1] * 1e6 - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -479,12 +473,12 @@ mod tests {
         gc.set_surface(SurfaceBoundary::Concentration(0.0));
         let dt = ge.max_stable_dt() * 0.5;
         for _ in 0..500 {
-            ge.step_explicit(dt).expect("stable step");
+            ge.step_explicit_unchecked(dt);
             gc.step_crank_nicolson(dt);
         }
-        for i in 0..ge.nodes() {
-            let a = ge.concentration_at(i).as_milli_molar();
-            let b = gc.concentration_at(i).as_milli_molar();
+        for i in 0..ge.c.len() {
+            let a = ge.c[i] * 1e6;
+            let b = gc.c[i] * 1e6;
             assert!((a - b).abs() < 5e-3, "node {i}: {a} vs {b}");
         }
     }
@@ -494,42 +488,19 @@ mod tests {
         let mut g = grid();
         let f = 1e-10; // mol/cm²/s outward
         g.set_surface(SurfaceBoundary::Flux(f));
-        let before = g.inventory_mol_per_cm2();
+        let before = inventory_mol_per_cm2(&g);
         let dt = g.max_stable_dt() * 0.9;
         let mut elapsed = 0.0;
         for _ in 0..400 {
-            g.step_explicit(dt).expect("stable step");
+            g.step_explicit_unchecked(dt);
             elapsed += dt.as_seconds();
         }
-        let after = g.inventory_mol_per_cm2();
+        let after = inventory_mol_per_cm2(&g);
         // Bulk boundary replenishes, so drained mass is bounded by f·t but
         // the near-surface deficit must exist.
         assert!(after < before);
         assert!(before - after <= f * elapsed * 1.5);
-        assert!(g.concentration_at(0) < g.concentration_at(g.nodes() - 1));
-    }
-
-    #[test]
-    fn explicit_step_guards_stability() {
-        let mut g = grid();
-        let dt = g.max_stable_dt() * 4.0;
-        let before = g.profile();
-        match g.step_explicit(dt) {
-            Err(ElectrochemError::UnstableStep { ratio }) => assert!(ratio > 0.5),
-            other => panic!("expected UnstableStep, got {other:?}"),
-        }
-        // The rejected step must not have touched the field.
-        assert_eq!(g.profile(), before);
-    }
-
-    #[test]
-    fn set_bulk_moves_far_boundary() {
-        let mut g = grid();
-        g.set_bulk(Molar::from_milli_molar(2.0));
-        assert!((g.concentration_at(g.nodes() - 1).as_milli_molar() - 2.0).abs() < 1e-12);
-        // After long equilibration with blocking wall, whole field → 2 mM.
-        g.advance(Seconds::from_seconds(25.0), Seconds::from_millis(2.0));
-        assert!((g.concentration_at(0).as_milli_molar() - 2.0).abs() < 0.05);
+        assert!(g.c[0] < g.c[g.c.len() - 1]);
     }
 
     #[test]
@@ -550,23 +521,18 @@ mod tests {
     }
 
     #[test]
-    fn advance_checked_matches_unchecked_advance() {
+    fn advance_checked_matches_unchecked_steps() {
         let mut a = grid();
         let mut b = grid();
         a.set_surface(SurfaceBoundary::Concentration(0.0));
         b.set_surface(SurfaceBoundary::Concentration(0.0));
-        a.advance(Seconds::from_millis(50.0), Seconds::from_millis(0.2));
-        b.advance_checked(
-            Seconds::from_millis(50.0),
-            Seconds::from_millis(0.2),
-            &crate::checkpoint::NeverCancel,
-        )
-        .expect("healthy field stays finite");
-        assert_eq!(
-            a.profile(),
-            b.profile(),
-            "checked path must be bit-identical"
-        );
+        let dt = Seconds::from_millis(0.2);
+        assert!(dt <= a.max_stable_dt());
+        for _ in 0..250 {
+            a.step_explicit_unchecked(dt);
+        }
+        advance(&mut b, 50.0, 0.2);
+        assert_eq!(a.c, b.c, "checked path must be bit-identical");
     }
 
     #[test]
@@ -574,7 +540,7 @@ mod tests {
         use std::sync::atomic::AtomicBool;
         let mut g = grid();
         let token = AtomicBool::new(true);
-        let before = g.profile();
+        let before = g.c.clone();
         let result = g.advance_checked(
             Seconds::from_seconds(10.0),
             Seconds::from_millis(1.0),
@@ -582,7 +548,7 @@ mod tests {
         );
         assert!(matches!(result, Err(ElectrochemError::Cancelled)));
         // Cancellation at step 0 must not have advanced the field.
-        assert_eq!(g.profile(), before);
+        assert_eq!(g.c, before);
     }
 
     #[test]
@@ -596,7 +562,7 @@ mod tests {
         let result = g.advance_checked(
             Seconds::from_seconds(1.0),
             g.max_stable_dt() * 0.9,
-            &crate::checkpoint::NeverCancel,
+            &NeverCancel,
         );
         match result {
             Err(ElectrochemError::NonFinite { step }) => {
@@ -606,59 +572,6 @@ mod tests {
             other => panic!("expected NonFinite, got {other:?}"),
         }
         assert!(!g.is_finite());
-    }
-
-    #[test]
-    fn coarsened_grid_preserves_domain_and_speeds_up() {
-        let g = grid(); // 101 nodes over 100 µm
-        let coarse = g.coarsened(4).expect("valid factor");
-        assert_eq!(coarse.nodes(), 26);
-        // Same physical domain: (nodes-1)·dx is unchanged.
-        let span = |g: &DiffusionGrid| g.dx_cm() * (g.nodes() - 1) as f64;
-        assert!((span(&coarse) - span(&g)).abs() < 1e-12);
-        // Coarser grid ⇒ larger stable explicit step ⇒ fewer steps for
-        // the same physical duration.
-        assert!(coarse.max_stable_dt() > g.max_stable_dt() * 4.0);
-        // Degraded physics stays physics: the Cottrell-like depletion
-        // still develops on the coarse grid.
-        let mut coarse = coarse;
-        coarse.set_surface(SurfaceBoundary::Concentration(0.0));
-        coarse.advance(Seconds::from_millis(100.0), Seconds::from_millis(0.2));
-        assert!(coarse.concentration_at(0).as_milli_molar() < 1e-9);
-        assert!(coarse.flux_mol_per_cm2_s() > 0.0);
-    }
-
-    #[test]
-    fn coarsened_rejects_zero_and_floors_at_minimum() {
-        let g = grid();
-        assert!(matches!(
-            g.coarsened(0),
-            Err(ElectrochemError::InvalidParameter {
-                name: "coarsening factor",
-                ..
-            })
-        ));
-        let floor = g.coarsened(usize::MAX).expect("huge factor still valid");
-        assert_eq!(floor.nodes(), 3);
-    }
-
-    #[test]
-    fn coarsened_flux_approximates_fine_grid_flux() {
-        // The brownout accuracy argument in miniature: a 4× coarser
-        // grid reproduces the fine-grid Cottrell flux to a few percent.
-        let d = DiffusionCoefficient::from_square_cm_per_second(1e-5);
-        let bulk = Molar::from_milli_molar(1.0);
-        let mut fine = DiffusionGrid::new(d, bulk, 400e-4, 801).expect("valid grid");
-        fine.set_surface(SurfaceBoundary::Concentration(0.0));
-        let mut coarse = fine.coarsened(4).expect("valid factor");
-        let dt = Seconds::from_millis(1.0);
-        for _ in 0..1000 {
-            fine.step_crank_nicolson(dt);
-            coarse.step_crank_nicolson(dt);
-        }
-        let f = fine.flux_mol_per_cm2_s();
-        let c = coarse.flux_mol_per_cm2_s();
-        assert!((f - c).abs() / f < 0.05, "fine {f} vs coarse {c}");
     }
 
     #[test]

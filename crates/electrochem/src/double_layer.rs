@@ -6,7 +6,7 @@
 //! their enormous real surface area — need careful treatment: capacitance
 //! scales with *real* area while the useful signal scales with coverage.
 
-use bios_units::{Amperes, ScanRate, Seconds, SquareCm, Volts};
+use bios_units::{Amperes, ScanRate, SquareCm};
 
 /// A double-layer capacitor at the electrode interface.
 ///
@@ -34,9 +34,6 @@ pub struct DoubleLayer {
 }
 
 impl DoubleLayer {
-    /// Typical specific capacitance of a clean metal electrode, F/cm².
-    pub const TYPICAL_SPECIFIC: f64 = 20e-6;
-
     /// Creates a double layer.
     ///
     /// # Panics
@@ -68,26 +65,6 @@ impl DoubleLayer {
     pub fn charging_current(&self, scan_rate: ScanRate) -> Amperes {
         Amperes::from_amps(self.capacitance_farads() * scan_rate.as_volts_per_second())
     }
-
-    /// Exponentially decaying charging transient after a potential step
-    /// `ΔE` through solution resistance `r_ohms`:
-    /// `i(t) = (ΔE/R)·exp(−t/(R·C))`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r_ohms` is not positive.
-    #[must_use]
-    pub fn step_transient(&self, delta_e: Volts, r_ohms: f64, t: Seconds) -> Amperes {
-        assert!(r_ohms > 0.0, "solution resistance must be positive");
-        let tau = r_ohms * self.capacitance_farads();
-        Amperes::from_amps(delta_e.as_volts() / r_ohms * (-t.as_seconds() / tau).exp())
-    }
-
-    /// The RC time constant for a step through `r_ohms`, seconds.
-    #[must_use]
-    pub fn time_constant(&self, r_ohms: f64) -> Seconds {
-        Seconds::from_seconds(r_ohms * self.capacitance_farads())
-    }
 }
 
 #[cfg(test)]
@@ -114,16 +91,6 @@ mod tests {
     fn roughness_multiplies_capacitance() {
         let rough = DoubleLayer::new(20e-6, SquareCm::from_square_cm(0.1), 80.0);
         assert!((rough.capacitance_farads() / dl().capacitance_farads() - 80.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn step_transient_decays_with_tau() {
-        let d = dl();
-        let r = 1000.0;
-        let tau = d.time_constant(r);
-        let i0 = d.step_transient(Volts::from_milli_volts(100.0), r, Seconds::ZERO);
-        let it = d.step_transient(Volts::from_milli_volts(100.0), r, tau);
-        assert!((it.as_amps() / i0.as_amps() - (-1.0f64).exp()).abs() < 1e-12);
     }
 
     #[test]

@@ -24,18 +24,6 @@ pub enum ElectrochemError {
         /// The offending length in cm.
         length_cm: f64,
     },
-    /// An explicit time step exceeded the FTCS stability limit.
-    UnstableStep {
-        /// The stability ratio `D·Δt/Δx²` that was requested.
-        ratio: f64,
-    },
-    /// A named scalar parameter was out of its physical range.
-    InvalidParameter {
-        /// Which parameter was rejected.
-        name: &'static str,
-        /// The offending value.
-        value: f64,
-    },
     /// A checked solver loop observed its cancellation token and
     /// stopped cooperatively (watchdog deadline, shutdown).
     Cancelled,
@@ -58,12 +46,6 @@ impl fmt::Display for ElectrochemError {
                     f,
                     "domain length must be positive and finite, got {length_cm} cm"
                 )
-            }
-            ElectrochemError::UnstableStep { ratio } => {
-                write!(f, "explicit step unstable: D*dt/dx^2 = {ratio} > 0.5")
-            }
-            ElectrochemError::InvalidParameter { name, value } => {
-                write!(f, "{name} out of range: {value}")
             }
             ElectrochemError::Cancelled => {
                 write!(f, "solver cancelled at a cooperative checkpoint")
@@ -88,13 +70,6 @@ mod tests {
             minimum: 3,
         };
         assert!(e.to_string().contains("at least 3 nodes"));
-        let e = ElectrochemError::UnstableStep { ratio: 1.25 };
-        assert!(e.to_string().contains("unstable"));
-        let e = ElectrochemError::InvalidParameter {
-            name: "catalytic rate",
-            value: -1.0,
-        };
-        assert!(e.to_string().contains("catalytic rate"));
         let e = ElectrochemError::InvalidLength { length_cm: -0.5 };
         assert!(e.to_string().contains("positive"));
     }

@@ -62,21 +62,6 @@ impl BioFet {
         }
     }
 
-    /// An ISFET pH/charge sensor with a covalently functionalized gate
-    /// (\[24\]): denser small probes, µM affinity.
-    #[must_use]
-    pub fn isfet() -> BioFet {
-        BioFet {
-            probe_density_per_m2: 2e15,
-            kd: Molar::from_micro_molar(10.0),
-            charges_per_target: -1.0,
-            oxide_capacitance_per_m2: 3.45e-3, // ~10 nm SiO₂
-            threshold: Volts::from_milli_volts(700.0),
-            overdrive: Volts::from_milli_volts(250.0),
-            k_prime: 1e-4,
-        }
-    }
-
     /// Fraction of probes occupied at target concentration `c`
     /// (Langmuir).
     #[must_use]
@@ -116,18 +101,6 @@ impl BioFet {
         }
         (i - i0).abs() / i0
     }
-
-    /// The bare threshold voltage.
-    #[must_use]
-    pub fn threshold(&self) -> Volts {
-        self.threshold
-    }
-
-    /// The probe–target dissociation constant.
-    #[must_use]
-    pub fn kd(&self) -> Molar {
-        self.kd
-    }
 }
 
 #[cfg(test)]
@@ -138,7 +111,7 @@ mod tests {
     fn occupancy_is_langmuir() {
         let fet = BioFet::psa_cnt_fet();
         assert_eq!(fet.occupancy(Molar::ZERO), 0.0);
-        let half = fet.occupancy(fet.kd());
+        let half = fet.occupancy(fet.kd);
         assert!((half - 0.5).abs() < 1e-12);
         assert!(fet.occupancy(Molar::from_micro_molar(1.0)) > 0.99);
     }
@@ -184,10 +157,5 @@ mod tests {
         fet.charges_per_target = -1000.0;
         let i = fet.drain_current(Molar::from_micro_molar(10.0));
         assert_eq!(i, Amperes::ZERO);
-    }
-
-    #[test]
-    fn isfet_and_cnt_fet_differ_in_affinity() {
-        assert!(BioFet::isfet().kd() > BioFet::psa_cnt_fet().kd());
     }
 }

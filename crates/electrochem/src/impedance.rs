@@ -28,18 +28,6 @@ impl Complex {
         Complex { re, im }
     }
 
-    /// Magnitude |z|, in the same unit as the parts (Ω for impedances).
-    #[must_use]
-    pub fn magnitude(self) -> f64 {
-        self.re.hypot(self.im)
-    }
-
-    /// Phase angle in radians.
-    #[must_use]
-    pub fn phase(self) -> f64 {
-        self.im.atan2(self.re)
-    }
-
     /// Complex reciprocal.
     ///
     /// # Panics
@@ -153,16 +141,6 @@ impl RandlesCell {
             })
             .collect()
     }
-
-    /// The characteristic frequency, in Hz, of the charge-transfer
-    /// semicircle apex, `f* = 1/(2π·R_ct·C_dl)`.
-    #[must_use]
-    pub fn apex_frequency(&self) -> f64 {
-        1.0 / (2.0
-            * std::f64::consts::PI
-            * self.charge_transfer_resistance
-            * self.double_layer_capacitance)
-    }
 }
 
 /// Estimates `R_ct`, in Ω, from a measured spectrum as the width of the
@@ -216,7 +194,8 @@ mod tests {
     #[test]
     fn apex_is_most_capacitive_point() {
         let c = cell();
-        let f_apex = c.apex_frequency();
+        // Semicircle apex, f* = 1/(2π·R_ct·C_dl).
+        let f_apex = 1.0 / (2.0 * std::f64::consts::PI * 10_000.0 * 1e-6);
         let at = |f: f64| -c.impedance(f).im;
         assert!(at(f_apex) > at(f_apex * 5.0));
         assert!(at(f_apex) > at(f_apex / 5.0));
@@ -271,7 +250,6 @@ mod tests {
     #[test]
     fn complex_helpers() {
         let z = Complex::new(3.0, 4.0);
-        assert!((z.magnitude() - 5.0).abs() < 1e-12);
         let r = z.recip();
         assert!((r.re - 0.12).abs() < 1e-12);
         assert!((r.im + 0.16).abs() < 1e-12);

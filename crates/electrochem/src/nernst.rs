@@ -1,6 +1,6 @@
-//! The Nernst equation and related equilibrium relations.
+//! Nernstian relations: the thermal voltage and the slope per decade.
 
-use bios_units::{Kelvin, Molar, Volts, FARADAY, GAS_CONSTANT};
+use bios_units::{Kelvin, Volts, FARADAY, GAS_CONSTANT};
 
 /// Thermal voltage `RT/F` at temperature `t` — about 25.7 mV at 25 °C.
 ///
@@ -16,62 +16,6 @@ use bios_units::{Kelvin, Molar, Volts, FARADAY, GAS_CONSTANT};
 #[must_use]
 pub fn thermal_voltage(t: Kelvin) -> Volts {
     Volts::from_volts(GAS_CONSTANT * t.as_kelvin() / FARADAY)
-}
-
-/// Equilibrium potential of a redox couple by the Nernst equation:
-///
-/// `E = E⁰ + (RT/nF) · ln([Ox]/[Red])`
-///
-/// # Panics
-///
-/// Panics if `n == 0` — a redox couple transfers at least one electron.
-///
-/// # Examples
-///
-/// ```
-/// use bios_electrochem::nernst::nernst_potential;
-/// use bios_units::{Kelvin, Molar, Volts};
-///
-/// // Equal activities: E = E⁰.
-/// let e = nernst_potential(
-///     Volts::from_milli_volts(200.0),
-///     1,
-///     Molar::from_milli_molar(1.0),
-///     Molar::from_milli_molar(1.0),
-///     Kelvin::ROOM,
-/// );
-/// assert!((e.as_milli_volts() - 200.0).abs() < 1e-9);
-/// ```
-#[must_use]
-pub fn nernst_potential(
-    standard_potential: Volts,
-    n: u32,
-    oxidized: Molar,
-    reduced: Molar,
-    t: Kelvin,
-) -> Volts {
-    assert!(n > 0, "electron count must be at least 1");
-    let vt = thermal_voltage(t).as_volts();
-    let ratio = oxidized.as_molar() / reduced.as_molar();
-    Volts::from_volts(standard_potential.as_volts() + vt / f64::from(n) * ratio.ln())
-}
-
-/// Surface concentration ratio `[Ox]/[Red]` imposed by an applied
-/// potential under Nernstian (reversible) conditions:
-///
-/// `[Ox]/[Red] = exp(nF(E − E⁰)/RT)`
-///
-/// This is the boundary condition that drives the reversible cyclic
-/// voltammetry simulation in [`crate::voltammetry`].
-///
-/// # Panics
-///
-/// Panics if `n == 0`.
-#[must_use]
-pub fn nernst_ratio(applied: Volts, standard_potential: Volts, n: u32, t: Kelvin) -> f64 {
-    assert!(n > 0, "electron count must be at least 1");
-    let vt = thermal_voltage(t).as_volts();
-    (f64::from(n) * (applied.as_volts() - standard_potential.as_volts()) / vt).exp()
 }
 
 /// The Nernstian slope per decade of concentration ratio:
@@ -100,40 +44,6 @@ mod tests {
         // n = 2 halves the slope.
         let slope2 = nernstian_slope_per_decade(2, Kelvin::ROOM);
         assert!((slope2.as_milli_volts() - 29.58).abs() < 0.05);
-    }
-
-    #[test]
-    fn decade_of_concentration_shifts_by_slope() {
-        let e0 = Volts::from_milli_volts(100.0);
-        let e1 = nernst_potential(
-            e0,
-            1,
-            Molar::from_milli_molar(10.0),
-            Molar::from_milli_molar(1.0),
-            Kelvin::ROOM,
-        );
-        let expected = nernstian_slope_per_decade(1, Kelvin::ROOM);
-        assert!((e1.as_volts() - e0.as_volts() - expected.as_volts()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn ratio_is_one_at_standard_potential() {
-        let e0 = Volts::from_milli_volts(300.0);
-        let r = nernst_ratio(e0, e0, 1, Kelvin::ROOM);
-        assert!((r - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ratio_grows_exponentially_positive_of_e0() {
-        let e0 = Volts::ZERO;
-        let vt = thermal_voltage(Kelvin::ROOM).as_volts();
-        let r = nernst_ratio(Volts::from_volts(vt), e0, 1, Kelvin::ROOM);
-        assert!((r - std::f64::consts::E).abs() < 1e-9);
-    }
-
-    #[test]
-    fn higher_temperature_raises_thermal_voltage() {
-        assert!(thermal_voltage(Kelvin::PHYSIOLOGICAL) > thermal_voltage(Kelvin::ROOM));
     }
 
     #[test]

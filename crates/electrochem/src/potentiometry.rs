@@ -43,9 +43,6 @@ pub struct IonSelectiveElectrode {
     standard_potential: Volts,
     charge: i32,
     temperature: Kelvin,
-    /// Fraction of the ideal Nernstian slope actually delivered
-    /// (membrane quality); 1.0 is ideal.
-    slope_efficiency: f64,
 }
 
 impl IonSelectiveElectrode {
@@ -65,32 +62,16 @@ impl IonSelectiveElectrode {
             standard_potential,
             charge,
             temperature,
-            slope_efficiency: 1.0,
         }
     }
 
-    /// Degrades the electrode slope to `fraction` of Nernstian (aged or
-    /// fouled membranes read sub-Nernstian).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < fraction ≤ 1`.
-    #[must_use]
-    pub fn with_slope_efficiency(mut self, fraction: f64) -> IonSelectiveElectrode {
-        assert!(
-            fraction > 0.0 && fraction <= 1.0,
-            "slope efficiency must lie in (0, 1]"
-        );
-        self.slope_efficiency = fraction;
-        self
-    }
-
-    /// The electrode's actual slope per decade.
+    /// The electrode's slope per decade: the ideal Nernstian slope,
+    /// signed by the ion's charge.
     #[must_use]
     pub fn slope_per_decade(&self) -> Volts {
         let ideal = nernstian_slope_per_decade(self.charge.unsigned_abs(), self.temperature);
         let signed = if self.charge > 0 { 1.0 } else { -1.0 };
-        ideal * (self.slope_efficiency * signed)
+        ideal * signed
     }
 
     /// Electrode potential for primary-ion activity `a_i` with the given
@@ -158,14 +139,6 @@ mod tests {
         let e1 = cl.potential(Molar::from_milli_molar(0.1), &[]);
         let e2 = cl.potential(Molar::from_milli_molar(1.0), &[]);
         assert!(e2 < e1);
-    }
-
-    #[test]
-    fn sub_nernstian_membranes() {
-        let old = ise().with_slope_efficiency(0.9);
-        let e_decade = old.potential(Molar::from_milli_molar(1.0), &[])
-            - old.potential(Molar::from_milli_molar(0.1), &[]);
-        assert!((e_decade.as_milli_volts() - 0.9 * 59.16).abs() < 0.1);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! in [`crate::voltammetry`] is validated against.
 
 use bios_units::{
-    Amperes, DiffusionCoefficient, Kelvin, Molar, ScanRate, SquareCm, Volts, FARADAY, GAS_CONSTANT,
+    Amperes, DiffusionCoefficient, Kelvin, Molar, ScanRate, SquareCm, FARADAY, GAS_CONSTANT,
 };
 
 /// Reversible Randles–Ševčík peak current:
@@ -61,56 +61,6 @@ pub fn reversible_peak_current(
         * c
         * (nf * v * d.as_square_cm_per_second() / (GAS_CONSTANT * t.as_kelvin())).sqrt();
     Amperes::from_amps(i)
-}
-
-/// Irreversible-couple peak current (Nicholson–Shain):
-///
-/// `i_p = 0.4958·n·F·A·C·√(α·n·F·v·D/(R·T))`
-///
-/// with α the transfer coefficient of the rate-determining step.
-///
-/// # Panics
-///
-/// Panics if `n == 0`, the scan rate is not positive, or `alpha` is not in
-/// `(0, 1)`.
-#[must_use]
-pub fn irreversible_peak_current(
-    n: u32,
-    alpha: f64,
-    area: SquareCm,
-    d: DiffusionCoefficient,
-    bulk: Molar,
-    scan_rate: ScanRate,
-    t: Kelvin,
-) -> Amperes {
-    assert!(n > 0, "electron count must be at least 1");
-    assert!(alpha > 0.0 && alpha < 1.0, "alpha must lie in (0, 1)");
-    let v = scan_rate.as_volts_per_second();
-    assert!(v > 0.0, "scan rate must be positive");
-    let nf = f64::from(n) * FARADAY;
-    let c = bulk.as_molar() * 1e-3;
-    let i = 0.4958
-        * nf
-        * area.as_square_cm()
-        * c
-        * (alpha * nf * v * d.as_square_cm_per_second() / (GAS_CONSTANT * t.as_kelvin())).sqrt();
-    Amperes::from_amps(i)
-}
-
-/// Peak-to-peak separation of an ideal reversible couple,
-/// `ΔE_p ≈ 2.218·RT/nF` (≈ 57 mV / n at 25 °C).
-///
-/// Peak separation is the standard diagnostic for electron-transfer
-/// quality; CNT modification pulls a sluggish couple's ΔE_p down toward
-/// this reversible floor.
-///
-/// # Panics
-///
-/// Panics if `n == 0`.
-#[must_use]
-pub fn reversible_peak_separation(n: u32, t: Kelvin) -> Volts {
-    assert!(n > 0, "electron count must be at least 1");
-    Volts::from_volts(2.218 * GAS_CONSTANT * t.as_kelvin() / (f64::from(n) * FARADAY))
 }
 
 /// Surface-confined (thin-film / adsorbed species) voltammetric peak:
@@ -169,29 +119,10 @@ mod tests {
             SquareCm::from_square_cm(1.0),
             d(),
             Molar::from_milli_molar(1.0),
-            ScanRate::from_volts_per_second(0.1),
+            ScanRate::from_milli_volts_per_second(100.0),
             Kelvin::ROOM,
         );
         assert!(i.as_micro_amps() > 150.0 && i.as_micro_amps() < 350.0);
-    }
-
-    #[test]
-    fn irreversible_peak_smaller_with_low_alpha() {
-        let v = ScanRate::from_milli_volts_per_second(50.0);
-        let a = SquareCm::from_square_cm(0.1);
-        let c = Molar::from_milli_molar(1.0);
-        let rev = reversible_peak_current(1, a, d(), c, v, Kelvin::ROOM);
-        let irr = irreversible_peak_current(1, 0.5, a, d(), c, v, Kelvin::ROOM);
-        // 0.4958·√0.5 ≈ 0.3506 < 0.4463.
-        assert!(irr < rev);
-    }
-
-    #[test]
-    fn peak_separation_57_over_n() {
-        let dp1 = reversible_peak_separation(1, Kelvin::ROOM);
-        assert!((dp1.as_milli_volts() - 56.96).abs() < 0.3);
-        let dp2 = reversible_peak_separation(2, Kelvin::ROOM);
-        assert!((dp1.as_milli_volts() / dp2.as_milli_volts() - 2.0).abs() < 1e-9);
     }
 
     #[test]
@@ -232,7 +163,7 @@ mod tests {
             SquareCm::from_square_cm(0.1),
             d(),
             Molar::from_milli_molar(1.0),
-            ScanRate::from_volts_per_second(0.0),
+            ScanRate::from_milli_volts_per_second(0.0),
             Kelvin::ROOM,
         );
     }

@@ -1,37 +1,6 @@
-//! Redox-couple descriptors and tabulated transport properties.
+//! Redox-couple descriptors.
 
 use bios_units::{DiffusionCoefficient, Volts};
-
-use crate::butler_volmer::TransferKinetics;
-
-/// Tabulated aqueous diffusion coefficients (25 °C) for species relevant
-/// to the paper's sensors.
-pub mod diffusion {
-    use bios_units::DiffusionCoefficient;
-
-    /// Glucose, 6.7 × 10⁻⁶ cm²/s.
-    pub const GLUCOSE: DiffusionCoefficient =
-        DiffusionCoefficient::from_square_cm_per_second(6.7e-6);
-    /// L-lactate, 1.0 × 10⁻⁵ cm²/s.
-    pub const LACTATE: DiffusionCoefficient =
-        DiffusionCoefficient::from_square_cm_per_second(1.0e-5);
-    /// L-glutamate, 7.6 × 10⁻⁶ cm²/s.
-    pub const GLUTAMATE: DiffusionCoefficient =
-        DiffusionCoefficient::from_square_cm_per_second(7.6e-6);
-    /// Hydrogen peroxide — the species the oxidase sensors actually
-    /// oxidize at +650 mV — 1.43 × 10⁻⁵ cm²/s.
-    pub const HYDROGEN_PEROXIDE: DiffusionCoefficient =
-        DiffusionCoefficient::from_square_cm_per_second(1.43e-5);
-    /// Dissolved O₂, 2.1 × 10⁻⁵ cm²/s.
-    pub const OXYGEN: DiffusionCoefficient =
-        DiffusionCoefficient::from_square_cm_per_second(2.1e-5);
-    /// Cyclophosphamide (mid-size organic), ≈ 4.5 × 10⁻⁶ cm²/s.
-    pub const CYCLOPHOSPHAMIDE: DiffusionCoefficient =
-        DiffusionCoefficient::from_square_cm_per_second(4.5e-6);
-    /// Ferrocyanide redox probe, 6.5 × 10⁻⁶ cm²/s.
-    pub const FERROCYANIDE: DiffusionCoefficient =
-        DiffusionCoefficient::from_square_cm_per_second(6.5e-6);
-}
 
 /// A redox couple: everything the simulators need to know about the
 /// electroactive species.
@@ -44,11 +13,10 @@ pub mod diffusion {
 ///
 /// let h2o2 = RedoxCouple::builder("H2O2 oxidation")
 ///     .standard_potential(Volts::from_milli_volts(400.0))
-///     .electrons(2)
 ///     .diffusion(DiffusionCoefficient::from_square_cm_per_second(1.43e-5))
 ///     .rate_constant(1e-4)
 ///     .build();
-/// assert_eq!(h2o2.electrons(), 2);
+/// assert_eq!(h2o2.electrons(), 1);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct RedoxCouple {
@@ -72,12 +40,6 @@ impl RedoxCouple {
             k0_cm_per_s: 1e-3,
             diffusion: DiffusionCoefficient::from_square_cm_per_second(1e-5),
         }
-    }
-
-    /// Display name.
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
     }
 
     /// Formal/standard potential `E⁰`.
@@ -110,16 +72,6 @@ impl RedoxCouple {
         self.diffusion
     }
 
-    /// The couple's electron-transfer kinetics bundle.
-    #[must_use]
-    pub fn kinetics(&self) -> TransferKinetics {
-        TransferKinetics {
-            k0_cm_per_s: self.k0_cm_per_s,
-            alpha: self.alpha,
-            n: self.electrons,
-        }
-    }
-
     /// Returns a copy with the rate constant multiplied by `factor` —
     /// how surface modifications (CNT films) accelerate the couple.
     #[must_use]
@@ -127,42 +79,6 @@ impl RedoxCouple {
         let mut out = self.clone();
         out.k0_cm_per_s *= factor;
         out
-    }
-
-    /// The ferrocyanide/ferricyanide probe used to characterize electrode
-    /// surfaces in virtually every CNT-biosensor paper.
-    #[must_use]
-    pub fn ferrocyanide_probe() -> RedoxCouple {
-        RedoxCouple::builder("Fe(CN)6^3-/4-")
-            .standard_potential(Volts::from_milli_volts(230.0))
-            .electrons(1)
-            .diffusion(diffusion::FERROCYANIDE)
-            .rate_constant(5e-3)
-            .build()
-    }
-
-    /// H₂O₂ oxidation at a metallic electrode, the detection reaction of
-    /// every oxidase sensor in Table 2.
-    #[must_use]
-    pub fn hydrogen_peroxide_oxidation() -> RedoxCouple {
-        RedoxCouple::builder("H2O2 -> O2 + 2H+ + 2e-")
-            .standard_potential(Volts::from_milli_volts(400.0))
-            .electrons(2)
-            .diffusion(diffusion::HYDROGEN_PEROXIDE)
-            .rate_constant(2e-4)
-            .build()
-    }
-
-    /// The cytochrome-P450 heme Fe(III)/Fe(II) couple driving the drug
-    /// sensors (§3.2.4).
-    #[must_use]
-    pub fn cyp_heme() -> RedoxCouple {
-        RedoxCouple::builder("CYP450 Fe(III)/Fe(II)")
-            .standard_potential(Volts::from_milli_volts(-300.0))
-            .electrons(1)
-            .diffusion(DiffusionCoefficient::from_square_cm_per_second(1e-6))
-            .rate_constant(5e-4)
-            .build()
     }
 }
 
@@ -182,33 +98,6 @@ impl RedoxCoupleBuilder {
     #[must_use]
     pub fn standard_potential(mut self, e0: Volts) -> Self {
         self.standard_potential = e0;
-        self
-    }
-
-    /// Sets the electron count `n`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    #[must_use]
-    pub fn electrons(mut self, n: u32) -> Self {
-        assert!(n > 0, "electron count must be at least 1");
-        self.electrons = n;
-        self
-    }
-
-    /// Sets the transfer coefficient α (dimensionless).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < alpha < 1`.
-    #[must_use]
-    pub fn alpha(mut self, alpha: f64) -> Self {
-        assert!(
-            alpha > 0.0 && alpha < 1.0,
-            "transfer coefficient must lie in (0, 1)"
-        );
-        self.alpha = alpha;
         self
     }
 
@@ -262,7 +151,10 @@ mod tests {
 
     #[test]
     fn rate_enhancement_multiplies_k0() {
-        let base = RedoxCouple::hydrogen_peroxide_oxidation();
+        let base = RedoxCouple::builder("H2O2 oxidation")
+            .standard_potential(Volts::from_milli_volts(400.0))
+            .rate_constant(2e-4)
+            .build();
         let boosted = base.with_rate_enhanced(50.0);
         assert!((boosted.rate_constant() / base.rate_constant() - 50.0).abs() < 1e-9);
         // Everything else is untouched.
@@ -271,34 +163,8 @@ mod tests {
     }
 
     #[test]
-    fn stock_couples_have_expected_shapes() {
-        assert_eq!(RedoxCouple::hydrogen_peroxide_oxidation().electrons(), 2);
-        assert_eq!(RedoxCouple::ferrocyanide_probe().electrons(), 1);
-        assert!(RedoxCouple::cyp_heme().standard_potential().as_volts() < 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "transfer coefficient")]
-    fn alpha_must_be_fractional() {
-        let _ = RedoxCouple::builder("bad").alpha(1.5);
-    }
-
-    #[test]
     #[should_panic(expected = "positive and finite")]
     fn k0_must_be_positive() {
         let _ = RedoxCouple::builder("bad").rate_constant(0.0);
-    }
-
-    #[test]
-    fn kinetics_bundle_matches_fields() {
-        let c = RedoxCouple::builder("x")
-            .electrons(2)
-            .alpha(0.4)
-            .rate_constant(3e-3)
-            .build();
-        let k = c.kinetics();
-        assert_eq!(k.n, 2);
-        assert_eq!(k.alpha, 0.4);
-        assert_eq!(k.k0_cm_per_s, 3e-3);
     }
 }

@@ -102,7 +102,10 @@ impl Voltammogram {
 /// use bios_electrochem::{CyclicSweep, RedoxCouple};
 /// use bios_units::{Kelvin, Molar, ScanRate, SquareCm, Volts};
 ///
-/// let couple = RedoxCouple::ferrocyanide_probe();
+/// let couple = RedoxCouple::builder("ferrocyanide")
+///     .standard_potential(Volts::from_milli_volts(230.0))
+///     .rate_constant(5e-3)
+///     .build();
 /// let sweep = CyclicSweep::new(
 ///     Volts::from_milli_volts(-170.0),
 ///     Volts::from_milli_volts(630.0),
@@ -119,16 +122,10 @@ impl Voltammogram {
 pub struct CvSimulator {
     couple: RedoxCouple,
     area: SquareCm,
-    temperature: Kelvin,
-    oxidized_bulk: Molar,
     reduced_bulk: Molar,
     nodes: usize,
     /// Samples stored per simulated second of sweep.
     samples_per_second: f64,
-    /// EC′ pseudo-first-order regeneration rate, s⁻¹: the reduced form
-    /// is chemically re-oxidized in solution (substrate turnover), so
-    /// the cathodic wave becomes catalytic. 0 disables the mechanism.
-    catalytic_rate_per_s: f64,
 }
 
 impl CvSimulator {
@@ -139,55 +136,16 @@ impl CvSimulator {
         CvSimulator {
             couple,
             area,
-            temperature: Kelvin::ROOM,
-            oxidized_bulk: Molar::ZERO,
             reduced_bulk: Molar::ZERO,
             nodes: 240,
             samples_per_second: 50.0,
-            catalytic_rate_per_s: 0.0,
         }
-    }
-
-    /// Enables the EC′ catalytic mechanism: after electro-reduction, the
-    /// reduced form is chemically converted back to the oxidized form at
-    /// pseudo-first-order rate `k` (set by the substrate concentration
-    /// and the catalyst turnover). The cathodic wave then plateaus at a
-    /// substrate-dependent catalytic current instead of peaking — the
-    /// textbook signature of mediated enzyme catalysis.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ElectrochemError::InvalidParameter`] if the rate is
-    /// negative or non-finite.
-    pub fn with_catalytic_rate(mut self, k_per_s: f64) -> Result<CvSimulator, ElectrochemError> {
-        if !(k_per_s >= 0.0 && k_per_s.is_finite()) {
-            return Err(ElectrochemError::InvalidParameter {
-                name: "catalytic rate",
-                value: k_per_s,
-            });
-        }
-        self.catalytic_rate_per_s = k_per_s;
-        Ok(self)
-    }
-
-    /// Sets the bulk concentration of the oxidized form.
-    #[must_use]
-    pub fn with_oxidized_bulk(mut self, c: Molar) -> CvSimulator {
-        self.oxidized_bulk = c;
-        self
     }
 
     /// Sets the bulk concentration of the reduced form.
     #[must_use]
     pub fn with_reduced_bulk(mut self, c: Molar) -> CvSimulator {
         self.reduced_bulk = c;
-        self
-    }
-
-    /// Sets the cell temperature.
-    #[must_use]
-    pub fn with_temperature(mut self, t: Kelvin) -> CvSimulator {
-        self.temperature = t;
         self
     }
 
@@ -245,15 +203,15 @@ impl CvSimulator {
         let dt = t_total / steps as f64;
         let r = d * dt / (dx * dx);
 
-        let c_ox_bulk = self.oxidized_bulk.as_molar() * 1e-3;
+        // Only the reduced form is present in the bulk.
         let c_red_bulk = self.reduced_bulk.as_molar() * 1e-3;
-        let mut c_ox = vec![c_ox_bulk; self.nodes];
+        let mut c_ox = vec![0.0_f64; self.nodes];
         let mut c_red = vec![c_red_bulk; self.nodes];
         let mut old_ox = c_ox.clone();
         let mut old_red = c_red.clone();
 
         let n = f64::from(self.couple.electrons());
-        let f_over_rt = n * FARADAY / (GAS_CONSTANT * self.temperature.as_kelvin());
+        let f_over_rt = n * FARADAY / (GAS_CONSTANT * Kelvin::ROOM.as_kelvin());
         let e0 = self.couple.standard_potential().as_volts();
         let k0 = self.couple.rate_constant();
         let alpha = self.couple.alpha();
@@ -305,19 +263,15 @@ impl CvSimulator {
                 break;
             }
 
-            // Diffuse the interior (FTCS) with the EC′ source/sink.
+            // Diffuse the interior (FTCS).
             old_ox.copy_from_slice(&c_ox);
             old_red.copy_from_slice(&c_red);
-            let kc = self.catalytic_rate_per_s * dt;
             for i in 1..self.nodes - 1 {
-                let regenerated = kc * old_red[i];
-                c_ox[i] =
-                    old_ox[i] + r * (old_ox[i + 1] - 2.0 * old_ox[i] + old_ox[i - 1]) + regenerated;
-                c_red[i] = (old_red[i] + r * (old_red[i + 1] - 2.0 * old_red[i] + old_red[i - 1])
-                    - regenerated)
+                c_ox[i] = old_ox[i] + r * (old_ox[i + 1] - 2.0 * old_ox[i] + old_ox[i - 1]);
+                c_red[i] = (old_red[i] + r * (old_red[i + 1] - 2.0 * old_red[i] + old_red[i - 1]))
                     .max(0.0);
             }
-            c_ox[self.nodes - 1] = c_ox_bulk;
+            c_ox[self.nodes - 1] = 0.0;
             c_red[self.nodes - 1] = c_red_bulk;
         }
 
@@ -335,7 +289,6 @@ mod tests {
         // k0 large → reversible behaviour.
         RedoxCouple::builder("fast probe")
             .standard_potential(Volts::from_milli_volts(230.0))
-            .electrons(1)
             .rate_constant(1.0)
             .diffusion(bios_units::DiffusionCoefficient::from_square_cm_per_second(
                 6.5e-6,
@@ -425,7 +378,6 @@ mod tests {
     fn sluggish_kinetics_depress_and_shift_peak() {
         let slow = RedoxCouple::builder("slow probe")
             .standard_potential(Volts::from_milli_volts(230.0))
-            .electrons(1)
             .rate_constant(1e-5)
             .diffusion(bios_units::DiffusionCoefficient::from_square_cm_per_second(
                 6.5e-6,
@@ -453,132 +405,6 @@ mod tests {
     }
 
     #[test]
-    fn catalytic_ec_prime_exceeds_diffusive_peak() {
-        // Oxidized species present; sweep cathodic. With regeneration,
-        // the reduction current exceeds the purely diffusive peak.
-        let couple = RedoxCouple::builder("heme-like")
-            .standard_potential(Volts::from_milli_volts(-300.0))
-            .electrons(1)
-            .rate_constant(0.5)
-            .diffusion(bios_units::DiffusionCoefficient::from_square_cm_per_second(
-                6.5e-6,
-            ))
-            .build();
-        let sweep = CyclicSweep::new(
-            Volts::from_milli_volts(100.0),
-            Volts::from_milli_volts(-700.0),
-            ScanRate::from_milli_volts_per_second(50.0),
-            1,
-        );
-        let area = SquareCm::from_square_cm(0.1);
-        let c = Molar::from_milli_molar(0.5);
-        let run = |k: f64| {
-            CvSimulator::new(couple.clone(), area)
-                .with_oxidized_bulk(c)
-                .with_catalytic_rate(k)
-                .expect("valid rate")
-                .run(&sweep)
-        };
-        let diffusive = run(0.0);
-        let catalytic = run(5.0);
-        let i_diff = diffusive.cathodic_peak().unwrap().current.as_amps().abs();
-        let i_cat = catalytic.cathodic_peak().unwrap().current.as_amps().abs();
-        assert!(
-            i_cat > 1.5 * i_diff,
-            "catalytic {i_cat} vs diffusive {i_diff}"
-        );
-    }
-
-    #[test]
-    fn catalytic_current_scales_as_sqrt_rate() {
-        // Savéant limit: i_cat = n·F·A·C·√(k·D), independent of scan
-        // rate, ∝ √k.
-        let couple = RedoxCouple::builder("mediator")
-            .standard_potential(Volts::from_milli_volts(-300.0))
-            .electrons(1)
-            .rate_constant(1.0)
-            .diffusion(bios_units::DiffusionCoefficient::from_square_cm_per_second(
-                6.5e-6,
-            ))
-            .build();
-        let sweep = CyclicSweep::new(
-            Volts::from_milli_volts(100.0),
-            Volts::from_milli_volts(-700.0),
-            ScanRate::from_milli_volts_per_second(50.0),
-            1,
-        );
-        let area = SquareCm::from_square_cm(0.1);
-        let c = Molar::from_milli_molar(0.5);
-        let plateau = |k: f64| {
-            CvSimulator::new(couple.clone(), area)
-                .with_oxidized_bulk(c)
-                .with_catalytic_rate(k)
-                .expect("valid rate")
-                .run(&sweep)
-                .cathodic_peak()
-                .unwrap()
-                .current
-                .as_amps()
-                .abs()
-        };
-        let i16 = plateau(16.0);
-        let i64 = plateau(64.0);
-        let ratio = i64 / i16;
-        assert!((ratio - 2.0).abs() < 0.25, "ratio {ratio}");
-        // And the absolute plateau approaches the Savéant expression.
-        let analytic = 96485.332 * area.as_square_cm() * (0.5e-6) * (64.0 * 6.5e-6f64).sqrt();
-        let rel = (i64 - analytic).abs() / analytic;
-        assert!(rel < 0.3, "plateau {i64} vs analytic {analytic}");
-    }
-
-    #[test]
-    fn catalytic_return_branch_retraces_forward_branch() {
-        // In the pure kinetic (S-shaped) regime the forward and return
-        // traces nearly coincide: no diffusive peak to hystere around.
-        let couple = RedoxCouple::builder("mediator")
-            .standard_potential(Volts::from_milli_volts(-300.0))
-            .electrons(1)
-            .rate_constant(1.0)
-            .diffusion(bios_units::DiffusionCoefficient::from_square_cm_per_second(
-                6.5e-6,
-            ))
-            .build();
-        let sweep = CyclicSweep::new(
-            Volts::from_milli_volts(100.0),
-            Volts::from_milli_volts(-700.0),
-            ScanRate::from_milli_volts_per_second(50.0),
-            1,
-        );
-        let vg = CvSimulator::new(couple, SquareCm::from_square_cm(0.1))
-            .with_oxidized_bulk(Molar::from_milli_molar(0.5))
-            .with_catalytic_rate(25.0)
-            .expect("valid rate")
-            .run(&sweep);
-        // Compare currents at −500 mV on each branch.
-        let at_branch = |forward: bool| {
-            let pts = vg.points();
-            let half = pts.len() / 2;
-            let slice = if forward { &pts[..half] } else { &pts[half..] };
-            slice
-                .iter()
-                .min_by(|a, b| {
-                    (a.potential.as_milli_volts() + 500.0)
-                        .abs()
-                        .total_cmp(&(b.potential.as_milli_volts() + 500.0).abs())
-                })
-                .unwrap()
-                .current
-                .as_amps()
-        };
-        let fwd = at_branch(true);
-        let ret = at_branch(false);
-        assert!(
-            (fwd - ret).abs() / fwd.abs() < 0.15,
-            "branches diverge: {fwd} vs {ret}"
-        );
-    }
-
-    #[test]
     fn invalid_builder_inputs_are_typed_errors() {
         let sim = || CvSimulator::new(fast_couple(), SquareCm::from_square_cm(0.1));
         assert!(matches!(
@@ -587,14 +413,6 @@ mod tests {
                 requested: 8,
                 minimum: 16
             })
-        ));
-        assert!(matches!(
-            sim().with_catalytic_rate(-1.0),
-            Err(ElectrochemError::InvalidParameter { .. })
-        ));
-        assert!(matches!(
-            sim().with_catalytic_rate(f64::NAN),
-            Err(ElectrochemError::InvalidParameter { .. })
         ));
     }
 

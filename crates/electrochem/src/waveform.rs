@@ -1,10 +1,7 @@
 //! Potential programs applied by the potentiostat.
 //!
-//! Each technique in the paper corresponds to a waveform: the oxidase
-//! sensors use a potential step held at +650 mV (chronoamperometry), the
-//! CYP450 sensors a forward/backward linear ramp (cyclic voltammetry),
-//! and the DNA-based cyclophosphamide baseline of \[32\] uses differential
-//! pulse voltammetry.
+//! The CYP450 sensors of the paper are read with a forward/backward
+//! linear ramp (cyclic voltammetry), modelled by [`CyclicSweep`].
 
 use bios_units::{ScanRate, Seconds, Volts};
 
@@ -35,150 +32,13 @@ pub trait Waveform {
     }
 }
 
-/// Chronoamperometric step: hold `baseline`, then jump to `level` at
-/// `step_at` and hold until `duration`.
-///
-/// # Examples
-///
-/// ```
-/// use bios_electrochem::{PotentialStep, Waveform};
-/// use bios_units::{Seconds, Volts};
-///
-/// // The paper's oxidase readout: step to +650 mV.
-/// let step = PotentialStep::new(
-///     Volts::ZERO,
-///     Volts::from_milli_volts(650.0),
-///     Seconds::from_seconds(1.0),
-///     Seconds::from_seconds(30.0),
-/// );
-/// assert_eq!(step.potential_at(Seconds::from_seconds(0.5)), Volts::ZERO);
-/// assert_eq!(step.potential_at(Seconds::from_seconds(10.0)).as_milli_volts(), 650.0);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PotentialStep {
-    baseline: Volts,
-    level: Volts,
-    step_at: Seconds,
-    duration: Seconds,
-}
-
-impl PotentialStep {
-    /// Creates a step program.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `step_at` is not before `duration`.
-    #[must_use]
-    pub fn new(
-        baseline: Volts,
-        level: Volts,
-        step_at: Seconds,
-        duration: Seconds,
-    ) -> PotentialStep {
-        assert!(
-            step_at < duration,
-            "step must occur before the program ends"
-        );
-        PotentialStep {
-            baseline,
-            level,
-            step_at,
-            duration,
-        }
-    }
-
-    /// The held level after the step.
-    #[must_use]
-    pub fn level(&self) -> Volts {
-        self.level
-    }
-
-    /// When the step fires.
-    #[must_use]
-    pub fn step_at(&self) -> Seconds {
-        self.step_at
-    }
-}
-
-impl Waveform for PotentialStep {
-    fn potential_at(&self, t: Seconds) -> Volts {
-        if t < self.step_at {
-            self.baseline
-        } else {
-            self.level
-        }
-    }
-
-    fn duration(&self) -> Seconds {
-        self.duration
-    }
-}
-
-/// Single linear ramp from `start` to `end` at `rate`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LinearSweep {
-    start: Volts,
-    end: Volts,
-    rate: ScanRate,
-}
-
-impl LinearSweep {
-    /// Creates a sweep; the sign of travel is inferred from the endpoints.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the rate is not positive or the endpoints coincide.
-    #[must_use]
-    pub fn new(start: Volts, end: Volts, rate: ScanRate) -> LinearSweep {
-        assert!(
-            rate.as_volts_per_second() > 0.0,
-            "scan rate must be positive"
-        );
-        assert!(start != end, "sweep endpoints must differ");
-        LinearSweep { start, end, rate }
-    }
-
-    /// Start potential.
-    #[must_use]
-    pub fn start(&self) -> Volts {
-        self.start
-    }
-
-    /// End potential.
-    #[must_use]
-    pub fn end(&self) -> Volts {
-        self.end
-    }
-
-    /// Scan rate magnitude.
-    #[must_use]
-    pub fn rate(&self) -> ScanRate {
-        self.rate
-    }
-}
-
-impl Waveform for LinearSweep {
-    fn potential_at(&self, t: Seconds) -> Volts {
-        let span = self.end.as_volts() - self.start.as_volts();
-        let direction = span.signum();
-        let travelled = self.rate.as_volts_per_second() * t.as_seconds();
-        let e = self.start.as_volts() + direction * travelled.min(span.abs());
-        Volts::from_volts(e)
-    }
-
-    fn duration(&self) -> Seconds {
-        let span = (self.end.as_volts() - self.start.as_volts()).abs();
-        Seconds::from_seconds(span / self.rate.as_volts_per_second())
-    }
-}
-
 /// Triangular cyclic sweep: `start → vertex → start`, repeated `cycles`
 /// times.
 ///
 /// # Examples
 ///
 /// ```
-/// use bios_electrochem::{CyclicSweep, Waveform};
+/// use bios_electrochem::waveform::{CyclicSweep, Waveform};
 /// use bios_units::{ScanRate, Seconds, Volts};
 ///
 /// let cv = CyclicSweep::new(
@@ -222,30 +82,6 @@ impl CyclicSweep {
         }
     }
 
-    /// Start/return potential.
-    #[must_use]
-    pub fn start(&self) -> Volts {
-        self.start
-    }
-
-    /// Turning potential.
-    #[must_use]
-    pub fn vertex(&self) -> Volts {
-        self.vertex
-    }
-
-    /// Scan rate magnitude.
-    #[must_use]
-    pub fn rate(&self) -> ScanRate {
-        self.rate
-    }
-
-    /// Number of triangular cycles.
-    #[must_use]
-    pub fn cycles(&self) -> u32 {
-        self.cycles
-    }
-
     /// Duration of a single triangular cycle.
     #[must_use]
     pub fn cycle_duration(&self) -> Seconds {
@@ -279,110 +115,6 @@ impl Waveform for CyclicSweep {
     }
 }
 
-/// Differential pulse voltammetry: a staircase ramp with a superimposed
-/// pulse; the readout subtracts pre-pulse from end-of-pulse currents,
-/// strongly rejecting capacitive background.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DifferentialPulse {
-    start: Volts,
-    end: Volts,
-    step: Volts,
-    amplitude: Volts,
-    pulse_width: Seconds,
-    period: Seconds,
-}
-
-impl DifferentialPulse {
-    /// Creates a DPV program.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the staircase step or pulse amplitude is not positive,
-    /// the pulse is not shorter than the period, or the endpoints
-    /// coincide.
-    #[must_use]
-    pub fn new(
-        start: Volts,
-        end: Volts,
-        step: Volts,
-        amplitude: Volts,
-        pulse_width: Seconds,
-        period: Seconds,
-    ) -> DifferentialPulse {
-        assert!(step.as_volts() > 0.0, "staircase step must be positive");
-        assert!(
-            amplitude.as_volts() > 0.0,
-            "pulse amplitude must be positive"
-        );
-        assert!(
-            pulse_width < period,
-            "pulse must be shorter than the period"
-        );
-        assert!(start != end, "endpoints must differ");
-        DifferentialPulse {
-            start,
-            end,
-            step,
-            amplitude,
-            pulse_width,
-            period,
-        }
-    }
-
-    /// Number of staircase tread levels in the program.
-    #[must_use]
-    pub fn steps(&self) -> usize {
-        let span = (self.end.as_volts() - self.start.as_volts()).abs();
-        (span / self.step.as_volts()).ceil() as usize
-    }
-
-    /// The base (staircase) potential of tread `k`.
-    #[must_use]
-    pub fn base_potential(&self, k: usize) -> Volts {
-        let dir = (self.end.as_volts() - self.start.as_volts()).signum();
-        Volts::from_volts(self.start.as_volts() + dir * self.step.as_volts() * k as f64)
-    }
-
-    /// Pulse amplitude.
-    #[must_use]
-    pub fn amplitude(&self) -> Volts {
-        self.amplitude
-    }
-
-    /// Pulse width.
-    #[must_use]
-    pub fn pulse_width(&self) -> Seconds {
-        self.pulse_width
-    }
-
-    /// Staircase period.
-    #[must_use]
-    pub fn period(&self) -> Seconds {
-        self.period
-    }
-}
-
-impl Waveform for DifferentialPulse {
-    fn potential_at(&self, t: Seconds) -> Volts {
-        let k = (t.as_seconds() / self.period.as_seconds()).floor() as usize;
-        let k = k.min(self.steps());
-        let within = t.as_seconds() - k as f64 * self.period.as_seconds();
-        let base = self.base_potential(k);
-        // Pulse fires at the end of each tread.
-        let pulse_start = self.period.as_seconds() - self.pulse_width.as_seconds();
-        if within >= pulse_start {
-            let dir = (self.end.as_volts() - self.start.as_volts()).signum();
-            Volts::from_volts(base.as_volts() + dir * self.amplitude.as_volts())
-        } else {
-            base
-        }
-    }
-
-    fn duration(&self) -> Seconds {
-        Seconds::from_seconds(self.period.as_seconds() * (self.steps() + 1) as f64)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -393,40 +125,6 @@ mod tests {
 
     fn s(v: f64) -> Seconds {
         Seconds::from_seconds(v)
-    }
-
-    #[test]
-    fn step_holds_levels() {
-        let w = PotentialStep::new(Volts::ZERO, mv(650.0), s(1.0), s(10.0));
-        assert_eq!(w.potential_at(s(0.0)), Volts::ZERO);
-        assert_eq!(w.potential_at(s(0.999)), Volts::ZERO);
-        assert_eq!(w.potential_at(s(1.0)), mv(650.0));
-        assert_eq!(w.potential_at(s(9.0)), mv(650.0));
-        assert_eq!(w.duration(), s(10.0));
-    }
-
-    #[test]
-    fn linear_sweep_travels_at_rate() {
-        let w = LinearSweep::new(
-            mv(-200.0),
-            mv(300.0),
-            ScanRate::from_milli_volts_per_second(50.0),
-        );
-        assert_eq!(w.potential_at(s(0.0)), mv(-200.0));
-        assert!((w.potential_at(s(2.0)).as_milli_volts() - -100.0).abs() < 1e-9);
-        assert!((w.duration().as_seconds() - 10.0).abs() < 1e-12);
-        // Clamps at the end.
-        assert!((w.potential_at(s(100.0)).as_milli_volts() - 300.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn downward_sweep_supported() {
-        let w = LinearSweep::new(
-            mv(300.0),
-            mv(-200.0),
-            ScanRate::from_milli_volts_per_second(100.0),
-        );
-        assert!((w.potential_at(s(1.0)).as_milli_volts() - 200.0).abs() < 1e-9);
     }
 
     #[test]
@@ -462,39 +160,16 @@ mod tests {
 
     #[test]
     fn samples_cover_duration() {
-        let w = PotentialStep::new(Volts::ZERO, mv(650.0), s(1.0), s(5.0));
+        // 0 → 250 mV and back at 100 mV/s: a 5 s program.
+        let w = CyclicSweep::new(
+            mv(0.0),
+            mv(250.0),
+            ScanRate::from_milli_volts_per_second(100.0),
+            1,
+        );
         let pts = w.samples(s(0.5));
         assert_eq!(pts.len(), 11);
-        assert_eq!(pts[0].0, Seconds::ZERO);
+        assert_eq!(pts[0].0, s(0.0));
         assert!((pts.last().unwrap().0.as_seconds() - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn dpv_staircase_and_pulse() {
-        let w = DifferentialPulse::new(
-            mv(0.0),
-            mv(100.0),
-            mv(10.0),
-            mv(25.0),
-            Seconds::from_millis(50.0),
-            Seconds::from_millis(200.0),
-        );
-        assert_eq!(w.steps(), 10);
-        // Early in tread 0: base potential.
-        assert!((w.potential_at(Seconds::from_millis(10.0)).as_milli_volts()).abs() < 1e-9);
-        // End of tread 0: pulsed.
-        assert!((w.potential_at(Seconds::from_millis(180.0)).as_milli_volts() - 25.0).abs() < 1e-9);
-        // Tread 3 base.
-        assert!((w.potential_at(Seconds::from_millis(650.0)).as_milli_volts() - 30.0).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "must differ")]
-    fn degenerate_sweep_rejected() {
-        let _ = LinearSweep::new(
-            mv(100.0),
-            mv(100.0),
-            ScanRate::from_milli_volts_per_second(50.0),
-        );
     }
 }

@@ -45,19 +45,6 @@ impl CypIsoform {
             CypIsoform::Cyp2C9 => "CYP2C9",
         }
     }
-
-    /// The substrate each isoform detects in the paper.
-    #[must_use]
-    pub fn paper_substrate(&self) -> &'static str {
-        match self {
-            CypIsoform::Custom102A1 => "arachidonic acid",
-            CypIsoform::Cyp1A2 => "Ftorafur",
-            CypIsoform::Cyp2B6 => "cyclophosphamide",
-            CypIsoform::Cyp3A4 => "ifosfamide",
-            CypIsoform::Cyp2D6 => "dextromethorphan",
-            CypIsoform::Cyp2C9 => "naproxen",
-        }
-    }
 }
 
 /// A P450 electrode chemistry: isoform + substrate-binding kinetics +
@@ -74,8 +61,8 @@ impl CypIsoform {
 /// use bios_units::Molar;
 ///
 /// let cyp = CypSensorChemistry::stock(CypIsoform::Cyp2B6);
-/// let low = cyp.catalytic_turnover(Molar::from_micro_molar(10.0));
-/// let high = cyp.catalytic_turnover(Molar::from_micro_molar(60.0));
+/// let low = cyp.binding().turnover_rate(Molar::from_micro_molar(10.0));
+/// let high = cyp.binding().turnover_rate(Molar::from_micro_molar(60.0));
 /// assert!(high.as_per_second() > low.as_per_second());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -121,27 +108,6 @@ impl CypSensorChemistry {
         }
     }
 
-    /// Builds a chemistry with explicit binding kinetics (catalog use);
-    /// `coupling` is the dimensionless electron-transfer coupling
-    /// fraction in `[0, 1]`.
-    #[must_use]
-    pub fn with_binding(
-        isoform: CypIsoform,
-        binding: MichaelisMenten,
-        coupling: f64,
-    ) -> CypSensorChemistry {
-        assert!(
-            coupling > 0.0 && coupling <= 1.0,
-            "coupling efficiency must lie in (0, 1]"
-        );
-        CypSensorChemistry {
-            isoform,
-            binding,
-            heme_potential: Volts::from_milli_volts(-300.0),
-            coupling,
-        }
-    }
-
     /// The isoform.
     #[must_use]
     pub fn isoform(&self) -> CypIsoform {
@@ -171,13 +137,6 @@ impl CypSensorChemistry {
     pub fn electrons_per_turnover(&self) -> u32 {
         2
     }
-
-    /// Effective per-molecule catalytic turnover at drug concentration
-    /// `s`, including the coupling loss.
-    #[must_use]
-    pub fn catalytic_turnover(&self, s: Molar) -> RateConstant {
-        RateConstant::from_per_second(self.binding.turnover_rate(s).as_per_second() * self.coupling)
-    }
 }
 
 #[cfg(test)]
@@ -199,17 +158,6 @@ mod tests {
     }
 
     #[test]
-    fn names_match_paper_table1() {
-        assert_eq!(
-            CypIsoform::Custom102A1.paper_substrate(),
-            "arachidonic acid"
-        );
-        assert_eq!(CypIsoform::Cyp1A2.paper_substrate(), "Ftorafur");
-        assert_eq!(CypIsoform::Cyp2B6.paper_substrate(), "cyclophosphamide");
-        assert_eq!(CypIsoform::Cyp3A4.paper_substrate(), "ifosfamide");
-    }
-
-    #[test]
     fn custom_isoform_is_fastest() {
         let aa = CypSensorChemistry::stock(CypIsoform::Custom102A1);
         for other in [CypIsoform::Cyp1A2, CypIsoform::Cyp2B6, CypIsoform::Cyp3A4] {
@@ -219,27 +167,8 @@ mod tests {
     }
 
     #[test]
-    fn turnover_saturates_at_coupled_kcat() {
-        let c = CypSensorChemistry::stock(CypIsoform::Cyp2B6);
-        let v = c.catalytic_turnover(Molar::from_milli_molar(100.0));
-        let cap = c.binding().kcat().as_per_second() * c.coupling();
-        assert!(v.as_per_second() <= cap);
-        assert!(v.as_per_second() > 0.95 * cap);
-    }
-
-    #[test]
     fn heme_potential_is_cathodic() {
         let c = CypSensorChemistry::stock(CypIsoform::Cyp3A4);
         assert!(c.heme_potential().as_volts() < 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "coupling")]
-    fn invalid_coupling_rejected() {
-        let binding = MichaelisMenten::new(
-            RateConstant::from_per_second(1.0),
-            Molar::from_micro_molar(100.0),
-        );
-        let _ = CypSensorChemistry::with_binding(CypIsoform::Cyp1A2, binding, 0.0);
     }
 }

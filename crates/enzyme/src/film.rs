@@ -7,14 +7,14 @@
 //!    geometric cm² than a monolayer;
 //! 2. **Retained activity** — some fraction of adsorbed protein denatures
 //!    or is wired badly;
-//! 3. **Transport** — substrate must diffuse into the film, captured by a
-//!    Thiele-modulus effectiveness factor and an apparent-K_M shift.
+//! 3. **Partitioning** — crowding inside the film shifts the apparent
+//!    K_M away from its solution value.
 //!
-//! The film's output is an areal product flux (mol · cm⁻² · s⁻¹), which
-//! the sensor model converts to current via `i = n·F·A·η_coll·flux`.
+//! The sensor model reads the film's active loading and apparent
+//! kinetics to turn substrate into an areal product flux.
 
 use bios_faults::{Faultable, RealizedFaults};
-use bios_units::{nearly_zero, Centimeters, DiffusionCoefficient, Molar, SurfaceLoading};
+use bios_units::SurfaceLoading;
 
 use crate::michaelis::MichaelisMenten;
 
@@ -23,26 +23,20 @@ use crate::michaelis::MichaelisMenten;
 /// # Examples
 ///
 /// ```
-/// use bios_enzyme::{EnzymeFilm, MichaelisMenten};
-/// use bios_units::{Centimeters, Molar, RateConstant, SurfaceLoading};
+/// use bios_enzyme::EnzymeFilm;
+/// use bios_units::SurfaceLoading;
 ///
 /// let film = EnzymeFilm::builder()
 ///     .loading(SurfaceLoading::from_pico_mol_per_square_cm(50.0))
 ///     .retained_activity(0.6)
-///     .thickness(Centimeters::from_micro_meters(2.0))
 ///     .build();
-/// let kinetics = MichaelisMenten::new(
-///     RateConstant::from_per_second(700.0),
-///     Molar::from_milli_molar(20.0),
-/// );
-/// let flux = film.product_flux(&kinetics, Molar::from_milli_molar(1.0));
-/// assert!(flux > 0.0);
+/// let active = film.effective_loading();
+/// assert!((active.as_pico_mol_per_square_cm() - 30.0).abs() < 1e-9);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnzymeFilm {
     loading: SurfaceLoading,
     retained_activity: f64,
-    thickness: Centimeters,
     km_shift: f64,
 }
 
@@ -53,34 +47,8 @@ impl EnzymeFilm {
         EnzymeFilmBuilder {
             loading: SurfaceLoading::from_pico_mol_per_square_cm(2.0),
             retained_activity: 0.5,
-            thickness: Centimeters::from_micro_meters(1.0),
             km_shift: 1.0,
         }
-    }
-
-    /// Total protein loading (active + inactive), mol/cm².
-    #[must_use]
-    pub fn loading(&self) -> SurfaceLoading {
-        self.loading
-    }
-
-    /// Fraction of loaded enzyme that remains catalytically active.
-    #[must_use]
-    pub fn retained_activity(&self) -> f64 {
-        self.retained_activity
-    }
-
-    /// Film thickness.
-    #[must_use]
-    pub fn thickness(&self) -> Centimeters {
-        self.thickness
-    }
-
-    /// Multiplier applied to the solution `K_M` inside the film
-    /// (partitioning and crowding effects).
-    #[must_use]
-    pub fn km_shift(&self) -> f64 {
-        self.km_shift
     }
 
     /// Catalytically-effective loading, mol/cm².
@@ -93,60 +61,6 @@ impl EnzymeFilm {
     #[must_use]
     pub fn apparent_kinetics(&self, solution: &MichaelisMenten) -> MichaelisMenten {
         MichaelisMenten::new(solution.kcat(), solution.km() * self.km_shift)
-    }
-
-    /// Thiele modulus φ for the film given the substrate's in-film
-    /// diffusion coefficient: `φ = L·√(V_max_vol/(K_M·D))` with
-    /// `V_max_vol = Γ_eff·k_cat/L`.
-    ///
-    /// φ ≪ 1 means kinetics-limited (the whole film works); φ ≫ 1 means
-    /// the outer skin does all the catalysis.
-    #[must_use]
-    pub fn thiele_modulus(&self, kinetics: &MichaelisMenten, d_film: DiffusionCoefficient) -> f64 {
-        let gamma = self.effective_loading().as_mol_per_square_cm();
-        let thickness = self.thickness.as_cm();
-        if nearly_zero(thickness) || nearly_zero(gamma) {
-            return 0.0;
-        }
-        let apparent = self.apparent_kinetics(kinetics);
-        // V_max per unit volume, mol·cm⁻³·s⁻¹.
-        let vmax_vol = gamma * apparent.kcat().as_per_second() / thickness;
-        // K_M in mol/cm³.
-        let km_cgs = apparent.km().as_molar() * 1e-3;
-        let k_first_order = vmax_vol / km_cgs; // s⁻¹
-        thickness * (k_first_order / d_film.as_square_cm_per_second()).sqrt()
-    }
-
-    /// Internal effectiveness factor `η = tanh(φ)/φ` (slab geometry).
-    #[must_use]
-    pub fn effectiveness(&self, kinetics: &MichaelisMenten, d_film: DiffusionCoefficient) -> f64 {
-        let phi = self.thiele_modulus(kinetics, d_film);
-        if phi < 1e-6 {
-            1.0
-        } else {
-            phi.tanh() / phi
-        }
-    }
-
-    /// Areal product-generation flux at bulk substrate concentration `s`
-    /// ignoring transport limitation (kinetics-limited regime),
-    /// mol · cm⁻² · s⁻¹.
-    #[must_use]
-    pub fn product_flux(&self, solution_kinetics: &MichaelisMenten, s: Molar) -> f64 {
-        let apparent = self.apparent_kinetics(solution_kinetics);
-        self.effective_loading().as_mol_per_square_cm() * apparent.turnover_rate(s).as_per_second()
-    }
-
-    /// Areal product flux including the Thiele effectiveness for a film
-    /// with internal diffusion coefficient `d_film`.
-    #[must_use]
-    pub fn limited_product_flux(
-        &self,
-        solution_kinetics: &MichaelisMenten,
-        s: Molar,
-        d_film: DiffusionCoefficient,
-    ) -> f64 {
-        self.product_flux(solution_kinetics, s) * self.effectiveness(solution_kinetics, d_film)
     }
 
     /// Typical first-order activity-loss rate of an adsorbed enzyme film
@@ -225,7 +139,6 @@ impl Faultable for EnzymeFilm {
 pub struct EnzymeFilmBuilder {
     loading: SurfaceLoading,
     retained_activity: f64,
-    thickness: Centimeters,
     km_shift: f64,
 }
 
@@ -252,13 +165,6 @@ impl EnzymeFilmBuilder {
         self
     }
 
-    /// Sets the film thickness.
-    #[must_use]
-    pub fn thickness(mut self, thickness: Centimeters) -> Self {
-        self.thickness = thickness;
-        self
-    }
-
     /// Sets the apparent-K_M multiplier.
     ///
     /// # Panics
@@ -277,7 +183,6 @@ impl EnzymeFilmBuilder {
         EnzymeFilm {
             loading: self.loading,
             retained_activity: self.retained_activity,
-            thickness: self.thickness,
             km_shift: self.km_shift,
         }
     }
@@ -286,7 +191,7 @@ impl EnzymeFilmBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bios_units::RateConstant;
+    use bios_units::{Molar, RateConstant};
 
     fn kinetics() -> MichaelisMenten {
         MichaelisMenten::new(
@@ -299,7 +204,6 @@ mod tests {
         EnzymeFilm::builder()
             .loading(SurfaceLoading::from_pico_mol_per_square_cm(50.0))
             .retained_activity(0.6)
-            .thickness(Centimeters::from_micro_meters(2.0))
             .build()
     }
 
@@ -310,72 +214,10 @@ mod tests {
     }
 
     #[test]
-    fn product_flux_scales_with_loading() {
-        let thin = film();
-        let heavy = EnzymeFilm::builder()
-            .loading(SurfaceLoading::from_pico_mol_per_square_cm(100.0))
-            .retained_activity(0.6)
-            .thickness(Centimeters::from_micro_meters(2.0))
-            .build();
-        let s = Molar::from_milli_molar(1.0);
-        let r = heavy.product_flux(&kinetics(), s) / thin.product_flux(&kinetics(), s);
-        assert!((r - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn product_flux_saturates_with_substrate() {
-        let f = film();
-        let v1 = f.product_flux(&kinetics(), Molar::from_milli_molar(20.0));
-        let v2 = f.product_flux(&kinetics(), Molar::from_molar(10.0));
-        let vmax = f.effective_loading().as_mol_per_square_cm() * 700.0;
-        assert!((v1 / vmax - 0.5).abs() < 1e-6);
-        assert!(v2 < vmax && v2 > 0.97 * vmax);
-    }
-
-    #[test]
     fn km_shift_moves_apparent_km() {
         let shifted = EnzymeFilm::builder().km_shift(0.5).build();
         let app = shifted.apparent_kinetics(&kinetics());
         assert!((app.km().as_milli_molar() - 10.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn thin_film_is_fully_effective() {
-        let f = EnzymeFilm::builder()
-            .loading(SurfaceLoading::from_pico_mol_per_square_cm(2.0))
-            .thickness(Centimeters::from_nano_meters(50.0))
-            .build();
-        let eta = f.effectiveness(
-            &kinetics(),
-            DiffusionCoefficient::from_square_cm_per_second(1e-6),
-        );
-        assert!(eta > 0.99);
-    }
-
-    #[test]
-    fn thick_loaded_film_is_transport_limited() {
-        let f = EnzymeFilm::builder()
-            .loading(SurfaceLoading::from_mol_per_square_cm(1e-8))
-            .retained_activity(1.0)
-            .thickness(Centimeters::from_micro_meters(50.0))
-            .build();
-        let d = DiffusionCoefficient::from_square_cm_per_second(1e-7);
-        let phi = f.thiele_modulus(&kinetics(), d);
-        assert!(phi > 3.0, "phi = {phi}");
-        let eta = f.effectiveness(&kinetics(), d);
-        assert!(eta < 0.5);
-    }
-
-    #[test]
-    fn limited_flux_below_kinetic_flux() {
-        let f = EnzymeFilm::builder()
-            .loading(SurfaceLoading::from_mol_per_square_cm(1e-8))
-            .retained_activity(1.0)
-            .thickness(Centimeters::from_micro_meters(50.0))
-            .build();
-        let d = DiffusionCoefficient::from_square_cm_per_second(1e-7);
-        let s = Molar::from_milli_molar(1.0);
-        assert!(f.limited_product_flux(&kinetics(), s, d) < f.product_flux(&kinetics(), s));
     }
 
     #[test]
@@ -388,11 +230,11 @@ mod tests {
     fn aging_decays_activity_exponentially() {
         let fresh = film();
         let day10 = fresh.aged(10.0, EnzymeFilm::TYPICAL_DECAY_PER_DAY);
-        let expected = fresh.retained_activity() * (-0.2f64).exp();
-        assert!((day10.retained_activity() - expected).abs() < 1e-12);
+        let expected = fresh.retained_activity * (-0.2f64).exp();
+        assert!((day10.retained_activity - expected).abs() < 1e-12);
         // Everything else unchanged.
-        assert_eq!(day10.loading(), fresh.loading());
-        assert_eq!(day10.km_shift(), fresh.km_shift());
+        assert_eq!(day10.loading, fresh.loading);
+        assert_eq!(day10.km_shift, fresh.km_shift);
     }
 
     #[test]
@@ -400,15 +242,15 @@ mod tests {
         let fresh = film();
         let two_step = fresh.aged(5.0, 0.02).aged(5.0, 0.02);
         let one_step = fresh.aged(10.0, 0.02);
-        assert!((two_step.retained_activity() - one_step.retained_activity()).abs() < 1e-12);
+        assert!((two_step.retained_activity - one_step.retained_activity).abs() < 1e-12);
     }
 
     #[test]
     fn zero_days_is_identity() {
         let fresh = film();
         assert_eq!(
-            fresh.aged(0.0, 0.05).retained_activity(),
-            fresh.retained_activity()
+            fresh.aged(0.0, 0.05).retained_activity,
+            fresh.retained_activity
         );
     }
 
@@ -417,7 +259,7 @@ mod tests {
         let f = film();
         let days = f.lifetime_to_fraction(0.5, 0.02);
         let aged = f.aged(days, 0.02);
-        assert!((aged.retained_activity() / f.retained_activity() - 0.5).abs() < 1e-9);
+        assert!((aged.retained_activity / f.retained_activity - 0.5).abs() < 1e-9);
         // Half-life at 2 %/day ≈ 34.7 days.
         assert!((days - 34.657).abs() < 0.01);
     }
@@ -426,9 +268,8 @@ mod tests {
     fn denatured_scales_activity_and_nothing_else() {
         let fresh = film();
         let hit = fresh.denatured(0.25);
-        assert!((hit.retained_activity() - fresh.retained_activity() * 0.25).abs() < 1e-12);
-        assert_eq!(hit.loading(), fresh.loading());
-        assert_eq!(hit.thickness(), fresh.thickness());
+        assert!((hit.retained_activity - fresh.retained_activity * 0.25).abs() < 1e-12);
+        assert_eq!(hit.loading, fresh.loading);
     }
 
     #[test]
@@ -448,16 +289,6 @@ mod tests {
         let mut faults = RealizedFaults::healthy();
         faults.film_activity = 0.5;
         let hit = film().with_faults(&faults);
-        assert!((hit.retained_activity() - film().retained_activity() * 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn aged_flux_shrinks_proportionally() {
-        let f = film();
-        let s = Molar::from_milli_molar(0.5);
-        let fresh_flux = f.product_flux(&kinetics(), s);
-        let aged_flux = f.aged(20.0, 0.02).product_flux(&kinetics(), s);
-        let ratio = aged_flux / fresh_flux;
-        assert!((ratio - (-0.4f64).exp()).abs() < 1e-9);
+        assert!((hit.retained_activity - film().retained_activity * 0.5).abs() < 1e-12);
     }
 }

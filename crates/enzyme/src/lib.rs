@@ -5,10 +5,8 @@
 //! metabolites (glucose, lactate, glutamate) and cytochrome-P450 isoforms
 //! for the fatty acid and anticancer drugs.
 //!
-//! * [`michaelis`] — Michaelis–Menten and Hill kinetics, apparent
-//!   parameters, linearization helpers.
-//! * [`inhibition`] — competitive / uncompetitive / non-competitive and
-//!   substrate inhibition.
+//! * [`michaelis`] — Michaelis–Menten kinetics and the linear-range
+//!   helpers that tie `K_M` to a reported linear range.
 //! * [`ping_pong`] — two-substrate ping-pong bi-bi kinetics (oxidases use
 //!   O₂ as co-substrate).
 //! * [`oxidase`] — glucose/lactate/glutamate oxidase descriptors with
@@ -16,7 +14,7 @@
 //! * [`cyp`] — cytochrome-P450 isoform descriptors (custom CYP, CYP1A2,
 //!   CYP2B6, CYP3A4) with their catalytic-cycle electron demand.
 //! * [`film`] — immobilized enzyme films: surface loading, retained
-//!   activity, mass-transfer (Thiele) effectiveness, apparent K_M shifts.
+//!   activity and its decay, apparent K_M shifts.
 //!
 //! # Examples
 //!
@@ -38,12 +36,10 @@
 
 pub mod cyp;
 pub mod film;
-pub mod inhibition;
 pub mod michaelis;
 pub mod oxidase;
 pub mod ping_pong;
 
 pub use cyp::{CypIsoform, CypSensorChemistry};
 pub use film::EnzymeFilm;
-pub use michaelis::MichaelisMenten;
 pub use oxidase::{Oxidase, OxidaseKind};

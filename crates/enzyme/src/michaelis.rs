@@ -1,4 +1,4 @@
-//! Michaelis–Menten and Hill kinetics.
+//! Michaelis–Menten kinetics.
 
 use bios_units::{Molar, RateConstant};
 
@@ -9,7 +9,7 @@ use bios_units::{Molar, RateConstant};
 /// # Examples
 ///
 /// ```
-/// use bios_enzyme::MichaelisMenten;
+/// use bios_enzyme::michaelis::MichaelisMenten;
 /// use bios_units::{Molar, RateConstant};
 ///
 /// let mm = MichaelisMenten::new(
@@ -65,23 +65,6 @@ impl MichaelisMenten {
         s / (self.km.as_molar() + s)
     }
 
-    /// Catalytic efficiency `k_cat/K_M` in M⁻¹·s⁻¹ — the second-order
-    /// limit at vanishing substrate.
-    #[must_use]
-    pub fn efficiency_per_molar_second(&self) -> f64 {
-        self.kcat.as_per_second() / self.km.as_molar()
-    }
-
-    /// Relative deviation of the true rate from the low-substrate linear
-    /// extrapolation at concentration `s`: `[S]/(K_M + [S])`.
-    ///
-    /// This is the quantity the linear-range detector thresholds: a 5 %
-    /// linearity tolerance is exceeded once `s > K_M/19`.
-    #[must_use]
-    pub fn linearity_deviation(&self, s: Molar) -> f64 {
-        self.saturation(s)
-    }
-
     /// The substrate concentration at which the linearity deviation
     /// reaches `tolerance` — the theoretical end of the linear range.
     ///
@@ -114,78 +97,6 @@ impl MichaelisMenten {
         );
         assert!(limit.as_molar() > 0.0, "linear limit must be positive");
         Molar::from_molar(limit.as_molar() * (1.0 - tolerance) / tolerance)
-    }
-}
-
-/// Hill kinetics for cooperative binding:
-/// `v = k_cat·[S]ⁿ/(K₀.₅ⁿ + [S]ⁿ)`.
-///
-/// Reduces to Michaelis–Menten at `n = 1`; some P450 isoforms (notably
-/// CYP3A4) show mild cooperativity.
-///
-/// # Examples
-///
-/// ```
-/// use bios_enzyme::michaelis::Hill;
-/// use bios_units::{Molar, RateConstant};
-///
-/// let h = Hill::new(RateConstant::from_per_second(10.0),
-///                   Molar::from_micro_molar(50.0), 1.6);
-/// assert!((h.saturation(Molar::from_micro_molar(50.0)) - 0.5).abs() < 1e-12);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Hill {
-    kcat: RateConstant,
-    k_half: Molar,
-    coefficient: f64,
-}
-
-impl Hill {
-    /// Creates Hill kinetics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `K₀.₅` is not positive or the coefficient is not positive.
-    #[must_use]
-    pub fn new(kcat: RateConstant, k_half: Molar, coefficient: f64) -> Hill {
-        assert!(k_half.as_molar() > 0.0, "half-saturation must be positive");
-        assert!(coefficient > 0.0, "Hill coefficient must be positive");
-        Hill {
-            kcat,
-            k_half,
-            coefficient,
-        }
-    }
-
-    /// Turnover number.
-    #[must_use]
-    pub fn kcat(&self) -> RateConstant {
-        self.kcat
-    }
-
-    /// Half-saturation concentration `K₀.₅`.
-    #[must_use]
-    pub fn k_half(&self) -> Molar {
-        self.k_half
-    }
-
-    /// Hill coefficient `n` (dimensionless cooperativity exponent).
-    #[must_use]
-    pub fn coefficient(&self) -> f64 {
-        self.coefficient
-    }
-
-    /// Saturation fraction at substrate `s`.
-    #[must_use]
-    pub fn saturation(&self, s: Molar) -> f64 {
-        let x = (s.as_molar().max(0.0) / self.k_half.as_molar()).powf(self.coefficient);
-        x / (1.0 + x)
-    }
-
-    /// Per-molecule rate at substrate `s`.
-    #[must_use]
-    pub fn turnover_rate(&self, s: Molar) -> RateConstant {
-        RateConstant::from_per_second(self.kcat.as_per_second() * self.saturation(s))
     }
 }
 
@@ -230,12 +141,6 @@ mod tests {
     }
 
     #[test]
-    fn efficiency_is_kcat_over_km() {
-        let e = mm().efficiency_per_molar_second();
-        assert!((e - 700.0 / 0.033).abs() / e < 1e-12);
-    }
-
-    #[test]
     fn linear_limit_round_trips_with_km_for_linear_limit() {
         let tol = 0.05;
         let limit = mm().linear_limit(tol);
@@ -247,32 +152,6 @@ mod tests {
     fn five_percent_linearity_at_km_over_19() {
         let limit = mm().linear_limit(0.05);
         assert!((limit.as_milli_molar() - 33.0 / 19.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn hill_reduces_to_mm_at_n_one() {
-        let h = Hill::new(
-            RateConstant::from_per_second(700.0),
-            Molar::from_milli_molar(33.0),
-            1.0,
-        );
-        for c in [0.5, 5.0, 50.0] {
-            let s = Molar::from_milli_molar(c);
-            assert!((h.saturation(s) - mm().saturation(s)).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn hill_steeper_with_larger_n() {
-        let k = Molar::from_micro_molar(50.0);
-        let h1 = Hill::new(RateConstant::from_per_second(1.0), k, 1.0);
-        let h2 = Hill::new(RateConstant::from_per_second(1.0), k, 2.0);
-        // Below K½ the cooperative enzyme is *less* saturated…
-        let low = Molar::from_micro_molar(10.0);
-        assert!(h2.saturation(low) < h1.saturation(low));
-        // …and above it, more.
-        let high = Molar::from_micro_molar(250.0);
-        assert!(h2.saturation(high) > h1.saturation(high));
     }
 
     #[test]

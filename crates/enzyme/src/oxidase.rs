@@ -20,28 +20,6 @@ pub enum OxidaseKind {
     GlutamateOxidase,
 }
 
-impl OxidaseKind {
-    /// Conventional abbreviation used in the paper (GOD/LOD/GlOD).
-    #[must_use]
-    pub fn abbreviation(&self) -> &'static str {
-        match self {
-            OxidaseKind::GlucoseOxidase => "GOD",
-            OxidaseKind::LactateOxidase => "LOD",
-            OxidaseKind::GlutamateOxidase => "GlOD",
-        }
-    }
-
-    /// The metabolite this oxidase detects.
-    #[must_use]
-    pub fn substrate_name(&self) -> &'static str {
-        match self {
-            OxidaseKind::GlucoseOxidase => "glucose",
-            OxidaseKind::LactateOxidase => "lactate",
-            OxidaseKind::GlutamateOxidase => "glutamate",
-        }
-    }
-}
-
 /// A fully-parameterized oxidase sensing element.
 ///
 /// # Examples
@@ -51,7 +29,7 @@ impl OxidaseKind {
 /// use bios_units::Molar;
 ///
 /// let god = Oxidase::stock(OxidaseKind::GlucoseOxidase);
-/// let v = god.peroxide_generation_rate(Molar::from_milli_molar(5.0));
+/// let v = god.apparent_kinetics().turnover_rate(Molar::from_milli_molar(5.0));
 /// assert!(v.as_per_second() > 0.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -87,33 +65,10 @@ impl Oxidase {
         }
     }
 
-    /// Builds an oxidase with custom kinetics — used by the catalog to
-    /// model immobilization-shifted apparent constants.
-    #[must_use]
-    pub fn with_kinetics(kind: OxidaseKind, kinetics: PingPongBiBi) -> Oxidase {
-        Oxidase {
-            kind,
-            kinetics,
-            oxygen: AIR_SATURATED_O2,
-        }
-    }
-
     /// Which oxidase this is.
     #[must_use]
     pub fn kind(&self) -> OxidaseKind {
         self.kind
-    }
-
-    /// The two-substrate kinetics.
-    #[must_use]
-    pub fn kinetics(&self) -> PingPongBiBi {
-        self.kinetics
-    }
-
-    /// Ambient dissolved-oxygen level the sensor operates at.
-    #[must_use]
-    pub fn oxygen(&self) -> Molar {
-        self.oxygen
     }
 
     /// Returns a copy operating at a different dissolved-O₂ level
@@ -122,13 +77,6 @@ impl Oxidase {
     pub fn with_oxygen(mut self, oxygen: Molar) -> Oxidase {
         self.oxygen = oxygen;
         self
-    }
-
-    /// Per-molecule H₂O₂ production rate at the ambient oxygen level —
-    /// one H₂O₂ per catalytic cycle.
-    #[must_use]
-    pub fn peroxide_generation_rate(&self, substrate: Molar) -> RateConstant {
-        self.kinetics.rate(substrate, self.oxygen)
     }
 
     /// Electrons delivered to the electrode per catalytic turnover: H₂O₂
@@ -152,39 +100,30 @@ mod tests {
 
     #[test]
     fn stock_constants_are_distinct() {
-        let god = Oxidase::stock(OxidaseKind::GlucoseOxidase);
-        let lod = Oxidase::stock(OxidaseKind::LactateOxidase);
-        let glod = Oxidase::stock(OxidaseKind::GlutamateOxidase);
-        assert!(god.kinetics().kcat() > lod.kinetics().kcat());
-        assert!(lod.kinetics().kcat() > glod.kinetics().kcat());
-        assert!(god.kinetics().ka() > lod.kinetics().ka());
-        assert!(lod.kinetics().ka() > glod.kinetics().ka());
-    }
-
-    #[test]
-    fn abbreviations_match_paper() {
-        assert_eq!(OxidaseKind::GlucoseOxidase.abbreviation(), "GOD");
-        assert_eq!(OxidaseKind::LactateOxidase.abbreviation(), "LOD");
-        assert_eq!(OxidaseKind::GlutamateOxidase.abbreviation(), "GlOD");
-    }
-
-    #[test]
-    fn peroxide_rate_zero_without_substrate() {
-        let god = Oxidase::stock(OxidaseKind::GlucoseOxidase);
-        assert_eq!(
-            god.peroxide_generation_rate(Molar::ZERO).as_per_second(),
-            0.0
-        );
+        // Saturating O2 recovers each enzyme's solution constants.
+        let solution = |kind| {
+            Oxidase::stock(kind)
+                .with_oxygen(Molar::from_molar(1.0e3))
+                .apparent_kinetics()
+        };
+        let god = solution(OxidaseKind::GlucoseOxidase);
+        let lod = solution(OxidaseKind::LactateOxidase);
+        let glod = solution(OxidaseKind::GlutamateOxidase);
+        assert!(god.kcat() > lod.kcat());
+        assert!(lod.kcat() > glod.kcat());
+        assert!(god.km() > lod.km());
+        assert!(lod.km() > glod.km());
     }
 
     #[test]
     fn hypoxia_suppresses_output() {
         let god = Oxidase::stock(OxidaseKind::GlucoseOxidase);
         let s = Molar::from_milli_molar(5.0);
-        let v_air = god.peroxide_generation_rate(s);
+        let v_air = god.apparent_kinetics().turnover_rate(s);
         let v_low = god
             .with_oxygen(Molar::from_micro_molar(20.0))
-            .peroxide_generation_rate(s);
+            .apparent_kinetics()
+            .turnover_rate(s);
         assert!(v_low < v_air);
     }
 
@@ -200,8 +139,12 @@ mod tests {
     fn apparent_kinetics_below_solution_values() {
         let god = Oxidase::stock(OxidaseKind::GlucoseOxidase);
         let app = god.apparent_kinetics();
-        // O2 limitation pulls both constants below the solution values.
-        assert!(app.kcat() < god.kinetics().kcat());
-        assert!(app.km() < god.kinetics().ka());
+        // Saturating O2 recovers the solution values; air-level O2
+        // limitation pulls both constants below them.
+        let solution = god
+            .with_oxygen(Molar::from_molar(1.0e3))
+            .apparent_kinetics();
+        assert!(app.kcat() < solution.kcat());
+        assert!(app.km() < solution.km());
     }
 }

@@ -56,24 +56,6 @@ impl PingPongBiBi {
         PingPongBiBi { kcat, ka, kb }
     }
 
-    /// Limiting turnover number.
-    #[must_use]
-    pub fn kcat(&self) -> RateConstant {
-        self.kcat
-    }
-
-    /// Michaelis constant for the analyte.
-    #[must_use]
-    pub fn ka(&self) -> Molar {
-        self.ka
-    }
-
-    /// Michaelis constant for the co-substrate.
-    #[must_use]
-    pub fn kb(&self) -> Molar {
-        self.kb
-    }
-
     /// Steady-state per-molecule rate with analyte `a` and co-substrate
     /// `b` present.
     #[must_use]

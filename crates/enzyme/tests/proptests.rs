@@ -1,13 +1,11 @@
 //! Property tests for enzyme kinetics: saturation bounds, monotonicity,
-//! inhibition inequalities, and film-model consistency. Sampled
+//! linear-range inverses and the ping-pong reduction. Sampled
 //! deterministically via `bios_prng::cases`.
 
-use bios_enzyme::film::EnzymeFilm;
-use bios_enzyme::inhibition::Inhibition;
-use bios_enzyme::michaelis::{Hill, MichaelisMenten};
+use bios_enzyme::michaelis::MichaelisMenten;
 use bios_enzyme::ping_pong::PingPongBiBi;
 use bios_prng::cases;
-use bios_units::{Centimeters, DiffusionCoefficient, Molar, RateConstant, SurfaceLoading};
+use bios_units::{Molar, RateConstant};
 
 fn mm(kcat: f64, km_milli: f64) -> MichaelisMenten {
     MichaelisMenten::new(
@@ -62,7 +60,8 @@ fn linear_limit_inverse() {
     });
 }
 
-/// The deviation at the linear limit equals the tolerance.
+/// The saturation (the deviation from linearity) at the linear limit
+/// equals the tolerance.
 #[test]
 fn deviation_at_limit_equals_tolerance() {
     cases(0x0204, 64, |rng| {
@@ -70,52 +69,7 @@ fn deviation_at_limit_equals_tolerance() {
         let tol = rng.uniform_in(0.01, 0.5);
         let k = mm(100.0, km);
         let limit = k.linear_limit(tol);
-        assert!((k.linearity_deviation(limit) - tol).abs() < 1e-12);
-    });
-}
-
-/// Hill with n = 1 equals Michaelis–Menten for any substrate.
-#[test]
-fn hill_reduces_to_mm() {
-    cases(0x0205, 64, |rng| {
-        let km = rng.log_uniform_in(0.001, 100.0);
-        let s = rng.uniform_in(0.0, 1e3);
-        let h = Hill::new(
-            RateConstant::from_per_second(50.0),
-            Molar::from_milli_molar(km),
-            1.0,
-        );
-        let k = mm(50.0, km);
-        let c = Molar::from_milli_molar(s);
-        assert!((h.saturation(c) - k.saturation(c)).abs() < 1e-12);
-    });
-}
-
-/// All classical inhibitions reduce the rate (never enhance it).
-#[test]
-fn inhibition_never_enhances() {
-    cases(0x0206, 64, |rng| {
-        let ki = rng.log_uniform_in(0.01, 10.0);
-        let s = rng.log_uniform_in(0.001, 100.0);
-        let i = rng.uniform_in(0.0, 10.0);
-        let base = mm(100.0, 1.0);
-        let sub = Molar::from_milli_molar(s);
-        let inh_c = Molar::from_milli_molar(i);
-        let v0 = base.turnover_rate(sub).as_per_second();
-        for inhibition in [
-            Inhibition::Competitive {
-                ki: Molar::from_milli_molar(ki),
-            },
-            Inhibition::Uncompetitive {
-                ki: Molar::from_milli_molar(ki),
-            },
-            Inhibition::NonCompetitive {
-                ki: Molar::from_milli_molar(ki),
-            },
-        ] {
-            let v = inhibition.rate(&base, sub, inh_c).as_per_second();
-            assert!(v <= v0 * (1.0 + 1e-12), "{inhibition:?}");
-        }
+        assert!((k.saturation(limit) - tol).abs() < 1e-12);
     });
 }
 
@@ -165,49 +119,5 @@ fn ping_pong_apparent_reduction_exact() {
         let full = pp.rate(sub, fixed_b).as_per_second();
         let reduced = app.turnover_rate(sub).as_per_second();
         assert!((full - reduced).abs() / full.max(1e-30) < 1e-9);
-    });
-}
-
-/// Film product flux scales linearly with effective loading and
-/// never exceeds Γ_eff · k_cat.
-#[test]
-fn film_flux_bounds() {
-    cases(0x0209, 64, |rng| {
-        let loading = rng.log_uniform_in(0.1, 1000.0);
-        let activity = rng.uniform_in(0.05, 1.0);
-        let s = rng.uniform_in(0.0, 100.0);
-        let film = EnzymeFilm::builder()
-            .loading(SurfaceLoading::from_pico_mol_per_square_cm(loading))
-            .retained_activity(activity)
-            .build();
-        let kinetics = mm(100.0, 1.0);
-        let flux = film.product_flux(&kinetics, Molar::from_milli_molar(s));
-        let cap = film.effective_loading().as_mol_per_square_cm() * 100.0;
-        assert!(flux >= 0.0);
-        assert!(flux <= cap * (1.0 + 1e-12));
-    });
-}
-
-/// The effectiveness factor lies in (0, 1] and decreases with film
-/// thickness.
-#[test]
-fn effectiveness_bounds_and_monotonicity() {
-    cases(0x020A, 64, |rng| {
-        let loading = rng.log_uniform_in(1.0, 10_000.0);
-        let thin_um = rng.log_uniform_in(0.05, 5.0);
-        let factor = rng.uniform_in(2.0, 20.0);
-        let kinetics = mm(500.0, 1.0);
-        let d = DiffusionCoefficient::from_square_cm_per_second(1e-7);
-        let make = |um: f64| {
-            EnzymeFilm::builder()
-                .loading(SurfaceLoading::from_pico_mol_per_square_cm(loading))
-                .thickness(Centimeters::from_micro_meters(um))
-                .build()
-        };
-        let eta_thin = make(thin_um).effectiveness(&kinetics, d);
-        let eta_thick = make(thin_um * factor).effectiveness(&kinetics, d);
-        assert!(eta_thin > 0.0 && eta_thin <= 1.0);
-        assert!(eta_thick > 0.0 && eta_thick <= 1.0);
-        assert!(eta_thick <= eta_thin + 1e-12);
     });
 }

@@ -105,23 +105,6 @@ pub enum FaultKind {
 }
 
 impl FaultKind {
-    /// Every kind, in taxonomy order.
-    pub const ALL: [FaultKind; 13] = [
-        FaultKind::FilmDenaturation,
-        FaultKind::ElectrodeFouling,
-        FaultKind::ReferenceDrift,
-        FaultKind::AdcSaturation,
-        FaultKind::AdcStuckCode,
-        FaultKind::ReadoutSpike,
-        FaultKind::ReadoutDropout,
-        FaultKind::TransientGlitch,
-        FaultKind::WorkerPanic,
-        FaultKind::WorkerStall,
-        FaultKind::TrafficBurst,
-        FaultKind::TenantHotspot,
-        FaultKind::SilentCorruption,
-    ];
-
     /// Stable tag used to derive an independent PRNG stream per kind.
     /// Tags are never renumbered (0x0C is unused), so every plan
     /// fingerprint and fault stream keeps its value.
@@ -140,25 +123,6 @@ impl FaultKind {
             FaultKind::TrafficBurst => 0x0B,
             FaultKind::TenantHotspot => 0x0D,
             FaultKind::SilentCorruption => 0x0E,
-        }
-    }
-
-    /// Short human label for tables and logs.
-    pub fn label(self) -> &'static str {
-        match self {
-            FaultKind::FilmDenaturation => "film denaturation",
-            FaultKind::ElectrodeFouling => "electrode fouling",
-            FaultKind::ReferenceDrift => "reference drift",
-            FaultKind::AdcSaturation => "adc saturation",
-            FaultKind::AdcStuckCode => "adc stuck code",
-            FaultKind::ReadoutSpike => "readout spike",
-            FaultKind::ReadoutDropout => "readout dropout",
-            FaultKind::TransientGlitch => "transient glitch",
-            FaultKind::WorkerPanic => "worker panic",
-            FaultKind::WorkerStall => "worker stall",
-            FaultKind::TrafficBurst => "traffic burst",
-            FaultKind::TenantHotspot => "tenant hotspot",
-            FaultKind::SilentCorruption => "silent corruption",
         }
     }
 }
@@ -246,16 +210,6 @@ impl FaultPlan {
             .spec(FaultKind::WorkerPanic, 0.1 * intensity, intensity)
             .spec(FaultKind::WorkerStall, 0.08 * intensity, intensity)
             .build()
-    }
-
-    /// The plan's display name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The plan seed all realization streams derive from.
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// The armed specs.
@@ -759,16 +713,6 @@ impl FaultTally {
     pub fn total(&self) -> u32 {
         self.enzyme + self.electrode + self.instrument + self.runtime
     }
-
-    /// Element-wise sum, for aggregating a fleet's tallies.
-    pub fn merge(&self, other: &FaultTally) -> FaultTally {
-        FaultTally {
-            enzyme: self.enzyme + other.enzyme,
-            electrode: self.electrode + other.electrode,
-            instrument: self.instrument + other.instrument,
-            runtime: self.runtime + other.runtime,
-        }
-    }
 }
 
 /// Hook implemented by physics-layer types that can absorb faults.
@@ -922,12 +866,26 @@ mod tests {
         let base = demo_plan();
         assert_eq!(base.fingerprint(), 0x090b_3790_0408_fdb9);
         // One spec of every kind pins every remaining tag at once.
-        let every_kind = FaultKind::ALL
-            .iter()
-            .fold(FaultPlan::builder("every kind", 24), |b, &kind| {
-                b.spec(kind, 0.5, 0.25)
-            })
-            .build();
+        let every_kind = [
+            FaultKind::FilmDenaturation,
+            FaultKind::ElectrodeFouling,
+            FaultKind::ReferenceDrift,
+            FaultKind::AdcSaturation,
+            FaultKind::AdcStuckCode,
+            FaultKind::ReadoutSpike,
+            FaultKind::ReadoutDropout,
+            FaultKind::TransientGlitch,
+            FaultKind::WorkerPanic,
+            FaultKind::WorkerStall,
+            FaultKind::TrafficBurst,
+            FaultKind::TenantHotspot,
+            FaultKind::SilentCorruption,
+        ]
+        .iter()
+        .fold(FaultPlan::builder("every kind", 24), |b, &kind| {
+            b.spec(kind, 0.5, 0.25)
+        })
+        .build();
         assert_eq!(every_kind.specs().len(), 13);
         assert_eq!(every_kind.fingerprint(), 0x92c8_31f2_97cc_9dce);
         let with_specs = |specs: &[FaultSpec]| FaultPlan {
@@ -978,7 +936,6 @@ mod tests {
         assert_eq!(tally.instrument, 1);
         assert_eq!(tally.runtime, 1);
         assert_eq!(tally.total(), 4);
-        assert_eq!(tally.merge(&tally).total(), 8);
     }
 
     #[test]

@@ -42,12 +42,6 @@ impl Adc {
         }
     }
 
-    /// Resolution in bits.
-    #[must_use]
-    pub fn bits(&self) -> u8 {
-        self.bits
-    }
-
     /// Full-scale voltage (codes span `±full_scale`).
     #[must_use]
     pub fn full_scale(&self) -> Volts {

@@ -38,12 +38,6 @@ impl TransimpedanceAmplifier {
         TransimpedanceAmplifier { gain, rail }
     }
 
-    /// Feedback resistance.
-    #[must_use]
-    pub fn gain(&self) -> Ohms {
-        self.gain
-    }
-
     /// Supply rail (clipping level).
     #[must_use]
     pub fn rail(&self) -> Volts {
@@ -69,12 +63,6 @@ impl TransimpedanceAmplifier {
         Amperes::from_amps(self.rail.as_volts() / self.gain.as_ohms())
     }
 
-    /// Whether `current` would clip.
-    #[must_use]
-    pub fn saturates_at(&self, current: Amperes) -> bool {
-        current.as_amps().abs() > self.full_scale_current().as_amps()
-    }
-
     /// Picks the largest decade gain (10ᵏ Ω) that keeps `expected_max`
     /// within 80 % of full scale — auto-ranging, as a real potentiostat
     /// front end does.
@@ -98,7 +86,7 @@ mod tests {
 
     #[test]
     fn conversion_round_trips() {
-        let i = Amperes::from_nano_amps(420.0);
+        let i = Amperes::from_amps(420.0e-9);
         let v = tia().convert(i);
         let back = tia().invert(v);
         assert!((back.as_nano_amps() - 420.0).abs() < 1e-9);
@@ -116,16 +104,17 @@ mod tests {
     fn full_scale_and_saturation() {
         let fs = tia().full_scale_current();
         assert!((fs.as_micro_amps() - 3.3).abs() < 1e-9);
-        assert!(tia().saturates_at(Amperes::from_micro_amps(4.0)));
-        assert!(!tia().saturates_at(Amperes::from_micro_amps(3.0)));
     }
 
     #[test]
     fn auto_range_keeps_signal_in_band() {
         for max_na in [5.0, 50.0, 500.0, 5000.0] {
-            let expected = Amperes::from_nano_amps(max_na);
+            let expected = Amperes::from_amps(max_na * 1e-9);
             let tia = TransimpedanceAmplifier::auto_range(expected, Volts::from_volts(3.3));
-            assert!(!tia.saturates_at(expected), "{max_na} nA saturates");
+            assert!(
+                expected <= tia.full_scale_current(),
+                "{max_na} nA saturates"
+            );
             // Signal uses at least a few percent of the range.
             let frac = expected.as_amps() / tia.full_scale_current().as_amps();
             assert!(frac > 0.05, "{max_na} nA uses only {frac} of range");

@@ -105,13 +105,6 @@ impl ReadoutChain {
         self
     }
 
-    /// Replaces the noise generator (keeps amplifier/ADC).
-    #[must_use]
-    pub fn with_noise(mut self, noise: NoiseGenerator) -> ReadoutChain {
-        self.noise = noise;
-        self
-    }
-
     /// Replaces the post-filter.
     #[must_use]
     pub fn with_filter(mut self, filter: FilterSpec) -> ReadoutChain {
@@ -129,24 +122,6 @@ impl ReadoutChain {
             Some(FaultState::new(config))
         };
         self
-    }
-
-    /// The installed fault configuration, if any.
-    #[must_use]
-    pub fn fault_config(&self) -> Option<ReadoutFaults> {
-        self.faults.as_ref().map(|state| *state.config())
-    }
-
-    /// The amplifier stage.
-    #[must_use]
-    pub fn amplifier(&self) -> &TransimpedanceAmplifier {
-        &self.tia
-    }
-
-    /// The converter stage.
-    #[must_use]
-    pub fn adc(&self) -> &Adc {
-        &self.adc
     }
 
     /// Input-referred RMS noise of the front end (excluding
@@ -200,19 +175,6 @@ impl ReadoutChain {
             .map(Amperes::from_amps)
             .collect()
     }
-
-    /// Estimates the blank noise floor: digitizes `n` zero-current
-    /// samples and returns their standard deviation. This is the σ in
-    /// the 3σ detection-limit computation.
-    pub fn blank_sigma(&mut self, n: usize) -> Amperes {
-        assert!(n >= 2, "need at least 2 blank samples");
-        let xs: Vec<f64> = (0..n)
-            .map(|_| self.digitize(Amperes::ZERO).as_amps())
-            .collect();
-        let mean = xs.iter().sum::<f64>() / n as f64;
-        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1) as f64;
-        Amperes::from_amps(var.sqrt())
-    }
 }
 
 impl Faultable for ReadoutChain {
@@ -236,10 +198,21 @@ impl Faultable for ReadoutChain {
 mod tests {
     use super::*;
 
+    /// Standard deviation of `n` digitized zero-current samples: the
+    /// blank σ of the 3σ detection limit.
+    fn blank_sigma(chain: &mut ReadoutChain, n: usize) -> Amperes {
+        let xs: Vec<f64> = (0..n)
+            .map(|_| chain.digitize(Amperes::ZERO).as_amps())
+            .collect();
+        let mean = xs.iter().sum::<f64>() / n as f64;
+        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1) as f64;
+        Amperes::from_amps(var.sqrt())
+    }
+
     #[test]
     fn digitize_preserves_signal_scale() {
         let mut chain = ReadoutChain::benchtop(5);
-        let i = Amperes::from_nano_amps(500.0);
+        let i = Amperes::from_amps(500.0e-9);
         let mean: f64 = (0..200)
             .map(|_| chain.digitize(i).as_nano_amps())
             .sum::<f64>()
@@ -251,15 +224,15 @@ mod tests {
     fn cmos_quieter_than_low_cost() {
         let mut cmos = ReadoutChain::integrated_cmos(9);
         let mut cheap = ReadoutChain::low_cost(9);
-        let s1 = cmos.blank_sigma(2000);
-        let s2 = cheap.blank_sigma(2000);
+        let s1 = blank_sigma(&mut cmos, 2000);
+        let s2 = blank_sigma(&mut cheap, 2000);
         assert!(s1.as_amps() * 3.0 < s2.as_amps(), "{s1} vs {s2}");
     }
 
     #[test]
     fn blank_sigma_close_to_generator_rms() {
         let mut chain = ReadoutChain::benchtop(13).with_filter(FilterSpec::None);
-        let sigma = chain.blank_sigma(5000);
+        let sigma = blank_sigma(&mut chain, 5000);
         let spec = chain.noise_rms();
         // Quantization adds a little; flicker correlations add scatter.
         assert!(sigma.as_amps() > 0.5 * spec.as_amps());
@@ -270,7 +243,7 @@ mod tests {
     fn clipping_limits_large_signals() {
         let mut chain = ReadoutChain::benchtop(1);
         let reading = chain.digitize(Amperes::from_micro_amps(100.0));
-        let fs = chain.amplifier().full_scale_current();
+        let fs = chain.tia.full_scale_current();
         assert!(reading.as_amps() <= fs.as_amps() * 1.001);
     }
 
@@ -285,12 +258,12 @@ mod tests {
     #[test]
     fn healthy_realization_installs_no_stage() {
         let chain = ReadoutChain::benchtop(3).with_faults(&RealizedFaults::healthy());
-        assert!(chain.fault_config().is_none());
+        assert!(chain.faults.is_none());
     }
 
     #[test]
     fn stuck_code_biases_readings_toward_zero_codes() {
-        let i = Amperes::from_nano_amps(400.0);
+        let i = Amperes::from_amps(400.0e-9);
         let mut healthy = ReadoutChain::benchtop(11).with_filter(FilterSpec::None);
         let mut faults = RealizedFaults::healthy();
         faults.adc_stuck_mask = 0b1_1111;
@@ -311,7 +284,7 @@ mod tests {
         faults.adc_saturation = 0.5;
         let mut chain = ReadoutChain::benchtop(1).with_faults(&faults);
         let reading = chain.digitize(Amperes::from_micro_amps(100.0));
-        let fs = chain.amplifier().full_scale_current();
+        let fs = chain.tia.full_scale_current();
         assert!(reading.as_amps() <= fs.as_amps() * 0.5 * 1.001);
     }
 
@@ -321,7 +294,7 @@ mod tests {
         faults.spike_probability = 0.2;
         faults.spike_magnitude = 0.3;
         faults.noise_seed = 77;
-        let sigma = |chain: &mut ReadoutChain| chain.blank_sigma(2000).as_amps();
+        let sigma = |chain: &mut ReadoutChain| blank_sigma(chain, 2000).as_amps();
         let mut healthy = ReadoutChain::benchtop(5).with_filter(FilterSpec::None);
         let mut spiky = ReadoutChain::benchtop(5)
             .with_filter(FilterSpec::None)
@@ -338,7 +311,7 @@ mod tests {
             .with_filter(FilterSpec::None)
             .with_faults(&faults);
         let readings: Vec<f64> = (0..200)
-            .map(|_| chain.digitize(Amperes::from_nano_amps(300.0)).as_amps())
+            .map(|_| chain.digitize(Amperes::from_amps(300.0e-9)).as_amps())
             .collect();
         let repeats = readings.windows(2).filter(|w| w[0] == w[1]).count();
         // Consecutive identical analog readings are (measure-)zero
@@ -356,7 +329,7 @@ mod tests {
         let run = || {
             let mut chain = ReadoutChain::benchtop(8).with_faults(&faults);
             (0..256)
-                .map(|_| chain.digitize(Amperes::from_nano_amps(100.0)).as_amps())
+                .map(|_| chain.digitize(Amperes::from_amps(100.0e-9)).as_amps())
                 .collect::<Vec<f64>>()
         };
         assert_eq!(run(), run());
@@ -364,7 +337,7 @@ mod tests {
 
     #[test]
     fn trace_filtering_reduces_scatter() {
-        let trace = vec![Amperes::from_nano_amps(100.0); 200];
+        let trace = vec![Amperes::from_amps(100.0e-9); 200];
         let mut raw_chain = ReadoutChain::benchtop(21).with_filter(FilterSpec::None);
         let mut filt_chain = ReadoutChain::benchtop(21).with_filter(FilterSpec::MovingAverage(9));
         let spread = |xs: &[Amperes]| {

@@ -90,33 +90,6 @@ pub fn savitzky_golay(samples: &[f64], window: usize) -> Vec<f64> {
         .collect()
 }
 
-/// Estimates and subtracts a linear baseline through the first and last
-/// `margin` points — the standard pre-processing before peak readout on a
-/// voltammogram.
-///
-/// Returns `(corrected, baseline)`.
-///
-/// # Panics
-///
-/// Panics if `margin` is zero or `2·margin > samples.len()`.
-#[must_use]
-pub fn subtract_linear_baseline(samples: &[f64], margin: usize) -> (Vec<f64>, Vec<f64>) {
-    assert!(margin > 0, "margin must be positive");
-    assert!(
-        2 * margin <= samples.len(),
-        "margins overlap: need at least 2*margin samples"
-    );
-    let n = samples.len();
-    let head: f64 = samples[..margin].iter().sum::<f64>() / margin as f64;
-    let tail: f64 = samples[n - margin..].iter().sum::<f64>() / margin as f64;
-    let x0 = (margin as f64 - 1.0) / 2.0;
-    let x1 = n as f64 - 1.0 - x0;
-    let slope = (tail - head) / (x1 - x0);
-    let baseline: Vec<f64> = (0..n).map(|i| head + slope * (i as f64 - x0)).collect();
-    let corrected = samples.iter().zip(&baseline).map(|(s, b)| s - b).collect();
-    (corrected, baseline)
-}
-
 /// Configuration of the post-filter applied by a readout chain.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FilterSpec {
@@ -195,31 +168,6 @@ mod tests {
         let ma = moving_average(&x, 7);
         let apex = 30;
         assert!((sg[apex] - 1.0).abs() < (ma[apex] - 1.0).abs());
-    }
-
-    #[test]
-    fn baseline_subtraction_levels_a_ramp() {
-        let x: Vec<f64> = (0..50).map(|i| 2.0 + 0.1 * i as f64).collect();
-        let (corrected, baseline) = subtract_linear_baseline(&x, 5);
-        for v in corrected {
-            assert!(v.abs() < 1e-9);
-        }
-        assert!((baseline[0] - 2.0).abs() < 0.3);
-    }
-
-    #[test]
-    fn baseline_preserves_peak_height_on_slope() {
-        let n = 101;
-        let x: Vec<f64> = (0..n)
-            .map(|i| {
-                let ramp = 0.05 * i as f64;
-                let peak = 3.0 * (-((i as f64 - 50.0) / 5.0).powi(2)).exp();
-                ramp + peak
-            })
-            .collect();
-        let (corrected, _) = subtract_linear_baseline(&x, 10);
-        let apex = corrected.iter().cloned().fold(f64::MIN, f64::max);
-        assert!((apex - 3.0).abs() < 0.1);
     }
 
     #[test]

@@ -8,8 +8,10 @@
 //!
 //! Signal path: true faradaic current → [`noise::NoiseGenerator`] →
 //! [`amplifier::TransimpedanceAmplifier`] → [`adc::Adc`] →
-//! [`filter`] smoothing → [`peak`] feature extraction. The whole chain is
-//! bundled in [`chain::ReadoutChain`].
+//! [`filter`] smoothing, with an optional injected [`fault`] stage. The
+//! whole chain is bundled in [`chain::ReadoutChain`];
+//! [`sequencer::ScanSchedule`] models multiplexing one chain over
+//! several channels.
 //!
 //! # Examples
 //!
@@ -18,7 +20,7 @@
 //! use bios_units::Amperes;
 //!
 //! let mut chain = ReadoutChain::benchtop(42);
-//! let reading = chain.digitize(Amperes::from_nano_amps(250.0));
+//! let reading = chain.digitize(Amperes::from_amps(250.0e-9));
 //! // The chain adds noise and quantization but preserves the signal scale.
 //! assert!((reading.as_nano_amps() - 250.0).abs() < 25.0);
 //! ```
@@ -28,19 +30,12 @@
 
 pub mod adc;
 pub mod amplifier;
-pub mod cell;
 pub mod chain;
 pub mod fault;
 pub mod filter;
 pub mod noise;
-pub mod peak;
-pub mod potentiostat;
 pub mod sequencer;
 
 pub use adc::Adc;
 pub use amplifier::TransimpedanceAmplifier;
-pub use cell::ThreeElectrodeCell;
 pub use chain::ReadoutChain;
-pub use fault::ReadoutFaults;
-pub use noise::NoiseGenerator;
-pub use potentiostat::Potentiostat;

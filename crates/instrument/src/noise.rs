@@ -15,7 +15,7 @@ use bios_units::Amperes;
 /// # Examples
 ///
 /// ```
-/// use bios_instrument::NoiseGenerator;
+/// use bios_instrument::noise::NoiseGenerator;
 ///
 /// let mut gen = NoiseGenerator::new(7, bios_units::Amperes::from_pico_amps(100.0));
 /// let a = gen.sample();
@@ -54,18 +54,6 @@ impl NoiseGenerator {
         self
     }
 
-    /// White-noise RMS.
-    #[must_use]
-    pub fn white_rms(&self) -> Amperes {
-        Amperes::from_amps(self.white_rms)
-    }
-
-    /// Flicker RMS.
-    #[must_use]
-    pub fn flicker_rms(&self) -> Amperes {
-        Amperes::from_amps(self.flicker_rms)
-    }
-
     /// Total RMS assuming independent components.
     #[must_use]
     pub fn total_rms(&self) -> Amperes {
@@ -87,34 +75,10 @@ impl NoiseGenerator {
         Amperes::from_amps(white + flicker)
     }
 
-    /// Draws `n` consecutive samples.
-    pub fn sample_n(&mut self, n: usize) -> Vec<Amperes> {
-        (0..n).map(|_| self.sample()).collect()
-    }
-
     /// Standard normal variate via Box–Muller.
     fn gaussian(&mut self) -> f64 {
         self.rng.gaussian()
     }
-}
-
-/// Johnson–Nyquist current noise RMS of a resistor `r_ohms` over
-/// bandwidth `bandwidth_hz` at temperature `t_kelvin`:
-/// `i_n = √(4·k_B·T·Δf/R)`.
-///
-/// # Examples
-///
-/// ```
-/// use bios_instrument::noise::thermal_current_noise;
-///
-/// // 1 MΩ feedback resistor, 10 Hz bandwidth, room temperature:
-/// let i = thermal_current_noise(1e6, 10.0, 298.15);
-/// assert!(i.as_amps() < 1.0e-12); // deeply sub-pA — not the bottleneck
-/// ```
-#[must_use]
-pub fn thermal_current_noise(r_ohms: f64, bandwidth_hz: f64, t_kelvin: f64) -> Amperes {
-    const BOLTZMANN: f64 = 1.380_649e-23;
-    Amperes::from_amps((4.0 * BOLTZMANN * t_kelvin * bandwidth_hz / r_ohms).sqrt())
 }
 
 #[cfg(test)]
@@ -123,8 +87,8 @@ mod tests {
 
     #[test]
     fn deterministic_under_seed() {
-        let mut a = NoiseGenerator::new(123, Amperes::from_nano_amps(1.0));
-        let mut b = NoiseGenerator::new(123, Amperes::from_nano_amps(1.0));
+        let mut a = NoiseGenerator::new(123, Amperes::from_amps(1.0e-9));
+        let mut b = NoiseGenerator::new(123, Amperes::from_amps(1.0e-9));
         for _ in 0..100 {
             assert_eq!(a.sample().as_amps(), b.sample().as_amps());
         }
@@ -132,8 +96,8 @@ mod tests {
 
     #[test]
     fn different_seeds_differ() {
-        let mut a = NoiseGenerator::new(1, Amperes::from_nano_amps(1.0));
-        let mut b = NoiseGenerator::new(2, Amperes::from_nano_amps(1.0));
+        let mut a = NoiseGenerator::new(1, Amperes::from_amps(1.0e-9));
+        let mut b = NoiseGenerator::new(2, Amperes::from_amps(1.0e-9));
         let same = (0..50)
             .filter(|_| a.sample().as_amps() == b.sample().as_amps())
             .count();
@@ -152,7 +116,7 @@ mod tests {
 
     #[test]
     fn empirical_mean_is_zero() {
-        let mut g = NoiseGenerator::new(11, Amperes::from_nano_amps(1.0));
+        let mut g = NoiseGenerator::new(11, Amperes::from_amps(1.0e-9));
         let n = 20_000;
         let mean: f64 = (0..n).map(|_| g.sample().as_amps()).sum::<f64>() / n as f64;
         assert!(mean.abs() < 0.05e-9);
@@ -160,9 +124,9 @@ mod tests {
 
     #[test]
     fn flicker_adds_low_frequency_correlation() {
-        let mut white = NoiseGenerator::new(3, Amperes::from_nano_amps(1.0));
-        let mut pink = NoiseGenerator::new(3, Amperes::from_nano_amps(1.0))
-            .with_flicker(Amperes::from_nano_amps(3.0));
+        let mut white = NoiseGenerator::new(3, Amperes::from_amps(1.0e-9));
+        let mut pink = NoiseGenerator::new(3, Amperes::from_amps(1.0e-9))
+            .with_flicker(Amperes::from_amps(3.0e-9));
         let lag_corr = |g: &mut NoiseGenerator| {
             let xs: Vec<f64> = (0..5000).map(|_| g.sample().as_amps()).collect();
             let mean = xs.iter().sum::<f64>() / xs.len() as f64;
@@ -178,15 +142,8 @@ mod tests {
 
     #[test]
     fn total_rms_combines_quadratically() {
-        let g = NoiseGenerator::new(0, Amperes::from_nano_amps(3.0))
-            .with_flicker(Amperes::from_nano_amps(4.0));
+        let g = NoiseGenerator::new(0, Amperes::from_amps(3.0e-9))
+            .with_flicker(Amperes::from_amps(4.0e-9));
         assert!((g.total_rms().as_nano_amps() - 5.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn thermal_noise_scales_inverse_sqrt_r() {
-        let a = thermal_current_noise(1e6, 10.0, 298.15);
-        let b = thermal_current_noise(4e6, 10.0, 298.15);
-        assert!((a.as_amps() / b.as_amps() - 2.0).abs() < 1e-9);
     }
 }

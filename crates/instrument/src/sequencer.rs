@@ -51,18 +51,6 @@ impl ScanSchedule {
         self.channels
     }
 
-    /// Settling (blanked) time per visit.
-    #[must_use]
-    pub fn settling(&self) -> Seconds {
-        self.settling
-    }
-
-    /// Useful sampling time per visit.
-    #[must_use]
-    pub fn dwell(&self) -> Seconds {
-        self.dwell
-    }
-
     /// Time for one complete pass over all channels.
     #[must_use]
     pub fn frame_time(&self) -> Seconds {
@@ -89,19 +77,6 @@ impl ScanSchedule {
     #[must_use]
     pub fn snr_penalty(&self) -> f64 {
         (self.duty_cycle() / self.channels as f64).sqrt()
-    }
-
-    /// When channel `k` is visited within each frame (start of its
-    /// useful dwell).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is out of range.
-    #[must_use]
-    pub fn visit_offset(&self, k: usize) -> Seconds {
-        assert!(k < self.channels, "channel out of range");
-        let slot = self.settling.as_seconds() + self.dwell.as_seconds();
-        Seconds::from_seconds(k as f64 * slot + self.settling.as_seconds())
     }
 }
 
@@ -139,24 +114,5 @@ mod tests {
     fn longer_settling_hurts_duty_cycle() {
         let slow = ScanSchedule::new(5, Seconds::from_millis(200.0), Seconds::from_millis(200.0));
         assert!(slow.duty_cycle() < schedule().duty_cycle());
-    }
-
-    #[test]
-    fn visit_offsets_are_ordered_and_skip_settling() {
-        let s = schedule();
-        assert!((s.visit_offset(0).as_millis() - 50.0).abs() < 1e-9);
-        assert!((s.visit_offset(1).as_millis() - 300.0).abs() < 1e-9);
-        let mut prev = Seconds::ZERO;
-        for k in 0..s.channels() {
-            let t = s.visit_offset(k);
-            assert!(t > prev);
-            prev = t;
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn bad_channel_rejected() {
-        let _ = schedule().visit_offset(5);
     }
 }

@@ -62,24 +62,6 @@ impl QuartzCrystalMicrobalance {
         }
     }
 
-    /// Sets the frequency-counter resolution (default 0.1 Hz).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the resolution is not positive.
-    #[must_use]
-    pub fn with_resolution(mut self, hz: f64) -> QuartzCrystalMicrobalance {
-        assert!(hz > 0.0, "resolution must be positive");
-        self.resolution_hz = hz;
-        self
-    }
-
-    /// The crystal's fundamental frequency, Hz.
-    #[must_use]
-    pub fn fundamental_hz(&self) -> f64 {
-        self.fundamental_hz
-    }
-
     /// Sauerbrey mass sensitivity, Hz per (g/cm²).
     #[must_use]
     pub fn sensitivity_hz_per_gram_per_cm2(&self) -> f64 {
@@ -152,6 +134,30 @@ mod tests {
         // comfortably below a protein monolayer.
         assert!(qcm().detects_protein_monolayer());
         // A sloppy 100 Hz counter cannot.
-        assert!(!qcm().with_resolution(100.0).detects_protein_monolayer());
+        let sloppy = QuartzCrystalMicrobalance {
+            resolution_hz: 100.0,
+            ..qcm()
+        };
+        assert!(!sloppy.detects_protein_monolayer());
+    }
+
+    /// QCM detection limit improves with finer counters.
+    #[test]
+    fn qcm_lod_monotonicities() {
+        bios_prng::cases(0x0605, 64, |rng| {
+            let f_mhz = rng.uniform_in(1.0, 30.0);
+            let res = rng.log_uniform_in(0.01, 10.0);
+            let q = QuartzCrystalMicrobalance {
+                resolution_hz: res,
+                ..QuartzCrystalMicrobalance::new(f_mhz * 1e6, SquareCm::from_square_cm(1.0))
+            };
+            let finer = QuartzCrystalMicrobalance {
+                resolution_hz: res / 2.0,
+                ..q
+            };
+            assert!(
+                finer.mass_detection_limit_grams_per_cm2() < q.mass_detection_limit_grams_per_cm2()
+            );
+        });
     }
 }

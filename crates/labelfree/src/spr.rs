@@ -22,10 +22,9 @@ use bios_units::Molar;
 /// use bios_units::Molar;
 ///
 /// let spr = SprSensor::biacore_like();
-/// // Half-saturation response exactly at K_D.
-/// let half = spr.response_units(spr.kd());
-/// let max = spr.saturation_response_units();
-/// assert!((half / max - 0.5).abs() < 1e-9);
+/// // Half of the 1200 RU saturation response exactly at the 10 nM K_D.
+/// let half = spr.response_units(Molar::from_nano_molar(10.0));
+/// assert!((half / 1200.0 - 0.5).abs() < 1e-9);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SprSensor {
@@ -53,35 +52,6 @@ impl SprSensor {
         }
     }
 
-    /// Builds a custom channel.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r_max_ru` or `noise_ru` is not positive.
-    #[must_use]
-    pub fn new(r_max_ru: f64, kd: Molar, noise_ru: f64) -> SprSensor {
-        assert!(r_max_ru > 0.0, "R_max must be positive");
-        assert!(noise_ru > 0.0, "noise must be positive");
-        SprSensor {
-            r_max_ru,
-            kd,
-            noise_ru,
-            millideg_per_kilo_ru: 100.0,
-        }
-    }
-
-    /// The receptor–analyte dissociation constant.
-    #[must_use]
-    pub fn kd(&self) -> Molar {
-        self.kd
-    }
-
-    /// Response at full receptor occupancy.
-    #[must_use]
-    pub fn saturation_response_units(&self) -> f64 {
-        self.r_max_ru
-    }
-
     /// Equilibrium response at analyte concentration `c`, in RU.
     #[must_use]
     pub fn response_units(&self, c: Molar) -> f64 {
@@ -104,28 +74,6 @@ impl SprSensor {
         // Invert the Langmuir response: c = K_D·r/(R_max − r).
         Molar::from_molar(self.kd.as_molar() * r_min / (self.r_max_ru - r_min))
     }
-
-    /// Association-phase transient toward equilibrium with observed rate
-    /// `k_obs = k_on·c + k_off`: `R(t) = R_eq·(1 − e^(−k_obs·t))`.
-    ///
-    /// `k_on` in M⁻¹s⁻¹; `k_off` is derived from `K_D = k_off/k_on`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k_on` or `t_seconds` is not positive.
-    #[must_use]
-    pub fn association_transient(
-        &self,
-        c: Molar,
-        k_on_per_molar_second: f64,
-        t_seconds: f64,
-    ) -> f64 {
-        assert!(k_on_per_molar_second > 0.0, "k_on must be positive");
-        assert!(t_seconds >= 0.0, "time cannot be negative");
-        let k_off = k_on_per_molar_second * self.kd.as_molar();
-        let k_obs = k_on_per_molar_second * c.as_molar().max(0.0) + k_off;
-        self.response_units(c) * (1.0 - (-k_obs * t_seconds).exp())
-    }
 }
 
 #[cfg(test)]
@@ -137,8 +85,8 @@ mod tests {
         let s = SprSensor::biacore_like();
         assert_eq!(s.response_units(Molar::ZERO), 0.0);
         let r = s.response_units(Molar::from_micro_molar(10.0));
-        assert!(r > 0.99 * s.saturation_response_units());
-        assert!(r <= s.saturation_response_units());
+        assert!(r > 0.99 * s.r_max_ru);
+        assert!(r <= s.r_max_ru);
     }
 
     #[test]
@@ -155,9 +103,56 @@ mod tests {
 
     #[test]
     fn quieter_instrument_detects_less() {
-        let loud = SprSensor::new(1200.0, Molar::from_nano_molar(10.0), 1.0);
-        let quiet = SprSensor::new(1200.0, Molar::from_nano_molar(10.0), 0.1);
+        let loud = SprSensor {
+            noise_ru: 1.0,
+            ..SprSensor::biacore_like()
+        };
+        let quiet = SprSensor {
+            noise_ru: 0.1,
+            ..SprSensor::biacore_like()
+        };
         assert!(quiet.detection_limit() < loud.detection_limit());
+    }
+
+    fn sensor(r_max_ru: f64, kd: Molar, noise_ru: f64) -> SprSensor {
+        SprSensor {
+            r_max_ru,
+            kd,
+            noise_ru,
+            ..SprSensor::biacore_like()
+        }
+    }
+
+    /// SPR response is bounded by R_max and monotone in concentration.
+    #[test]
+    fn spr_response_bounded_and_monotone() {
+        bios_prng::cases(0x0601, 64, |rng| {
+            let r_max = rng.uniform_in(100.0, 5000.0);
+            let kd_nano = rng.log_uniform_in(0.1, 1000.0);
+            let c1 = rng.uniform_in(0.0, 1e4);
+            let dc = rng.uniform_in(0.0, 1e4);
+            let s = sensor(r_max, Molar::from_nano_molar(kd_nano), 0.3);
+            let lo = s.response_units(Molar::from_nano_molar(c1));
+            let hi = s.response_units(Molar::from_nano_molar(c1 + dc));
+            assert!(lo >= 0.0);
+            assert!(hi >= lo);
+            assert!(hi <= r_max);
+        });
+    }
+
+    /// SPR detection limit is monotone in instrument noise and in K_D.
+    #[test]
+    fn spr_lod_monotonicities() {
+        bios_prng::cases(0x0602, 64, |rng| {
+            let kd_nano = rng.uniform_in(1.0, 100.0);
+            let noise = rng.uniform_in(0.05, 2.0);
+            let factor = rng.uniform_in(1.5, 5.0);
+            let base = sensor(1200.0, Molar::from_nano_molar(kd_nano), noise);
+            let noisier = sensor(1200.0, Molar::from_nano_molar(kd_nano), noise * factor);
+            assert!(noisier.detection_limit() > base.detection_limit());
+            let weaker = sensor(1200.0, Molar::from_nano_molar(kd_nano * factor), noise);
+            assert!(weaker.detection_limit() > base.detection_limit());
+        });
     }
 
     #[test]
@@ -166,28 +161,5 @@ mod tests {
         let a1 = s.angle_shift_millideg(100.0);
         let a2 = s.angle_shift_millideg(200.0);
         assert!((a2 / a1 - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn association_approaches_equilibrium() {
-        let s = SprSensor::biacore_like();
-        let c = Molar::from_nano_molar(20.0);
-        let k_on = 1e5; // M⁻¹s⁻¹
-        let early = s.association_transient(c, k_on, 10.0);
-        let late = s.association_transient(c, k_on, 10_000.0);
-        let eq = s.response_units(c);
-        assert!(early < late);
-        assert!((late - eq).abs() / eq < 1e-6);
-    }
-
-    #[test]
-    fn higher_concentration_binds_faster() {
-        let s = SprSensor::biacore_like();
-        let k_on = 1e5;
-        let t = 30.0;
-        // Fractional completion at t is higher for the higher
-        // concentration (larger k_obs).
-        let frac = |c: Molar| s.association_transient(c, k_on, t) / s.response_units(c);
-        assert!(frac(Molar::from_nano_molar(100.0)) > frac(Molar::from_nano_molar(5.0)));
     }
 }

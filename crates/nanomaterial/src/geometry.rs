@@ -9,10 +9,6 @@ use crate::material::ElectrodeMaterial;
 pub enum ElectrodeRole {
     /// Where the sensing chemistry happens and the current is measured.
     Working,
-    /// Closes the current loop.
-    Counter,
-    /// Potential reference; passes (ideally) no current.
-    Reference,
 }
 
 /// A physical electrode: material + geometric area + role.
@@ -118,58 +114,6 @@ impl ElectrodeStock {
             ),
         }
     }
-
-    /// The counter electrode.
-    #[must_use]
-    pub fn counter_electrode(&self) -> Electrode {
-        let (material, area_mm2) = match self {
-            ElectrodeStock::DropSensSpe => (ElectrodeMaterial::Graphite, 30.0),
-            ElectrodeStock::EpflMicroChip => (ElectrodeMaterial::Gold, 2.0),
-            ElectrodeStock::GlassyCarbonDisc | ElectrodeStock::PlatinumDisc => {
-                (ElectrodeMaterial::Platinum, 50.0)
-            }
-        };
-        Electrode::new(
-            material,
-            SquareCm::from_square_mm(area_mm2),
-            ElectrodeRole::Counter,
-        )
-    }
-
-    /// The reference electrode.
-    #[must_use]
-    pub fn reference_electrode(&self) -> Electrode {
-        let material = match self {
-            ElectrodeStock::DropSensSpe => ElectrodeMaterial::SilverChloride,
-            ElectrodeStock::EpflMicroChip => ElectrodeMaterial::Platinum,
-            ElectrodeStock::GlassyCarbonDisc | ElectrodeStock::PlatinumDisc => {
-                ElectrodeMaterial::SilverChloride
-            }
-        };
-        Electrode::new(
-            material,
-            SquareCm::from_square_mm(5.0),
-            ElectrodeRole::Reference,
-        )
-    }
-
-    /// Number of independently addressable working electrodes (the EPFL
-    /// chip is a 5-channel array — the basis of the multi-target
-    /// platform).
-    #[must_use]
-    pub fn working_channels(&self) -> usize {
-        match self {
-            ElectrodeStock::EpflMicroChip => 5,
-            _ => 1,
-        }
-    }
-
-    /// Whether the device is disposable (vs permanently integrated) —
-    /// the §2.5 axis of the classification.
-    #[must_use]
-    pub fn is_disposable(&self) -> bool {
-        matches!(self, ElectrodeStock::DropSensSpe)
-    }
 }
 
 #[cfg(test)]
@@ -191,39 +135,15 @@ mod tests {
             ElectrodeMaterial::Graphite
         );
         assert_eq!(
-            ElectrodeStock::DropSensSpe.reference_electrode().material(),
-            ElectrodeMaterial::SilverChloride
-        );
-        assert_eq!(
             ElectrodeStock::EpflMicroChip.working_electrode().material(),
             ElectrodeMaterial::Gold
         );
-        assert_eq!(
-            ElectrodeStock::EpflMicroChip
-                .reference_electrode()
-                .material(),
-            ElectrodeMaterial::Platinum
-        );
-    }
-
-    #[test]
-    fn chip_has_five_channels() {
-        assert_eq!(ElectrodeStock::EpflMicroChip.working_channels(), 5);
-        assert_eq!(ElectrodeStock::DropSensSpe.working_channels(), 1);
     }
 
     #[test]
     fn roles_are_assigned() {
         let s = ElectrodeStock::GlassyCarbonDisc;
         assert_eq!(s.working_electrode().role(), ElectrodeRole::Working);
-        assert_eq!(s.counter_electrode().role(), ElectrodeRole::Counter);
-        assert_eq!(s.reference_electrode().role(), ElectrodeRole::Reference);
-    }
-
-    #[test]
-    fn counter_is_larger_than_working_for_spe() {
-        let s = ElectrodeStock::DropSensSpe;
-        assert!(s.counter_electrode().area() > s.working_electrode().area());
     }
 
     #[test]

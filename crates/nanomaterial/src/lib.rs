@@ -37,7 +37,6 @@ pub mod geometry;
 pub mod material;
 pub mod modification;
 
-pub use dispersion::Dispersant;
 pub use geometry::{Electrode, ElectrodeRole, ElectrodeStock};
 pub use material::ElectrodeMaterial;
 pub use modification::SurfaceModification;

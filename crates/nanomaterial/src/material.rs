@@ -2,11 +2,7 @@
 
 /// The conductor an electrode is made of.
 ///
-/// Each material carries an intrinsic electrocatalytic activity toward
-/// H₂O₂ oxidation (the oxidase-sensor detection reaction) and a specific
-/// double-layer capacitance. The paper notes (§3.2.2) that carbon
-/// electrodes outperform metallic ones for H₂O₂ — encoded here in
-/// [`ElectrodeMaterial::peroxide_activity`].
+/// Each material carries a specific double-layer capacitance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ElectrodeMaterial {
     /// Screen-printed graphite (DropSens SPE working/counter electrodes).
@@ -19,8 +15,6 @@ pub enum ElectrodeMaterial {
     GlassyCarbon,
     /// Carbon paste (CNT/mineral-oil composite electrodes, \[41\]).
     CarbonPaste,
-    /// Silver / silver-chloride (reference electrode of the SPE).
-    SilverChloride,
 }
 
 impl ElectrodeMaterial {
@@ -33,21 +27,6 @@ impl ElectrodeMaterial {
             ElectrodeMaterial::Platinum => "Pt",
             ElectrodeMaterial::GlassyCarbon => "glassy carbon",
             ElectrodeMaterial::CarbonPaste => "carbon paste",
-            ElectrodeMaterial::SilverChloride => "Ag/AgCl",
-        }
-    }
-
-    /// Relative electrocatalytic activity toward H₂O₂ oxidation
-    /// (platinum ≡ 1.0).
-    #[must_use]
-    pub fn peroxide_activity(&self) -> f64 {
-        match self {
-            ElectrodeMaterial::Platinum => 1.0,
-            ElectrodeMaterial::GlassyCarbon => 0.85,
-            ElectrodeMaterial::Graphite => 0.8,
-            ElectrodeMaterial::CarbonPaste => 0.6,
-            ElectrodeMaterial::Gold => 0.5,
-            ElectrodeMaterial::SilverChloride => 0.1,
         }
     }
 
@@ -60,29 +39,7 @@ impl ElectrodeMaterial {
             ElectrodeMaterial::Platinum => 22e-6,
             ElectrodeMaterial::GlassyCarbon => 24e-6,
             ElectrodeMaterial::CarbonPaste => 30e-6,
-            ElectrodeMaterial::SilverChloride => 40e-6,
         }
-    }
-
-    /// Whether this material is suitable as a reference electrode.
-    #[must_use]
-    pub fn is_reference_grade(&self) -> bool {
-        matches!(
-            self,
-            ElectrodeMaterial::SilverChloride | ElectrodeMaterial::Platinum
-        )
-    }
-
-    /// Whether the material is a carbon allotrope (the paper's §3.2.2
-    /// observation: carbon beats metals for H₂O₂ detection).
-    #[must_use]
-    pub fn is_carbon(&self) -> bool {
-        matches!(
-            self,
-            ElectrodeMaterial::Graphite
-                | ElectrodeMaterial::GlassyCarbon
-                | ElectrodeMaterial::CarbonPaste
-        )
     }
 }
 
@@ -97,34 +54,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn carbon_beats_gold_for_peroxide() {
-        // §3.2.2: "carbon electrode has better performance than metallic
-        // electrodes for the detection of H2O2".
-        assert!(
-            ElectrodeMaterial::Graphite.peroxide_activity()
-                > ElectrodeMaterial::Gold.peroxide_activity()
-        );
-        assert!(
-            ElectrodeMaterial::GlassyCarbon.peroxide_activity()
-                > ElectrodeMaterial::Gold.peroxide_activity()
-        );
-    }
-
-    #[test]
-    fn reference_grades() {
-        assert!(ElectrodeMaterial::SilverChloride.is_reference_grade());
-        assert!(ElectrodeMaterial::Platinum.is_reference_grade());
-        assert!(!ElectrodeMaterial::Graphite.is_reference_grade());
-    }
-
-    #[test]
-    fn carbon_classification() {
-        assert!(ElectrodeMaterial::Graphite.is_carbon());
-        assert!(ElectrodeMaterial::CarbonPaste.is_carbon());
-        assert!(!ElectrodeMaterial::Gold.is_carbon());
-    }
-
-    #[test]
     fn capacitances_in_physical_band() {
         for m in [
             ElectrodeMaterial::Graphite,
@@ -132,7 +61,6 @@ mod tests {
             ElectrodeMaterial::Platinum,
             ElectrodeMaterial::GlassyCarbon,
             ElectrodeMaterial::CarbonPaste,
-            ElectrodeMaterial::SilverChloride,
         ] {
             let c = m.specific_capacitance();
             assert!((10e-6..=50e-6).contains(&c), "{m}: {c}");
@@ -142,6 +70,6 @@ mod tests {
     #[test]
     fn display_names() {
         assert_eq!(ElectrodeMaterial::Gold.to_string(), "Au");
-        assert_eq!(ElectrodeMaterial::SilverChloride.to_string(), "Ag/AgCl");
+        assert_eq!(ElectrodeMaterial::CarbonPaste.to_string(), "carbon paste");
     }
 }

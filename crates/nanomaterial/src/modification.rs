@@ -39,8 +39,7 @@ impl Default for CntDimensions {
 
 /// A named electrode surface modification with its engineering gains.
 ///
-/// Constructors cover every recipe in the paper's Table 2; custom
-/// recipes can be assembled with [`SurfaceModification::custom`].
+/// Constructors cover every recipe in the paper's Table 2.
 ///
 /// # Examples
 ///
@@ -265,39 +264,6 @@ impl SurfaceModification {
         }
     }
 
-    /// Fully custom recipe.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `roughness < 1`, any gain is not positive, or the
-    /// collection efficiency is outside `(0, 1]`.
-    #[must_use]
-    pub fn custom(
-        name: &str,
-        dispersant: Option<Dispersant>,
-        roughness: f64,
-        electron_transfer_gain: f64,
-        enzyme_capacity_gain: f64,
-        collection_efficiency: f64,
-    ) -> SurfaceModification {
-        assert!(roughness >= 1.0, "roughness factor cannot be below 1");
-        assert!(electron_transfer_gain > 0.0, "ET gain must be positive");
-        assert!(enzyme_capacity_gain > 0.0, "capacity gain must be positive");
-        assert!(
-            collection_efficiency > 0.0 && collection_efficiency <= 1.0,
-            "collection efficiency must lie in (0, 1]"
-        );
-        SurfaceModification {
-            name: name.to_owned(),
-            dispersant,
-            roughness,
-            electron_transfer_gain,
-            enzyme_capacity_gain,
-            collection_efficiency,
-            cnt: None,
-        }
-    }
-
     /// Display name (matches the Table 2 "Modification" column style).
     #[must_use]
     pub fn name(&self) -> &str {
@@ -442,16 +408,48 @@ mod tests {
         assert!((1.0..=2.0).contains(&len_um));
     }
 
+    fn h2o2() -> RedoxCouple {
+        RedoxCouple::builder("H2O2 oxidation")
+            .rate_constant(2e-4)
+            .build()
+    }
+
+    #[test]
+    fn modify_couple_never_decelerates_and_stays_within_the_gain() {
+        let base = h2o2();
+        for m in all_modifications() {
+            let k = m.modify_couple(&base).rate_constant();
+            assert!(k >= base.rate_constant() * (1.0 - 1e-12), "{m}");
+            assert!(
+                k <= base.rate_constant() * m.electron_transfer_gain() * (1.0 + 1e-12),
+                "{m}"
+            );
+        }
+    }
+
+    #[test]
+    fn better_dispersion_faster_couple() {
+        let base = h2o2();
+        let nafion = SurfaceModification::mwcnt_nafion();
+        let oil = SurfaceModification {
+            dispersant: Some(Dispersant::MineralOil),
+            ..nafion.clone()
+        };
+        assert!(
+            nafion.modify_couple(&base).rate_constant() > oil.modify_couple(&base).rate_constant()
+        );
+    }
+
     #[test]
     fn modify_couple_accelerates_k0() {
-        let base = RedoxCouple::hydrogen_peroxide_oxidation();
+        let base = h2o2();
         let on_cnt = SurfaceModification::mwcnt_nafion().modify_couple(&base);
         assert!(on_cnt.rate_constant() > 30.0 * base.rate_constant());
     }
 
     #[test]
     fn bare_surface_is_identity_on_couples() {
-        let base = RedoxCouple::hydrogen_peroxide_oxidation();
+        let base = h2o2();
         let same = SurfaceModification::bare().modify_couple(&base);
         assert!((same.rate_constant() - base.rate_constant()).abs() < 1e-15);
     }
@@ -461,11 +459,5 @@ mod tests {
         assert!(SurfaceModification::mwcnt_nafion().is_nanostructured());
         assert!(!SurfaceModification::nafion_film().is_nanostructured());
         assert!(!SurfaceModification::bare().is_nanostructured());
-    }
-
-    #[test]
-    #[should_panic(expected = "collection efficiency")]
-    fn custom_validates_collection() {
-        let _ = SurfaceModification::custom("bad", None, 10.0, 5.0, 5.0, 1.5);
     }
 }

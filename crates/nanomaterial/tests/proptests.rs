@@ -1,36 +1,20 @@
-//! Property tests for electrode and surface-modification models.
+//! Property tests for the electrode and material models.
 //! Sampled deterministically via `bios_prng::cases`.
 
-use bios_electrochem::RedoxCouple;
-use bios_nanomaterial::{
-    Dispersant, Electrode, ElectrodeMaterial, ElectrodeRole, SurfaceModification,
-};
+use bios_nanomaterial::{Electrode, ElectrodeMaterial, ElectrodeRole};
 use bios_prng::{cases, Rng};
 use bios_units::SquareCm;
 
-const MATERIALS: [ElectrodeMaterial; 6] = [
+const MATERIALS: [ElectrodeMaterial; 5] = [
     ElectrodeMaterial::Graphite,
     ElectrodeMaterial::Gold,
     ElectrodeMaterial::Platinum,
     ElectrodeMaterial::GlassyCarbon,
     ElectrodeMaterial::CarbonPaste,
-    ElectrodeMaterial::SilverChloride,
-];
-
-const DISPERSANTS: [Dispersant; 5] = [
-    Dispersant::Nafion,
-    Dispersant::Chloroform,
-    Dispersant::MineralOil,
-    Dispersant::SolGel,
-    Dispersant::Water,
 ];
 
 fn any_material(rng: &mut Rng) -> ElectrodeMaterial {
     MATERIALS[rng.index(MATERIALS.len())]
-}
-
-fn any_dispersant(rng: &mut Rng) -> Dispersant {
-    DISPERSANTS[rng.index(DISPERSANTS.len())]
 }
 
 /// Electrodes accept any positive area, and the stored values round
@@ -50,71 +34,12 @@ fn electrode_round_trips() {
     });
 }
 
-/// Material property tables stay in their physical bands for every
+/// The capacitance table stays in its physical band for every
 /// variant.
 #[test]
 fn material_properties_bounded() {
     for material in MATERIALS {
-        let act = material.peroxide_activity();
-        assert!(act > 0.0 && act <= 1.0);
         let cap = material.specific_capacitance();
         assert!((5e-6..=100e-6).contains(&cap));
     }
-}
-
-/// Custom modifications accept any valid gain combination and echo
-/// it back.
-#[test]
-fn custom_modification_round_trips() {
-    cases(0x0302, 64, |rng| {
-        let roughness = rng.uniform_in(1.0, 500.0);
-        let et = rng.uniform_in(0.1, 200.0);
-        let cap = rng.uniform_in(0.1, 200.0);
-        let coll = rng.uniform_in(0.01, 1.0);
-        let dispersant = if rng.uniform() < 0.5 {
-            Some(any_dispersant(rng))
-        } else {
-            None
-        };
-        let m = SurfaceModification::custom("prop", dispersant, roughness, et, cap, coll);
-        assert_eq!(m.roughness(), roughness);
-        assert_eq!(m.electron_transfer_gain(), et);
-        assert_eq!(m.enzyme_capacity_gain(), cap);
-        assert_eq!(m.collection_efficiency(), coll);
-        assert_eq!(m.dispersant(), dispersant);
-    });
-}
-
-/// Couple modification multiplies k⁰ by at least 1 (never slows a
-/// couple down) and scales with the ET gain.
-#[test]
-fn couple_modification_never_decelerates() {
-    cases(0x0303, 64, |rng| {
-        let et = rng.uniform_in(1.0, 200.0);
-        let coll = rng.uniform_in(0.01, 1.0);
-        let dispersant = any_dispersant(rng);
-        let m = SurfaceModification::custom("prop", Some(dispersant), 50.0, et, 10.0, coll);
-        let base = RedoxCouple::hydrogen_peroxide_oxidation();
-        let modified = m.modify_couple(&base);
-        assert!(modified.rate_constant() >= base.rate_constant() * (1.0 - 1e-12));
-        // Bounded by the nominal gain.
-        assert!(modified.rate_constant() <= base.rate_constant() * et * (1.0 + 1e-12));
-    });
-}
-
-/// Dispersant film quality weights the realized ET enhancement:
-/// better dispersion, faster couple.
-#[test]
-fn better_dispersion_faster_couple() {
-    cases(0x0304, 64, |rng| {
-        let et = rng.uniform_in(2.0, 100.0);
-        let base = RedoxCouple::hydrogen_peroxide_oxidation();
-        let nafion =
-            SurfaceModification::custom("a", Some(Dispersant::Nafion), 50.0, et, 10.0, 0.8);
-        let oil =
-            SurfaceModification::custom("b", Some(Dispersant::MineralOil), 50.0, et, 10.0, 0.8);
-        assert!(
-            nafion.modify_couple(&base).rate_constant() > oil.modify_couple(&base).rate_constant()
-        );
-    });
 }

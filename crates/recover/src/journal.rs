@@ -16,9 +16,13 @@
 //! ```
 //!
 //! Each frame is `[u32 len][payload][u64 fnv1a(payload)]` (see
-//! [`crate::codec`]). Every append is flushed before the corresponding
-//! result is surfaced to the caller — write-ahead, so a crash can lose
-//! at most work that was never reported done.
+//! [`crate::codec`]). Every append reaches the OS (no user-space
+//! buffer) before the corresponding result is surfaced to the caller —
+//! write-ahead, so process death (`kill -9`, OOM) loses at most work
+//! that was never reported done. Records reach stable storage only at
+//! [`JournalWriter::seal`]'s `sync_all`: a power loss before the seal
+//! may drop unsynced records, and a resume re-executes them
+//! bit-identically.
 //!
 //! ## Reader tolerance
 //!
@@ -106,7 +110,7 @@ pub struct RunHeader {
     pub jobs: u64,
 }
 
-/// One completed job, durably recorded before its result is surfaced.
+/// One completed job, appended before its result is surfaced.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobDone {
     /// Submission-order index of the job within the fleet.
@@ -290,8 +294,11 @@ pub fn journal_backoff(attempt: u32) -> Duration {
     Duration::from_micros(micros.min(2_000))
 }
 
-/// Appends records durably; each append is flushed before returning so
-/// the write-ahead invariant holds across process death.
+/// Appends records write-ahead: each append reaches the OS before it
+/// returns, so a record outlives process death (`kill -9`, OOM).
+/// Records reach stable storage only at [`JournalWriter::seal`]'s
+/// `sync_all`; a power loss before the seal may drop unsynced records,
+/// which a resume re-executes bit-identically.
 #[derive(Debug)]
 pub struct JournalWriter {
     file: Box<dyn StorageFile>,

@@ -7,7 +7,7 @@
 //!
 //! 1. A job [`WatchRegistry::begin`]s before entering solver code and
 //!    receives a shared cancellation token (an `AtomicBool` implementing
-//!    [`bios_electrochem::CheckPoint`]).
+//!    [`bios_electrochem::checkpoint::CheckPoint`]).
 //! 2. The solver polls the token every
 //!    [`bios_electrochem::checkpoint::POLL_INTERVAL`] steps.
 //! 3. The supervisor thread wakes on a fraction of the deadline and

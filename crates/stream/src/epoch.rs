@@ -102,7 +102,11 @@ mod tests {
             sensitivity_micro_amps_per_milli_molar: 5.0,
         });
         assert!(!state.monitor.tripped(), "rebaseline clears the trip");
-        assert!(!state.monitor.warmed(), "baseline re-learns");
+        // The baseline re-learns: the next window of the shifted level
+        // warms the monitor up instead of tripping it.
+        for _ in 0..4 {
+            assert!(!state.monitor.observe(10.0), "baseline re-learns");
+        }
         assert_eq!(state.inflight, None);
         assert_eq!(state.epoch.map(|e| e.index), Some(1));
     }

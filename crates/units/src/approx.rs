@@ -1,27 +1,19 @@
-//! Epsilon comparisons for floating-point quantities.
+//! The epsilon guard for floating-point degeneracy tests.
 //!
 //! Exact `==`/`!=` on floats is banned in solver and analytics code by
 //! the `F-eq` audit rule (DESIGN.md §11): after any arithmetic, two
 //! mathematically equal values may differ in their last bits, and an
 //! exact comparison silently turns that rounding into a control-flow
-//! change. These helpers spell out the tolerance instead.
-//!
-//! Two regimes:
-//!
-//! * [`nearly_zero`] — an *absolute* test against [`ABS_EPS`], for
-//!   degeneracy guards (`sxx`, determinants, denominators) where the
-//!   natural scale of a genuinely non-degenerate input is far above
-//!   the tolerance (unitless, or whatever unit the caller's quantity
-//!   carries).
-//! * [`approx_eq`] — a mixed absolute/relative test: true when the
-//!   difference is within [`ABS_EPS`] absolutely *or* within
-//!   [`REL_EPS`] of the larger magnitude, so it works for values of
-//!   any scale (unitless tolerance on the relative branch).
+//! change. [`nearly_zero`] spells out the tolerance instead: an
+//! *absolute* test against [`ABS_EPS`], for degeneracy guards (`sxx`,
+//! determinants, denominators) where the natural scale of a genuinely
+//! non-degenerate input is far above the tolerance (unitless, or
+//! whatever unit the caller's quantity carries).
 //!
 //! Exact sentinel semantics ("this field was never set") should use an
 //! `Option` or an explicit flag, not a float compare; where a legacy
 //! exact compare is genuinely intended, waive the audit rule with a
-//! reason instead of reaching for these helpers.
+//! reason instead of reaching for this helper.
 
 /// Absolute tolerance: values this close to zero are treated as zero.
 /// Chosen far below any physical quantity this workspace computes
@@ -30,32 +22,11 @@
 /// outcome for legitimate inputs (unitless threshold).
 pub const ABS_EPS: f64 = 1e-300;
 
-/// Relative tolerance for [`approx_eq`]: ~2⁻⁴⁴, about 1000 ulps at
-/// unit scale — tight enough to distinguish physics, loose enough to
-/// absorb accumulated rounding (unitless).
-pub const REL_EPS: f64 = 6e-14;
-
 /// True when `x` is within [`ABS_EPS`] of zero (absolute test,
 /// unitless threshold). Non-finite inputs are never nearly zero.
 #[must_use]
 pub fn nearly_zero(x: f64) -> bool {
     x.abs() <= ABS_EPS
-}
-
-/// True when `a` and `b` agree within [`ABS_EPS`] absolutely or
-/// [`REL_EPS`] relatively (unitless tolerances). NaNs never compare
-/// equal; equal infinities do.
-#[must_use]
-pub fn approx_eq(a: f64, b: f64) -> bool {
-    if a == b {
-        // Covers equal infinities and exact hits without arithmetic.
-        return true;
-    }
-    let diff = (a - b).abs();
-    if !diff.is_finite() {
-        return false;
-    }
-    diff <= ABS_EPS || diff <= REL_EPS * a.abs().max(b.abs())
 }
 
 #[cfg(test)]
@@ -70,23 +41,5 @@ mod tests {
         assert!(!nearly_zero(1e-12), "picoscale physics is not zero");
         assert!(!nearly_zero(f64::NAN));
         assert!(!nearly_zero(f64::INFINITY));
-    }
-
-    #[test]
-    fn approx_eq_basic() {
-        assert!(approx_eq(1.0, 1.0));
-        assert!(approx_eq(1.0, 1.0 + 1e-15));
-        assert!(!approx_eq(1.0, 1.0 + 1e-9));
-        assert!(approx_eq(1e12, 1e12 * (1.0 + 1e-15)));
-        assert!(!approx_eq(0.0, 1e-12));
-        assert!(approx_eq(0.0, 1e-301));
-    }
-
-    #[test]
-    fn approx_eq_edge_cases() {
-        assert!(!approx_eq(f64::NAN, f64::NAN));
-        assert!(approx_eq(f64::INFINITY, f64::INFINITY));
-        assert!(!approx_eq(f64::INFINITY, f64::NEG_INFINITY));
-        assert!(!approx_eq(f64::INFINITY, 1e300));
     }
 }

@@ -2,7 +2,6 @@
 
 use std::fmt;
 
-use crate::error::{ensure_non_negative, Result};
 use crate::macros::quantity_ops;
 
 /// Amount-of-substance concentration, stored canonically in mol · L⁻¹ (M).
@@ -33,12 +32,8 @@ impl Molar {
     /// Zero concentration (a blank sample).
     pub const ZERO: Molar = Molar(0.0);
 
-    /// Creates a concentration from a value in mol · L⁻¹.
-    ///
-    /// Negative or non-finite inputs are clamped to the caller via the
-    /// `try_` variants; this constructor is intended for literals and
-    /// computed values known to be valid. Prefer [`Molar::try_from_molar`]
-    /// when the value comes from user input.
+    /// Creates a concentration from a value in mol · L⁻¹. No validation:
+    /// intended for literals and computed values known to be valid.
     #[must_use]
     pub const fn from_molar(molar: f64) -> Molar {
         Molar(molar)
@@ -60,25 +55,6 @@ impl Molar {
     #[must_use]
     pub fn from_nano_molar(nano_molar: f64) -> Molar {
         Molar(nano_molar * 1e-9)
-    }
-
-    /// Fallible constructor from mol · L⁻¹.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::QuantityError::Negative`] for negative values and
-    /// [`crate::QuantityError::NonFinite`] for NaN/infinite values.
-    pub fn try_from_molar(molar: f64) -> Result<Molar> {
-        ensure_non_negative("concentration", molar).map(Molar)
-    }
-
-    /// Fallible constructor from mmol · L⁻¹.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Molar::try_from_molar`].
-    pub fn try_from_milli_molar(milli_molar: f64) -> Result<Molar> {
-        ensure_non_negative("concentration", milli_molar).map(|v| Molar(v * 1e-3))
     }
 
     /// Returns the concentration in mol · L⁻¹.
@@ -153,15 +129,6 @@ impl SurfaceLoading {
         SurfaceLoading(value * 1e-12)
     }
 
-    /// Fallible constructor from mol · cm⁻².
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for negative or non-finite inputs.
-    pub fn try_from_mol_per_square_cm(value: f64) -> Result<SurfaceLoading> {
-        ensure_non_negative("surface loading", value).map(SurfaceLoading)
-    }
-
     /// Returns the loading in mol · cm⁻².
     #[must_use]
     pub fn as_mol_per_square_cm(self) -> f64 {
@@ -201,13 +168,6 @@ mod tests {
     }
 
     #[test]
-    fn try_constructors_reject_bad_input() {
-        assert!(Molar::try_from_molar(-1.0).is_err());
-        assert!(Molar::try_from_milli_molar(f64::NAN).is_err());
-        assert!(Molar::try_from_milli_molar(1.0).is_ok());
-    }
-
-    #[test]
     fn arithmetic_behaves_linearly() {
         let a = Molar::from_milli_molar(1.0);
         let b = Molar::from_milli_molar(2.0);
@@ -238,7 +198,6 @@ mod tests {
     fn surface_loading_units() {
         let g = SurfaceLoading::from_pico_mol_per_square_cm(150.0);
         assert!((g.as_mol_per_square_cm() - 1.5e-10).abs() < 1e-22);
-        assert!(SurfaceLoading::try_from_mol_per_square_cm(-1e-12).is_err());
     }
 
     #[test]

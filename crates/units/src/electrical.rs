@@ -3,22 +3,21 @@
 
 use std::fmt;
 
-use crate::error::{ensure_finite, Result};
 use crate::geometry::SquareCm;
 use crate::macros::quantity_ops;
 
 /// Electric current, stored canonically in amperes.
 ///
-/// Biosensor currents live in the nA–µA decade, so µA/nA constructors are
-/// provided.
+/// Biosensor currents live in the pA–µA decades, so µA/pA constructors
+/// and µA/nA readouts are provided.
 ///
 /// # Examples
 ///
 /// ```
 /// use bios_units::Amperes;
 ///
-/// let i = Amperes::from_nano_amps(250.0);
-/// assert!((i.as_micro_amps() - 0.25).abs() < 1e-12);
+/// let i = Amperes::from_micro_amps(0.25);
+/// assert!((i.as_nano_amps() - 250.0).abs() < 1e-9);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Amperes(f64);
@@ -35,38 +34,16 @@ impl Amperes {
         Amperes(amps)
     }
 
-    /// Creates a current from milliamperes.
-    #[must_use]
-    pub fn from_milli_amps(milli_amps: f64) -> Amperes {
-        Amperes(milli_amps * 1e-3)
-    }
-
     /// Creates a current from microamperes.
     #[must_use]
     pub fn from_micro_amps(micro_amps: f64) -> Amperes {
         Amperes(micro_amps * 1e-6)
     }
 
-    /// Creates a current from nanoamperes.
-    #[must_use]
-    pub fn from_nano_amps(nano_amps: f64) -> Amperes {
-        Amperes(nano_amps * 1e-9)
-    }
-
     /// Creates a current from picoamperes.
     #[must_use]
     pub fn from_pico_amps(pico_amps: f64) -> Amperes {
         Amperes(pico_amps * 1e-12)
-    }
-
-    /// Fallible constructor from amperes (currents may be negative —
-    /// cathodic vs anodic — but must be finite).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::QuantityError::NonFinite`] for NaN/infinite inputs.
-    pub fn try_from_amps(amps: f64) -> Result<Amperes> {
-        ensure_finite("current", amps).map(Amperes)
     }
 
     /// Returns the current in amperes.
@@ -137,28 +114,10 @@ impl CurrentDensity {
         CurrentDensity(value)
     }
 
-    /// Creates a current density from µA · cm⁻².
-    #[must_use]
-    pub fn from_micro_amps_per_square_cm(value: f64) -> CurrentDensity {
-        CurrentDensity(value * 1e-6)
-    }
-
-    /// Returns the density in A · cm⁻².
-    #[must_use]
-    pub fn as_amps_per_square_cm(self) -> f64 {
-        self.0
-    }
-
     /// Returns the density in µA · cm⁻².
     #[must_use]
     pub fn as_micro_amps_per_square_cm(self) -> f64 {
         self.0 * 1e6
-    }
-
-    /// Multiplies back by an area to recover a current.
-    #[must_use]
-    pub fn over_area(self, area: SquareCm) -> Amperes {
-        Amperes::from_amps(self.0 * area.as_square_cm())
     }
 }
 
@@ -202,15 +161,6 @@ impl Volts {
         Volts(milli_volts * 1e-3)
     }
 
-    /// Fallible constructor from volts.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::QuantityError::NonFinite`] for NaN/infinite inputs.
-    pub fn try_from_volts(volts: f64) -> Result<Volts> {
-        ensure_finite("potential", volts).map(Volts)
-    }
-
     /// Returns the potential in volts.
     #[must_use]
     pub fn as_volts(self) -> f64 {
@@ -245,11 +195,10 @@ impl fmt::Display for Volts {
 /// # Examples
 ///
 /// ```
-/// use bios_units::{Ohms, Amperes};
+/// use bios_units::Ohms;
 ///
 /// let feedback = Ohms::from_mega_ohms(1.0);
-/// let v = feedback.voltage_for(Amperes::from_micro_amps(2.0));
-/// assert!((v.as_volts() - 2.0).abs() < 1e-12);
+/// assert!((feedback.as_ohms() - 1.0e6).abs() < 1e-6);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Ohms(f64);
@@ -263,12 +212,6 @@ impl Ohms {
         Ohms(ohms)
     }
 
-    /// Creates a resistance from kΩ.
-    #[must_use]
-    pub fn from_kilo_ohms(kilo_ohms: f64) -> Ohms {
-        Ohms(kilo_ohms * 1e3)
-    }
-
     /// Creates a resistance from MΩ.
     #[must_use]
     pub fn from_mega_ohms(mega_ohms: f64) -> Ohms {
@@ -279,12 +222,6 @@ impl Ohms {
     #[must_use]
     pub fn as_ohms(self) -> f64 {
         self.0
-    }
-
-    /// Ohm's law: the voltage developed by `current` across this resistance.
-    #[must_use]
-    pub fn voltage_for(self, current: Amperes) -> Volts {
-        Volts::from_volts(self.0 * current.as_amps())
     }
 }
 
@@ -321,12 +258,6 @@ pub struct ScanRate(f64);
 quantity_ops!(ScanRate);
 
 impl ScanRate {
-    /// Creates a scan rate from V · s⁻¹.
-    #[must_use]
-    pub fn from_volts_per_second(value: f64) -> ScanRate {
-        ScanRate(value)
-    }
-
     /// Creates a scan rate from mV · s⁻¹ (the usual experimental unit).
     #[must_use]
     pub fn from_milli_volts_per_second(value: f64) -> ScanRate {
@@ -358,16 +289,10 @@ mod tests {
 
     #[test]
     fn current_unit_ladder() {
-        let i = Amperes::from_milli_amps(1.0);
+        let i = Amperes::from_amps(1e-3);
         assert_eq!(i.as_micro_amps(), 1000.0);
         assert_eq!(i.as_nano_amps(), 1_000_000.0);
         assert_eq!(Amperes::from_pico_amps(1000.0).as_nano_amps(), 1.0);
-    }
-
-    #[test]
-    fn current_can_be_negative_but_not_nan() {
-        assert!(Amperes::try_from_amps(-1e-6).is_ok());
-        assert!(Amperes::try_from_amps(f64::NAN).is_err());
     }
 
     #[test]
@@ -375,8 +300,6 @@ mod tests {
         let area = SquareCm::from_square_cm(0.5);
         let j = Amperes::from_micro_amps(10.0) / area;
         assert!((j.as_micro_amps_per_square_cm() - 20.0).abs() < 1e-9);
-        let back = j.over_area(area);
-        assert!((back.as_micro_amps() - 10.0).abs() < 1e-9);
     }
 
     #[test]
@@ -384,13 +307,6 @@ mod tests {
         let e = Volts::from_milli_volts(-250.0);
         assert_eq!((-e).as_milli_volts(), 250.0);
         assert_eq!(e.as_volts(), -0.25);
-    }
-
-    #[test]
-    fn ohms_law() {
-        let r = Ohms::from_kilo_ohms(100.0);
-        let v = r.voltage_for(Amperes::from_micro_amps(10.0));
-        assert!((v.as_volts() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -402,7 +318,7 @@ mod tests {
     #[test]
     fn display_formats() {
         assert_eq!(Amperes::from_micro_amps(2.5).to_string(), "2.5000 µA");
-        assert_eq!(Amperes::from_nano_amps(3.0).to_string(), "3.0000 nA");
+        assert_eq!(Amperes::from_amps(3.0e-9).to_string(), "3.0000 nA");
         assert_eq!(Volts::from_milli_volts(650.0).to_string(), "+650.0 mV");
         assert_eq!(Ohms::from_mega_ohms(2.0).to_string(), "2.000 MΩ");
         assert_eq!(

@@ -1,4 +1,4 @@
-//! Error type shared by fallible quantity constructors.
+//! Error type of the fallible range constructors.
 
 use std::error::Error;
 use std::fmt;
@@ -12,25 +12,13 @@ pub type Result<T> = std::result::Result<T, QuantityError>;
 /// # Examples
 ///
 /// ```
-/// use bios_units::{Molar, QuantityError};
+/// use bios_units::{ConcentrationRange, QuantityError};
 ///
-/// let err = Molar::try_from_milli_molar(-1.0).unwrap_err();
-/// assert!(matches!(err, QuantityError::Negative { .. }));
+/// let err = ConcentrationRange::from_milli_molar(2.0, 1.0).unwrap_err();
+/// assert!(matches!(err, QuantityError::InvertedRange { .. }));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub enum QuantityError {
-    /// The value was negative but the quantity is physically non-negative.
-    Negative {
-        /// Name of the quantity being constructed.
-        quantity: &'static str,
-        /// The offending value, in the unit it was supplied in.
-        value: f64,
-    },
-    /// The value was NaN or infinite.
-    NonFinite {
-        /// Name of the quantity being constructed.
-        quantity: &'static str,
-    },
     /// A range was constructed with `low > high`.
     InvertedRange {
         /// Supplied lower bound (canonical unit).
@@ -43,12 +31,6 @@ pub enum QuantityError {
 impl fmt::Display for QuantityError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            QuantityError::Negative { quantity, value } => {
-                write!(f, "{quantity} must be non-negative, got {value}")
-            }
-            QuantityError::NonFinite { quantity } => {
-                write!(f, "{quantity} must be finite")
-            }
             QuantityError::InvertedRange { low, high } => {
                 write!(f, "range lower bound {low} exceeds upper bound {high}")
             }
@@ -58,57 +40,17 @@ impl fmt::Display for QuantityError {
 
 impl Error for QuantityError {}
 
-/// Validates that `value` is finite, returning [`QuantityError::NonFinite`]
-/// otherwise.
-pub(crate) fn ensure_finite(quantity: &'static str, value: f64) -> Result<f64> {
-    if value.is_finite() {
-        Ok(value)
-    } else {
-        Err(QuantityError::NonFinite { quantity })
-    }
-}
-
-/// Validates that `value` is finite and non-negative.
-pub(crate) fn ensure_non_negative(quantity: &'static str, value: f64) -> Result<f64> {
-    let value = ensure_finite(quantity, value)?;
-    if value < 0.0 {
-        Err(QuantityError::Negative { quantity, value })
-    } else {
-        Ok(value)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn display_messages_are_lowercase_and_informative() {
-        let e = QuantityError::Negative {
-            quantity: "concentration",
-            value: -3.0,
-        };
-        assert_eq!(e.to_string(), "concentration must be non-negative, got -3");
-        let e = QuantityError::NonFinite { quantity: "area" };
-        assert_eq!(e.to_string(), "area must be finite");
         let e = QuantityError::InvertedRange {
             low: 2.0,
             high: 1.0,
         };
         assert_eq!(e.to_string(), "range lower bound 2 exceeds upper bound 1");
-    }
-
-    #[test]
-    fn ensure_finite_rejects_nan_and_inf() {
-        assert!(ensure_finite("x", f64::NAN).is_err());
-        assert!(ensure_finite("x", f64::INFINITY).is_err());
-        assert_eq!(ensure_finite("x", 1.5).unwrap(), 1.5);
-    }
-
-    #[test]
-    fn ensure_non_negative_rejects_negatives() {
-        assert!(ensure_non_negative("x", -0.1).is_err());
-        assert_eq!(ensure_non_negative("x", 0.0).unwrap(), 0.0);
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 use std::fmt;
 
-use crate::error::{ensure_non_negative, Result};
 use crate::macros::quantity_ops;
 
 /// Length, stored canonically in centimeters (the CGS habit of
@@ -22,18 +21,6 @@ pub struct Centimeters(f64);
 quantity_ops!(Centimeters);
 
 impl Centimeters {
-    /// Creates a length from centimeters.
-    #[must_use]
-    pub fn from_cm(cm: f64) -> Centimeters {
-        Centimeters(cm)
-    }
-
-    /// Creates a length from millimeters.
-    #[must_use]
-    pub fn from_mm(mm: f64) -> Centimeters {
-        Centimeters(mm * 0.1)
-    }
-
     /// Creates a length from micrometers.
     #[must_use]
     pub fn from_micro_meters(um: f64) -> Centimeters {
@@ -44,15 +31,6 @@ impl Centimeters {
     #[must_use]
     pub fn from_nano_meters(nm: f64) -> Centimeters {
         Centimeters(nm * 1e-7)
-    }
-
-    /// Fallible constructor from centimeters.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for negative or non-finite input.
-    pub fn try_from_cm(cm: f64) -> Result<Centimeters> {
-        ensure_non_negative("length", cm).map(Centimeters)
     }
 
     /// Returns the length in centimeters.
@@ -71,12 +49,6 @@ impl Centimeters {
     #[must_use]
     pub fn as_nano_meters(self) -> f64 {
         self.0 * 1e7
-    }
-
-    /// Squares the length into an area.
-    #[must_use]
-    pub fn squared(self) -> SquareCm {
-        SquareCm(self.0 * self.0)
     }
 }
 
@@ -126,15 +98,6 @@ impl SquareCm {
         SquareCm(value * 0.01)
     }
 
-    /// Fallible constructor from cm².
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for negative or non-finite input.
-    pub fn try_from_square_cm(value: f64) -> Result<SquareCm> {
-        ensure_non_negative("area", value).map(SquareCm)
-    }
-
     /// Returns the area in cm².
     #[must_use]
     pub fn as_square_cm(self) -> f64 {
@@ -160,7 +123,6 @@ mod tests {
 
     #[test]
     fn length_ladder() {
-        assert!((Centimeters::from_mm(10.0).as_cm() - 1.0).abs() < 1e-12);
         assert!((Centimeters::from_micro_meters(10_000.0).as_cm() - 1.0).abs() < 1e-12);
         assert!((Centimeters::from_nano_meters(10.0).as_micro_meters() - 0.01).abs() < 1e-12);
     }
@@ -171,19 +133,6 @@ mod tests {
         assert!((spe.as_square_cm() - 0.13).abs() < 1e-12);
         let micro = SquareCm::from_square_mm(0.25);
         assert!((micro.as_square_cm() - 0.0025).abs() < 1e-12);
-    }
-
-    #[test]
-    fn squared_length_is_area() {
-        let l = Centimeters::from_cm(0.5);
-        assert!((l.squared().as_square_cm() - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn fallible_constructors() {
-        assert!(Centimeters::try_from_cm(-1.0).is_err());
-        assert!(SquareCm::try_from_square_cm(f64::INFINITY).is_err());
-        assert!(SquareCm::try_from_square_cm(0.13).is_ok());
     }
 
     #[test]

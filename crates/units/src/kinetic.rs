@@ -3,7 +3,6 @@
 
 use std::fmt;
 
-use crate::error::{ensure_non_negative, Result};
 use crate::macros::quantity_ops;
 
 /// Diffusion coefficient, cm² · s⁻¹.
@@ -31,15 +30,6 @@ impl DiffusionCoefficient {
     #[must_use]
     pub const fn from_square_cm_per_second(value: f64) -> DiffusionCoefficient {
         DiffusionCoefficient(value)
-    }
-
-    /// Fallible constructor from cm² · s⁻¹.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for negative or non-finite input.
-    pub fn try_from_square_cm_per_second(value: f64) -> Result<DiffusionCoefficient> {
-        ensure_non_negative("diffusion coefficient", value).map(DiffusionCoefficient)
     }
 
     /// Returns the coefficient in cm² · s⁻¹.
@@ -81,15 +71,6 @@ impl RateConstant {
         RateConstant(value)
     }
 
-    /// Fallible constructor from s⁻¹.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for negative or non-finite input.
-    pub fn try_from_per_second(value: f64) -> Result<RateConstant> {
-        ensure_non_negative("rate constant", value).map(RateConstant)
-    }
-
     /// Returns the rate in s⁻¹.
     #[must_use]
     pub fn as_per_second(self) -> f64 {
@@ -106,18 +87,6 @@ impl fmt::Display for RateConstant {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn diffusion_coefficient_validation() {
-        assert!(DiffusionCoefficient::try_from_square_cm_per_second(-1e-6).is_err());
-        assert!(DiffusionCoefficient::try_from_square_cm_per_second(6.7e-6).is_ok());
-    }
-
-    #[test]
-    fn rate_constant_validation() {
-        assert!(RateConstant::try_from_per_second(f64::NAN).is_err());
-        assert!(RateConstant::try_from_per_second(700.0).is_ok());
-    }
 
     #[test]
     fn display_formats() {

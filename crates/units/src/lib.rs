@@ -59,10 +59,10 @@ mod sensitivity;
 mod temperature;
 mod time;
 
-pub use approx::{approx_eq, nearly_zero};
+pub use approx::nearly_zero;
 pub use concentration::{Molar, SurfaceLoading};
 pub use electrical::{Amperes, CurrentDensity, Ohms, ScanRate, Volts};
-pub use error::{QuantityError, Result};
+pub use error::QuantityError;
 pub use geometry::{Centimeters, SquareCm};
 pub use kinetic::{DiffusionCoefficient, RateConstant};
 pub use range::ConcentrationRange;
@@ -89,7 +89,7 @@ mod tests {
     #[test]
     fn thermal_voltage_at_room_temperature() {
         // RT/F ≈ 25.7 mV at 25 °C — the number every electrochemist knows.
-        let t = Kelvin::from_celsius(25.0);
+        let t = Kelvin::ROOM;
         let vt = GAS_CONSTANT * t.as_kelvin() / FARADAY;
         assert!((vt - 0.02569).abs() < 1e-4);
     }

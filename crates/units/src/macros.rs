@@ -68,18 +68,6 @@ macro_rules! quantity_ops {
             pub fn max(self, other: $ty) -> $ty {
                 $ty(self.0.max(other.0))
             }
-
-            /// Returns the absolute value.
-            #[must_use]
-            pub fn abs(self) -> $ty {
-                $ty(self.0.abs())
-            }
-
-            /// Returns `true` when the stored value is finite.
-            #[must_use]
-            pub fn is_finite(self) -> bool {
-                self.0.is_finite()
-            }
         }
     };
 }

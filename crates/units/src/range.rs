@@ -57,15 +57,6 @@ impl ConcentrationRange {
         ConcentrationRange::new(Molar::from_milli_molar(low), Molar::from_milli_molar(high))
     }
 
-    /// Convenience constructor from bounds in µM.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QuantityError::InvertedRange`] when `low > high`.
-    pub fn from_micro_molar(low: f64, high: f64) -> Result<ConcentrationRange> {
-        ConcentrationRange::new(Molar::from_micro_molar(low), Molar::from_micro_molar(high))
-    }
-
     /// Lower bound.
     #[must_use]
     pub fn low(&self) -> Molar {
@@ -88,12 +79,6 @@ impl ConcentrationRange {
     #[must_use]
     pub fn contains(&self, c: Molar) -> bool {
         c >= self.low && c <= self.high
-    }
-
-    /// Whether this range entirely contains `other`.
-    #[must_use]
-    pub fn covers(&self, other: &ConcentrationRange) -> bool {
-        self.low <= other.low && self.high >= other.high
     }
 
     /// Intersection of two ranges, or `None` when disjoint.
@@ -177,11 +162,8 @@ mod tests {
     }
 
     #[test]
-    fn contains_and_covers() {
+    fn contains_is_inclusive() {
         let outer = ConcentrationRange::from_milli_molar(0.0, 2.0).unwrap();
-        let inner = ConcentrationRange::from_milli_molar(0.5, 1.0).unwrap();
-        assert!(outer.covers(&inner));
-        assert!(!inner.covers(&outer));
         assert!(outer.contains(mm(2.0)));
         assert!(!outer.contains(mm(2.0001)));
     }
@@ -229,7 +211,7 @@ mod tests {
     fn display_uses_paper_units() {
         let r = ConcentrationRange::from_milli_molar(0.0, 1.0).unwrap();
         assert_eq!(r.to_string(), "0.000 – 1.000 mM");
-        let r = ConcentrationRange::from_micro_molar(0.0, 40.0).unwrap();
+        let r = ConcentrationRange::new(Molar::ZERO, Molar::from_micro_molar(40.0)).unwrap();
         assert_eq!(r.to_string(), "0.00 – 40.00 µM");
     }
 }

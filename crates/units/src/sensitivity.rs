@@ -2,11 +2,7 @@
 
 use std::fmt;
 
-use crate::electrical::{Amperes, CurrentDensity};
-use crate::error::{ensure_non_negative, Result};
-use crate::geometry::SquareCm;
 use crate::macros::quantity_ops;
-use crate::Molar;
 
 /// Sensor sensitivity, µA · mM⁻¹ · cm⁻² — the unit every row of the
 /// paper's Table 2 is quoted in.
@@ -18,15 +14,12 @@ use crate::Molar;
 /// # Examples
 ///
 /// ```
-/// use bios_units::{Sensitivity, Molar, SquareCm};
+/// use bios_units::Sensitivity;
 ///
 /// // The paper's glucose sensor: 55.5 µA·mM⁻¹·cm⁻².
-/// let s = Sensitivity::new(55.5);
-///
-/// // Expected current for 1 mM glucose on a 0.25 mm² electrode:
-/// let i = s.expected_current(Molar::from_milli_molar(1.0),
-///                            SquareCm::from_square_mm(0.25));
-/// assert!((i.as_micro_amps() - 55.5 * 0.0025).abs() < 1e-9);
+/// let paper = Sensitivity::new(55.5);
+/// let measured = Sensitivity::new(50.0);
+/// assert!((measured.relative_error(paper) - 5.5 / 55.5).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Sensitivity(f64);
@@ -40,41 +33,10 @@ impl Sensitivity {
         Sensitivity(micro_amps_per_milli_molar_square_cm)
     }
 
-    /// Fallible constructor from µA · mM⁻¹ · cm⁻².
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for negative or non-finite input — a working
-    /// sensor has a positive calibration slope.
-    pub fn try_new(value: f64) -> Result<Sensitivity> {
-        ensure_non_negative("sensitivity", value).map(Sensitivity)
-    }
-
-    /// Derives a sensitivity from a raw calibration slope (current per
-    /// concentration) and the electrode area.
-    #[must_use]
-    pub fn from_slope(current_per_milli_molar: Amperes, area: SquareCm) -> Sensitivity {
-        Sensitivity(current_per_milli_molar.as_micro_amps() / area.as_square_cm())
-    }
-
     /// Returns the sensitivity in µA · mM⁻¹ · cm⁻².
     #[must_use]
     pub fn as_micro_amps_per_milli_molar_square_cm(self) -> f64 {
         self.0
-    }
-
-    /// Predicts the current a sensor with this sensitivity produces for a
-    /// given analyte concentration on a given electrode area (valid inside
-    /// the linear range).
-    #[must_use]
-    pub fn expected_current(self, concentration: Molar, area: SquareCm) -> Amperes {
-        Amperes::from_micro_amps(self.0 * concentration.as_milli_molar() * area.as_square_cm())
-    }
-
-    /// Predicts the current density for a given concentration.
-    #[must_use]
-    pub fn expected_density(self, concentration: Molar) -> CurrentDensity {
-        CurrentDensity::from_micro_amps_per_square_cm(self.0 * concentration.as_milli_molar())
     }
 
     /// Relative difference from another sensitivity: `|self−other|/other`.
@@ -101,25 +63,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn from_slope_normalizes_by_area() {
-        // 5 µA per mM on a 0.13 cm² SPE → 38.46 µA·mM⁻¹·cm⁻².
-        let s = Sensitivity::from_slope(
-            Amperes::from_micro_amps(5.0),
-            SquareCm::from_square_mm(13.0),
-        );
-        assert!((s.as_micro_amps_per_milli_molar_square_cm() - 38.4615).abs() < 1e-3);
-    }
-
-    #[test]
-    fn expected_current_is_linear() {
-        let s = Sensitivity::new(55.5);
-        let area = SquareCm::from_square_cm(1.0);
-        let i1 = s.expected_current(Molar::from_milli_molar(0.5), area);
-        let i2 = s.expected_current(Molar::from_milli_molar(1.0), area);
-        assert!((i2.as_micro_amps() / i1.as_micro_amps() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn relative_error_scores() {
         let measured = Sensitivity::new(50.0);
         let paper = Sensitivity::new(55.5);
@@ -127,12 +70,6 @@ mod tests {
         assert!(Sensitivity::new(1.0)
             .relative_error(Sensitivity::new(0.0))
             .is_infinite());
-    }
-
-    #[test]
-    fn validation() {
-        assert!(Sensitivity::try_new(-1.0).is_err());
-        assert!(Sensitivity::try_new(55.5).is_ok());
     }
 
     #[test]

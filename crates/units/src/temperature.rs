@@ -2,22 +2,17 @@
 
 use std::fmt;
 
-use crate::error::{ensure_non_negative, Result};
-
 /// Thermodynamic temperature, stored canonically in kelvin.
 ///
 /// Electrochemical experiments in the paper run at room temperature
-/// (25 °C) or physiological temperature (37 °C); both are provided as
-/// constants.
+/// (25 °C), provided as [`Kelvin::ROOM`].
 ///
 /// # Examples
 ///
 /// ```
 /// use bios_units::Kelvin;
 ///
-/// let t = Kelvin::from_celsius(25.0);
-/// assert!((t.as_kelvin() - 298.15).abs() < 1e-9);
-/// assert!(t < Kelvin::PHYSIOLOGICAL);
+/// assert!((Kelvin::ROOM.as_kelvin() - 298.15).abs() < 1e-9);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Kelvin(f64);
@@ -25,31 +20,6 @@ pub struct Kelvin(f64);
 impl Kelvin {
     /// Standard laboratory room temperature, 25 °C.
     pub const ROOM: Kelvin = Kelvin(298.15);
-
-    /// Human physiological temperature, 37 °C.
-    pub const PHYSIOLOGICAL: Kelvin = Kelvin(310.15);
-
-    /// Creates a temperature from kelvin.
-    #[must_use]
-    pub fn from_kelvin(kelvin: f64) -> Kelvin {
-        Kelvin(kelvin)
-    }
-
-    /// Creates a temperature from degrees Celsius.
-    #[must_use]
-    pub fn from_celsius(celsius: f64) -> Kelvin {
-        Kelvin(celsius + 273.15)
-    }
-
-    /// Fallible constructor from kelvin.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for negative (below absolute zero) or non-finite
-    /// input.
-    pub fn try_from_kelvin(kelvin: f64) -> Result<Kelvin> {
-        ensure_non_negative("temperature", kelvin).map(Kelvin)
-    }
 
     /// Returns the temperature in kelvin.
     #[must_use]
@@ -82,21 +52,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn celsius_round_trip() {
-        let t = Kelvin::from_celsius(37.0);
-        assert!((t.as_celsius() - 37.0).abs() < 1e-12);
-        assert_eq!(t, Kelvin::PHYSIOLOGICAL);
+    fn room_is_25_celsius() {
+        assert!((Kelvin::ROOM.as_celsius() - 25.0).abs() < 1e-12);
     }
 
     #[test]
     fn default_is_room() {
         assert_eq!(Kelvin::default(), Kelvin::ROOM);
-    }
-
-    #[test]
-    fn absolute_zero_is_floor() {
-        assert!(Kelvin::try_from_kelvin(-1.0).is_err());
-        assert!(Kelvin::try_from_kelvin(0.0).is_ok());
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 use std::fmt;
 
-use crate::error::{ensure_non_negative, Result};
 use crate::macros::quantity_ops;
 
 /// Time, stored canonically in seconds.
@@ -21,9 +20,6 @@ pub struct Seconds(f64);
 quantity_ops!(Seconds);
 
 impl Seconds {
-    /// Zero time.
-    pub const ZERO: Seconds = Seconds(0.0);
-
     /// Creates a time from seconds.
     #[must_use]
     pub fn from_seconds(seconds: f64) -> Seconds {
@@ -34,21 +30,6 @@ impl Seconds {
     #[must_use]
     pub fn from_millis(millis: f64) -> Seconds {
         Seconds(millis * 1e-3)
-    }
-
-    /// Creates a time from minutes.
-    #[must_use]
-    pub fn from_minutes(minutes: f64) -> Seconds {
-        Seconds(minutes * 60.0)
-    }
-
-    /// Fallible constructor from seconds.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for negative or non-finite input.
-    pub fn try_from_seconds(seconds: f64) -> Result<Seconds> {
-        ensure_non_negative("time", seconds).map(Seconds)
     }
 
     /// Returns the time in seconds.
@@ -80,14 +61,7 @@ mod tests {
 
     #[test]
     fn unit_ladder() {
-        assert_eq!(Seconds::from_minutes(2.0).as_seconds(), 120.0);
         assert_eq!(Seconds::from_millis(1500.0).as_seconds(), 1.5);
-    }
-
-    #[test]
-    fn validation() {
-        assert!(Seconds::try_from_seconds(-1.0).is_err());
-        assert!(Seconds::try_from_seconds(0.0).is_ok());
     }
 
     #[test]

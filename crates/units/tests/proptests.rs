@@ -5,8 +5,7 @@
 
 use bios_prng::cases;
 use bios_units::{
-    Amperes, Centimeters, ConcentrationRange, Kelvin, Molar, Ohms, ScanRate, Seconds, Sensitivity,
-    SquareCm, Volts,
+    Amperes, ConcentrationRange, Molar, ScanRate, Seconds, Sensitivity, SquareCm, Volts,
 };
 
 /// Values spanning the magnitudes the platform actually uses.
@@ -31,7 +30,7 @@ fn molar_unit_ladder_round_trips() {
 fn amperes_unit_ladder_round_trips() {
     cases(0x0002, 64, |rng| {
         let v = finite_positive(rng);
-        let i = Amperes::from_nano_amps(v);
+        let i = Amperes::from_amps(v * 1e-9);
         assert!((i.as_micro_amps() * 1e3 - v).abs() <= v * 1e-9);
         assert!((Amperes::from_micro_amps(i.as_micro_amps()).as_nano_amps() - v).abs() <= v * 1e-9);
     });
@@ -84,31 +83,6 @@ fn ordering_follows_magnitude() {
 }
 
 #[test]
-fn current_density_round_trips_through_area() {
-    cases(0x0007, 64, |rng| {
-        let i = finite_positive(rng);
-        let area = rng.log_uniform_in(1e-4, 10.0);
-        let current = Amperes::from_micro_amps(i);
-        let a = SquareCm::from_square_cm(area);
-        let back = (current / a).over_area(a);
-        assert!((back.as_micro_amps() - i).abs() <= i * 1e-12);
-    });
-}
-
-#[test]
-fn sensitivity_prediction_is_linear_in_concentration() {
-    cases(0x0008, 64, |rng| {
-        let s = rng.uniform_in(0.1, 2000.0);
-        let c = rng.log_uniform_in(1e-4, 10.0);
-        let sens = Sensitivity::new(s);
-        let area = SquareCm::from_square_cm(1.0);
-        let i1 = sens.expected_current(Molar::from_milli_molar(c), area);
-        let i2 = sens.expected_current(Molar::from_milli_molar(2.0 * c), area);
-        assert!((i2.as_amps() / i1.as_amps() - 2.0).abs() < 1e-9);
-    });
-}
-
-#[test]
 fn relative_error_is_zero_iff_equal() {
     cases(0x0009, 64, |rng| {
         let s = rng.uniform_in(0.1, 2000.0);
@@ -154,25 +128,6 @@ fn overlap_score_is_symmetric_and_bounded() {
 }
 
 #[test]
-fn celsius_kelvin_round_trip() {
-    cases(0x000C, 64, |rng| {
-        let t = rng.uniform_in(-50.0, 200.0);
-        let k = Kelvin::from_celsius(t);
-        assert!((k.as_celsius() - t).abs() < 1e-9);
-    });
-}
-
-#[test]
-fn ohms_law_linearity() {
-    cases(0x000D, 64, |rng| {
-        let r = rng.log_uniform_in(1.0, 1e7);
-        let i = rng.log_uniform_in(1e-9, 1e-3);
-        let v = Ohms::from_ohms(r).voltage_for(Amperes::from_amps(i));
-        assert!((v.as_volts() - r * i).abs() <= (r * i) * 1e-12);
-    });
-}
-
-#[test]
 fn seconds_and_scan_rate_compose() {
     cases(0x000E, 64, |rng| {
         // A sweep at `rate` mV/s for `t` seconds travels rate·t mV.
@@ -182,23 +137,5 @@ fn seconds_and_scan_rate_compose() {
         let dt = Seconds::from_seconds(t);
         let travel = sr.as_milli_volts_per_second() * dt.as_seconds();
         assert!((travel - rate * t).abs() <= (rate * t) * 1e-12);
-    });
-}
-
-#[test]
-fn length_squared_matches_area() {
-    cases(0x000F, 64, |rng| {
-        let l = rng.log_uniform_in(1e-4, 10.0);
-        let cm = Centimeters::from_cm(l);
-        assert!((cm.squared().as_square_cm() - l * l).abs() <= l * l * 1e-12);
-    });
-}
-
-#[test]
-fn negative_concentrations_rejected() {
-    cases(0x0010, 64, |rng| {
-        let v = finite_positive(rng);
-        assert!(Molar::try_from_molar(-v).is_err());
-        assert!(Molar::try_from_molar(v).is_ok());
     });
 }

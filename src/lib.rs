@@ -17,7 +17,7 @@
 //! | module | crate | what it models |
 //! |---|---|---|
 //! | [`units`] | `bios-units` | typed physical quantities |
-//! | [`electrochem`] | `bios-electrochem` | Nernst/Butler–Volmer/Cottrell physics, diffusion, voltammetry |
+//! | [`electrochem`] | `bios-electrochem` | Cottrell/Randles–Ševčík physics, diffusion, voltammetry |
 //! | [`enzyme`] | `bios-enzyme` | Michaelis–Menten, oxidases, P450 isoforms, films |
 //! | [`nanomaterial`] | `bios-nanomaterial` | electrodes and CNT surface modifications |
 //! | [`instrument`] | `bios-instrument` | amplifier, ADC, noise, filters |
