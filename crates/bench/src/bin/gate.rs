@@ -520,6 +520,11 @@ fn shard(layout: Layout) -> Result<Run, String> {
     let (_, report, mut checks) = run_sharded(layout, &chaos);
     let redistributed: u64 = report.placement.iter().map(|p| p.redistributions_in).sum();
     let quarantined = report.quarantined_shards().len();
+    if layout.shards > 1 {
+        // The load-aware rule must actually move work somewhere in
+        // this trace, or the golden proves nothing about stealing.
+        checks.push(("steals > 0", report.steals() > 0));
+    }
     if quarantine {
         checks.push(("a shard quarantined", quarantined > 0));
         checks.push(("its tenants redistributed", redistributed > 0));

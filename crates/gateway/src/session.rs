@@ -35,6 +35,28 @@ struct InFlight {
     probe: bool,
     quality: Quality,
     ticket: u64,
+    /// The caller's index of the runtime executing the job (see
+    /// [`GatewaySession::set_execution_host`]).
+    host: usize,
+}
+
+/// A request's bucket, breaker and entry slots, interned at offer so
+/// the tick loop never hashes, compares or clones a string.
+#[derive(Debug, Clone, Copy)]
+struct Keys {
+    tenant: usize,
+    family: usize,
+    entry: usize,
+}
+
+/// What the session derives once per distinct catalog entry.
+#[derive(Debug)]
+struct EntryTicks {
+    /// Service ticks at full resolution.
+    full: u64,
+    /// The degraded twin and its service ticks, built the first time
+    /// one of the entry's requests is a brownout candidate.
+    thin: Option<(CatalogEntry, u64)>,
 }
 
 /// An open admission session over a [`Gateway`].
@@ -57,20 +79,34 @@ pub struct GatewaySession<'g> {
     stream: JobStream<'g>,
     /// Every offered request, in offer order (= report order).
     requests: Vec<Request>,
+    /// Interned slots per request, in offer order.
+    keys: Vec<Keys>,
     /// Terminal disposition per request, filled as ticks pass.
     outcomes: Vec<Option<Disposition>>,
+    /// How many `outcomes` are filled.
+    settled: usize,
     counters: GatewayCounters,
     /// Indices of offered-but-unprocessed requests, sorted stably by
     /// arrival tick (ties keep offer order).
-    pending: Vec<usize>,
-    buckets: BTreeMap<String, TokenBucket>,
-    breakers: BTreeMap<String, CircuitBreaker>,
+    pending: VecDeque<usize>,
+    /// Tenant → slot in `buckets`.
+    tenants: BTreeMap<String, usize>,
+    buckets: Vec<TokenBucket>,
+    /// Sensor family → slot in `breakers`.
+    families: BTreeMap<String, usize>,
+    breakers: Vec<CircuitBreaker>,
+    /// Entry protocol fingerprint → slot in `entry_ticks`.
+    entries: BTreeMap<u64, usize>,
+    entry_ticks: Vec<EntryTicks>,
     probes: BTreeSet<usize>,
     /// Admitted routine work awaiting a service slot.
     routine: VecDeque<usize>,
     /// Admitted recalibration-class work; drained before `routine`.
     recal: VecDeque<usize>,
     running: Vec<InFlight>,
+    /// Scratch for the completions of one tick, kept to reuse its
+    /// allocation.
+    due: Vec<InFlight>,
     /// Completions fetched from the stream ahead of their logical tick.
     results: BTreeMap<u64, JobResult>,
     /// Last tick the loop processed; events never run earlier.
@@ -81,9 +117,10 @@ pub struct GatewaySession<'g> {
     /// [`GatewaySession::set_fault_plan`]).
     plan: Option<FaultPlan>,
     /// Runtime whose worker pool physically executes the next
-    /// dispatches; `None` means the session's own gateway runtime (see
+    /// dispatches, and the caller's index for it (see
     /// [`GatewaySession::set_execution_host`]).
-    host: Option<&'g Runtime>,
+    host: &'g Runtime,
+    host_index: usize,
 }
 
 impl<'g> GatewaySession<'g> {
@@ -92,20 +129,28 @@ impl<'g> GatewaySession<'g> {
             gateway,
             stream: gateway.runtime().open_stream(),
             requests: Vec::new(),
+            keys: Vec::new(),
             outcomes: Vec::new(),
+            settled: 0,
             counters: GatewayCounters::default(),
-            pending: Vec::new(),
-            buckets: BTreeMap::new(),
-            breakers: BTreeMap::new(),
+            pending: VecDeque::new(),
+            tenants: BTreeMap::new(),
+            buckets: Vec::new(),
+            families: BTreeMap::new(),
+            breakers: Vec::new(),
+            entries: BTreeMap::new(),
+            entry_ticks: Vec::new(),
             probes: BTreeSet::new(),
             routine: VecDeque::new(),
             recal: VecDeque::new(),
             running: Vec::new(),
+            due: Vec::new(),
             results: BTreeMap::new(),
             last_tick: None,
             drained_tick: None,
             plan: None,
-            host: None,
+            host: gateway.runtime(),
+            host_index: 0,
         }
     }
 
@@ -118,15 +163,28 @@ impl<'g> GatewaySession<'g> {
     }
 
     /// Routes the *physical* execution of subsequent dispatches onto
-    /// `host`'s worker pool (or back to the session's own gateway
-    /// runtime with `None`) — the work-stealing/redistribution seam.
-    /// Accounting never moves: jobs are still billed to, memoized in,
-    /// and collected from the home runtime
-    /// (see [`JobStream::submit_on`]), and because job outcomes are
-    /// pure functions of `(entry, seed, plan)` the digest is
-    /// host-independent.
-    pub fn set_execution_host(&mut self, host: Option<&'g Runtime>) {
+    /// `host`'s worker pool — the work-stealing/redistribution seam —
+    /// and tags them with `index`, the caller's name for that host
+    /// (`bios-shard` passes the shard index; a fresh session runs on
+    /// its own gateway's runtime, tagged 0). Accounting never moves:
+    /// jobs are still billed to, memoized in, and collected from the
+    /// home runtime (see [`JobStream::submit_on`]), and because job
+    /// outcomes are pure functions of `(entry, seed, plan)` the digest
+    /// is host-independent.
+    pub fn set_execution_host(&mut self, index: usize, host: &'g Runtime) {
+        self.host_index = index;
         self.host = host;
+    }
+
+    /// The session's logical in-flight load: for every dispatched job
+    /// whose done tick the session has not yet processed, its host's
+    /// index (see [`GatewaySession::set_execution_host`]) and its
+    /// service ticks. Read only from dispatch ticks, done ticks and
+    /// host choices, so it is the same at any worker count.
+    pub fn in_flight_load(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+        self.running
+            .iter()
+            .map(|r| (r.host, r.done_tick - r.dispatched_tick))
     }
 
     /// Offers one request to the session. A request whose arrival tick
@@ -144,6 +202,40 @@ impl<'g> GatewaySession<'g> {
             .pending
             .partition_point(|&i| self.requests[i].arrival_tick <= at);
         self.pending.insert(pos, idx);
+        // A bucket or breaker is created on its key's first offer
+        // rather than its first use; neither reads the tick until used,
+        // so the two are the same state.
+        let gateway = self.gateway;
+        let config = gateway.config();
+        let keys = Keys {
+            tenant: intern(
+                &mut self.tenants,
+                &mut self.buckets,
+                request.tenant.as_str(),
+                || {
+                    TokenBucket::new(
+                        config.bucket_capacity_milli,
+                        config.bucket_refill_milli_per_tick,
+                    )
+                },
+            ),
+            family: intern(
+                &mut self.families,
+                &mut self.breakers,
+                request.family(),
+                || CircuitBreaker::new(config.breaker),
+            ),
+            entry: intern(
+                &mut self.entries,
+                &mut self.entry_ticks,
+                &request.entry.protocol_fingerprint(),
+                || EntryTicks {
+                    full: gateway.service_ticks(request.entry.calibration_workload()),
+                    thin: None,
+                },
+            ),
+        };
+        self.keys.push(keys);
         self.requests.push(request);
         self.outcomes.push(None);
     }
@@ -158,7 +250,7 @@ impl<'g> GatewaySession<'g> {
     /// flight).
     #[must_use]
     pub fn open(&self) -> usize {
-        self.outcomes.iter().filter(|o| o.is_none()).count()
+        self.requests.len() - self.settled
     }
 
     /// The session's counters so far.
@@ -179,7 +271,7 @@ impl<'g> GatewaySession<'g> {
             let t = t.max(floor);
             next = Some(next.map_or(t, |n| n.min(t)));
         };
-        if let Some(&idx) = self.pending.first() {
+        if let Some(&idx) = self.pending.front() {
             consider(self.requests[idx].arrival_tick);
         }
         if let Some(done) = self.running.iter().map(|r| r.done_tick).min() {
@@ -247,33 +339,30 @@ impl<'g> GatewaySession<'g> {
     /// free service slots dispatch queued work (recalibration class
     /// first).
     fn process_tick(&mut self, tick: u64, terminal: &mut Vec<RequestOutcome>) {
-        let metrics = self.gateway.runtime().metrics_handle();
-        let config = self.gateway.config();
+        let gateway = self.gateway;
+        let metrics = gateway.runtime().metrics_handle();
+        let config = gateway.config();
         self.last_tick = Some(tick);
         if self.drained_tick.is_none() {
             self.drained_tick = Some(tick);
         }
 
         // 1. Completions due at this tick, in (done tick, dispatch
-        // tick, offer position) order, feed the breakers.
-        let mut due: Vec<InFlight> = Vec::new();
-        let mut still: Vec<InFlight> = Vec::new();
-        for r in self.running.drain(..) {
-            if r.done_tick <= tick {
-                due.push(r);
+        // tick, offer position) order, feed the breakers. The order of
+        // `running` itself is never read.
+        let mut due = std::mem::take(&mut self.due);
+        let mut k = 0;
+        while k < self.running.len() {
+            if self.running[k].done_tick <= tick {
+                due.push(self.running.swap_remove(k));
             } else {
-                still.push(r);
+                k += 1;
             }
         }
-        self.running = still;
-        due.sort_by_key(|r| (r.done_tick, r.dispatched_tick, r.idx));
-        for fin in due {
-            let result = self.take_result(fin.ticket);
-            let family = self.requests[fin.idx].family().to_owned();
-            let breaker = self
-                .breakers
-                .entry(family)
-                .or_insert_with(|| CircuitBreaker::new(config.breaker));
+        due.sort_unstable_by_key(|r| (r.done_tick, r.dispatched_tick, r.idx));
+        for fin in due.drain(..) {
+            let result = self.take_result(&fin);
+            let breaker = &mut self.breakers[self.keys[fin.idx].family];
             match breaker_verdict(&result) {
                 Some(ok) if breaker.on_result(ok, fin.probe, tick) => {
                     self.counters.breaker_trips += 1;
@@ -294,51 +383,38 @@ impl<'g> GatewaySession<'g> {
                 done_tick: fin.done_tick,
                 result,
             };
-            self.outcomes[fin.idx] = Some(disposition);
-            terminal.push(self.outcome_of(fin.idx));
+            self.settle(fin.idx, disposition, terminal);
         }
+        self.due = due;
 
         // 2. Arrivals at this tick, in offer order: rate limit (waived
         // for the recalibration class), then queue capacity, then the
         // family breaker.
-        let arriving = self
-            .pending
-            .partition_point(|&i| self.requests[i].arrival_tick <= tick);
-        let arrived: Vec<usize> = self.pending.drain(..arriving).collect();
-        for idx in arrived {
-            let req = &self.requests[idx];
-            if !req.is_recalibration() {
-                let bucket = self.buckets.entry(req.tenant.clone()).or_insert_with(|| {
-                    TokenBucket::new(
-                        config.bucket_capacity_milli,
-                        config.bucket_refill_milli_per_tick,
-                    )
-                });
+        while let Some(&idx) = self.pending.front() {
+            if self.requests[idx].arrival_tick > tick {
+                break;
+            }
+            self.pending.pop_front();
+            let keys = self.keys[idx];
+            if !self.requests[idx].is_recalibration() {
+                let bucket = &mut self.buckets[keys.tenant];
                 bucket.advance_to(tick);
                 if !bucket.try_take(TokenBucket::WHOLE_TOKEN) {
                     self.counters.rate_limited += 1;
                     metrics.add(Counter::RateLimited, 1);
-                    self.outcomes[idx] = Some(Disposition::Rejected(Rejected::RateLimited));
-                    terminal.push(self.outcome_of(idx));
+                    self.settle(idx, Disposition::Rejected(Rejected::RateLimited), terminal);
                     continue;
                 }
             }
-            let req = &self.requests[idx];
             if self.routine.len() + self.recal.len() >= config.queue_capacity.max(1) {
                 self.counters.admission_rejected += 1;
                 metrics.add(Counter::AdmissionRejected, 1);
-                self.outcomes[idx] = Some(Disposition::Rejected(Rejected::QueueFull));
-                terminal.push(self.outcome_of(idx));
+                self.settle(idx, Disposition::Rejected(Rejected::QueueFull), terminal);
                 continue;
             }
-            let breaker = self
-                .breakers
-                .entry(req.family().to_owned())
-                .or_insert_with(|| CircuitBreaker::new(config.breaker));
-            match breaker.admit(tick) {
+            match self.breakers[keys.family].admit(tick) {
                 Admission::Reject => {
-                    self.outcomes[idx] = Some(Disposition::Rejected(Rejected::BreakerOpen));
-                    terminal.push(self.outcome_of(idx));
+                    self.settle(idx, Disposition::Rejected(Rejected::BreakerOpen), terminal);
                     continue;
                 }
                 Admission::Probe => {
@@ -371,43 +447,51 @@ impl<'g> GatewaySession<'g> {
                 },
             };
             let req = &self.requests[idx];
+            let keys = self.keys[idx];
             let waited = tick.saturating_sub(req.arrival_tick);
             let remaining = req.deadline_ticks.saturating_sub(waited);
-            let full_ticks = self.gateway.service_ticks(req.entry.calibration_workload());
+            let ticks = &mut self.entry_ticks[keys.entry];
+            let full_ticks = ticks.full;
             let fits_full = full_ticks <= remaining;
-            let dispatch: Option<(CatalogEntry, Quality, u64)> = if is_recal {
+            let dispatch: Option<(Quality, u64)> = if is_recal {
                 // A degraded sweep would corrupt the calibration epoch
                 // it is meant to restore: full resolution or nothing.
-                fits_full.then(|| (req.entry.clone(), Quality::Full, full_ticks))
+                fits_full.then_some((Quality::Full, full_ticks))
             } else {
                 let pressured = config
                     .degradation
                     .triggered(self.routine.len() + self.recal.len(), config.queue_capacity);
                 if fits_full && !pressured {
-                    Some((req.entry.clone(), Quality::Full, full_ticks))
+                    Some((Quality::Full, full_ticks))
                 } else {
-                    let thin = config.degradation.degrade(&req.entry);
-                    let thin_ticks = self.gateway.service_ticks(thin.calibration_workload());
+                    let (_, thin_ticks) = ticks.thin.get_or_insert_with(|| {
+                        let thin = config.degradation.degrade(&req.entry);
+                        let thin_ticks = gateway.service_ticks(thin.calibration_workload());
+                        (thin, thin_ticks)
+                    });
+                    let thin_ticks = *thin_ticks;
                     if thin_ticks <= remaining && thin_ticks < full_ticks {
                         self.counters.browned_out += 1;
                         metrics.add(Counter::BrownedOut, 1);
-                        Some((thin, Quality::Degraded, thin_ticks))
+                        Some((Quality::Degraded, thin_ticks))
                     } else if fits_full {
                         // Pressured, but degradation cannot shrink this
                         // entry: run it at full resolution anyway.
-                        Some((req.entry.clone(), Quality::Full, full_ticks))
+                        Some((Quality::Full, full_ticks))
                     } else {
                         None
                     }
                 }
             };
             match dispatch {
-                Some((entry, quality, serv)) => {
-                    let seed = self.requests[idx].seed;
-                    let host = self.host.unwrap_or_else(|| self.gateway.runtime());
-                    let ticket = self
-                        .stream
-                        .submit_on(host, &entry, seed, self.plan.as_ref());
+                Some((quality, serv)) => {
+                    let entry = match (quality, &self.entry_ticks[keys.entry].thin) {
+                        (Quality::Degraded, Some((thin, _))) => thin,
+                        _ => &req.entry,
+                    };
+                    let ticket =
+                        self.stream
+                            .submit_on(self.host, entry, req.seed, self.plan.as_ref());
                     self.running.push(InFlight {
                         idx,
                         dispatched_tick: tick,
@@ -415,29 +499,26 @@ impl<'g> GatewaySession<'g> {
                         probe: self.probes.remove(&idx),
                         quality,
                         ticket,
+                        host: self.host_index,
                     });
                 }
                 None => {
                     self.counters.deadline_shed += 1;
                     metrics.add(Counter::DeadlineShed, 1);
                     if self.probes.remove(&idx) {
-                        let family = self.requests[idx].family().to_owned();
-                        if let Some(b) = self.breakers.get_mut(&family) {
-                            b.cancel_probe();
-                        }
+                        self.breakers[keys.family].cancel_probe();
                     }
-                    self.outcomes[idx] = Some(Disposition::Rejected(Rejected::DeadlineShed));
-                    terminal.push(self.outcome_of(idx));
+                    self.settle(idx, Disposition::Rejected(Rejected::DeadlineShed), terminal);
                 }
             }
         }
     }
 
-    /// Blocks until the runtime result for `ticket` is available.
+    /// Blocks until the runtime result for `fin` is available.
     /// Results arriving out of order are parked for their own tick.
-    fn take_result(&mut self, ticket: u64) -> JobResult {
+    fn take_result(&mut self, fin: &InFlight) -> JobResult {
         loop {
-            if let Some(result) = self.results.remove(&ticket) {
+            if let Some(result) = self.results.remove(&fin.ticket) {
                 return result;
             }
             match self.stream.recv() {
@@ -449,19 +530,11 @@ impl<'g> GatewaySession<'g> {
                     // is outstanding until received, and a lost worker
                     // surfaces as a synthesized failure, not a closed
                     // stream. Degrade to an explicit loss regardless.
-                    let req = &self.requests;
-                    let (sensor, seed) = self
-                        .running
-                        .iter()
-                        .find(|r| r.ticket == ticket)
-                        .map_or_else(
-                            || (String::from("unknown"), 0),
-                            |r| (req[r.idx].entry.id().to_owned(), req[r.idx].seed),
-                        );
+                    let req = &self.requests[fin.idx];
                     return JobResult {
-                        index: ticket as usize,
-                        sensor,
-                        seed,
+                        index: fin.ticket as usize,
+                        sensor: req.entry.id().to_owned(),
+                        seed: req.seed,
                         wall: std::time::Duration::ZERO,
                         from_cache: false,
                         attempts: 0,
@@ -473,6 +546,13 @@ impl<'g> GatewaySession<'g> {
                 }
             }
         }
+    }
+
+    /// Fills request `idx`'s terminal disposition and reports it.
+    fn settle(&mut self, idx: usize, disposition: Disposition, terminal: &mut Vec<RequestOutcome>) {
+        self.outcomes[idx] = Some(disposition);
+        self.settled += 1;
+        terminal.push(self.outcome_of(idx));
     }
 
     /// Renders the terminal [`RequestOutcome`] for an index whose
@@ -491,4 +571,25 @@ impl<'g> GatewaySession<'g> {
                 .unwrap_or(Disposition::Rejected(Rejected::QueueFull)),
         }
     }
+}
+
+/// The slot of `key` in `map`; a new key gets the next slot, and
+/// `make()` fills it in `slots`.
+fn intern<Q, T>(
+    map: &mut BTreeMap<Q::Owned, usize>,
+    slots: &mut Vec<T>,
+    key: &Q,
+    make: impl FnOnce() -> T,
+) -> usize
+where
+    Q: Ord + ToOwned + ?Sized,
+    Q::Owned: Ord + std::borrow::Borrow<Q>,
+{
+    if let Some(&slot) = map.get(key) {
+        return slot;
+    }
+    let slot = slots.len();
+    map.insert(key.to_owned(), slot);
+    slots.push(make());
+    slot
 }

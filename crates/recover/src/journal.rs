@@ -34,6 +34,10 @@
 //!   reports it in `corrupt_records`. Nothing panics.
 //! * `valid_len` is the byte offset of the last trusted record; a
 //!   resume writer truncates the file there before appending.
+//! * The reader reports a seal as it finds it. Checking it against the
+//!   records is the resumer's job: `bios_runtime`'s resume refuses a
+//!   sealed journal whose `jobs_done` is not the fleet's size or whose
+//!   digest is not the FNV-1a of the merged digest lines.
 //!
 //! ## Storage backend and write-path faults
 //!

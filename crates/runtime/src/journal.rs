@@ -11,6 +11,10 @@
 //! digest an uninterrupted run would have produced, at any worker
 //! count.
 //!
+//! A sealed journal replays only if its seal agrees with its records:
+//! `jobs_done` must be the fleet's size and the seal's digest the
+//! FNV-1a of the merged digest, or resume refuses it as corrupt.
+//!
 //! Both entry points drive one write-ahead loop: a fresh run is a
 //! resume of an empty journal. [`Runtime::recover_on`] is the
 //! post-crash policy on top of it — resume, or run fresh when the
@@ -187,12 +191,16 @@ impl Runtime {
     /// remainder, appends their records, and seals. The merged digest
     /// is byte-identical to an uninterrupted run at any worker count.
     /// A journal that is already sealed replays without executing
-    /// anything.
+    /// anything, and its seal is checked: it must count every job of
+    /// the fleet, and its digest must equal the FNV-1a of the merged
+    /// digest.
     ///
     /// # Errors
     ///
     /// * [`JournalError::BadMagic`] / [`JournalError::HeaderMissing`] /
-    ///   [`JournalError::Corrupt`] — the file is not a usable journal;
+    ///   [`JournalError::Corrupt`] — the file is not a usable journal,
+    ///   or its seal disagrees with its records
+    ///   ([`CodecError::ChecksumMismatch`]);
     /// * [`JournalError::FingerprintMismatch`] — the journal belongs to
     ///   a different run and resuming would alias its results;
     /// * [`JournalError::Io`] — filesystem failure.
@@ -236,6 +244,7 @@ impl Runtime {
                 current,
             });
         }
+        let seal = loaded.seal;
         // Last record wins on (impossible in practice) duplicate
         // indexes; indexes beyond the fleet are ignored rather than
         // trusted.
@@ -251,7 +260,7 @@ impl Runtime {
         // once, at its last valid frame, for the remainder and the
         // seal — even when the crash landed after the last `JobDone`
         // and only the seal is missing.
-        let writer = if loaded.sealed {
+        let writer = if seal.is_some() {
             None
         } else {
             match JournalWriter::open_resume_with(io, path, loaded.valid_len) {
@@ -266,7 +275,21 @@ impl Runtime {
                 }
             }
         };
-        self.write_ahead(fleet, journaled, writer, JournalOptions::default())
+        let report = self.write_ahead(fleet, journaled, writer, JournalOptions::default())?;
+        // The seal vouches for the whole run: every job, and the
+        // digest its lines hash to. Frames that each pass their
+        // checksum but merge to a different run were damaged or forged
+        // together, so refuse them like a corrupt body.
+        if let Some((jobs_done, digest)) = seal {
+            let computed = report.digest_fnv();
+            if jobs_done != fleet.len() as u64 || digest != computed {
+                return Err(JournalError::Corrupt(CodecError::ChecksumMismatch {
+                    stored: digest,
+                    computed,
+                }));
+            }
+        }
+        Ok(report)
     }
 
     /// The post-crash recovery policy: resume the journal at `path`
@@ -442,5 +465,71 @@ impl Runtime {
             fresh: report,
             digest,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bios_core::catalog;
+    use bios_recover::journal::JournalReader;
+
+    fn temp_journal(tag: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("bios-seal-{tag}-{}.journal", std::process::id()))
+    }
+
+    /// Rewrites the sealed journal at `path` record for record, each
+    /// frame valid, with the seal replaced by `(jobs_done, digest)`.
+    fn reseal(path: &Path, jobs_done: u64, digest: u64) {
+        let loaded = match JournalReader::load(path) {
+            Ok(l) => l,
+            Err(e) => panic!("reference journal unreadable: {e:?}"),
+        };
+        let mut w = match JournalWriter::create(path, &loaded.header) {
+            Ok(w) => w,
+            Err(e) => panic!("rewrite failed: {e:?}"),
+        };
+        for job in loaded.jobs {
+            if let Err(e) = w.append(&Record::JobDone(job)) {
+                panic!("append failed: {e:?}");
+            }
+        }
+        if let Err(e) = w.seal(jobs_done, digest) {
+            panic!("seal failed: {e:?}");
+        }
+    }
+
+    #[test]
+    fn a_forged_seal_over_valid_frames_is_refused_on_resume() {
+        let fleet = Fleet::builder("seal")
+            .sensors(catalog::glucose_sensors())
+            .seeds([1, 2])
+            .build();
+        let path = temp_journal("forged");
+        let reference = match Runtime::with_workers(2).run_journaled(&fleet, &path) {
+            Ok(r) => r,
+            Err(e) => panic!("journaled run failed: {e:?}"),
+        };
+        let digest = fnv1a(reference.summaries_digest().as_bytes());
+        let jobs = fleet.len() as u64;
+        // The honest seal, rewritten the same way, still replays.
+        reseal(&path, jobs, digest);
+        match Runtime::with_workers(1).resume(&fleet, &path) {
+            Ok(r) => assert_eq!(r.digest_fnv(), digest),
+            Err(e) => panic!("honest seal refused: {e:?}"),
+        }
+        for (what, forged_jobs, forged_digest) in [
+            ("digest", jobs, digest ^ 1),
+            ("jobs_done", jobs + 1, digest),
+        ] {
+            reseal(&path, forged_jobs, forged_digest);
+            match Runtime::with_workers(1).resume(&fleet, &path) {
+                Err(JournalError::Corrupt(CodecError::ChecksumMismatch { stored, computed })) => {
+                    assert_eq!((stored, computed), (forged_digest, digest), "{what}");
+                }
+                other => panic!("forged {what}: expected ChecksumMismatch, got {other:?}"),
+            }
+        }
+        std::fs::remove_file(&path).ok();
     }
 }

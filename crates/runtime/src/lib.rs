@@ -332,8 +332,8 @@ impl Runtime {
     /// decisions here so one [`MetricsSnapshot`] covers the whole
     /// intake-to-result pipeline.
     #[must_use]
-    pub fn metrics_handle(&self) -> Arc<RuntimeMetrics> {
-        Arc::clone(&self.metrics)
+    pub fn metrics_handle(&self) -> &RuntimeMetrics {
+        &self.metrics
     }
 
     /// Point-in-time copy of the cumulative runtime counters, with the

@@ -22,10 +22,12 @@
 //!   `(shard, tick)` loss, [`ShardChaos::with_shard_loss_at`]);
 //!   pending work of a quarantined shard's tenants deterministically
 //!   redistributes to healthy shards.
-//! * **Work-stealing** — tick-aligned: when a home shard's logical
-//!   backlog reaches [`ShardConfig::steal_batch`] and a healthy shard
-//!   sits idle, the lowest-indexed idle shard hosts that tenant's
-//!   dispatches for the tick. Placement only; never outcomes.
+//! * **Work-stealing** — tick-aligned and load-aware: a shard's load
+//!   is the service ticks of the in-flight jobs it hosts. When a
+//!   tenant's home shard carries at least [`ShardConfig::steal_batch`]
+//!   more load than the least-loaded healthy shard, that shard hosts
+//!   the tenant's dispatches for the tick. Placement only; never
+//!   outcomes.
 //!
 //! The whole layer is a pure function of `(config, trace, chaos)`:
 //! job outcomes are pure in `(entry, seed, plan)` (see
@@ -77,8 +79,11 @@ pub use supervisor::{
 pub struct ShardConfig {
     /// Number of tenant shards (each its own gateway + runtime).
     pub shards: usize,
-    /// Minimum logical backlog (open requests homed on a shard)
-    /// before an idle shard may steal that shard's dispatches.
+    /// Minimum load gap, in service ticks, between a tenant's home
+    /// shard and the least-loaded healthy shard before the latter
+    /// hosts the tenant's dispatches. A shard's load is the service
+    /// ticks of the dispatched, not yet due jobs it hosts; the default
+    /// of 4 is about one full-resolution job.
     pub steal_batch: usize,
     /// Per-shard admission tuning (every shard gets a copy).
     pub gateway: GatewayConfig,
@@ -222,9 +227,15 @@ impl ShardedGateway {
     /// 1. home shard quarantined → re-hash over the healthy set
     ///    ([`route::redistribute`]), falling back to home when no
     ///    shard is healthy;
-    /// 2. home backlog ≥ [`ShardConfig::steal_batch`] and a healthy
-    ///    shard has zero backlog → the lowest-indexed such idle shard
-    ///    steals the dispatches;
+    /// 2. home load ≥ the least-loaded healthy shard's load +
+    ///    [`ShardConfig::steal_batch`] → that shard steals the
+    ///    dispatches. A shard's load is the service ticks of the jobs
+    ///    it hosts that are dispatched and not yet due (their session
+    ///    has not processed their done tick), read from each job's
+    ///    dispatch tick, done tick and host tag, and kept current as
+    ///    tenants advance, so a tenant sees the placements of the
+    ///    tenants before it in the same tick. Load ties go to home,
+    ///    then to the lowest index;
     /// 3. otherwise → home.
     ///
     /// Sessions are advanced in ascending tenant order, and health
@@ -283,6 +294,14 @@ impl ShardedGateway {
         let mut completions = vec![0u64; shards];
         let mut steals_in = vec![0u64; shards];
         let mut redistributions_in = vec![0u64; shards];
+        // Logical in-flight load per host shard: the service ticks of
+        // the jobs it hosts that are dispatched and whose done tick
+        // their session has not yet processed. Only `advance_to`
+        // changes a session's share, so each due session's share is
+        // taken out before it advances and put back after; later
+        // tenants of a tick see earlier tenants' placements.
+        let mut load = vec![0u64; shards];
+        let steal_gap = self.config.steal_batch as u64;
 
         while let Some(tick) = sessions.iter().filter_map(|s| s.next_event_tick()).min() {
             while next_loss < losses.len() && losses[next_loss].1 <= tick {
@@ -292,13 +311,6 @@ impl ShardedGateway {
                     tick: loss_tick,
                 });
                 next_loss += 1;
-            }
-            // Logical backlog per home shard: open (non-terminal)
-            // requests of the tenants homed there, measured before
-            // anyone advances this tick.
-            let mut backlog = vec![0usize; shards];
-            for (slot, session) in sessions.iter().enumerate() {
-                backlog[homes[slot]] += session.open();
             }
             let healthy = supervisor.healthy_shards();
             for slot in 0..sessions.len() {
@@ -313,27 +325,30 @@ impl ShardedGateway {
                         redistributions_in[target] += 1;
                     }
                     target
-                } else if backlog[home] >= self.config.steal_batch.max(1) {
-                    match healthy
+                } else {
+                    // Least loaded; ties go to home, then to the lowest
+                    // index.
+                    let lightest = healthy
                         .iter()
                         .copied()
-                        .find(|&i| i != home && backlog[i] == 0)
-                    {
-                        Some(idle) => {
-                            steals_in[idle] += 1;
-                            idle
-                        }
-                        None => home,
+                        .min_by_key(|&i| (load[i], i != home, i))
+                        .unwrap_or(home);
+                    if lightest != home && load[home] >= load[lightest] + steal_gap {
+                        steals_in[lightest] += 1;
+                        lightest
+                    } else {
+                        home
                     }
-                } else {
-                    home
                 };
-                sessions[slot].set_execution_host(if host == home {
-                    None
-                } else {
-                    Some(self.gateways[host].runtime())
-                });
-                for outcome in sessions[slot].advance_to(tick) {
+                for (h, ticks) in sessions[slot].in_flight_load() {
+                    load[h] -= ticks;
+                }
+                sessions[slot].set_execution_host(host, self.gateways[host].runtime());
+                let outcomes = sessions[slot].advance_to(tick);
+                for (h, ticks) in sessions[slot].in_flight_load() {
+                    load[h] += ticks;
+                }
+                for outcome in outcomes {
                     let Disposition::Executed {
                         done_tick, result, ..
                     } = &outcome.disposition
@@ -375,7 +390,7 @@ impl ShardedGateway {
                                         tick: *done_tick,
                                     });
                                 }
-                                meter(&verdict, &metrics);
+                                meter(&verdict, metrics);
                             }
                         }
                     }
@@ -752,21 +767,60 @@ mod tests {
     }
 
     #[test]
-    fn idle_shards_steal_deterministically_and_digest_neutrally() {
-        // Two tenants over eight shards: at least six shards are
-        // idle, and a steal batch of 1 lets them host from tick 0.
-        let trace = tenant_trace(2, 6, 1, 64, None);
-        let mut config = shard_config(8, 1);
-        config.steal_batch = 1;
-        let report = ShardedGateway::new(config).run(&trace);
-        assert!(report.steals() > 0, "idle shards must steal");
-        let reference = ShardedGateway::new(shard_config(1, 1)).run(&trace);
-        assert_eq!(report.digest(), reference.digest());
-        // And the placement fold itself is deterministic.
-        let mut config2 = shard_config(8, 1);
-        config2.steal_batch = 1;
-        let again = ShardedGateway::new(config2).run(&trace);
-        assert_eq!(report.steals(), again.steals());
+    fn seeded_hotspot_sweep_steals_deterministically_and_digest_neutrally() {
+        // Twelve seeded hotspot traces, each run at every multi-shard
+        // layout and steal threshold: the digest must equal the 1x1
+        // digest, a second run (warm caches) must repeat the steal
+        // counts exactly, and every layout must steal somewhere.
+        const LAYOUTS: [(usize, usize); 3] = [(2, 1), (4, 2), (8, 8)];
+        const STEAL_BATCHES: [usize; 3] = [1, 4, 16];
+        let fleets: Vec<Vec<ShardedGateway>> = LAYOUTS
+            .iter()
+            .map(|&(s, w)| {
+                STEAL_BATCHES
+                    .iter()
+                    .map(|&steal_batch| {
+                        ShardedGateway::new(ShardConfig {
+                            steal_batch,
+                            ..shard_config(s, w)
+                        })
+                    })
+                    .collect()
+            })
+            .collect();
+        let reference = ShardedGateway::new(shard_config(1, 1));
+        let mut steals_at = [0u64; LAYOUTS.len()];
+        for seed in 0..12u64 {
+            let skew = FaultPlan::builder("sweep", 0x5EED + seed)
+                .spec(FaultKind::TenantHotspot, 0.5, 1.0)
+                .build();
+            let trace = tenant_trace(6, 3, 2, 64, Some(&skew));
+            let golden = reference.run(&trace).digest();
+            for (l, row) in fleets.iter().enumerate() {
+                for (fleet, steal_batch) in row.iter().zip(STEAL_BATCHES) {
+                    let (s, w) = LAYOUTS[l];
+                    let first = fleet.run(&trace);
+                    assert_eq!(
+                        first.digest(),
+                        golden,
+                        "seed {seed}, {s}x{w}, steal_batch {steal_batch}: digest moved"
+                    );
+                    let again = fleet.run(&trace);
+                    let per_shard = |r: &ShardedReport| -> Vec<u64> {
+                        r.placement.iter().map(|p| p.steals_in).collect()
+                    };
+                    assert_eq!(
+                        per_shard(&first),
+                        per_shard(&again),
+                        "seed {seed}, {s}x{w}, steal_batch {steal_batch}: steals not repeatable"
+                    );
+                    steals_at[l] += first.steals();
+                }
+            }
+        }
+        for (&(s, w), steals) in LAYOUTS.iter().zip(steals_at) {
+            assert!(steals > 0, "{s}x{w}: no schedule stole");
+        }
     }
 
     #[test]

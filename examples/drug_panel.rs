@@ -37,11 +37,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .build();
     let panel: FleetReport = runtime.run(&fleet);
     println!(
-        "panel calibrated: {} channels on {} workers in {:?}\n",
+        "panel calibrated: {} channels on {} workers\n",
         fleet.len(),
-        panel.workers,
-        panel.elapsed
+        panel.workers
     );
+    // Wall-clock time varies run to run, so it stays off stdout.
+    eprintln!("panel calibration took {:?}", panel.elapsed);
     for (result, error) in panel.failures() {
         eprintln!("channel {} failed: {error}", result.sensor);
     }

@@ -37,6 +37,27 @@ run cargo test --locked -q --workspace
 # caught, crashes recovered); any failure names its scenario and layout.
 run cargo run --locked --release -q -p bios-bench --bin gate
 
+# Examples are reproducible: each binary prints the same stdout on two
+# runs of one build (wall-clock figures belong on stderr).
+run cargo build --locked --release -q --examples
+echo "==> examples: stdout identical across two runs"
+for src in examples/*.rs; do
+    name="$(basename "$src" .rs)"
+    bin="${CARGO_TARGET_DIR:-target}/release/examples/$name"
+    for pass in 1 2; do
+        if ! "$bin" >"$gate_dir/$name.$pass" 2>"$gate_dir/$name.err"; then
+            cat "$gate_dir/$name.err" >&2
+            echo "examples gate: $name exited non-zero" >&2
+            exit 1
+        fi
+    done
+    if ! diff "$gate_dir/$name.1" "$gate_dir/$name.2" >&2; then
+        echo "examples gate: $name printed different stdout on two runs" >&2
+        exit 1
+    fi
+    echo "    $name reproducible"
+done
+
 # The benchmark's own tests: `perfbench` is a package of its own, so a
 # crate API change that breaks it fails no workspace check above.
 run cargo test -q --release --manifest-path perfbench/Cargo.toml
