@@ -8,7 +8,8 @@
 //!
 //! ```text
 //! gate            # every row
-//! gate shard      # one row: crash, overload, stream, shard, quorum, torture
+//! gate shard      # one row: crash, overload, stream, stream-provisioned,
+//!                 # shard, quorum, torture
 //! ```
 //!
 //! Exit status is non-zero when two layouts of a row disagree, a
@@ -31,7 +32,7 @@ use bios_quorum::QuorumConfig;
 use bios_recover::{fnv1a, RealIo};
 use bios_runtime::{Fleet, JournalOptions, MetricsSnapshot, Runtime, RuntimeConfig};
 use bios_shard::{tenant_trace, ShardChaos, ShardConfig, ShardedGateway, ShardedReport};
-use bios_stream::{StreamConfig, StreamEngine};
+use bios_stream::{StreamConfig, StreamEngine, StreamReport};
 
 /// One gate scenario: every layout must reproduce `golden` and pass
 /// every mechanism check its run reports.
@@ -62,6 +63,12 @@ const ROWS: &[Row] = &[
         golden: 0x52edf2ac22ed2154,
         layouts: &[workers(1, Mode::Plain), workers(8, Mode::Plain)],
         run: stream,
+    },
+    Row {
+        scenario: "stream-provisioned",
+        golden: 0xe1bb99004743e4b3,
+        layouts: &[workers(1, Mode::Plain), workers(8, Mode::Plain)],
+        run: stream_provisioned,
     },
     Row {
         scenario: "shard",
@@ -438,35 +445,10 @@ fn stream(layout: Layout) -> Result<Run, String> {
     // retried after the backoff. The row pins the stream loop's
     // determinism, not recalibration capacity; the counts line prints
     // the refusals so the shortfall stays visible.
-    let config = GatewayConfig {
-        queue_capacity: 64,
-        service_slots: 8,
-        ..GatewayConfig::default()
-    };
-    let engine = StreamEngine::new(
-        StreamConfig::new(1000, 288, 0x57AE_A11E),
-        Gateway::new(config, Runtime::with_workers(layout.workers)),
-    );
-    let r = engine.run();
+    let r = stream_day(layout.workers, 8, None);
     Ok(Run {
         digest: fnv1a(r.digest().as_bytes()),
-        counts: format!(
-            "{}x{} ticks: drifted={} detected={} swapped={} false_trips={} enqueued={} \
-             completed={} rejected={} degraded={} failed={} mean_mard={:.4} {}",
-            r.patients,
-            r.horizon_ticks,
-            r.drift_injected,
-            r.drift_detected,
-            r.epoch_swaps,
-            r.false_trips,
-            r.recal_enqueued,
-            r.recal_completed,
-            r.recal_rejected,
-            r.recal_degraded,
-            r.recal_failed,
-            r.mean_mard,
-            r.gateway
-        ),
+        counts: stream_counts(&r),
         checks: vec![
             ("bootstrap_failed == 0", r.bootstrap_failed == 0),
             ("drift injected", r.drift_injected > 0),
@@ -478,6 +460,75 @@ fn stream(layout: Layout) -> Result<Run, String> {
             (
                 "enqueued == completed + failed + rejected",
                 r.recal_enqueued == r.recal_completed + r.recal_failed + r.recal_rejected,
+            ),
+        ],
+    })
+}
+
+/// The stream row's cohort (1000 patients, one 288-tick day) behind a
+/// queue of 64 and `slots` service slots; `max_recalibrations`
+/// overrides the per-patient cap.
+fn stream_day(workers: usize, slots: usize, max_recalibrations: Option<u32>) -> StreamReport {
+    let config = GatewayConfig {
+        queue_capacity: 64,
+        service_slots: slots,
+        ..GatewayConfig::default()
+    };
+    let mut stream = StreamConfig::new(1000, 288, 0x57AE_A11E);
+    if let Some(max) = max_recalibrations {
+        stream = stream.with_max_recalibrations(max);
+    }
+    StreamEngine::new(stream, Gateway::new(config, Runtime::with_workers(workers))).run()
+}
+
+fn stream_counts(r: &StreamReport) -> String {
+    format!(
+        "{}x{} ticks: drifted={} detected={} swapped={} false_trips={} enqueued={} \
+         completed={} rejected={} degraded={} failed={} mean_mard={:.4} {}",
+        r.patients,
+        r.horizon_ticks,
+        r.drift_injected,
+        r.drift_detected,
+        r.epoch_swaps,
+        r.false_trips,
+        r.recal_enqueued,
+        r.recal_completed,
+        r.recal_rejected,
+        r.recal_degraded,
+        r.recal_failed,
+        r.mean_mard,
+        r.gateway
+    )
+}
+
+// ---- stream-provisioned: enough analyzer capacity restores accuracy ----
+
+fn stream_provisioned(layout: Layout) -> Result<Run, String> {
+    // The stream row's cohort with 32 service slots, enough that no
+    // recalibration is refused. Its MARD must beat both the 8-slot
+    // row, which refuses most recalibrations, and a control that never
+    // recalibrates: recalibration is what restores accuracy.
+    let r = stream_day(layout.workers, 32, None);
+    let starved = stream_day(layout.workers, 8, None);
+    let control = stream_day(layout.workers, 32, Some(0));
+    Ok(Run {
+        digest: fnv1a(r.digest().as_bytes()),
+        counts: format!(
+            "{} starved_mard={:.4} control_mard={:.4}",
+            stream_counts(&r),
+            starved.mean_mard,
+            control.mean_mard
+        ),
+        checks: vec![
+            ("recal_rejected == 0", r.recal_rejected == 0),
+            ("epochs swapped", r.epoch_swaps > 0),
+            (
+                "mean_mard < 8-slot mean_mard",
+                r.mean_mard < starved.mean_mard,
+            ),
+            (
+                "mean_mard < no-recalibration mean_mard",
+                r.mean_mard < control.mean_mard,
             ),
         ],
     })

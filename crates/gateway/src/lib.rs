@@ -232,6 +232,10 @@ pub enum Disposition {
         dispatched_tick: u64,
         /// Tick the job's logical service time elapsed.
         done_tick: u64,
+        /// The host index the job was dispatched under (see
+        /// [`GatewaySession::set_execution_host`]): logical placement,
+        /// never rendered by [`RequestOutcome::digest_line`].
+        host: usize,
         /// The runtime's result for the job.
         result: JobResult,
     },
@@ -281,6 +285,9 @@ impl RequestOutcome {
                 quality,
                 dispatched_tick,
                 done_tick,
+                // Placement: the same job may run under any host, so
+                // the digest never renders it.
+                host: _,
                 result,
             } => format!(
                 "req {:04} {}{} t{}->{}->{} {} {}",

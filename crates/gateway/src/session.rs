@@ -13,7 +13,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use bios_core::catalog::CatalogEntry;
 use bios_faults::FaultPlan;
-use bios_runtime::{Counter, JobResult, JobStream, Runtime};
+use bios_runtime::{Counter, JobResult, JobStream};
 
 use crate::breaker::{Admission, CircuitBreaker};
 use crate::bucket::TokenBucket;
@@ -35,7 +35,7 @@ struct InFlight {
     probe: bool,
     quality: Quality,
     ticket: u64,
-    /// The caller's index of the runtime executing the job (see
+    /// The host index the job was dispatched under (see
     /// [`GatewaySession::set_execution_host`]).
     host: usize,
 }
@@ -116,11 +116,9 @@ pub struct GatewaySession<'g> {
     /// per-tenant chaos seam `bios-shard` arms (see
     /// [`GatewaySession::set_fault_plan`]).
     plan: Option<FaultPlan>,
-    /// Runtime whose worker pool physically executes the next
-    /// dispatches, and the caller's index for it (see
+    /// Host index the next dispatches are tagged with (see
     /// [`GatewaySession::set_execution_host`]).
-    host: &'g Runtime,
-    host_index: usize,
+    host: usize,
 }
 
 impl<'g> GatewaySession<'g> {
@@ -149,8 +147,7 @@ impl<'g> GatewaySession<'g> {
             last_tick: None,
             drained_tick: None,
             plan: None,
-            host: gateway.runtime(),
-            host_index: 0,
+            host: 0,
         }
     }
 
@@ -162,18 +159,15 @@ impl<'g> GatewaySession<'g> {
         self.plan = plan;
     }
 
-    /// Routes the *physical* execution of subsequent dispatches onto
-    /// `host`'s worker pool — the work-stealing/redistribution seam —
-    /// and tags them with `index`, the caller's name for that host
-    /// (`bios-shard` passes the shard index; a fresh session runs on
-    /// its own gateway's runtime, tagged 0). Accounting never moves:
-    /// jobs are still billed to, memoized in, and collected from the
-    /// home runtime (see [`JobStream::submit_on`]), and because job
-    /// outcomes are pure functions of `(entry, seed, plan)` the digest
-    /// is host-independent.
-    pub fn set_execution_host(&mut self, index: usize, host: &'g Runtime) {
-        self.host_index = index;
-        self.host = host;
+    /// Tags subsequent dispatches with `index`, the caller's logical
+    /// placement for them (`bios-shard` passes the shard index; a
+    /// fresh session tags 0). The tag is all that moves: jobs still
+    /// run on, are billed to, memoized in and collected from the home
+    /// runtime. [`GatewaySession::in_flight_load`] reads it back, and
+    /// each executed outcome carries it as
+    /// [`Disposition::Executed::host`]; no digest renders it.
+    pub fn set_execution_host(&mut self, index: usize) {
+        self.host = index;
     }
 
     /// The session's logical in-flight load: for every dispatched job
@@ -381,6 +375,7 @@ impl<'g> GatewaySession<'g> {
                 quality: fin.quality,
                 dispatched_tick: fin.dispatched_tick,
                 done_tick: fin.done_tick,
+                host: fin.host,
                 result,
             };
             self.settle(fin.idx, disposition, terminal);
@@ -489,9 +484,7 @@ impl<'g> GatewaySession<'g> {
                         (Quality::Degraded, Some((thin, _))) => thin,
                         _ => &req.entry,
                     };
-                    let ticket =
-                        self.stream
-                            .submit_on(self.host, entry, req.seed, self.plan.as_ref());
+                    let ticket = self.stream.submit(entry, req.seed, self.plan.as_ref());
                     self.running.push(InFlight {
                         idx,
                         dispatched_tick: tick,
@@ -499,7 +492,7 @@ impl<'g> GatewaySession<'g> {
                         probe: self.probes.remove(&idx),
                         quality,
                         ticket,
-                        host: self.host_index,
+                        host: self.host,
                     });
                 }
                 None => {

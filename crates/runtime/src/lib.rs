@@ -274,11 +274,13 @@ impl ExecPolicy {
 }
 
 /// The fleet engine: worker pool + memo cache + metrics, shared across
-/// every fleet submitted to it.
+/// every fleet submitted to it. Several runtimes may share one pool
+/// ([`Runtime::on_pool_of`]); the cache and metrics are always their
+/// own.
 #[derive(Debug)]
 pub struct Runtime {
     config: RuntimeConfig,
-    pool: WorkerPool,
+    pool: Arc<WorkerPool>,
     cache: Arc<ResultCache>,
     metrics: Arc<RuntimeMetrics>,
 }
@@ -309,7 +311,22 @@ impl Runtime {
     pub fn new(config: RuntimeConfig) -> Runtime {
         Runtime {
             config,
-            pool: WorkerPool::new(config.workers),
+            pool: Arc::new(WorkerPool::new(config.workers)),
+            cache: Arc::new(ResultCache::with_capacity(config.cache_capacity)),
+            metrics: Arc::new(RuntimeMetrics::new()),
+        }
+    }
+
+    /// Builds a runtime from `config` that executes on `other`'s worker
+    /// pool: one FIFO and one set of threads for both, while the memo
+    /// cache, metrics and execution policy are this runtime's own.
+    /// `config.workers` is ignored; [`Runtime::workers`] reports the
+    /// shared pool's size.
+    #[must_use]
+    pub fn on_pool_of(other: &Runtime, config: RuntimeConfig) -> Runtime {
+        Runtime {
+            config,
+            pool: Arc::clone(&other.pool),
             cache: Arc::new(ResultCache::with_capacity(config.cache_capacity)),
             metrics: Arc::new(RuntimeMetrics::new()),
         }
@@ -587,31 +604,10 @@ pub struct JobStream<'rt> {
 
 impl JobStream<'_> {
     /// Submits one job and returns its ticket. The entry and plan are
-    /// cloned into the worker closure; the call never blocks.
+    /// cloned into the worker closure; the call never blocks. The job
+    /// is billed to, memoized in and collected from the stream's
+    /// runtime, whichever runtimes share its pool.
     pub fn submit(&mut self, entry: &CatalogEntry, seed: u64, plan: Option<&FaultPlan>) -> u64 {
-        let home = self.runtime;
-        self.submit_on(home, entry, seed, plan)
-    }
-
-    /// Submits one job for execution on `host`'s worker pool while
-    /// keeping every *accounting* surface on the stream's home runtime:
-    /// the memo cache probed and filled, the metrics billed, the retry
-    /// policy applied, and the completion channel delivered to are all
-    /// the home runtime's. This is the work-stealing seam `bios-shard`
-    /// dispatches through — because `execute_job` is a pure function of
-    /// `(entry, seed, plan, policy)`, *where* the closure runs can
-    /// never change *what* it computes, so a stolen job's
-    /// [`JobResult`] is byte-identical to a home-run one.
-    ///
-    /// With `host == self.runtime` this is exactly
-    /// [`JobStream::submit`].
-    pub fn submit_on(
-        &mut self,
-        host: &Runtime,
-        entry: &CatalogEntry,
-        seed: u64,
-        plan: Option<&FaultPlan>,
-    ) -> u64 {
         let ticket = self.next_ticket;
         self.next_ticket += 1;
         self.outstanding
@@ -627,7 +623,7 @@ impl JobStream<'_> {
             .then(|| Arc::clone(&self.runtime.cache));
         let metrics = Arc::clone(&self.runtime.metrics);
         let policy = ExecPolicy::from_config(&self.runtime.config);
-        host.pool.execute(move || {
+        self.runtime.pool.execute(move || {
             let mut tally = JobTally::default();
             let result = execute_job(
                 ticket as usize,
@@ -1273,39 +1269,33 @@ mod tests {
     }
 
     #[test]
-    fn stolen_submission_matches_home_run_and_bills_home() {
+    fn shared_pool_stream_bills_and_memoizes_its_own_runtime() {
         let entry = catalog::our_glucose_sensor();
-        let home = Runtime::with_workers(2);
-        let host = Runtime::with_workers(2);
-        let mut stream = home.open_stream();
-        let home_ticket = stream.submit(&entry, 5, None);
-        let stolen_ticket = stream.submit_on(&host, &entry, 6, None);
-        let mut results = BTreeMap::new();
-        while stream.pending() > 0 {
-            let (ticket, result) = stream.recv().unwrap();
-            results.insert(ticket, result);
-        }
-        let home_run = &results[&home_ticket];
-        let stolen = &results[&stolen_ticket];
-        let (Ok(_), Ok(_)) = (&home_run.outcome, &stolen.outcome) else {
-            panic!("both placements should calibrate");
-        };
-        // Placement never changes what a job computes: a re-run of the
-        // stolen (entry, seed) on the home pool is byte-identical.
-        let mut check = home.open_stream();
-        check.submit(&entry, 6, None);
-        let (_, rerun) = check.recv().unwrap();
-        let (Ok(a), Ok(b)) = (&stolen.outcome, &rerun.outcome) else {
-            panic!("re-run should calibrate");
-        };
-        assert_eq!(format!("{:?}", a.summary), format!("{:?}", b.summary));
-        // Accounting stays home: the stolen job was billed to (and
-        // memoized in) the home runtime, never the host.
-        assert_eq!(home.metrics().jobs_submitted, 3);
-        assert_eq!(host.metrics().jobs_submitted, 0);
-        assert_eq!(home.cache_len(), 2);
-        assert_eq!(host.cache_len(), 0);
-        assert!(rerun.from_cache, "stolen job must fill the home cache");
+        let a = Runtime::with_workers(2);
+        let b = Runtime::on_pool_of(&a, RuntimeConfig::default().with_workers(7));
+        assert_eq!(b.workers(), 2, "b runs on a's pool, not a pool of its own");
+        let mut stream = a.open_stream();
+        stream.submit(&entry, 6, None);
+        let (_, first) = stream.recv().unwrap();
+        assert!(first.outcome.is_ok(), "the job should calibrate");
+        // Billed to and memoized in the submitting runtime only.
+        assert_eq!(a.metrics().jobs_submitted, 1);
+        assert_eq!(b.metrics().jobs_submitted, 0);
+        assert_eq!(a.cache_len(), 1);
+        assert_eq!(b.cache_len(), 0);
+        // The same (entry, seed) computed afresh through b's stream on
+        // the same pool is byte-identical, and a's rerun is a memo hit.
+        let mut other = b.open_stream();
+        other.submit(&entry, 6, None);
+        let (_, fresh) = other.recv().unwrap();
+        assert!(!fresh.from_cache);
+        stream.submit(&entry, 6, None);
+        let (_, rerun) = stream.recv().unwrap();
+        assert!(rerun.from_cache, "the first run must fill a's cache");
+        assert_eq!(first.digest_line(), fresh.digest_line());
+        assert_eq!(first.digest_line(), rerun.digest_line());
+        assert_eq!(a.metrics().jobs_submitted, 2);
+        assert_eq!(b.metrics().jobs_submitted, 1);
     }
 
     #[test]

@@ -2,11 +2,14 @@
 //! supervision, and deterministic work-stealing over per-shard
 //! runtimes.
 //!
-//! The gateway (PR 5) and stream engine (PR 6) feed every tenant into
-//! a *single* [`Runtime`] — one tenant's chaos plan, breaker storm,
-//! or brownout degrades every neighbor. `bios-shard` partitions the
-//! fleet across N tenant-sharded runtimes, each with its own worker
-//! pool, bounded memo cache, metrics, and journal segment:
+//! The gateway and stream engine feed every tenant into a *single*
+//! [`Runtime`] — one tenant's chaos plan, breaker storm, or brownout
+//! degrades every neighbor. `bios-shard` partitions the fleet across N
+//! tenant-sharded runtimes, each with its own bounded memo cache,
+//! metrics, and journal segment. The runtimes of a [`ShardedGateway`]
+//! share one physical worker pool of `shards × workers per shard`
+//! threads, so an idle worker always takes the oldest queued job;
+//! everything below is logical:
 //!
 //! * **Routing** ([`route`]) — a tenant's home shard is FNV-1a of its
 //!   id mod N; re-homing off a quarantined shard re-hashes over the
@@ -14,8 +17,10 @@
 //! * **Bulkheads** — every tenant gets its *own*
 //!   [`bios_gateway::GatewaySession`] (token bucket, breakers,
 //!   queues, brownout state, counters) bound to its home shard, so a
-//!   neighbor's chaos plan, breaker trips, or panics are physically
-//!   and logically invisible to it.
+//!   neighbor's chaos plan, breaker trips, or panics are invisible to
+//!   it. The bulkhead is that session, not the thread a job runs on:
+//!   streams reject injected stalls synchronously and every job runs
+//!   behind `catch_unwind`, so no neighbor can wedge a shared worker.
 //! * **Supervision** ([`supervisor`]) — a pure fold over logical
 //!   health events quarantines wedged shards (deadline-kill storms),
 //!   poisoned shards (respawn exhaustion), and lost shards (a forced
@@ -26,13 +31,14 @@
 //!   is the service ticks of the in-flight jobs it hosts. When a
 //!   tenant's home shard carries at least [`ShardConfig::steal_batch`]
 //!   more load than the least-loaded healthy shard, that shard hosts
-//!   the tenant's dispatches for the tick. Placement only; never
-//!   outcomes.
+//!   the tenant's dispatches for the tick. Hosting is a logical tag
+//!   ([`bios_gateway::GatewaySession::set_execution_host`]) that
+//!   load, completions and health events are credited to; the job
+//!   itself still runs on the shared pool, billed to its home shard.
 //!
 //! The whole layer is a pure function of `(config, trace, chaos)`:
-//! job outcomes are pure in `(entry, seed, plan)` (see
-//! [`bios_runtime::JobStream::submit_on`]) and admission state is
-//! per-tenant, so [`ShardedReport::digest`] is **byte-identical at
+//! job outcomes are pure in `(entry, seed, plan)` and admission state
+//! is per-tenant, so [`ShardedReport::digest`] is **byte-identical at
 //! any (shard count × worker count)** — even mid-quarantine. CI pins
 //! this with `gate shard` (the `bios-bench` gate binary).
 //!
@@ -88,7 +94,8 @@ pub struct ShardConfig {
     /// Per-shard admission tuning (every shard gets a copy).
     pub gateway: GatewayConfig,
     /// Per-shard runtime template — `runtime.workers` is workers *per
-    /// shard*.
+    /// shard*: a [`ShardedGateway`]'s shared pool has `shards ×
+    /// runtime.workers` threads.
     pub runtime: RuntimeConfig,
     /// Quarantine tuning for the shard supervisor.
     pub supervisor: SupervisorConfig,
@@ -173,8 +180,9 @@ impl ShardChaos {
 }
 
 /// The fleet-of-fleets front door: N per-shard [`Gateway`]s (each
-/// owning its own [`Runtime`]) behind deterministic tenant routing,
-/// supervision, and work-stealing.
+/// owning its own [`Runtime`], all runtimes on one shared worker pool)
+/// behind deterministic tenant routing, supervision, and
+/// work-stealing.
 #[derive(Debug)]
 pub struct ShardedGateway {
     config: ShardConfig,
@@ -183,11 +191,17 @@ pub struct ShardedGateway {
 
 impl ShardedGateway {
     /// Builds `config.shards` shards, each a fresh gateway over a
-    /// fresh runtime from the config's templates.
+    /// fresh runtime from the config's templates. The runtimes share
+    /// one worker pool of `shards × runtime.workers` threads, so an
+    /// idle worker always takes the oldest job queued by any shard.
     #[must_use]
     pub fn new(config: ShardConfig) -> ShardedGateway {
-        let gateways = (0..config.shards.max(1))
-            .map(|_| Gateway::new(config.gateway.clone(), Runtime::new(config.runtime)))
+        let shards = config.shards.max(1);
+        let workers = shards * config.runtime.workers.max(1);
+        let pool = Runtime::new(config.runtime.with_workers(workers));
+        let gateways = (0..shards)
+            .map(|_| Runtime::on_pool_of(&pool, config.runtime))
+            .map(|runtime| Gateway::new(config.gateway.clone(), runtime))
             .collect();
         ShardedGateway { config, gateways }
     }
@@ -343,18 +357,24 @@ impl ShardedGateway {
                 for (h, ticks) in sessions[slot].in_flight_load() {
                     load[h] -= ticks;
                 }
-                sessions[slot].set_execution_host(host, self.gateways[host].runtime());
+                sessions[slot].set_execution_host(host);
                 let outcomes = sessions[slot].advance_to(tick);
                 for (h, ticks) in sessions[slot].in_flight_load() {
                     load[h] += ticks;
                 }
                 for outcome in outcomes {
+                    // Credit the shard the job was dispatched under,
+                    // not the one chosen for the tick it completes on.
                     let Disposition::Executed {
-                        done_tick, result, ..
+                        done_tick,
+                        host,
+                        result,
+                        ..
                     } = &outcome.disposition
                     else {
                         continue;
                     };
+                    let host = *host;
                     completions[host] += 1;
                     match &result.outcome {
                         Err(JobError::Deadline) => supervisor.observe(HealthEvent::DeadlineKill {
@@ -764,6 +784,68 @@ mod tests {
             lossy.digest(),
             "placement (even mid-quarantine) must never reach the digest"
         );
+    }
+
+    #[test]
+    fn a_completion_is_credited_to_the_shard_it_was_dispatched_under() {
+        // Two tenants homed on shard 0, one request each at tick 0 with
+        // the same service time. The first-sorted tenant dispatches
+        // home; the second sees shard 0 carry its load and is stolen to
+        // shard 1. At the shared done tick the first tenant's job is
+        // due first, so the second tenant is back home when its
+        // completion is processed: that completion still belongs to
+        // shard 1.
+        let mut homed: Vec<String> = (0..64)
+            .map(|i| format!("ward-{i:02}"))
+            .filter(|t| route::home_shard(t, 2) == 0)
+            .take(2)
+            .collect();
+        homed.sort();
+        let trace: Vec<Request> = homed
+            .iter()
+            .enumerate()
+            .map(|(i, tenant)| {
+                Request::new(
+                    i as u64,
+                    tenant,
+                    catalog::our_glucose_sensor(),
+                    i as u64,
+                    0,
+                    64,
+                )
+            })
+            .collect();
+        let gateway = ShardedGateway::new(ShardConfig {
+            steal_batch: 1,
+            ..shard_config(2, 1)
+        });
+        let report = gateway.run(&trace);
+        assert_eq!(report.executed(), 2);
+        let hosts: Vec<usize> = report
+            .outcomes
+            .iter()
+            .map(|o| match o.disposition {
+                Disposition::Executed { host, .. } => host,
+                Disposition::Rejected(_) => unreachable!("both requests execute"),
+            })
+            .collect();
+        assert_eq!(hosts, vec![0, 1], "the second tenant must be stolen");
+        let per_shard = |f: fn(&ShardPlacement) -> u64| -> Vec<u64> {
+            report.placement.iter().map(f).collect()
+        };
+        assert_eq!(per_shard(|p| p.steals_in), vec![0, 1]);
+        assert_eq!(per_shard(|p| p.completions), vec![1, 1]);
+    }
+
+    #[test]
+    fn shards_run_on_one_pool_of_shards_times_workers_threads() {
+        for (s, w) in [(1usize, 1usize), (2, 1), (4, 2), (3, 0)] {
+            let gateway = ShardedGateway::new(shard_config(s, w));
+            for i in 0..s {
+                let runtime = gateway.gateway(i).unwrap().runtime();
+                assert_eq!(runtime.workers(), s * w.max(1), "{s}x{w}: shard {i}");
+            }
+        }
     }
 
     #[test]

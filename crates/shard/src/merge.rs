@@ -93,8 +93,9 @@ impl TenantStats {
     }
 }
 
-/// Where work physically ran — the placement summary. Deterministic
-/// (the lockstep loop derives it from logical state only) but
+/// Where work was placed — the logical placement summary (every shard
+/// runs on the one shared worker pool). Deterministic (the lockstep
+/// loop derives it from logical state only) but
 /// *placement-dependent*, so it never enters the digest.
 #[derive(Debug, Clone)]
 pub struct ShardPlacement {
@@ -102,8 +103,8 @@ pub struct ShardPlacement {
     pub shard: usize,
     /// Tenants whose home shard this is.
     pub tenants_homed: u64,
-    /// Executed outcomes that surfaced while this shard was the
-    /// tenant's execution host.
+    /// Executed outcomes whose job was dispatched with this shard as
+    /// its host.
     pub completions: u64,
     /// Tenant-ticks this shard hosted as a work-stealing target.
     pub steals_in: u64,

@@ -10,10 +10,11 @@
 //! `(tenant, healthy set)`, so every participant computes the same
 //! answer without talking to each other.
 //!
-//! Routing only ever decides *where* a job physically executes. Job
-//! outcomes are pure functions of `(entry, seed, plan)` — see
-//! `bios_runtime::JobStream::submit_on` — so no routing decision can
-//! reach a digest.
+//! Routing only ever decides which shard a tenant's session lives on
+//! and which shard hosts its dispatches: logical placement. Every
+//! shard of a sharded gateway runs its jobs on one shared worker
+//! pool, and job outcomes are pure functions of `(entry, seed, plan)`,
+//! so no routing decision can reach a digest.
 
 use bios_recover::fnv1a;
 

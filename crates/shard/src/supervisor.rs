@@ -60,22 +60,22 @@ impl Default for SupervisorConfig {
     }
 }
 
-/// One observed shard-health event, attributed to the shard that was
-/// physically executing the work at the time.
+/// One observed shard-health event, attributed to the shard that
+/// hosted the job when it was dispatched (its logical placement; the
+/// job ran on the shared worker pool).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HealthEvent {
     /// A job on this shard was reclaimed by the deadline/watchdog
     /// layer at `tick`.
     DeadlineKill {
-        /// The executing shard.
+        /// The shard that hosted the job.
         shard: usize,
         /// Logical tick the kill surfaced.
         tick: u64,
     },
-    /// A job on this shard panicked (and its worker had to respawn)
-    /// at `tick`.
+    /// A job on this shard panicked at `tick`.
     PanicLoss {
-        /// The executing shard.
+        /// The shard that hosted the job.
         shard: usize,
         /// Logical tick the panic surfaced.
         tick: u64,

@@ -65,18 +65,91 @@ impl Physiology {
                 interval_ticks,
                 decay_per_tick,
             } => {
-                let tau = interval_ticks.max(1);
-                let d = decay_per_tick.clamp(1e-6, 1.0 - 1e-9);
-                // Doses at 0, τ, 2τ, …, mτ (m = ⌊t/τ⌋): the geometric
-                // series Σ dose·d^(t−kτ) has the closed form below, so
-                // evaluation is O(1) at any tick.
+                let (tau, d, d_tau) = dosing_terms(interval_ticks, decay_per_tick);
                 let m = tick / tau;
-                let d_tau = d.powf(tau as f64);
-                let series = (1.0 - d_tau.powf(m as f64 + 1.0)) / (1.0 - d_tau);
-                let c = dose_milli_molar * d.powf((tick - m * tau) as f64) * series;
+                let c = dose_milli_molar * d.powf((tick - m * tau) as f64) * dose_series(d_tau, m);
                 Molar::from_milli_molar(c.max(0.0))
             }
         }
+    }
+}
+
+/// A one-compartment patient's per-patient constants: the dosing
+/// interval τ, the clamped per-tick retention `d`, and `d^τ`.
+fn dosing_terms(interval_ticks: u64, decay_per_tick: f64) -> (u64, f64, f64) {
+    let tau = interval_ticks.max(1);
+    let d = decay_per_tick.clamp(1e-6, 1.0 - 1e-9);
+    (tau, d, d.powf(tau as f64))
+}
+
+/// Doses at 0, τ, 2τ, …, mτ (m = ⌊t/τ⌋): the geometric series
+/// Σ dose·d^(t−kτ) has the closed form `dose · d^(t−mτ) · series`, so
+/// evaluation is O(1) at any tick. `series` changes once per dosing
+/// interval.
+fn dose_series(d_tau: f64, m: u64) -> f64 {
+    (1.0 - d_tau.powf(m as f64 + 1.0)) / (1.0 - d_tau)
+}
+
+/// [`Physiology::concentration_at`] for one patient, with the
+/// per-patient terms evaluated once and the dosing series kept until
+/// the tick leaves its interval. Every value is bit-identical to
+/// `concentration_at`'s: the same expressions, in the same order.
+/// (A `d^k` table for `k < τ` would save the last `powf` per reading,
+/// but its 768 bytes per drug patient raised `cohort-day`'s peak RSS.)
+#[derive(Debug)]
+pub(crate) struct ConcentrationCurve<'p> {
+    physiology: &'p Physiology,
+    dosing: Option<Dosing>,
+}
+
+/// The hoisted one-compartment terms of a [`ConcentrationCurve`].
+#[derive(Debug)]
+struct Dosing {
+    dose_milli_molar: f64,
+    tau: u64,
+    d: f64,
+    d_tau: f64,
+    /// The dosing interval `series` belongs to.
+    m: u64,
+    series: f64,
+}
+
+impl<'p> ConcentrationCurve<'p> {
+    pub(crate) fn new(physiology: &'p Physiology) -> ConcentrationCurve<'p> {
+        let dosing = match *physiology {
+            Physiology::Circadian { .. } => None,
+            Physiology::OneCompartment {
+                dose_milli_molar,
+                interval_ticks,
+                decay_per_tick,
+            } => {
+                let (tau, d, d_tau) = dosing_terms(interval_ticks, decay_per_tick);
+                Some(Dosing {
+                    dose_milli_molar,
+                    tau,
+                    d,
+                    d_tau,
+                    m: 0,
+                    series: dose_series(d_tau, 0),
+                })
+            }
+        };
+        ConcentrationCurve { physiology, dosing }
+    }
+
+    /// The true concentration at `tick`; cheapest when ticks ascend.
+    pub(crate) fn at(&mut self, tick: u64) -> Molar {
+        let Some(dosing) = &mut self.dosing else {
+            return self.physiology.concentration_at(tick);
+        };
+        let m = tick / dosing.tau;
+        if m != dosing.m {
+            dosing.m = m;
+            dosing.series = dose_series(dosing.d_tau, m);
+        }
+        let c =
+            dosing.dose_milli_molar * dosing.d.powf((tick - m * dosing.tau) as f64) * dosing.series;
+        Molar::from_milli_molar(c.max(0.0))
     }
 }
 
@@ -224,6 +297,27 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn the_hoisted_curve_equals_concentration_at_bit_for_bit() {
+        let cohort = PatientCohort::generate(0x57AE_A11E, 48);
+        let mut drug = 0;
+        for p in cohort.patients() {
+            if matches!(p.physiology, Physiology::OneCompartment { .. }) {
+                drug += 1;
+            }
+            let mut curve = ConcentrationCurve::new(&p.physiology);
+            // Five dosing intervals in order, then a jump back and
+            // one ahead, so the cached series is recomputed both ways.
+            let ticks = (0..5 * TICKS_PER_DAY / 3).chain([7, 1000, 3]);
+            for tick in ticks {
+                let hoisted = curve.at(tick).as_milli_molar();
+                let direct = p.physiology.concentration_at(tick).as_milli_molar();
+                assert_eq!(hoisted.to_bits(), direct.to_bits(), "{} at {tick}", p.id);
+            }
+        }
+        assert_eq!(drug, 12, "every fourth patient is a drug patient");
     }
 
     #[test]

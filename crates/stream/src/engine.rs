@@ -23,7 +23,7 @@ use bios_gateway::{
 use bios_prng::{Rng, SplitMix64};
 use bios_runtime::Fleet;
 
-use crate::cohort::PatientCohort;
+use crate::cohort::{ConcentrationCurve, PatientCohort};
 use crate::epoch::{CalibrationEpoch, PatientState};
 
 /// Stream construction options. Everything is logical ticks and seeds;
@@ -283,6 +283,11 @@ impl StreamEngine {
             .count() as u64;
 
         // Phase C — the tick loop.
+        let mut curves: Vec<ConcentrationCurve> = cohort
+            .patients()
+            .iter()
+            .map(|p| ConcentrationCurve::new(&p.physiology))
+            .collect();
         let mut session = self.gateway.session();
         let mut rid_map: BTreeMap<u64, usize> = BTreeMap::new();
         let mut next_rid = 0u64;
@@ -322,7 +327,7 @@ impl StreamEngine {
                     continue;
                 };
                 let activity = profiles[pi].activity_at(tick);
-                let c = p.physiology.concentration_at(tick).as_milli_molar();
+                let c = curves[pi].at(tick).as_milli_molar();
                 let i_true = activity * boot_gain[pi] * c;
                 let noise =
                     Rng::seed_from_u64(SplitMix64::new(p.noise_seed).derive(tick)).gaussian();
