@@ -707,10 +707,7 @@ pub fn render_quorum_ablation(seed: u64) -> String {
         let plan = FaultPlan::builder("quorum-ramp", plan_seed)
             .spec(FaultKind::SilentCorruption, 0.6 * intensity, intensity)
             .build();
-        let mut chaos = ShardChaos::none().with_quorum(QuorumConfig {
-            sampling: 1.0,
-            ..QuorumConfig::default()
-        });
+        let mut chaos = ShardChaos::none().with_quorum(QuorumConfig { sampling: 1.0 });
         for ward in 0..tenants {
             chaos = chaos.with_tenant_plan(&format!("ward-{ward:02}"), plan.clone());
         }

@@ -598,10 +598,7 @@ fn quorum(layout: Layout) -> Result<Run, String> {
         let plan = FaultPlan::builder("quorum drill", 0xC0DE)
             .spec(FaultKind::SilentCorruption, 0.45, 0.8)
             .build();
-        chaos = chaos.with_quorum(QuorumConfig {
-            sampling: 1.0,
-            ..QuorumConfig::default()
-        });
+        chaos = chaos.with_quorum(QuorumConfig { sampling: 1.0 });
         for ward in 0..8 {
             chaos = chaos.with_tenant_plan(&format!("ward-{ward:02}"), plan.clone());
         }

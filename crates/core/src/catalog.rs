@@ -30,8 +30,7 @@ use bios_instrument::{Adc, ReadoutChain, TransimpedanceAmplifier};
 use bios_nanomaterial::{Electrode, ElectrodeRole, ElectrodeStock, SurfaceModification};
 use bios_prng::Fnv1a;
 use bios_units::{
-    Amperes, ConcentrationRange, Kelvin, Molar, Sensitivity, SquareCm, SurfaceLoading, Volts,
-    FARADAY,
+    Amperes, ConcentrationRange, Molar, Sensitivity, SquareCm, SurfaceLoading, Volts, FARADAY,
 };
 
 use crate::analyte::Analyte;
@@ -403,13 +402,12 @@ impl CatalogEntry {
                 CypSensorChemistry::stock(isoform).electrons_per_turnover()
             }
         };
-        // α = 0.5 is the standard symmetric transfer coefficient for the
-        // mediator/H₂O₂ couples these sensors poise on.
-        health.current_factor(n, 0.5, Kelvin::ROOM)
+        health.current_factor(n)
     }
 
     /// Estimated number of ADC samples one calibration run digitizes —
-    /// the unit of the runtime's per-job work budget. Saturating, so a
+    /// the work unit the gateway converts into service ticks and the
+    /// benchmark counts per job. Saturating, so a
     /// pathological `with_sweep_points` request cannot overflow.
     #[must_use]
     pub fn calibration_workload(&self) -> u64 {

@@ -307,14 +307,9 @@ impl Biosensor {
 
         // Surface-confined heme wave amplitude (1-electron heme couple).
         let gamma = film.effective_loading().as_mol_per_square_cm();
-        let i_surf_peak = bios_electrochem::randles_sevcik::surface_confined_peak_current(
-            1,
-            area,
-            gamma,
-            rate,
-            bios_units::Kelvin::ROOM,
-        )
-        .as_amps();
+        let i_surf_peak =
+            bios_electrochem::randles_sevcik::surface_confined_peak_current(1, area, gamma, rate)
+                .as_amps();
 
         // Catalytic wave amplitude: the steady catalytic current.
         let i_cat = self.faradaic_current(c).as_amps();

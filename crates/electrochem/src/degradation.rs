@@ -20,16 +20,19 @@
 use bios_faults::{Faultable, RealizedFaults};
 use bios_units::{nearly_zero, Kelvin, Volts, FARADAY, GAS_CONSTANT};
 
+/// Transfer coefficient α: the standard symmetric value for the
+/// mediator/H₂O₂ couples the sensors poise on.
+const ALPHA: f64 = 0.5;
+
 /// Degradation state of a working/reference electrode pair.
 ///
 /// # Examples
 ///
 /// ```
 /// use bios_electrochem::degradation::ElectrodeHealth;
-/// use bios_units::Kelvin;
 ///
 /// let healthy = ElectrodeHealth::pristine();
-/// assert_eq!(healthy.current_factor(1, 0.5, Kelvin::ROOM), 1.0);
+/// assert_eq!(healthy.current_factor(1), 1.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ElectrodeHealth {
@@ -62,25 +65,24 @@ impl ElectrodeHealth {
     }
 
     /// Current factor from reference drift for an `n`-electron couple
-    /// with transfer coefficient `alpha` at `temperature`:
-    /// `min(1, exp(α·n·F·ΔE/(R·T)))`. Positive drift (more
-    /// overpotential) is capped at 1 — the sensor already sits on the
-    /// mass-transport plateau; negative drift slides down the Tafel
-    /// slope exponentially.
+    /// at room temperature: `min(1, exp(α·n·F·ΔE/(R·T)))` with
+    /// α = 0.5. Positive drift (more overpotential) is capped at 1 —
+    /// the sensor already sits on the mass-transport plateau; negative
+    /// drift slides down the Tafel slope exponentially.
     #[must_use]
-    pub fn drift_factor(&self, n: u32, alpha: f64, temperature: Kelvin) -> f64 {
+    pub fn drift_factor(&self, n: u32) -> f64 {
         let de = self.reference_drift.as_volts();
         if nearly_zero(de) {
             return 1.0;
         }
-        let f = FARADAY / (GAS_CONSTANT * temperature.as_kelvin());
-        (alpha * f64::from(n) * f * de).exp().min(1.0)
+        let f = FARADAY / (GAS_CONSTANT * Kelvin::ROOM.as_kelvin());
+        (ALPHA * f64::from(n) * f * de).exp().min(1.0)
     }
 
     /// Combined multiplier on the healthy faradaic current.
     #[must_use]
-    pub fn current_factor(&self, n: u32, alpha: f64, temperature: Kelvin) -> f64 {
-        self.fouling_factor() * self.drift_factor(n, alpha, temperature)
+    pub fn current_factor(&self, n: u32) -> f64 {
+        self.fouling_factor() * self.drift_factor(n)
     }
 }
 
@@ -122,20 +124,20 @@ mod tests {
     fn pristine_is_identity() {
         let h = ElectrodeHealth::pristine();
         assert!(h.is_pristine());
-        assert_eq!(h.current_factor(1, 0.5, Kelvin::ROOM), 1.0);
-        assert_eq!(h.current_factor(2, 0.3, Kelvin::ROOM), 1.0);
+        assert_eq!(h.current_factor(1), 1.0);
+        assert_eq!(h.current_factor(2), 1.0);
     }
 
     #[test]
     fn fouling_scales_linearly_with_free_area() {
         let h = health(0.4, 0.0);
-        assert!((h.current_factor(1, 0.5, Kelvin::ROOM) - 0.6).abs() < 1e-12);
+        assert!((h.current_factor(1) - 0.6).abs() < 1e-12);
     }
 
     #[test]
     fn negative_drift_follows_tafel_slope() {
         let h = health(0.0, -0.059);
-        let factor = h.drift_factor(1, 0.5, Kelvin::ROOM);
+        let factor = h.drift_factor(1);
         // α·f·ΔE ≈ 0.5 · 38.92 V⁻¹ · −0.059 V ≈ −1.148 → e^−1.148 ≈ 0.317.
         assert!((factor - (-1.148f64).exp()).abs() < 0.01, "factor {factor}");
     }
@@ -143,7 +145,7 @@ mod tests {
     #[test]
     fn positive_drift_is_capped_on_the_plateau() {
         let h = health(0.0, 0.080);
-        assert_eq!(h.drift_factor(1, 0.5, Kelvin::ROOM), 1.0);
+        assert_eq!(h.drift_factor(1), 1.0);
     }
 
     #[test]
@@ -156,7 +158,7 @@ mod tests {
     fn injected_fouling_and_drift_compose() {
         let h = health(0.25, -0.02);
         assert!((h.fouling_factor() - 0.75).abs() < 1e-12);
-        assert!(h.drift_factor(1, 0.5, Kelvin::ROOM) < 1.0);
-        assert!(h.current_factor(1, 0.5, Kelvin::ROOM) < 0.75);
+        assert!(h.drift_factor(1) < 1.0);
+        assert!(h.current_factor(1) < 0.75);
     }
 }

@@ -7,7 +7,7 @@
 //! Nernst equation, which adds interference through selectivity
 //! coefficients.
 
-use bios_units::{Kelvin, Molar, Volts};
+use bios_units::{Molar, Volts};
 
 use crate::nernst::nernstian_slope_per_decade;
 
@@ -21,7 +21,8 @@ pub struct Interferent {
     pub charge: i32,
 }
 
-/// An ion-selective electrode following Nikolsky–Eisenmann:
+/// An ion-selective electrode at room temperature following
+/// Nikolsky–Eisenmann:
 ///
 /// `E = E⁰ + (2.303RT/z_iF)·log₁₀(a_i + Σ_j K_ij·a_j^(z_i/z_j))`
 ///
@@ -29,10 +30,10 @@ pub struct Interferent {
 ///
 /// ```
 /// use bios_electrochem::potentiometry::IonSelectiveElectrode;
-/// use bios_units::{Kelvin, Molar, Volts};
+/// use bios_units::{Molar, Volts};
 ///
 /// // An ammonium ISE, the back end of potentiometric urea biosensors.
-/// let ise = IonSelectiveElectrode::new(Volts::from_milli_volts(220.0), 1, Kelvin::ROOM);
+/// let ise = IonSelectiveElectrode::new(Volts::from_milli_volts(220.0), 1);
 /// let e1 = ise.potential(Molar::from_milli_molar(0.1), &[]);
 /// let e2 = ise.potential(Molar::from_milli_molar(1.0), &[]);
 /// // One decade → one Nernstian slope (≈ 59 mV).
@@ -42,7 +43,6 @@ pub struct Interferent {
 pub struct IonSelectiveElectrode {
     standard_potential: Volts,
     charge: i32,
-    temperature: Kelvin,
 }
 
 impl IonSelectiveElectrode {
@@ -52,16 +52,11 @@ impl IonSelectiveElectrode {
     ///
     /// Panics if `z == 0`.
     #[must_use]
-    pub fn new(
-        standard_potential: Volts,
-        charge: i32,
-        temperature: Kelvin,
-    ) -> IonSelectiveElectrode {
+    pub fn new(standard_potential: Volts, charge: i32) -> IonSelectiveElectrode {
         assert!(charge != 0, "ion charge cannot be zero");
         IonSelectiveElectrode {
             standard_potential,
             charge,
-            temperature,
         }
     }
 
@@ -69,7 +64,7 @@ impl IonSelectiveElectrode {
     /// signed by the ion's charge.
     #[must_use]
     pub fn slope_per_decade(&self) -> Volts {
-        let ideal = nernstian_slope_per_decade(self.charge.unsigned_abs(), self.temperature);
+        let ideal = nernstian_slope_per_decade(self.charge.unsigned_abs());
         let signed = if self.charge > 0 { 1.0 } else { -1.0 };
         ideal * signed
     }
@@ -115,7 +110,7 @@ mod tests {
     use super::*;
 
     fn ise() -> IonSelectiveElectrode {
-        IonSelectiveElectrode::new(Volts::from_milli_volts(220.0), 1, Kelvin::ROOM)
+        IonSelectiveElectrode::new(Volts::from_milli_volts(220.0), 1)
     }
 
     #[test]
@@ -127,7 +122,7 @@ mod tests {
 
     #[test]
     fn divalent_ion_halves_slope() {
-        let ca = IonSelectiveElectrode::new(Volts::ZERO, 2, Kelvin::ROOM);
+        let ca = IonSelectiveElectrode::new(Volts::ZERO, 2);
         let e_decade = ca.potential(Molar::from_milli_molar(1.0), &[])
             - ca.potential(Molar::from_milli_molar(0.1), &[]);
         assert!((e_decade.as_milli_volts() - 29.58).abs() < 0.1);
@@ -135,7 +130,7 @@ mod tests {
 
     #[test]
     fn anion_slope_is_negative() {
-        let cl = IonSelectiveElectrode::new(Volts::ZERO, -1, Kelvin::ROOM);
+        let cl = IonSelectiveElectrode::new(Volts::ZERO, -1);
         let e1 = cl.potential(Molar::from_milli_molar(0.1), &[]);
         let e2 = cl.potential(Molar::from_milli_molar(1.0), &[]);
         assert!(e2 < e1);
@@ -176,6 +171,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "charge cannot be zero")]
     fn zero_charge_rejected() {
-        let _ = IonSelectiveElectrode::new(Volts::ZERO, 0, Kelvin::ROOM);
+        let _ = IonSelectiveElectrode::new(Volts::ZERO, 0);
     }
 }

@@ -10,7 +10,7 @@ use bios_units::{
     Amperes, DiffusionCoefficient, Kelvin, Molar, ScanRate, SquareCm, FARADAY, GAS_CONSTANT,
 };
 
-/// Reversible Randles–Ševčík peak current:
+/// Reversible Randles–Ševčík peak current at room temperature:
 ///
 /// `i_p = 0.4463·n·F·A·C·√(n·F·v·D/(R·T))`
 ///
@@ -22,21 +22,19 @@ use bios_units::{
 ///
 /// ```
 /// use bios_electrochem::randles_sevcik::reversible_peak_current;
-/// use bios_units::{DiffusionCoefficient, Kelvin, Molar, ScanRate, SquareCm};
+/// use bios_units::{DiffusionCoefficient, Molar, ScanRate, SquareCm};
 ///
 /// let slow = reversible_peak_current(
 ///     1, SquareCm::from_square_cm(0.1),
 ///     DiffusionCoefficient::from_square_cm_per_second(6.5e-6),
 ///     Molar::from_milli_molar(1.0),
 ///     ScanRate::from_milli_volts_per_second(25.0),
-///     Kelvin::ROOM,
 /// );
 /// let fast = reversible_peak_current(
 ///     1, SquareCm::from_square_cm(0.1),
 ///     DiffusionCoefficient::from_square_cm_per_second(6.5e-6),
 ///     Molar::from_milli_molar(1.0),
 ///     ScanRate::from_milli_volts_per_second(100.0),
-///     Kelvin::ROOM,
 /// );
 /// // Peak grows as √v: 4× the scan rate doubles the peak.
 /// assert!((fast.as_amps() / slow.as_amps() - 2.0).abs() < 1e-9);
@@ -48,7 +46,6 @@ pub fn reversible_peak_current(
     d: DiffusionCoefficient,
     bulk: Molar,
     scan_rate: ScanRate,
-    t: Kelvin,
 ) -> Amperes {
     assert!(n > 0, "electron count must be at least 1");
     let v = scan_rate.as_volts_per_second();
@@ -59,11 +56,12 @@ pub fn reversible_peak_current(
         * nf
         * area.as_square_cm()
         * c
-        * (nf * v * d.as_square_cm_per_second() / (GAS_CONSTANT * t.as_kelvin())).sqrt();
+        * (nf * v * d.as_square_cm_per_second() / (GAS_CONSTANT * Kelvin::ROOM.as_kelvin())).sqrt();
     Amperes::from_amps(i)
 }
 
-/// Surface-confined (thin-film / adsorbed species) voltammetric peak:
+/// Surface-confined (thin-film / adsorbed species) voltammetric peak at
+/// room temperature:
 ///
 /// `i_p = n²·F²·v·A·Γ/(4·R·T)`
 ///
@@ -82,14 +80,13 @@ pub fn surface_confined_peak_current(
     area: SquareCm,
     gamma_mol_per_cm2: f64,
     scan_rate: ScanRate,
-    t: Kelvin,
 ) -> Amperes {
     assert!(n > 0, "electron count must be at least 1");
     let v = scan_rate.as_volts_per_second();
     assert!(v > 0.0, "scan rate must be positive");
     let nf = f64::from(n) * FARADAY;
     let i = nf * nf * v * area.as_square_cm() * gamma_mol_per_cm2
-        / (4.0 * GAS_CONSTANT * t.as_kelvin());
+        / (4.0 * GAS_CONSTANT * Kelvin::ROOM.as_kelvin());
     Amperes::from_amps(i)
 }
 
@@ -105,8 +102,8 @@ mod tests {
     fn peak_linear_in_concentration() {
         let v = ScanRate::from_milli_volts_per_second(50.0);
         let a = SquareCm::from_square_cm(0.1);
-        let i1 = reversible_peak_current(1, a, d(), Molar::from_milli_molar(1.0), v, Kelvin::ROOM);
-        let i2 = reversible_peak_current(1, a, d(), Molar::from_milli_molar(2.0), v, Kelvin::ROOM);
+        let i1 = reversible_peak_current(1, a, d(), Molar::from_milli_molar(1.0), v);
+        let i2 = reversible_peak_current(1, a, d(), Molar::from_milli_molar(2.0), v);
         assert!((i2.as_amps() / i1.as_amps() - 2.0).abs() < 1e-12);
     }
 
@@ -120,7 +117,6 @@ mod tests {
             d(),
             Molar::from_milli_molar(1.0),
             ScanRate::from_milli_volts_per_second(100.0),
-            Kelvin::ROOM,
         );
         assert!(i.as_micro_amps() > 150.0 && i.as_micro_amps() < 350.0);
     }
@@ -129,20 +125,10 @@ mod tests {
     fn surface_confined_peak_linear_in_scan_rate() {
         let a = SquareCm::from_square_cm(0.1);
         let g = 1e-10;
-        let i1 = surface_confined_peak_current(
-            1,
-            a,
-            g,
-            ScanRate::from_milli_volts_per_second(20.0),
-            Kelvin::ROOM,
-        );
-        let i2 = surface_confined_peak_current(
-            1,
-            a,
-            g,
-            ScanRate::from_milli_volts_per_second(40.0),
-            Kelvin::ROOM,
-        );
+        let i1 =
+            surface_confined_peak_current(1, a, g, ScanRate::from_milli_volts_per_second(20.0));
+        let i2 =
+            surface_confined_peak_current(1, a, g, ScanRate::from_milli_volts_per_second(40.0));
         assert!((i2.as_amps() / i1.as_amps() - 2.0).abs() < 1e-12);
     }
 
@@ -150,8 +136,8 @@ mod tests {
     fn surface_confined_peak_linear_in_coverage() {
         let a = SquareCm::from_square_cm(0.1);
         let v = ScanRate::from_milli_volts_per_second(20.0);
-        let i1 = surface_confined_peak_current(1, a, 1e-11, v, Kelvin::ROOM);
-        let i2 = surface_confined_peak_current(1, a, 5e-11, v, Kelvin::ROOM);
+        let i1 = surface_confined_peak_current(1, a, 1e-11, v);
+        let i2 = surface_confined_peak_current(1, a, 5e-11, v);
         assert!((i2.as_amps() / i1.as_amps() - 5.0).abs() < 1e-12);
     }
 
@@ -164,7 +150,6 @@ mod tests {
             d(),
             Molar::from_milli_molar(1.0),
             ScanRate::from_milli_volts_per_second(0.0),
-            Kelvin::ROOM,
         );
     }
 }

@@ -2,7 +2,8 @@
 
 use bios_units::{DiffusionCoefficient, Volts};
 
-/// A redox couple: everything the simulators need to know about the
+/// A one-electron redox couple with a symmetric transfer coefficient
+/// (α = 0.5): everything the simulators need to know about the
 /// electroactive species.
 ///
 /// # Examples
@@ -16,27 +17,28 @@ use bios_units::{DiffusionCoefficient, Volts};
 ///     .diffusion(DiffusionCoefficient::from_square_cm_per_second(1.43e-5))
 ///     .rate_constant(1e-4)
 ///     .build();
-/// assert_eq!(h2o2.electrons(), 1);
+/// assert_eq!(h2o2.rate_constant(), 1e-4);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct RedoxCouple {
     name: String,
     standard_potential: Volts,
-    electrons: u32,
-    alpha: f64,
     k0_cm_per_s: f64,
     diffusion: DiffusionCoefficient,
 }
 
 impl RedoxCouple {
+    /// Electrons transferred, `n`.
+    pub(crate) const ELECTRONS: u32 = 1;
+    /// Transfer coefficient α (dimensionless, in `(0, 1)`).
+    pub(crate) const ALPHA: f64 = 0.5;
+
     /// Starts building a couple with the given display name.
     #[must_use]
     pub fn builder(name: &str) -> RedoxCoupleBuilder {
         RedoxCoupleBuilder {
             name: name.to_owned(),
             standard_potential: Volts::ZERO,
-            electrons: 1,
-            alpha: 0.5,
             k0_cm_per_s: 1e-3,
             diffusion: DiffusionCoefficient::from_square_cm_per_second(1e-5),
         }
@@ -46,18 +48,6 @@ impl RedoxCouple {
     #[must_use]
     pub fn standard_potential(&self) -> Volts {
         self.standard_potential
-    }
-
-    /// Electrons transferred, `n`.
-    #[must_use]
-    pub fn electrons(&self) -> u32 {
-        self.electrons
-    }
-
-    /// Transfer coefficient α (dimensionless, in `(0, 1)`).
-    #[must_use]
-    pub fn alpha(&self) -> f64 {
-        self.alpha
     }
 
     /// Standard heterogeneous rate constant `k⁰`, cm/s.
@@ -87,8 +77,6 @@ impl RedoxCouple {
 pub struct RedoxCoupleBuilder {
     name: String,
     standard_potential: Volts,
-    electrons: u32,
-    alpha: f64,
     k0_cm_per_s: f64,
     diffusion: DiffusionCoefficient,
 }
@@ -129,8 +117,6 @@ impl RedoxCoupleBuilder {
         RedoxCouple {
             name: self.name,
             standard_potential: self.standard_potential,
-            electrons: self.electrons,
-            alpha: self.alpha,
             k0_cm_per_s: self.k0_cm_per_s,
             diffusion: self.diffusion,
         }
@@ -144,8 +130,6 @@ mod tests {
     #[test]
     fn builder_defaults_are_sane() {
         let c = RedoxCouple::builder("test").build();
-        assert_eq!(c.electrons(), 1);
-        assert_eq!(c.alpha(), 0.5);
         assert!(c.rate_constant() > 0.0);
     }
 
@@ -158,7 +142,7 @@ mod tests {
         let boosted = base.with_rate_enhanced(50.0);
         assert!((boosted.rate_constant() / base.rate_constant() - 50.0).abs() < 1e-9);
         // Everything else is untouched.
-        assert_eq!(boosted.electrons(), base.electrons());
+        assert_eq!(boosted.diffusion(), base.diffusion());
         assert_eq!(boosted.standard_potential(), base.standard_potential());
     }
 

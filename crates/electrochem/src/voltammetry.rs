@@ -210,11 +210,11 @@ impl CvSimulator {
         let mut old_ox = c_ox.clone();
         let mut old_red = c_red.clone();
 
-        let n = f64::from(self.couple.electrons());
+        let n = f64::from(RedoxCouple::ELECTRONS);
         let f_over_rt = n * FARADAY / (GAS_CONSTANT * Kelvin::ROOM.as_kelvin());
         let e0 = self.couple.standard_potential().as_volts();
         let k0 = self.couple.rate_constant();
-        let alpha = self.couple.alpha();
+        let alpha = RedoxCouple::ALPHA;
         let nfa = n * FARADAY * self.area.as_square_cm();
 
         let sample_every = ((1.0 / self.samples_per_second) / dt).max(1.0) as usize;
@@ -321,7 +321,6 @@ mod tests {
             fast_couple().diffusion(),
             c,
             ScanRate::from_milli_volts_per_second(100.0),
-            Kelvin::ROOM,
         );
         let rel = (sim_peak.as_amps() - analytic.as_amps()).abs() / analytic.as_amps();
         assert!(rel < 0.05, "relative error {rel}");

@@ -5,7 +5,7 @@
 use bios_electrochem::waveform::{CyclicSweep, Waveform};
 use bios_electrochem::{cottrell, randles_sevcik};
 use bios_prng::cases;
-use bios_units::{DiffusionCoefficient, Kelvin, Molar, ScanRate, Seconds, SquareCm, Volts};
+use bios_units::{DiffusionCoefficient, Molar, ScanRate, Seconds, SquareCm, Volts};
 
 /// Cottrell current scales exactly linearly in area and
 /// concentration and as 1/√t.
@@ -58,7 +58,6 @@ fn randles_sevcik_scalings() {
             d,
             Molar::from_milli_molar(c),
             ScanRate::from_milli_volts_per_second(v * 1e3),
-            Kelvin::ROOM,
         );
         let faster = randles_sevcik::reversible_peak_current(
             1,
@@ -66,7 +65,6 @@ fn randles_sevcik_scalings() {
             d,
             Molar::from_milli_molar(c),
             ScanRate::from_milli_volts_per_second(v * k * k * 1e3),
-            Kelvin::ROOM,
         );
         assert!((faster.as_amps() / base.as_amps() - k).abs() < 1e-9);
         let richer = randles_sevcik::reversible_peak_current(
@@ -75,7 +73,6 @@ fn randles_sevcik_scalings() {
             d,
             Molar::from_milli_molar(c * k),
             ScanRate::from_milli_volts_per_second(v * 1e3),
-            Kelvin::ROOM,
         );
         assert!((richer.as_amps() / base.as_amps() - k).abs() < 1e-9);
     });

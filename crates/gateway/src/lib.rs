@@ -170,13 +170,13 @@ fn family_of(entry: &CatalogEntry) -> &str {
 /// is a success, `Some(false)` a breaker-relevant failure, `None`
 /// neutral. Calibration errors, panics, deadline kills, and
 /// non-finite quarantines indicate a sick family; exhausted-retry
-/// transients and budget rejections say nothing about its chemistry,
-/// so they move no breaker state.
+/// transients say nothing about its chemistry, so they move no breaker
+/// state.
 fn breaker_verdict(result: &JobResult) -> Option<bool> {
     use bios_runtime::JobError;
     match &result.outcome {
         Ok(_) => Some(true),
-        Err(JobError::Transient { .. } | JobError::Budget { .. }) => None,
+        Err(JobError::Transient { .. }) => None,
         Err(
             JobError::Calibration(_)
             | JobError::Panicked(_)
@@ -461,15 +461,14 @@ pub struct GatewayConfig {
     pub bucket_refill_milli_per_tick: u64,
     /// Per-sensor-family circuit-breaker tuning.
     pub breaker: BreakerConfig,
-    /// Brownout watermark and resolution cut.
-    pub degradation: DegradationPolicy,
 }
 
 impl Default for GatewayConfig {
     /// A queue of 32, four service slots, 256 work units per tick
     /// (one full-resolution amperometric calibration ≈ 4 ticks), a
     /// 64-tick default deadline, buckets of 8 tokens refilling 2 per
-    /// tick, and default breaker/brownout tuning.
+    /// tick, and default breaker tuning. Brownout follows the fixed
+    /// [`DegradationPolicy`].
     fn default() -> GatewayConfig {
         GatewayConfig {
             queue_capacity: 32,
@@ -479,7 +478,6 @@ impl Default for GatewayConfig {
             bucket_capacity_milli: 8 * TokenBucket::WHOLE_TOKEN,
             bucket_refill_milli_per_tick: 2 * TokenBucket::WHOLE_TOKEN,
             breaker: BreakerConfig::default(),
-            degradation: DegradationPolicy::default(),
         }
     }
 }

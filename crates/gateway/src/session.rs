@@ -17,7 +17,7 @@ use bios_runtime::{Counter, JobResult, JobStream};
 
 use crate::breaker::{Admission, CircuitBreaker};
 use crate::bucket::TokenBucket;
-use crate::degrade::Quality;
+use crate::degrade::{DegradationPolicy, Quality};
 use crate::{
     breaker_verdict, Disposition, Gateway, GatewayCounters, GatewayReport, Rejected, Request,
     RequestOutcome,
@@ -453,14 +453,15 @@ impl<'g> GatewaySession<'g> {
                 // it is meant to restore: full resolution or nothing.
                 fits_full.then_some((Quality::Full, full_ticks))
             } else {
-                let pressured = config
-                    .degradation
-                    .triggered(self.routine.len() + self.recal.len(), config.queue_capacity);
+                let pressured = DegradationPolicy::triggered(
+                    self.routine.len() + self.recal.len(),
+                    config.queue_capacity,
+                );
                 if fits_full && !pressured {
                     Some((Quality::Full, full_ticks))
                 } else {
                     let (_, thin_ticks) = ticks.thin.get_or_insert_with(|| {
-                        let thin = config.degradation.degrade(&req.entry);
+                        let thin = DegradationPolicy::default().degrade(&req.entry);
                         let thin_ticks = gateway.service_ticks(thin.calibration_workload());
                         (thin, thin_ticks)
                     });

@@ -24,7 +24,6 @@ fn overload_config() -> GatewayConfig {
             cooldown_ticks: 6,
             probe_quota: 1,
         },
-        degradation: DegradationPolicy::default(),
     }
 }
 
@@ -145,14 +144,13 @@ fn brownout_accuracy_loss_is_bounded() {
 
 #[test]
 fn degraded_results_are_tagged_and_cheaper() {
-    // Force brownout with a tiny queue and a pressure watermark of 0:
-    // every dispatch is pressured, so every executed job is degraded.
+    // Force brownout by filling the queue: four arrivals at tick 0 into
+    // a queue of 4 with one service slot. The first dispatch leaves 3
+    // of 4 queued, at the 3/4 watermark, so it browns out; the later
+    // ones leave 2, 1 and 0 queued and run at full resolution.
     let config = GatewayConfig {
-        degradation: DegradationPolicy {
-            pressure_num: 0,
-            pressure_den: 1,
-            ..DegradationPolicy::default()
-        },
+        queue_capacity: 4,
+        service_slots: 1,
         ..GatewayConfig::default()
     };
     let runtime = Runtime::new(RuntimeConfig {
@@ -160,12 +158,12 @@ fn degraded_results_are_tagged_and_cheaper() {
         ..RuntimeConfig::default()
     });
     let gateway = Gateway::new(config, runtime);
-    let reqs: Vec<Request> = (0..3)
-        .map(|i| Request::new(i, "ward", our_glucose_sensor(), i, i * 8, 64))
+    let reqs: Vec<Request> = (0..4)
+        .map(|i| Request::new(i, "ward", our_glucose_sensor(), i, 0, 64))
         .collect();
     let report = gateway.run(&reqs);
-    assert_eq!(report.browned_out_ids(), vec![0, 1, 2]);
-    assert_eq!(report.counters.browned_out, 3);
+    assert_eq!(report.browned_out_ids(), vec![0]);
+    assert_eq!(report.counters.browned_out, 1);
     for o in &report.outcomes {
         let Disposition::Executed {
             quality,
@@ -176,9 +174,15 @@ fn degraded_results_are_tagged_and_cheaper() {
         else {
             panic!("request {} did not execute", o.id);
         };
-        assert_eq!(*quality, Quality::Degraded);
-        // Degraded glucose: (30 + 12·3)·8 = 528 units ⇒ 3 ticks at 256.
-        assert_eq!(done_tick - dispatched_tick, 3);
+        // Degraded glucose: (30 + 12·3)·8 = 528 units ⇒ 3 ticks at 256;
+        // full: (30 + 25·3)·8 = 840 units ⇒ 4 ticks.
+        let (want_quality, want_ticks) = if o.id == 0 {
+            (Quality::Degraded, 3)
+        } else {
+            (Quality::Full, 4)
+        };
+        assert_eq!(*quality, want_quality, "request {}", o.id);
+        assert_eq!(done_tick - dispatched_tick, want_ticks, "request {}", o.id);
     }
 }
 

@@ -64,31 +64,26 @@ use bios_runtime::{Counter, JobResult, RuntimeMetrics};
 pub use suspect::SuspectBoard;
 pub use vote::Ballot;
 
-/// Knobs of the redundancy layer.
+/// Replica lanes polled per covered job (count). Three is the smallest
+/// count that outvotes a single corrupt lane without escalation.
+const REPLICAS: usize = 3;
+/// Tie-breaker lanes a tied vote may escalate to before the
+/// deterministic forced decision (count).
+const MAX_ESCALATIONS: u32 = 3;
+
+/// Coverage of the redundancy layer. Every covered job is polled on
+/// three replica lanes, a tied vote escalates to at most three
+/// tie-breaker lanes, and a lane's third lost vote quarantines it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QuorumConfig {
-    /// Replica lanes polled per covered job (count; clamped to ≥ 1).
-    /// Three is the smallest count that outvotes a single corrupt lane
-    /// without escalation.
-    pub replicas: usize,
     /// Fraction of non-critical jobs sampled into coverage, in
     /// `[0, 1]`. Critical jobs (recalibrations) are always covered.
     pub sampling: f64,
-    /// Lost votes before a lane is quarantined (count; clamped ≥ 1).
-    pub strike_threshold: u32,
-    /// Tie-breaker lanes a tied vote may escalate to before the
-    /// deterministic forced decision (count).
-    pub max_escalations: u32,
 }
 
 impl Default for QuorumConfig {
     fn default() -> Self {
-        QuorumConfig {
-            replicas: 3,
-            sampling: 0.25,
-            strike_threshold: 3,
-            max_escalations: 3,
-        }
+        QuorumConfig { sampling: 0.25 }
     }
 }
 
@@ -132,8 +127,8 @@ pub struct QuorumSummary {
     /// Corrupt ballots that lost their vote (detected corruption).
     pub caught: u64,
     /// Corrupt ballots that ended in the winning cluster (escaped
-    /// detection; possible only with `replicas == 1` or a forced
-    /// decision after exhausted escalation).
+    /// detection; possible only in a forced decision after exhausted
+    /// escalation).
     pub escaped: u64,
     /// Honest ballots that lost a vote (false suspicion; same residual
     /// cases as `escaped`).
@@ -213,10 +208,9 @@ impl QuorumScreen {
     /// A fresh screen with an empty scoreboard.
     #[must_use]
     pub fn new(config: QuorumConfig) -> QuorumScreen {
-        let board = SuspectBoard::new(config.strike_threshold);
         QuorumScreen {
             config,
-            board,
+            board: SuspectBoard::default(),
             summary: QuorumSummary::default(),
         }
     }
@@ -296,7 +290,7 @@ impl QuorumScreen {
             }
         };
 
-        let mut lanes = self.board.roster(self.config.replicas.max(1));
+        let mut lanes = self.board.roster(REPLICAS);
         let mut ballots: Vec<Ballot> = lanes.iter().map(|&lane| poll(lane)).collect();
         self.summary.votes += 1;
 
@@ -306,7 +300,7 @@ impl QuorumScreen {
             if let Some(winner) = vote::decide(&clusters, false) {
                 break (clusters, winner);
             }
-            if escalations >= self.config.max_escalations {
+            if escalations >= MAX_ESCALATIONS {
                 // Deterministic last resort: among tied clusters take
                 // the one polled first. Any mistake this makes is
                 // counted (`escaped` / `false_suspects`), not hidden.
@@ -408,10 +402,7 @@ mod tests {
 
     #[test]
     fn sampling_is_a_pure_job_property() {
-        let config = QuorumConfig {
-            sampling: 0.25,
-            ..QuorumConfig::default()
-        };
+        let config = QuorumConfig { sampling: 0.25 };
         let mut covered = 0u32;
         for seed in 0..400u64 {
             let a = config.covers("glucose/gox", seed, false);
@@ -422,10 +413,7 @@ mod tests {
         assert!((50..200).contains(&covered), "covered {covered} of 400");
         // Critical jobs are always covered.
         assert!(config.covers("glucose/gox", 9999, true));
-        let off = QuorumConfig {
-            sampling: 0.0,
-            ..config
-        };
+        let off = QuorumConfig { sampling: 0.0 };
         assert!(!off.covers("glucose/gox", 1, false));
         assert!(off.covers("glucose/gox", 1, true));
     }
@@ -526,25 +514,29 @@ mod tests {
     }
 
     #[test]
-    fn single_replica_lets_corruption_escape_and_counts_it() {
-        let plan = corruption_plan(0xD1CE, 0.8);
-        let config = QuorumConfig {
-            replicas: 1,
-            max_escalations: 0,
-            ..QuorumConfig::default()
-        };
-        let mut screen = QuorumScreen::new(config);
-        let s = summary();
-        for seed in 0..300u64 {
-            screen.screen(Some(&plan), "glucose/gox", seed, &s, true);
-        }
+    fn all_corrupt_lanes_tie_to_a_forced_decision_and_count_the_escape() {
+        // A plan whose every lane of the first vote is an offender: with
+        // occurrence probability 1 each lane draws its own delta, so all
+        // six ballots are singletons and no escalation breaks the tie.
+        let lanes = (REPLICAS as u64) + u64::from(MAX_ESCALATIONS);
+        let plan = (0..10_000u64)
+            .map(|seed| corruption_plan(seed, 1.0))
+            .find(|p| (0..lanes).all(|lane| p.silent_corruption("glucose/gox", 0, lane).is_some()))
+            .expect("some plan seed makes lanes 0-5 offenders");
+        let mut screen = QuorumScreen::new(QuorumConfig::default());
+        let verdict = screen
+            .screen(Some(&plan), "glucose/gox", 0, &summary(), true)
+            .expect("critical jobs are covered");
+        assert_eq!(verdict.lanes, (0..lanes).collect::<Vec<_>>());
+        assert_eq!(verdict.escalations, MAX_ESCALATIONS);
+        // The forced decision takes the first-polled cluster, lane 0.
+        assert_eq!(verdict.losers, (1..lanes).collect::<Vec<_>>());
+        assert_eq!(verdict.escaped, 1);
+        assert_eq!(u64::from(verdict.caught), lanes - 1);
+        assert!(!verdict.accepted, "a corrupt winner does not accept");
         let total = screen.summary();
-        assert!(total.injected > 0);
-        assert_eq!(
-            total.escaped, total.injected,
-            "a lone corrupt lane always wins its own vote"
-        );
-        assert_eq!(total.caught, 0);
+        assert_eq!(total.escaped, 1);
+        assert_eq!(total.injected, lanes);
         assert!(total.catch_rate() < 1.0);
     }
 }

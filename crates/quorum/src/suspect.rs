@@ -4,8 +4,8 @@
 //! workers: the roster is a pure function of the scoreboard state, so
 //! the same vote history yields the same lane assignments at any
 //! worker or shard count. A lane that loses a vote earns a strike;
-//! at the configured threshold it is quarantined and never appears in
-//! a roster or as a tie-breaker again. Strikes are cumulative for the
+//! at its third strike it is quarantined and never appears in a roster
+//! or as a tie-breaker again. Strikes are cumulative for the
 //! life of the board — a silent corrupter's identity is keyed into
 //! the fault plan, so it *will* reoffend, and forgetting strikes would
 //! only let it oscillate below the threshold.
@@ -16,11 +16,12 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+/// Strikes at which a lane is quarantined (count).
+const STRIKE_THRESHOLD: u32 = 3;
+
 /// Strike ledger and quarantine set for replica lanes.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SuspectBoard {
-    /// Strikes at which a lane is quarantined (count, minimum 1).
-    threshold: u32,
     /// Accumulated strikes per lane (count). Never decays.
     strikes: BTreeMap<u64, u32>,
     /// Lanes removed from service, in quarantine order not kept —
@@ -29,17 +30,6 @@ pub struct SuspectBoard {
 }
 
 impl SuspectBoard {
-    /// A fresh board that quarantines a lane after `threshold` lost
-    /// votes (count; clamped to at least 1).
-    #[must_use]
-    pub fn new(threshold: u32) -> SuspectBoard {
-        SuspectBoard {
-            threshold: threshold.max(1),
-            strikes: BTreeMap::new(),
-            quarantined: BTreeSet::new(),
-        }
-    }
-
     /// The first `n` serviceable lane ids, ascending — lane ids are
     /// dense from 0, skipping quarantined lanes. This is the replica
     /// roster polled for a vote.
@@ -78,7 +68,7 @@ impl SuspectBoard {
         }
         let tally = self.strikes.entry(lane).or_insert(0);
         *tally += 1;
-        if *tally >= self.threshold {
+        if *tally >= STRIKE_THRESHOLD {
             self.quarantined.insert(lane);
             true
         } else {
@@ -111,7 +101,7 @@ mod tests {
 
     #[test]
     fn roster_is_dense_from_zero() {
-        let board = SuspectBoard::new(3);
+        let board = SuspectBoard::default();
         assert_eq!(board.roster(3), vec![0, 1, 2]);
         assert_eq!(board.roster(1), vec![0]);
         assert!(board.roster(0).is_empty());
@@ -119,7 +109,7 @@ mod tests {
 
     #[test]
     fn strikes_accumulate_to_quarantine_and_roster_skips() {
-        let mut board = SuspectBoard::new(3);
+        let mut board = SuspectBoard::default();
         assert!(!board.strike(1));
         assert!(!board.strike(1));
         assert!(board.strike(1), "third strike quarantines");
@@ -133,16 +123,12 @@ mod tests {
 
     #[test]
     fn tie_breaker_skips_polled_and_quarantined() {
-        let mut board = SuspectBoard::new(1);
+        let mut board = SuspectBoard::default();
         assert_eq!(board.tie_breaker(&[0, 1, 2]), 3);
-        assert!(board.strike(3), "threshold 1 quarantines immediately");
+        assert!(!board.strike(3));
+        assert!(!board.strike(3));
+        assert!(board.strike(3), "third strike quarantines");
         assert_eq!(board.tie_breaker(&[0, 1, 2]), 4);
         assert_eq!(board.tie_breaker(&[]), 0);
-    }
-
-    #[test]
-    fn threshold_zero_clamps_to_one() {
-        let mut board = SuspectBoard::new(0);
-        assert!(board.strike(7), "first strike quarantines at clamp");
     }
 }

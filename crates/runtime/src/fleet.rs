@@ -246,14 +246,6 @@ pub enum JobError {
         /// Attempts made before giving up (≥ 1).
         attempts: u32,
     },
-    /// The job's estimated workload exceeds the per-job budget; it was
-    /// rejected before simulating anything.
-    Budget {
-        /// Estimated samples the calibration would draw.
-        required: u64,
-        /// The configured per-job sample budget.
-        budget: u64,
-    },
     /// The job stalled past its soft deadline and was cancelled by the
     /// watchdog. The rendering carries no wall-clock detail so the
     /// loss is byte-identical at any worker count.
@@ -265,7 +257,7 @@ pub enum JobError {
 
 impl JobError {
     /// Whether retrying the same job could plausibly succeed.
-    /// Calibration errors, panics, and budget rejections are
+    /// Calibration errors, panics, stalls and quarantines are
     /// deterministic; only [`JobError::Transient`] is worth a retry.
     #[must_use]
     pub fn is_transient(&self) -> bool {
@@ -281,12 +273,6 @@ impl fmt::Display for JobError {
             JobError::Transient { message, attempts } => {
                 write!(f, "transient failure after {attempts} attempts: {message}")
             }
-            JobError::Budget { required, budget } => {
-                write!(
-                    f,
-                    "job rejected: needs {required} samples, budget is {budget}"
-                )
-            }
             JobError::Deadline => write!(f, "job stalled past its deadline and was cancelled"),
             JobError::NonFinite => {
                 write!(f, "job produced a non-finite result and was quarantined")
@@ -301,7 +287,6 @@ impl std::error::Error for JobError {
             JobError::Calibration(e) => Some(e),
             JobError::Panicked(_)
             | JobError::Transient { .. }
-            | JobError::Budget { .. }
             | JobError::Deadline
             | JobError::NonFinite => None,
         }
@@ -509,7 +494,7 @@ pub struct FleetOutcome {
     /// figures of merit may be biased and deserve a drift check.
     pub degraded: usize,
     /// Jobs that returned an error (calibration failure, panic,
-    /// exhausted retries, or budget rejection).
+    /// exhausted retries, stall, or non-finite quarantine).
     pub failed: usize,
 }
 
@@ -626,11 +611,6 @@ mod tests {
             attempts: 3,
         };
         assert!(transient.to_string().contains("after 3 attempts"));
-        let budget = JobError::Budget {
-            required: 10,
-            budget: 5,
-        };
-        assert!(budget.to_string().contains("budget is 5"));
         // Deadline and NonFinite renderings are part of the digest
         // contract: they must stay deterministic (no wall-clock or
         // attempt detail) so losses digest identically at any worker
@@ -737,11 +717,6 @@ mod tests {
         }
         .is_transient());
         assert!(!JobError::Panicked(String::new()).is_transient());
-        assert!(!JobError::Budget {
-            required: 1,
-            budget: 0
-        }
-        .is_transient());
     }
 
     #[test]

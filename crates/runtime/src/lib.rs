@@ -95,15 +95,8 @@ pub struct RuntimeConfig {
     pub cache: bool,
     /// Memo-cache capacity in entries; 0 means unbounded.
     pub cache_capacity: usize,
-    /// Execution attempts per job (≥ 1); attempts beyond the first are
-    /// taken only for transient failures.
-    pub max_attempts: u32,
     /// Backoff before the first retry; doubles each further retry.
     pub retry_backoff: Duration,
-    /// Per-job sample budget; jobs whose estimated workload exceeds it
-    /// are rejected with [`JobError::Budget`] before simulating. 0
-    /// disables the gate.
-    pub job_budget: u64,
     /// Soft per-job deadline. When non-zero, a watchdog thread
     /// supervises in-flight jobs and cooperatively cancels any job
     /// silent past the deadline; the loss surfaces as the deterministic
@@ -115,16 +108,14 @@ pub struct RuntimeConfig {
 
 impl Default for RuntimeConfig {
     /// One worker per available core, cache enabled and bounded at
-    /// [`DEFAULT_CAPACITY`], three attempts with 200 µs initial
-    /// backoff, no job budget.
+    /// [`DEFAULT_CAPACITY`], 200 µs initial retry backoff, watchdog
+    /// off.
     fn default() -> RuntimeConfig {
         RuntimeConfig {
             workers: WorkerPool::default_workers(),
             cache: true,
             cache_capacity: DEFAULT_CAPACITY,
-            max_attempts: 3,
             retry_backoff: Duration::from_micros(200),
-            job_budget: 0,
             job_deadline: Duration::ZERO,
         }
     }
@@ -152,24 +143,10 @@ impl RuntimeConfig {
         self
     }
 
-    /// Overrides the per-job attempt limit (clamped to at least 1).
-    #[must_use]
-    pub fn with_max_attempts(mut self, attempts: u32) -> RuntimeConfig {
-        self.max_attempts = attempts.max(1);
-        self
-    }
-
     /// Overrides the initial retry backoff.
     #[must_use]
     pub fn with_retry_backoff(mut self, backoff: Duration) -> RuntimeConfig {
         self.retry_backoff = backoff;
-        self
-    }
-
-    /// Sets the per-job sample budget (0 disables the gate).
-    #[must_use]
-    pub fn with_job_budget(mut self, budget: u64) -> RuntimeConfig {
-        self.job_budget = budget;
         self
     }
 
@@ -242,22 +219,22 @@ fn env_parsed<T: std::str::FromStr>(name: &str, what: &str) -> Option<T> {
         .and_then(|raw| parse_env_value(name, &raw, what))
 }
 
+/// Execution attempts per job; attempts beyond the first are taken
+/// only for transient failures.
+pub const MAX_ATTEMPTS: u32 = 3;
+
 /// The per-job robustness knobs, copied out of [`RuntimeConfig`] so the
 /// worker closures capture a small `Copy` value instead of the runtime.
 #[derive(Debug, Clone, Copy)]
 struct ExecPolicy {
-    max_attempts: u32,
     retry_backoff: Duration,
-    job_budget: u64,
     job_deadline: Duration,
 }
 
 impl ExecPolicy {
     fn from_config(config: &RuntimeConfig) -> ExecPolicy {
         ExecPolicy {
-            max_attempts: config.max_attempts.max(1),
             retry_backoff: config.retry_backoff,
-            job_budget: config.job_budget,
             job_deadline: config.job_deadline,
         }
     }
@@ -584,7 +561,7 @@ impl Runtime {
 /// reorder deterministically.
 ///
 /// Execution semantics are identical to the batch path: every job runs
-/// through the same per-job pipeline (fault realization, budget gate,
+/// through the same per-job pipeline (fault realization, stall check,
 /// memo-cache probe, retry loop, non-finite quarantine), so a streamed
 /// job's outcome is byte-identical to the same `(entry, seed, plan)`
 /// run inside a [`Fleet`]. Streams never arm the hang watchdog: an
@@ -704,7 +681,7 @@ fn chunk_size(jobs: usize, workers: usize) -> usize {
     jobs.div_ceil((workers * 4).max(1)).max(1)
 }
 
-/// Runs one job: realize faults, budget gate, cache probe, then the
+/// Runs one job: realize faults, stall check, cache probe, then the
 /// attempt loop — simulate behind `catch_unwind`, retry transient
 /// failures with deterministic backoff, memoize successes, meter
 /// everything. Returns the result already sealed, so the integrity
@@ -717,7 +694,7 @@ fn chunk_size(jobs: usize, workers: usize) -> usize {
 ///
 /// Every branch here is a pure function of `(entry, seed, plan,
 /// policy)` — never of the worker, the attempt wall-clock, or cache
-/// state (the budget gate runs *before* the cache probe so a rejection
+/// state (the stall check runs *before* the cache probe so a loss
 /// cannot depend on what happens to be memoized) — which is what keeps
 /// fleet outcomes identical across worker counts even mid-chaos.
 #[allow(clippy::too_many_arguments)]
@@ -762,21 +739,10 @@ fn execute_job(
         .sealed()
     };
 
-    // Budget gate, before the cache probe so the verdict is a pure
-    // function of the job.
-    if policy.job_budget > 0 {
-        let required = entry.calibration_workload();
-        if required > policy.job_budget {
-            metrics.add(Counter::BudgetRejections, 1);
-            let budget = policy.job_budget;
-            return finish(Err(JobError::Budget { required, budget }), false, 0);
-        }
-    }
-
-    // Injected busy-hang, gated like the budget check — before the
-    // cache probe, so the verdict is a pure function of the job. With a
-    // watchdog armed the job *really* livelocks in solver code until the
-    // supervisor cancels it; without one it is rejected synchronously.
+    // Injected busy-hang, before the cache probe, so the verdict is a
+    // pure function of the job. With a watchdog armed the job *really*
+    // livelocks in solver code until the supervisor cancels it; without
+    // one it is rejected synchronously.
     // Either way the rendered loss is the identical `Deadline` error, so
     // digests match across worker counts, watchdog settings, and the
     // sequential path.
@@ -802,7 +768,6 @@ fn execute_job(
         }
     }
 
-    let max_attempts = policy.max_attempts.max(1);
     let mut attempt: u32 = 1;
     let outcome = loop {
         let transient_quota = faults.as_ref().map_or(0, |f| f.transient_failures);
@@ -826,7 +791,7 @@ fn execute_job(
         };
         match attempt_result {
             Ok(outcome) => break Ok(outcome),
-            Err(error) if error.is_transient() && attempt < max_attempts => {
+            Err(error) if error.is_transient() && attempt < MAX_ATTEMPTS => {
                 metrics.add(Counter::Retries, 1);
                 let backoff = policy.backoff_after(attempt);
                 if !backoff.is_zero() {

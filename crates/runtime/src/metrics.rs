@@ -110,8 +110,6 @@ counters! {
     retries: Retries,
     /// Individual faults injected by armed plans, across all jobs.
     faults_injected: FaultsInjected,
-    /// Jobs rejected by the per-job sample budget.
-    budget_rejections: BudgetRejections,
     /// Dead workers replaced by the pool's healing pass.
     worker_respawns: WorkerRespawns,
     /// Memo-cache entries evicted by the capacity bound (cache-owned:

@@ -76,9 +76,7 @@ pub mod supervisor;
 
 pub use merge::{ShardPlacement, ShardedReport, TenantStats};
 pub use route::{home_shard, redistribute};
-pub use supervisor::{
-    HealthEvent, QuarantineReason, ShardHealth, ShardSupervisor, SupervisorConfig,
-};
+pub use supervisor::{HealthEvent, QuarantineReason, ShardHealth, ShardSupervisor};
 
 /// Construction knobs for the sharded layer.
 #[derive(Debug, Clone)]
@@ -97,20 +95,16 @@ pub struct ShardConfig {
     /// shard*: a [`ShardedGateway`]'s shared pool has `shards ×
     /// runtime.workers` threads.
     pub runtime: RuntimeConfig,
-    /// Quarantine tuning for the shard supervisor.
-    pub supervisor: SupervisorConfig,
 }
 
 impl Default for ShardConfig {
-    /// Four shards, steal batch 4, default gateway/runtime/supervisor
-    /// tuning.
+    /// Four shards, steal batch 4, default gateway/runtime tuning.
     fn default() -> ShardConfig {
         ShardConfig {
             shards: 4,
             steal_batch: 4,
             gateway: GatewayConfig::default(),
             runtime: RuntimeConfig::default(),
-            supervisor: SupervisorConfig::default(),
         }
     }
 }
@@ -296,7 +290,7 @@ impl ShardedGateway {
         }
 
         // Forced shard losses, fired as the global tick passes them.
-        let mut supervisor = ShardSupervisor::new(self.config.supervisor, shards);
+        let mut supervisor = ShardSupervisor::new(shards);
         // One fleet-wide redundancy screen: replica lanes are logical
         // identities, so the scoreboard is shared across shards and the
         // verdict stream is placement-independent.
@@ -1176,10 +1170,7 @@ mod tests {
         let plan = FaultPlan::builder("silent-corrupter", 0xC0DE)
             .spec(FaultKind::SilentCorruption, 0.45, 0.8)
             .build();
-        let mut chaos = ShardChaos::none().with_quorum(QuorumConfig {
-            sampling: 1.0,
-            ..QuorumConfig::default()
-        });
+        let mut chaos = ShardChaos::none().with_quorum(QuorumConfig { sampling: 1.0 });
         for ward in ["ward-00", "ward-01", "ward-02", "ward-03"] {
             chaos = chaos.with_tenant_plan(ward, plan.clone());
         }
@@ -1222,10 +1213,7 @@ mod tests {
             .spec(FaultKind::SilentCorruption, 0.9, 1.0)
             .build();
         let chaos = ShardChaos::none()
-            .with_quorum(QuorumConfig {
-                sampling: 1.0,
-                ..QuorumConfig::default()
-            })
+            .with_quorum(QuorumConfig { sampling: 1.0 })
             .with_tenant_plan("ward-00", plan.clone())
             .with_tenant_plan("ward-01", plan);
         let report = ShardedGateway::new(shard_config(1, 2)).run_with(&trace, &chaos);

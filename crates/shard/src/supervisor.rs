@@ -12,13 +12,18 @@
 //!
 //! Three conditions quarantine a shard:
 //!
-//! * **Deadline-kill storm** — at least
-//!   [`SupervisorConfig::storm_threshold`] deadline kills inside a
-//!   sliding [`SupervisorConfig::storm_window_ticks`] window: the
-//!   signature of a wedged pool (livelocked jobs, stalled bus).
-//! * **Respawn exhaustion** — cumulative panic losses reach
-//!   [`SupervisorConfig::respawn_budget`]: the pool keeps burning
-//!   threads on poisoned work and should stop taking new tenants.
+//! * **Deadline-kill storm** — at least 8 deadline kills
+//!   (`STORM_THRESHOLD`) inside a sliding 32-tick window
+//!   (`STORM_WINDOW_TICKS`): the signature of a wedged pool (livelocked
+//!   jobs, stalled bus).
+//! * **Respawn exhaustion** — cumulative panic losses reach 16
+//!   (`RESPAWN_BUDGET`): the pool keeps burning threads on poisoned
+//!   work and should stop taking new tenants.
+//! * **Silent corruption** — cumulative corruption strikes (quorum
+//!   votes this shard lost, see `bios-quorum`) reach 3
+//!   (`CORRUPTION_STRIKES`). Strikes never expire: a shard that keeps
+//!   producing finite-but-wrong values is defective hardware, not a
+//!   transient.
 //! * **Shard loss** — the run's chaos inputs say the shard is gone
 //!   ([`HealthEvent::ShardLost`]); quarantine is immediate.
 //!
@@ -28,37 +33,16 @@
 
 use std::collections::VecDeque;
 
-/// Tuning for the quarantine state machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SupervisorConfig {
-    /// Deadline kills inside the sliding window that quarantine a
-    /// shard.
-    pub storm_threshold: u32,
-    /// Width (in logical ticks) of the deadline-kill storm window.
-    pub storm_window_ticks: u64,
-    /// Cumulative panic losses a shard may absorb before it is
-    /// declared poisoned.
-    pub respawn_budget: u32,
-    /// Cumulative corruption strikes (a quorum vote this shard lost,
-    /// see `bios-quorum`) a shard may absorb before it is declared a
-    /// silent corrupter. Strikes never expire: a shard that keeps
-    /// producing finite-but-wrong values is defective hardware, not a
-    /// transient.
-    pub corruption_strikes: u32,
-}
-
-impl Default for SupervisorConfig {
-    /// Eight deadline kills inside 32 ticks, sixteen panics total, or
-    /// three lost quorum votes total.
-    fn default() -> SupervisorConfig {
-        SupervisorConfig {
-            storm_threshold: 8,
-            storm_window_ticks: 32,
-            respawn_budget: 16,
-            corruption_strikes: 3,
-        }
-    }
-}
+/// Deadline kills inside the sliding window that quarantine a shard.
+const STORM_THRESHOLD: u32 = 8;
+/// Width (in logical ticks) of the deadline-kill storm window.
+const STORM_WINDOW_TICKS: u64 = 32;
+/// Cumulative panic losses a shard may absorb before it is declared
+/// poisoned.
+const RESPAWN_BUDGET: u32 = 16;
+/// Cumulative corruption strikes a shard may absorb before it is
+/// declared a silent corrupter.
+const CORRUPTION_STRIKES: u32 = 3;
 
 /// One observed shard-health event, attributed to the shard that
 /// hosted the job when it was dispatched (its logical placement; the
@@ -158,16 +142,14 @@ struct ShardState {
 /// [`ShardSupervisor::observe`].
 #[derive(Debug)]
 pub struct ShardSupervisor {
-    config: SupervisorConfig,
     states: Vec<ShardState>,
 }
 
 impl ShardSupervisor {
     /// A supervisor over `shards` healthy shards.
     #[must_use]
-    pub fn new(config: SupervisorConfig, shards: usize) -> ShardSupervisor {
+    pub fn new(shards: usize) -> ShardSupervisor {
         ShardSupervisor {
-            config,
             states: (0..shards.max(1))
                 .map(|_| ShardState {
                     recent_kills: VecDeque::new(),
@@ -204,12 +186,12 @@ impl ShardSupervisor {
         }
         match event {
             HealthEvent::DeadlineKill { .. } => {
-                let floor = tick.saturating_sub(self.config.storm_window_ticks);
+                let floor = tick.saturating_sub(STORM_WINDOW_TICKS);
                 while state.recent_kills.front().is_some_and(|&t| t < floor) {
                     state.recent_kills.pop_front();
                 }
                 state.recent_kills.push_back(tick);
-                if state.recent_kills.len() as u32 >= self.config.storm_threshold.max(1) {
+                if state.recent_kills.len() as u32 >= STORM_THRESHOLD {
                     state.health = ShardHealth::Quarantined {
                         since_tick: tick,
                         reason: QuarantineReason::DeadlineStorm,
@@ -218,7 +200,7 @@ impl ShardSupervisor {
             }
             HealthEvent::PanicLoss { .. } => {
                 state.panics += 1;
-                if state.panics >= self.config.respawn_budget.max(1) {
+                if state.panics >= RESPAWN_BUDGET {
                     state.health = ShardHealth::Quarantined {
                         since_tick: tick,
                         reason: QuarantineReason::RespawnExhausted,
@@ -233,7 +215,7 @@ impl ShardSupervisor {
             }
             HealthEvent::CorruptionSuspect { .. } => {
                 state.strikes += 1;
-                if state.strikes >= self.config.corruption_strikes.max(1) {
+                if state.strikes >= CORRUPTION_STRIKES {
                     state.health = ShardHealth::Quarantined {
                         since_tick: tick,
                         reason: QuarantineReason::SilentCorrupter,
@@ -293,26 +275,18 @@ impl ShardSupervisor {
 mod tests {
     use super::*;
 
-    fn config() -> SupervisorConfig {
-        SupervisorConfig {
-            storm_threshold: 3,
-            storm_window_ticks: 10,
-            respawn_budget: 2,
-            corruption_strikes: 2,
-        }
-    }
-
     #[test]
     fn a_deadline_storm_inside_the_window_quarantines() {
-        let mut sup = ShardSupervisor::new(config(), 4);
-        sup.observe(HealthEvent::DeadlineKill { shard: 1, tick: 5 });
-        sup.observe(HealthEvent::DeadlineKill { shard: 1, tick: 7 });
-        assert!(!sup.is_quarantined(1), "two kills are below threshold");
-        sup.observe(HealthEvent::DeadlineKill { shard: 1, tick: 9 });
+        let mut sup = ShardSupervisor::new(4);
+        for tick in 5..5 + u64::from(STORM_THRESHOLD) - 1 {
+            sup.observe(HealthEvent::DeadlineKill { shard: 1, tick });
+        }
+        assert!(!sup.is_quarantined(1), "seven kills are below threshold");
+        sup.observe(HealthEvent::DeadlineKill { shard: 1, tick: 30 });
         assert_eq!(
             sup.health(1),
             ShardHealth::Quarantined {
-                since_tick: 9,
+                since_tick: 30,
                 reason: QuarantineReason::DeadlineStorm
             }
         );
@@ -321,20 +295,26 @@ mod tests {
 
     #[test]
     fn kills_outside_the_window_slide_off() {
-        let mut sup = ShardSupervisor::new(config(), 2);
-        sup.observe(HealthEvent::DeadlineKill { shard: 0, tick: 0 });
-        sup.observe(HealthEvent::DeadlineKill { shard: 0, tick: 1 });
-        // Tick 40 is far past the 10-tick window: both old kills
-        // slide off before the new one counts.
+        let mut sup = ShardSupervisor::new(2);
+        for tick in 0..u64::from(STORM_THRESHOLD) - 1 {
+            sup.observe(HealthEvent::DeadlineKill { shard: 0, tick });
+        }
+        // Tick 40 is past the 32-tick window of ticks 0–6: every old
+        // kill slides off before the new one counts.
         sup.observe(HealthEvent::DeadlineKill { shard: 0, tick: 40 });
         assert!(!sup.is_quarantined(0), "stale kills must not storm");
     }
 
     #[test]
     fn respawn_exhaustion_quarantines_cumulatively() {
-        let mut sup = ShardSupervisor::new(config(), 2);
-        sup.observe(HealthEvent::PanicLoss { shard: 0, tick: 3 });
-        assert!(!sup.is_quarantined(0));
+        let mut sup = ShardSupervisor::new(2);
+        for tick in 0..u64::from(RESPAWN_BUDGET) - 1 {
+            sup.observe(HealthEvent::PanicLoss {
+                shard: 0,
+                tick: tick * 50,
+            });
+        }
+        assert!(!sup.is_quarantined(0), "fifteen panics are below budget");
         // Panics never expire: the budget is cumulative.
         sup.observe(HealthEvent::PanicLoss {
             shard: 0,
@@ -351,9 +331,10 @@ mod tests {
 
     #[test]
     fn corruption_strikes_accumulate_to_quarantine() {
-        let mut sup = ShardSupervisor::new(config(), 3);
+        let mut sup = ShardSupervisor::new(3);
         sup.observe(HealthEvent::CorruptionSuspect { shard: 1, tick: 4 });
-        assert!(!sup.is_quarantined(1), "one strike is below the budget");
+        sup.observe(HealthEvent::CorruptionSuspect { shard: 1, tick: 9 });
+        assert!(!sup.is_quarantined(1), "two strikes are below the budget");
         // Strikes never expire, like panics: a corrupter stays guilty.
         sup.observe(HealthEvent::CorruptionSuspect {
             shard: 1,
@@ -371,7 +352,7 @@ mod tests {
 
     #[test]
     fn shard_loss_quarantines_immediately_and_is_terminal() {
-        let mut sup = ShardSupervisor::new(config(), 3);
+        let mut sup = ShardSupervisor::new(3);
         sup.observe(HealthEvent::ShardLost { shard: 2, tick: 11 });
         assert!(sup.is_quarantined(2));
         // Later events cannot overwrite the quarantine record.
@@ -384,7 +365,7 @@ mod tests {
 
     #[test]
     fn out_of_range_shards_are_ignored_but_read_quarantined() {
-        let mut sup = ShardSupervisor::new(config(), 2);
+        let mut sup = ShardSupervisor::new(2);
         sup.observe(HealthEvent::ShardLost { shard: 9, tick: 1 });
         assert_eq!(sup.healthy_shards(), vec![0, 1]);
         assert!(sup.is_quarantined(9), "nothing may route off the map");
@@ -392,15 +373,23 @@ mod tests {
 
     #[test]
     fn the_fold_is_deterministic() {
-        let events = [
-            HealthEvent::DeadlineKill { shard: 0, tick: 1 },
-            HealthEvent::PanicLoss { shard: 1, tick: 2 },
-            HealthEvent::DeadlineKill { shard: 0, tick: 3 },
-            HealthEvent::DeadlineKill { shard: 0, tick: 4 },
-            HealthEvent::PanicLoss { shard: 1, tick: 5 },
-        ];
+        // Shard 0 storms with 8 kills in ticks 0–14; shard 1 panics 16
+        // times, interleaved.
+        let events: Vec<HealthEvent> = (0..u64::from(RESPAWN_BUDGET))
+            .flat_map(|i| {
+                let kill = (i < u64::from(STORM_THRESHOLD)).then_some(HealthEvent::DeadlineKill {
+                    shard: 0,
+                    tick: 2 * i,
+                });
+                let panic = HealthEvent::PanicLoss {
+                    shard: 1,
+                    tick: 2 * i + 1,
+                };
+                kill.into_iter().chain([panic])
+            })
+            .collect();
         let run = |events: &[HealthEvent]| {
-            let mut sup = ShardSupervisor::new(config(), 2);
+            let mut sup = ShardSupervisor::new(2);
             for &e in events {
                 sup.observe(e);
             }
@@ -408,7 +397,14 @@ mod tests {
         };
         assert_eq!(run(&events), run(&events));
         let (quarantined, healthy) = run(&events);
-        assert_eq!(quarantined.len(), 2, "both shards should trip");
+        assert_eq!(
+            quarantined,
+            vec![
+                (0, 14, QuarantineReason::DeadlineStorm),
+                (1, 31, QuarantineReason::RespawnExhausted)
+            ],
+            "both shards should trip"
+        );
         assert!(healthy.is_empty());
     }
 }

@@ -36,17 +36,8 @@ pub struct StreamConfig {
     pub horizon_ticks: u64,
     /// Seed the cohort, noise, and aging streams derive from.
     pub cohort_seed: u64,
-    /// Rolling window of the per-patient drift monitor.
-    pub monitor_window: usize,
-    /// Trip threshold on the window-mean standardized residual.
-    pub monitor_threshold: f64,
-    /// Deadline budget (ticks) each recalibration request carries.
-    pub recal_deadline_ticks: u64,
     /// Recalibration requests allowed per patient over the horizon.
     pub max_recalibrations: u32,
-    /// Ticks a patient waits after a failed or rejected recalibration
-    /// before re-requesting.
-    pub retry_backoff_ticks: u64,
     /// The sensor-aging plan; its `FilmDenaturation` spec decides who
     /// ages, when, and how fast (see [`FaultPlan::aging_profile`]).
     pub aging: FaultPlan,
@@ -55,23 +46,29 @@ pub struct StreamConfig {
 /// Tenant id stamped on every recalibration request the engine offers
 /// to the gateway.
 const TENANT: &str = "stream";
+/// Rolling window of the per-patient drift monitor.
+const MONITOR_WINDOW: usize = 12;
+/// Trip threshold on the window-mean standardized residual.
+const MONITOR_THRESHOLD: f64 = 4.0;
+/// Deadline budget (ticks) each recalibration request carries.
+const RECAL_DEADLINE_TICKS: u64 = 64;
+/// Ticks a patient waits after a failed or rejected recalibration
+/// before re-requesting.
+const RETRY_BACKOFF_TICKS: u64 = 16;
 
 impl StreamConfig {
-    /// A config for `patients` over `horizon_ticks` from `seed`: window
-    /// 12 / threshold 4 monitors, 64-tick recalibration deadlines, at
-    /// most 4 recalibrations per patient with 16-tick retry backoff,
-    /// and an aging plan denaturating ~35 % of films at intensity 0.8.
+    /// A config for `patients` over `horizon_ticks` from `seed`: at most
+    /// 4 recalibrations per patient and an aging plan denaturating
+    /// ~35 % of films at intensity 0.8. The drift monitor (window 12,
+    /// threshold 4), the 64-tick recalibration deadline and the 16-tick
+    /// retry backoff are fixed for every config.
     #[must_use]
     pub fn new(patients: usize, horizon_ticks: u64, seed: u64) -> StreamConfig {
         StreamConfig {
             patients,
             horizon_ticks,
             cohort_seed: seed,
-            monitor_window: 12,
-            monitor_threshold: 4.0,
-            recal_deadline_ticks: 64,
             max_recalibrations: 4,
-            retry_backoff_ticks: 16,
             aging: FaultPlan::builder("stream-aging", seed)
                 .spec(FaultKind::FilmDenaturation, 0.35, 0.8)
                 .build(),
@@ -243,8 +240,7 @@ impl StreamEngine {
         let mut sigma: Vec<f64> = Vec::with_capacity(cohort.len());
         let mut bootstrap_failed = 0u64;
         for (p, result) in cohort.patients().iter().zip(&boot.results) {
-            let mut state =
-                PatientState::new(DriftMonitor::new(cfg.monitor_window, cfg.monitor_threshold));
+            let mut state = PatientState::new(DriftMonitor::new(MONITOR_WINDOW, MONITOR_THRESHOLD));
             let gain = match &result.outcome {
                 Ok(outcome) => epoch_gain(outcome),
                 Err(_) => 0.0,
@@ -373,7 +369,7 @@ impl StreamEngine {
                     .with_film_activity((activity * 1e6).round() / 1e6);
                 let seed = SplitMix64::new(p.cal_seed).derive(u64::from(epoch.index) + 1);
                 session.offer(
-                    Request::new(rid, TENANT, aged, seed, tick + 1, cfg.recal_deadline_ticks)
+                    Request::new(rid, TENANT, aged, seed, tick + 1, RECAL_DEADLINE_TICKS)
                         .with_priority(Priority::Recalibration),
                 );
                 rid_map.insert(rid, pi);
@@ -459,7 +455,6 @@ impl StreamEngine {
         swap: bool,
     ) {
         let id = &cohort.patients()[pi].id;
-        let backoff = self.config.retry_backoff_ticks;
         match &outcome.disposition {
             Disposition::Executed {
                 quality,
@@ -491,7 +486,7 @@ impl StreamEngine {
                 } else {
                     *recal_failed += 1;
                     state.inflight = None;
-                    state.next_eligible_tick = tick + backoff;
+                    state.next_eligible_tick = tick + RETRY_BACKOFF_TICKS;
                     state.monitor.rearm();
                     events.push(format!("recalfail {id} t{tick}"));
                 }
@@ -499,7 +494,7 @@ impl StreamEngine {
             Disposition::Rejected(reason) => {
                 *recal_rejected += 1;
                 state.inflight = None;
-                state.next_eligible_tick = tick + backoff;
+                state.next_eligible_tick = tick + RETRY_BACKOFF_TICKS;
                 state.monitor.rearm();
                 events.push(format!("recalreject {id} t{tick} {reason}"));
             }

@@ -14,7 +14,6 @@ use biosim::electrochem::impedance::{estimate_charge_transfer, RandlesCell};
 use biosim::electrochem::potentiometry::{Interferent, IonSelectiveElectrode};
 use biosim::labelfree::{QuartzCrystalMicrobalance, SprSensor};
 use biosim::prelude::*;
-use biosim::units::Kelvin;
 
 fn main() -> Result<(), CoreError> {
     println!("== 1. Amperometric (the paper's choice): glucose channel ==");
@@ -26,7 +25,7 @@ fn main() -> Result<(), CoreError> {
 
     println!("== 2. Potentiometric: urea biosensor back end (NH4+ ISE) ==");
     // Urease converts urea to ammonium; the ISE reads the product.
-    let ise = IonSelectiveElectrode::new(Volts::from_milli_volts(220.0), 1, Kelvin::ROOM);
+    let ise = IonSelectiveElectrode::new(Volts::from_milli_volts(220.0), 1);
     let interferents = [(
         Interferent {
             selectivity: 1e-3,

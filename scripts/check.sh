@@ -30,8 +30,8 @@ run cargo build --locked --release --workspace
 run cargo test --locked -q --workspace
 
 # Digest gate: every determinism scenario (crash-resume, overload,
-# stream, shard, quorum, storage torture) is one row of the `gate`
-# binary's table. Every layout of a row runs in-process and must
+# stream, stream-provisioned, shard, quorum, storage torture) is one
+# row of the `gate` binary's table. Every layout of a row runs in-process and must
 # reproduce the golden digest written inline in that row, and every
 # mechanism check must hold (shedding fired, drift detected, corruption
 # caught, crashes recovered); any failure names its scenario and layout.

@@ -6,7 +6,7 @@ use biosim::electrochem::diffusion::{DiffusionGrid, SurfaceBoundary};
 use biosim::electrochem::voltammetry::CvSimulator;
 use biosim::electrochem::{cottrell, randles_sevcik, CyclicSweep, RedoxCouple};
 use biosim::nanomaterial::SurfaceModification;
-use biosim::units::{DiffusionCoefficient, Kelvin, Molar, ScanRate, Seconds, SquareCm, Volts};
+use biosim::units::{DiffusionCoefficient, Molar, ScanRate, Seconds, SquareCm, Volts};
 
 #[test]
 fn diffusion_solver_reproduces_cottrell_over_a_decade_of_time() {
@@ -96,7 +96,6 @@ fn cnt_modification_pulls_sluggish_couple_toward_reversible_peak() {
         slow.diffusion(),
         c,
         ScanRate::from_milli_volts_per_second(100.0),
-        Kelvin::ROOM,
     );
 
     let bare_peak = bare.anodic_peak().unwrap();
