@@ -130,22 +130,6 @@ impl RowComparison {
             - paper.as_micro_amps_per_milli_molar_square_cm())
             / paper.as_micro_amps_per_milli_molar_square_cm()
     }
-
-    /// Overlap score (Jaccard) of measured vs paper linear range.
-    #[must_use]
-    pub fn range_overlap(&self) -> f64 {
-        self.measured
-            .linear_range
-            .overlap_score(&self.entry.paper().linear_range)
-    }
-
-    /// Relative LOD error vs the paper (None when the paper reports no
-    /// LOD).
-    #[must_use]
-    pub fn lod_error(&self) -> Option<f64> {
-        let paper = self.entry.paper().detection_limit?;
-        Some((self.measured.detection_limit.as_molar() - paper.as_molar()) / paper.as_molar())
-    }
 }
 
 /// A calibrated block of Table 2 (one analyte).
@@ -327,31 +311,6 @@ pub fn table2_blocks() -> Vec<(&'static str, Vec<CatalogEntry>)> {
     ]
 }
 
-/// Runs all four Table 2 blocks sequentially on the calling thread —
-/// the parity reference for [`run_table2_on`].
-///
-/// # Errors
-///
-/// Propagates the first calibration failure.
-pub fn run_table2(seed: u64) -> Result<Vec<BlockReport>, CoreError> {
-    table2_blocks()
-        .into_iter()
-        .map(|(title, entries)| BlockReport::run(title, entries, seed))
-        .collect()
-}
-
-/// Runs all four Table 2 blocks through the fleet runtime.
-///
-/// # Errors
-///
-/// Returns the first per-job error.
-pub fn run_table2_on(runtime: &Runtime, seed: u64) -> Result<Vec<BlockReport>, JobError> {
-    table2_blocks()
-        .into_iter()
-        .map(|(title, entries)| BlockReport::run_on(runtime, title, entries, seed))
-        .collect()
-}
-
 /// Renders Table 1 (targets, probes, techniques of the seven developed
 /// sensors).
 #[must_use]
@@ -471,15 +430,21 @@ mod tests {
     #[test]
     fn table2_on_runtime_matches_sequential() {
         let runtime = Runtime::with_workers(4);
-        let fleet: Vec<String> = run_table2_on(&runtime, 42)
-            .expect("table runs")
-            .iter()
-            .map(BlockReport::render)
+        let fleet: Vec<String> = table2_blocks()
+            .into_iter()
+            .map(|(title, entries)| {
+                BlockReport::run_on(&runtime, title, entries, 42)
+                    .expect("fleet block runs")
+                    .render()
+            })
             .collect();
-        let sequential: Vec<String> = run_table2(42)
-            .expect("table runs")
-            .iter()
-            .map(BlockReport::render)
+        let sequential: Vec<String> = table2_blocks()
+            .into_iter()
+            .map(|(title, entries)| {
+                BlockReport::run(title, entries, 42)
+                    .expect("block runs")
+                    .render()
+            })
             .collect();
         assert_eq!(fleet, sequential);
     }

@@ -97,13 +97,6 @@ impl TortureReport {
         self.panics += other.panics;
         self.divergences += other.divergences;
     }
-
-    /// Every schedule landed in the trichotomy: no panic, no silent
-    /// divergence.
-    #[must_use]
-    pub fn clean(&self) -> bool {
-        self.panics == 0 && self.divergences == 0
-    }
 }
 
 /// The fixed torture fleet. No physics chaos — the storage layer is
@@ -341,13 +334,21 @@ mod tests {
         };
         assert!(ops > 10, "reference run should cross many syscalls");
         let sweep = crash_sweep(&fleet, &golden, ops.min(6));
-        assert!(sweep.clean(), "sweep must not panic or diverge: {sweep:?}");
+        assert_eq!(
+            (sweep.panics, sweep.divergences),
+            (0, 0),
+            "sweep must not panic or diverge: {sweep:?}"
+        );
         assert_eq!(
             sweep.recoveries, sweep.schedules,
             "every crash must recover"
         );
         let mixed = mixed_campaign(&fleet, &golden, 8, 0xA5);
-        assert!(mixed.clean(), "mixed must not panic or diverge: {mixed:?}");
+        assert_eq!(
+            (mixed.panics, mixed.divergences),
+            (0, 0),
+            "mixed must not panic or diverge: {mixed:?}"
+        );
         assert_eq!(
             mixed.recoveries + mixed.degradations + mixed.typed_errors,
             mixed.schedules

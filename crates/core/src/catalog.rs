@@ -27,7 +27,7 @@ use bios_enzyme::{CypIsoform, CypSensorChemistry, EnzymeFilm, Oxidase, OxidaseKi
 use bios_faults::{FaultPlan, Faultable, RealizedFaults};
 use bios_instrument::noise::NoiseGenerator;
 use bios_instrument::{Adc, ReadoutChain, TransimpedanceAmplifier};
-use bios_nanomaterial::{Electrode, ElectrodeRole, ElectrodeStock, SurfaceModification};
+use bios_nanomaterial::{Electrode, ElectrodeStock, SurfaceModification};
 use bios_prng::Fnv1a;
 use bios_units::{
     Amperes, ConcentrationRange, Molar, Sensitivity, SquareCm, SurfaceLoading, Volts, FARADAY,
@@ -221,7 +221,9 @@ impl CatalogEntry {
 
         h.write_u8(self.electrode.material() as u8);
         h.write_f64(self.electrode.area().as_square_cm());
-        h.write_u8(self.electrode.role() as u8);
+        // Every electrode is a working electrode; the byte its role
+        // once took stays, so pinned fingerprints keep their values.
+        h.write_u8(0);
 
         let m = &self.modification;
         h.write_str(m.name());
@@ -541,7 +543,6 @@ fn carbon_paste_disc() -> Electrode {
     Electrode::new(
         bios_nanomaterial::ElectrodeMaterial::CarbonPaste,
         SquareCm::from_square_mm(7.07),
-        ElectrodeRole::Working,
     )
 }
 

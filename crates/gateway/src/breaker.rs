@@ -40,25 +40,13 @@ impl Default for BreakerConfig {
 
 /// Where the breaker currently stands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BreakerState {
+enum BreakerState {
     /// Healthy: all requests pass.
     Closed,
     /// Tripped: all requests rejected until the cooldown elapses.
     Open,
     /// Cooling down: a bounded number of probes pass to test recovery.
     HalfOpen,
-}
-
-impl BreakerState {
-    /// Stable lowercase label for digests and logs.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            BreakerState::Closed => "closed",
-            BreakerState::Open => "open",
-            BreakerState::HalfOpen => "half-open",
-        }
-    }
 }
 
 /// The breaker's verdict on one arriving request.
@@ -100,13 +88,6 @@ impl CircuitBreaker {
             probes_in_flight: 0,
             probe_successes: 0,
         }
-    }
-
-    /// Current state. `admit` may transition Open → HalfOpen first, so
-    /// read this after the admission decision you care about.
-    #[must_use]
-    pub fn state(&self) -> BreakerState {
-        self.state
     }
 
     /// Decides whether a request arriving at `tick` passes.
@@ -215,7 +196,7 @@ mod tests {
             b.on_result(false, false, 3),
             "second consecutive failure trips"
         );
-        assert_eq!(b.state(), BreakerState::Open);
+        assert_eq!(b.state, BreakerState::Open);
     }
 
     #[test]
@@ -226,7 +207,7 @@ mod tests {
         assert_eq!(b.admit(1), Admission::Reject);
         assert_eq!(b.admit(3), Admission::Reject);
         assert_eq!(b.admit(4), Admission::Probe, "cooldown elapsed at tick 4");
-        assert_eq!(b.state(), BreakerState::HalfOpen);
+        assert_eq!(b.state, BreakerState::HalfOpen);
         assert_eq!(b.admit(4), Admission::Reject, "probe quota is 1");
     }
 
@@ -237,7 +218,7 @@ mod tests {
         recovered.on_result(false, false, 0);
         assert_eq!(recovered.admit(10), Admission::Probe);
         assert!(!recovered.on_result(true, true, 11));
-        assert_eq!(recovered.state(), BreakerState::Closed);
+        assert_eq!(recovered.state, BreakerState::Closed);
 
         let mut relapsed = CircuitBreaker::new(quick());
         relapsed.on_result(false, false, 0);
@@ -247,7 +228,7 @@ mod tests {
             relapsed.on_result(false, true, 11),
             "probe failure is a trip"
         );
-        assert_eq!(relapsed.state(), BreakerState::Open);
+        assert_eq!(relapsed.state, BreakerState::Open);
         assert_eq!(relapsed.admit(12), Admission::Reject, "cooldown restarts");
         assert_eq!(relapsed.admit(15), Admission::Probe);
     }
@@ -258,10 +239,10 @@ mod tests {
         b.on_result(false, false, 0);
         b.on_result(false, false, 0);
         assert!(!b.on_result(false, false, 1), "straggler while open");
-        assert_eq!(b.state(), BreakerState::Open);
+        assert_eq!(b.state, BreakerState::Open);
         assert_eq!(b.admit(4), Admission::Probe);
         assert!(!b.on_result(false, false, 5), "straggler while half-open");
-        assert_eq!(b.state(), BreakerState::HalfOpen);
+        assert_eq!(b.state, BreakerState::HalfOpen);
     }
 
     #[test]
@@ -285,6 +266,129 @@ mod tests {
         assert!(b.on_result(false, false, 0), "trip_after clamps to 1");
         assert_eq!(b.admit(0), Admission::Probe, "zero cooldown probes at once");
         assert!(!b.on_result(true, true, 0), "probe_quota clamps to 1");
-        assert_eq!(b.state(), BreakerState::Closed);
+        assert_eq!(b.state, BreakerState::Closed);
+    }
+
+    // The breaker state space is small enough to enumerate outright:
+    // every ok/fail outcome sequence of length 10 (2^10 = 1024 traces)
+    // is driven through a breaker with a tight config, checking
+    // structural invariants after every step.
+
+    /// Drives one ok/fail trace through a breaker, interleaving admission
+    /// probes, and checks invariants at every step.
+    fn drive_trace(trace_bits: u32, len: u32, config: BreakerConfig) {
+        let mut b = CircuitBreaker::new(config);
+        let mut tick = 0u64;
+        let mut probe_pending = 0u32;
+        for step in 0..len {
+            tick += 1;
+            // Interleave an admission attempt before each outcome so the
+            // Open → HalfOpen transition is exercised mid-trace.
+            let admission = b.admit(tick);
+            match admission {
+                Admission::Probe => {
+                    probe_pending += 1;
+                    assert_ne!(
+                        b.state,
+                        BreakerState::Closed,
+                        "probes only issue from a half-open breaker"
+                    );
+                }
+                Admission::Admit => {
+                    assert_eq!(
+                        b.state,
+                        BreakerState::Closed,
+                        "plain admits only when closed"
+                    );
+                }
+                Admission::Reject => {
+                    assert_ne!(
+                        b.state,
+                        BreakerState::Closed,
+                        "a closed breaker never rejects"
+                    );
+                }
+            }
+            let ok = (trace_bits >> step) & 1 == 1;
+            let as_probe = probe_pending > 0;
+            if as_probe {
+                probe_pending -= 1;
+            }
+            let tripped = b.on_result(ok, as_probe, tick);
+            if tripped {
+                assert_eq!(b.state, BreakerState::Open, "a trip always lands Open");
+                assert!(!ok, "a success can never trip the breaker");
+            }
+            if ok && b.state == BreakerState::Open {
+                // The only way a success leaves the breaker open is as a
+                // straggler that arrived while already open.
+                assert!(!tripped);
+            }
+        }
+    }
+
+    #[test]
+    fn breaker_invariants_hold_on_every_length_10_trace() {
+        let config = BreakerConfig {
+            trip_after: 2,
+            cooldown_ticks: 3,
+            probe_quota: 2,
+        };
+        for trace in 0u32..(1 << 10) {
+            drive_trace(trace, 10, config);
+        }
+    }
+
+    #[test]
+    fn breaker_closed_to_open_needs_exactly_trip_after_consecutive_failures() {
+        for trip_after in 1u32..=4 {
+            let config = BreakerConfig {
+                trip_after,
+                cooldown_ticks: 100,
+                probe_quota: 1,
+            };
+            let mut b = CircuitBreaker::new(config);
+            for i in 0..trip_after - 1 {
+                assert!(!b.on_result(false, false, u64::from(i)));
+                assert_eq!(b.state, BreakerState::Closed);
+            }
+            // One success resets the whole streak…
+            assert!(!b.on_result(true, false, 10));
+            for i in 0..trip_after - 1 {
+                assert!(!b.on_result(false, false, 11 + u64::from(i)));
+            }
+            assert_eq!(b.state, BreakerState::Closed, "streak reset by the success");
+            // …and only an unbroken streak of `trip_after` trips.
+            assert!(b.on_result(false, false, 20));
+            assert_eq!(b.state, BreakerState::Open);
+        }
+    }
+
+    #[test]
+    fn breaker_full_recovery_cycle_closed_open_half_open_closed() {
+        let config = BreakerConfig {
+            trip_after: 3,
+            cooldown_ticks: 5,
+            probe_quota: 2,
+        };
+        let mut b = CircuitBreaker::new(config);
+        assert_eq!(b.state, BreakerState::Closed);
+        for t in 0..3 {
+            b.on_result(false, false, t);
+        }
+        assert_eq!(b.state, BreakerState::Open);
+        assert_eq!(b.admit(6), Admission::Reject, "cooldown not yet elapsed");
+        assert_eq!(
+            b.admit(7),
+            Admission::Probe,
+            "cooldown elapsed (5 ticks after trip at 2)"
+        );
+        assert_eq!(b.state, BreakerState::HalfOpen);
+        assert_eq!(b.admit(7), Admission::Probe, "quota of 2");
+        assert_eq!(b.admit(7), Admission::Reject, "quota exhausted");
+        assert!(!b.on_result(true, true, 8));
+        assert_eq!(b.state, BreakerState::HalfOpen, "one success is not enough");
+        assert!(!b.on_result(true, true, 9));
+        assert_eq!(b.state, BreakerState::Closed, "quota met closes the loop");
     }
 }

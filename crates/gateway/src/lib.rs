@@ -62,7 +62,7 @@ pub mod bucket;
 pub mod degrade;
 mod session;
 
-pub use breaker::{Admission, BreakerConfig, BreakerState, CircuitBreaker};
+pub use breaker::BreakerConfig;
 pub use bucket::TokenBucket;
 pub use degrade::{DegradationPolicy, Quality};
 pub use session::GatewaySession;
@@ -85,17 +85,6 @@ pub enum Priority {
     /// Drift-recovery class: no rate limit, head-of-line dispatch,
     /// never degraded.
     Recalibration,
-}
-
-impl Priority {
-    /// Stable lowercase label for digests and logs.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            Priority::Routine => "routine",
-            Priority::Recalibration => "recal",
-        }
-    }
 }
 
 /// One calibration request presented at the gateway's front door.
@@ -407,36 +396,6 @@ impl GatewayReport {
             .map(|o| o.id)
             .collect()
     }
-
-    /// Ids of requests rejected with the given reason, in request
-    /// order.
-    #[must_use]
-    pub fn rejected_ids(&self, reason: Rejected) -> Vec<u64> {
-        self.outcomes
-            .iter()
-            .filter(|o| matches!(o.disposition, Disposition::Rejected(r) if r == reason))
-            .map(|o| o.id)
-            .collect()
-    }
-
-    /// Ids of requests that executed at degraded quality, in request
-    /// order.
-    #[must_use]
-    pub fn browned_out_ids(&self) -> Vec<u64> {
-        self.outcomes
-            .iter()
-            .filter(|o| {
-                matches!(
-                    o.disposition,
-                    Disposition::Executed {
-                        quality: Quality::Degraded,
-                        ..
-                    }
-                )
-            })
-            .map(|o| o.id)
-            .collect()
-    }
 }
 
 /// Gateway construction options. All time-like fields are logical
@@ -595,6 +554,35 @@ mod tests {
         })
     }
 
+    /// Ids of the requests rejected with `reason`, in request order.
+    fn rejected_ids(report: &GatewayReport, reason: Rejected) -> Vec<u64> {
+        report
+            .outcomes
+            .iter()
+            .filter(|o| matches!(o.disposition, Disposition::Rejected(r) if r == reason))
+            .map(|o| o.id)
+            .collect()
+    }
+
+    /// Ids of the requests that ran at degraded quality, in request
+    /// order.
+    fn browned_out_ids(report: &GatewayReport) -> Vec<u64> {
+        report
+            .outcomes
+            .iter()
+            .filter(|o| {
+                matches!(
+                    o.disposition,
+                    Disposition::Executed {
+                        quality: Quality::Degraded,
+                        ..
+                    }
+                )
+            })
+            .map(|o| o.id)
+            .collect()
+    }
+
     #[test]
     fn a_gentle_trickle_all_executes_at_full_quality() {
         let gw = Gateway::new(GatewayConfig::default(), runtime());
@@ -604,7 +592,7 @@ mod tests {
         let report = gw.run(&reqs);
         assert!(report.clean_drain());
         assert_eq!(report.executed_ids(), vec![0, 1, 2, 3]);
-        assert!(report.browned_out_ids().is_empty());
+        assert!(browned_out_ids(&report).is_empty());
         assert_eq!(report.counters, GatewayCounters::default());
     }
 
@@ -621,7 +609,7 @@ mod tests {
             .collect();
         let report = gw.run(&reqs);
         assert_eq!(report.executed_ids(), vec![0, 1]);
-        assert_eq!(report.rejected_ids(Rejected::RateLimited), vec![2, 3, 4]);
+        assert_eq!(rejected_ids(&report, Rejected::RateLimited), vec![2, 3, 4]);
         assert_eq!(report.counters.rate_limited, 3);
         assert!(report.clean_drain());
     }
@@ -641,7 +629,7 @@ mod tests {
             .collect();
         let report = gw.run(&reqs);
         assert!(report.counters.admission_rejected >= 1);
-        assert!(!report.rejected_ids(Rejected::QueueFull).is_empty());
+        assert!(!rejected_ids(&report, Rejected::QueueFull).is_empty());
         assert!(report.clean_drain());
     }
 
@@ -652,7 +640,7 @@ mod tests {
         // (≈ 2 ticks at 256 units/tick).
         let reqs = vec![Request::new(7, "er", our_glucose_sensor(), 1, 0, 1)];
         let report = gw.run(&reqs);
-        assert_eq!(report.rejected_ids(Rejected::DeadlineShed), vec![7]);
+        assert_eq!(rejected_ids(&report, Rejected::DeadlineShed), vec![7]);
         assert_eq!(report.counters.deadline_shed, 1);
         assert!(report.clean_drain());
     }
@@ -681,7 +669,7 @@ mod tests {
         let report = gw.run(&reqs);
         assert!(report.counters.breaker_trips >= 1, "lactate family trips");
         assert!(
-            !report.rejected_ids(Rejected::BreakerOpen).is_empty(),
+            !rejected_ids(&report, Rejected::BreakerOpen).is_empty(),
             "later lactate requests bounce off the open breaker"
         );
         assert_eq!(
@@ -769,7 +757,7 @@ mod tests {
             report.counters
         );
         assert!(
-            !report.browned_out_ids().contains(&99),
+            !browned_out_ids(&report).contains(&99),
             "the recalibration must not be degraded"
         );
         let recal = report.outcomes.iter().find(|o| o.id == 99).unwrap();
@@ -813,7 +801,7 @@ mod tests {
         let report = gw.run(&reqs);
         // The bucket holds one token: request 1 is rate limited, but
         // the recalibration never draws from the bucket at all.
-        assert_eq!(report.rejected_ids(Rejected::RateLimited), vec![1]);
+        assert_eq!(rejected_ids(&report, Rejected::RateLimited), vec![1]);
         assert_eq!(report.executed_ids(), vec![0, 2]);
         assert!(report.clean_drain());
     }
@@ -869,8 +857,8 @@ mod tests {
             }
             terminal += session.advance_to(tick).len();
         }
-        assert_eq!(session.offered(), reqs.len());
         let report = session.finish();
+        assert_eq!(report.outcomes.len(), reqs.len());
         assert_eq!(report.digest(), batch.digest());
         assert!(terminal <= reqs.len());
     }
@@ -881,10 +869,11 @@ mod tests {
         let mut session = gw.session();
         session.offer(Request::new(0, "icu", our_glucose_sensor(), 1, 0, 64));
         // Drain everything the session has been offered so far.
+        let mut terminal = 0;
         while let Some(t) = session.next_event_tick() {
-            let _ = session.advance_to(t);
+            terminal += session.advance_to(t).len();
         }
-        assert_eq!(session.open(), 0, "the first request must be terminal");
+        assert_eq!(terminal, 1, "the first request must be terminal");
         // A late offer with a stale arrival tick: clamped forward,
         // never landing in the already-processed past.
         session.offer(Request::new(1, "icu", our_glucose_sensor(), 2, 0, 64));
@@ -934,7 +923,7 @@ mod tests {
         reqs.extend((4..8).map(|i| Request::new(i, "lab", our_glucose_sensor(), i, 64 + i, 64)));
         let batch = Gateway::new(config.clone(), runtime()).run(&reqs);
         assert!(batch.counters.breaker_trips >= 1);
-        assert!(!batch.rejected_ids(Rejected::BreakerOpen).is_empty());
+        assert!(!rejected_ids(&batch, Rejected::BreakerOpen).is_empty());
         // The same trace offered tick by tick against a live session.
         let gw = Gateway::new(config, runtime());
         let mut session = gw.session();

@@ -83,8 +83,6 @@ pub struct GatewaySession<'g> {
     keys: Vec<Keys>,
     /// Terminal disposition per request, filled as ticks pass.
     outcomes: Vec<Option<Disposition>>,
-    /// How many `outcomes` are filled.
-    settled: usize,
     counters: GatewayCounters,
     /// Indices of offered-but-unprocessed requests, sorted stably by
     /// arrival tick (ties keep offer order).
@@ -129,7 +127,6 @@ impl<'g> GatewaySession<'g> {
             requests: Vec::new(),
             keys: Vec::new(),
             outcomes: Vec::new(),
-            settled: 0,
             counters: GatewayCounters::default(),
             pending: VecDeque::new(),
             tenants: BTreeMap::new(),
@@ -232,25 +229,6 @@ impl<'g> GatewaySession<'g> {
         self.keys.push(keys);
         self.requests.push(request);
         self.outcomes.push(None);
-    }
-
-    /// Requests offered so far.
-    #[must_use]
-    pub fn offered(&self) -> usize {
-        self.requests.len()
-    }
-
-    /// Requests not yet terminal (pending arrival, queued, or in
-    /// flight).
-    #[must_use]
-    pub fn open(&self) -> usize {
-        self.requests.len() - self.settled
-    }
-
-    /// The session's counters so far.
-    #[must_use]
-    pub fn counters(&self) -> GatewayCounters {
-        self.counters
     }
 
     /// The next tick at which anything can happen — the earliest of
@@ -545,7 +523,6 @@ impl<'g> GatewaySession<'g> {
     /// Fills request `idx`'s terminal disposition and reports it.
     fn settle(&mut self, idx: usize, disposition: Disposition, terminal: &mut Vec<RequestOutcome>) {
         self.outcomes[idx] = Some(disposition);
-        self.settled += 1;
         terminal.push(self.outcome_of(idx));
     }
 

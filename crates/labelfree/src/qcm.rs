@@ -16,6 +16,8 @@ use bios_units::SquareCm;
 const RHO_QUARTZ: f64 = 2.648;
 /// Quartz shear modulus, g·cm⁻¹·s⁻².
 const MU_QUARTZ: f64 = 2.947e11;
+/// Frequency-counter resolution, Hz.
+const RESOLUTION_HZ: f64 = 0.1;
 
 /// An AT-cut quartz resonator with a functionalized electrode.
 ///
@@ -34,8 +36,6 @@ const MU_QUARTZ: f64 = 2.947e11;
 pub struct QuartzCrystalMicrobalance {
     fundamental_hz: f64,
     active_area: SquareCm,
-    /// Frequency-counter resolution, Hz.
-    resolution_hz: f64,
 }
 
 impl QuartzCrystalMicrobalance {
@@ -58,7 +58,6 @@ impl QuartzCrystalMicrobalance {
         QuartzCrystalMicrobalance {
             fundamental_hz,
             active_area,
-            resolution_hz: 0.1,
         }
     }
 
@@ -79,7 +78,7 @@ impl QuartzCrystalMicrobalance {
     /// resolution — 3 counts as the detection criterion.
     #[must_use]
     pub fn mass_detection_limit_grams_per_cm2(&self) -> f64 {
-        3.0 * self.resolution_hz / self.sensitivity_hz_per_gram_per_cm2()
+        3.0 * RESOLUTION_HZ / self.sensitivity_hz_per_gram_per_cm2()
     }
 
     /// Whether a deposited protein monolayer (~200 ng/cm²) is
@@ -133,30 +132,23 @@ mod tests {
         // A 5 MHz crystal at 0.1 Hz resolution resolves ~5 ng/cm² —
         // comfortably below a protein monolayer.
         assert!(qcm().detects_protein_monolayer());
-        // A sloppy 100 Hz counter cannot.
-        let sloppy = QuartzCrystalMicrobalance {
-            resolution_hz: 100.0,
-            ..qcm()
-        };
-        assert!(!sloppy.detects_protein_monolayer());
+        // A 0.5 MHz crystal is 100× less sensitive (Sauerbrey ∝ f₀²):
+        // ~530 ng/cm² is the best it resolves.
+        let slow = QuartzCrystalMicrobalance::new(0.5e6, SquareCm::from_square_cm(1.0));
+        assert!(!slow.detects_protein_monolayer());
     }
 
-    /// QCM detection limit improves with finer counters.
+    /// QCM detection limit improves with a faster crystal.
     #[test]
     fn qcm_lod_monotonicities() {
         bios_prng::cases(0x0605, 64, |rng| {
             let f_mhz = rng.uniform_in(1.0, 30.0);
-            let res = rng.log_uniform_in(0.01, 10.0);
-            let q = QuartzCrystalMicrobalance {
-                resolution_hz: res,
-                ..QuartzCrystalMicrobalance::new(f_mhz * 1e6, SquareCm::from_square_cm(1.0))
-            };
-            let finer = QuartzCrystalMicrobalance {
-                resolution_hz: res / 2.0,
-                ..q
-            };
+            let area = SquareCm::from_square_cm(1.0);
+            let q = QuartzCrystalMicrobalance::new(f_mhz * 1e6, area);
+            let faster = QuartzCrystalMicrobalance::new(2.0 * f_mhz * 1e6, area);
             assert!(
-                finer.mass_detection_limit_grams_per_cm2() < q.mass_detection_limit_grams_per_cm2()
+                faster.mass_detection_limit_grams_per_cm2()
+                    < q.mass_detection_limit_grams_per_cm2()
             );
         });
     }

@@ -13,6 +13,9 @@
 
 use bios_units::Molar;
 
+/// Angular sensitivity: millidegrees of resonance shift per 1000 RU.
+const MILLIDEG_PER_KILO_RU: f64 = 100.0;
+
 /// An SPR channel functionalized with a receptor layer.
 ///
 /// # Examples
@@ -35,8 +38,6 @@ pub struct SprSensor {
     kd: Molar,
     /// Baseline instrument noise, RU (RMS).
     noise_ru: f64,
-    /// Angular sensitivity: millidegrees of resonance shift per 1000 RU.
-    millideg_per_kilo_ru: f64,
 }
 
 impl SprSensor {
@@ -48,7 +49,6 @@ impl SprSensor {
             r_max_ru: 1200.0,
             kd: Molar::from_nano_molar(10.0),
             noise_ru: 0.3,
-            millideg_per_kilo_ru: 100.0,
         }
     }
 
@@ -63,7 +63,7 @@ impl SprSensor {
     /// millidegrees.
     #[must_use]
     pub fn angle_shift_millideg(&self, response_ru: f64) -> f64 {
-        response_ru / 1000.0 * self.millideg_per_kilo_ru
+        response_ru / 1000.0 * MILLIDEG_PER_KILO_RU
     }
 
     /// 3σ detection limit in concentration units: the analyte level
@@ -119,7 +119,6 @@ mod tests {
             r_max_ru,
             kd,
             noise_ru,
-            ..SprSensor::biacore_like()
         }
     }
 

@@ -4,33 +4,22 @@ use bios_units::SquareCm;
 
 use crate::material::ElectrodeMaterial;
 
-/// The role an electrode plays in a three-electrode cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ElectrodeRole {
-    /// Where the sensing chemistry happens and the current is measured.
-    Working,
-}
-
-/// A physical electrode: material + geometric area + role.
+/// A physical working electrode — where the sensing chemistry happens
+/// and the current is measured: material + geometric area.
 ///
 /// # Examples
 ///
 /// ```
-/// use bios_nanomaterial::{Electrode, ElectrodeMaterial, ElectrodeRole};
+/// use bios_nanomaterial::{Electrode, ElectrodeMaterial};
 /// use bios_units::SquareCm;
 ///
-/// let we = Electrode::new(
-///     ElectrodeMaterial::Gold,
-///     SquareCm::from_square_mm(0.25),
-///     ElectrodeRole::Working,
-/// );
+/// let we = Electrode::new(ElectrodeMaterial::Gold, SquareCm::from_square_mm(0.25));
 /// assert_eq!(we.area().as_square_mm(), 0.25);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Electrode {
     material: ElectrodeMaterial,
     area: SquareCm,
-    role: ElectrodeRole,
 }
 
 impl Electrode {
@@ -40,13 +29,9 @@ impl Electrode {
     ///
     /// Panics if the area is not positive.
     #[must_use]
-    pub fn new(material: ElectrodeMaterial, area: SquareCm, role: ElectrodeRole) -> Electrode {
+    pub fn new(material: ElectrodeMaterial, area: SquareCm) -> Electrode {
         assert!(area.as_square_cm() > 0.0, "electrode area must be positive");
-        Electrode {
-            material,
-            area,
-            role,
-        }
+        Electrode { material, area }
     }
 
     /// Bulk material.
@@ -59,12 +44,6 @@ impl Electrode {
     #[must_use]
     pub fn area(&self) -> SquareCm {
         self.area
-    }
-
-    /// Cell role.
-    #[must_use]
-    pub fn role(&self) -> ElectrodeRole {
-        self.role
     }
 }
 
@@ -92,26 +71,19 @@ impl ElectrodeStock {
     #[must_use]
     pub fn working_electrode(&self) -> Electrode {
         match self {
-            ElectrodeStock::DropSensSpe => Electrode::new(
-                ElectrodeMaterial::Graphite,
-                SquareCm::from_square_mm(13.0),
-                ElectrodeRole::Working,
-            ),
-            ElectrodeStock::EpflMicroChip => Electrode::new(
-                ElectrodeMaterial::Gold,
-                SquareCm::from_square_mm(0.25),
-                ElectrodeRole::Working,
-            ),
+            ElectrodeStock::DropSensSpe => {
+                Electrode::new(ElectrodeMaterial::Graphite, SquareCm::from_square_mm(13.0))
+            }
+            ElectrodeStock::EpflMicroChip => {
+                Electrode::new(ElectrodeMaterial::Gold, SquareCm::from_square_mm(0.25))
+            }
             ElectrodeStock::GlassyCarbonDisc => Electrode::new(
                 ElectrodeMaterial::GlassyCarbon,
                 SquareCm::from_square_mm(7.07),
-                ElectrodeRole::Working,
             ),
-            ElectrodeStock::PlatinumDisc => Electrode::new(
-                ElectrodeMaterial::Platinum,
-                SquareCm::from_square_mm(0.785),
-                ElectrodeRole::Working,
-            ),
+            ElectrodeStock::PlatinumDisc => {
+                Electrode::new(ElectrodeMaterial::Platinum, SquareCm::from_square_mm(0.785))
+            }
         }
     }
 }
@@ -141,18 +113,8 @@ mod tests {
     }
 
     #[test]
-    fn roles_are_assigned() {
-        let s = ElectrodeStock::GlassyCarbonDisc;
-        assert_eq!(s.working_electrode().role(), ElectrodeRole::Working);
-    }
-
-    #[test]
     #[should_panic(expected = "area must be positive")]
     fn zero_area_rejected() {
-        let _ = Electrode::new(
-            ElectrodeMaterial::Gold,
-            SquareCm::from_square_cm(0.0),
-            ElectrodeRole::Working,
-        );
+        let _ = Electrode::new(ElectrodeMaterial::Gold, SquareCm::from_square_cm(0.0));
     }
 }

@@ -37,6 +37,6 @@ pub mod geometry;
 pub mod material;
 pub mod modification;
 
-pub use geometry::{Electrode, ElectrodeRole, ElectrodeStock};
+pub use geometry::{Electrode, ElectrodeStock};
 pub use material::ElectrodeMaterial;
 pub use modification::SurfaceModification;

@@ -1,7 +1,7 @@
 //! Property tests for the electrode and material models.
 //! Sampled deterministically via `bios_prng::cases`.
 
-use bios_nanomaterial::{Electrode, ElectrodeMaterial, ElectrodeRole};
+use bios_nanomaterial::{Electrode, ElectrodeMaterial};
 use bios_prng::{cases, Rng};
 use bios_units::SquareCm;
 
@@ -24,11 +24,7 @@ fn electrode_round_trips() {
     cases(0x0301, 64, |rng| {
         let material = any_material(rng);
         let area_mm2 = rng.log_uniform_in(1e-3, 100.0);
-        let e = Electrode::new(
-            material,
-            SquareCm::from_square_mm(area_mm2),
-            ElectrodeRole::Working,
-        );
+        let e = Electrode::new(material, SquareCm::from_square_mm(area_mm2));
         assert_eq!(e.material(), material);
         assert!((e.area().as_square_mm() - area_mm2).abs() <= area_mm2 * 1e-12);
     });

@@ -42,22 +42,27 @@
 //! ballots: they are never written to the memo cache or the journal.
 //!
 //! ```
-//! use bios_faults::{FaultKind, FaultPlan, FaultSpec};
+//! use bios_core::catalog;
+//! use bios_faults::{FaultKind, FaultPlan};
 //! use bios_quorum::{QuorumConfig, QuorumScreen};
 //!
 //! let plan = FaultPlan::builder("corruption drill", 7)
 //!     .spec(FaultKind::SilentCorruption, 0.35, 0.75)
 //!     .build();
+//! let summary = catalog::our_glucose_sensor().run_calibration(7).unwrap().summary;
 //! let mut screen = QuorumScreen::new(QuorumConfig::default());
-//! assert!(QuorumScreen::armed(Some(&plan)));
-//! assert_eq!(screen.summary().votes, 0);
+//! // A critical job is always covered: its lanes vote on copies of the
+//! // committed summary, and the majority keeps it.
+//! let verdict = screen.screen(Some(&plan), "glucose/ours", 7, &summary, true);
+//! assert!(verdict.is_some());
+//! assert_eq!(screen.summary().votes, 1);
 //! ```
 
 pub mod suspect;
 pub mod vote;
 
 use bios_analytics::CalibrationSummary;
-use bios_faults::{FaultKind, FaultPlan};
+use bios_faults::FaultPlan;
 use bios_recover::fnv1a;
 use bios_runtime::{Counter, JobResult, RuntimeMetrics};
 
@@ -138,19 +143,6 @@ pub struct QuorumSummary {
 }
 
 impl QuorumSummary {
-    /// Folds another summary into this one (element-wise sum).
-    pub fn merge(&mut self, other: &QuorumSummary) {
-        self.covered += other.covered;
-        self.votes += other.votes;
-        self.escalations += other.escalations;
-        self.disagreements += other.disagreements;
-        self.injected += other.injected;
-        self.caught += other.caught;
-        self.escaped += other.escaped;
-        self.false_suspects += other.false_suspects;
-        self.quarantined += other.quarantined;
-    }
-
     /// Fraction of realized corruptions that lost their vote, in
     /// `[0, 1]`; `1.0` when nothing was injected.
     #[must_use]
@@ -213,31 +205,6 @@ impl QuorumScreen {
             board: SuspectBoard::default(),
             summary: QuorumSummary::default(),
         }
-    }
-
-    /// Does `plan` arm silent corruption (a `SilentCorruption` spec
-    /// with non-zero probability)? Screens are useful unarmed — they
-    /// still vote and would catch a *real* flaky host — but benches
-    /// and gates use this to pick the drill mode (flag).
-    #[must_use]
-    pub fn armed(plan: Option<&FaultPlan>) -> bool {
-        plan.is_some_and(|p| {
-            p.specs()
-                .iter()
-                .any(|s| s.kind == FaultKind::SilentCorruption && s.probability > 0.0)
-        })
-    }
-
-    /// The screen's configuration.
-    #[must_use]
-    pub fn config(&self) -> &QuorumConfig {
-        &self.config
-    }
-
-    /// The suspect scoreboard (strikes and quarantined lanes).
-    #[must_use]
-    pub fn board(&self) -> &SuspectBoard {
-        &self.board
     }
 
     /// Accumulated totals.
@@ -362,9 +329,9 @@ impl QuorumScreen {
     }
 }
 
-/// Folds one verdict into the runtime's metrics registry — the same
-/// counters [`MetricsSnapshot::to_json`](bios_runtime::MetricsSnapshot::to_json)
-/// exports for scrapes.
+/// Folds one verdict into the runtime's metrics registry, so the
+/// quorum counters land in the same
+/// [`MetricsSnapshot`](bios_runtime::MetricsSnapshot) as the runtime's.
 pub fn meter(verdict: &ScreenVerdict, metrics: &RuntimeMetrics) {
     metrics.add(Counter::QuorumVotes, 1);
     metrics.add(Counter::Disagreements, u64::from(verdict.disagreement));
@@ -378,7 +345,7 @@ pub fn meter(verdict: &ScreenVerdict, metrics: &RuntimeMetrics) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bios_faults::FaultSpec;
+    use bios_faults::FaultKind;
     use bios_units::{ConcentrationRange, Molar, Sensitivity};
 
     fn summary() -> CalibrationSummary {
@@ -479,9 +446,9 @@ mod tests {
             "a quarantined lane must never serve another voted job"
         );
         assert_eq!(screen.summary().quarantined, banned.len() as u64);
-        for lane in banned {
-            assert!(screen.board().is_quarantined(lane));
-        }
+        // The board's roster skips every banned lane.
+        let roster = screen.board.roster(64);
+        assert!(banned.iter().all(|lane| !roster.contains(lane)));
     }
 
     #[test]
@@ -497,20 +464,6 @@ mod tests {
             (verdicts, screen.summary())
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn armed_detects_the_spec() {
-        assert!(!QuorumScreen::armed(None));
-        assert!(!QuorumScreen::armed(Some(&FaultPlan::chaos(1, 0.5))));
-        assert!(!QuorumScreen::armed(Some(
-            &FaultPlan::builder("off", 1)
-                .spec(FaultKind::SilentCorruption, 0.0, 1.0)
-                .build()
-        )));
-        assert!(QuorumScreen::armed(Some(&corruption_plan(1, 0.2))));
-        let spec = FaultSpec::new(FaultKind::SilentCorruption, 0.3, 0.5);
-        assert!(spec.probability > 0.0);
     }
 
     #[test]

@@ -75,24 +75,6 @@ impl SuspectBoard {
             false
         }
     }
-
-    /// Whether `lane` has been removed from service (flag).
-    #[must_use]
-    pub fn is_quarantined(&self, lane: u64) -> bool {
-        self.quarantined.contains(&lane)
-    }
-
-    /// Quarantined lane ids, ascending (identifiers).
-    #[must_use]
-    pub fn quarantined(&self) -> Vec<u64> {
-        self.quarantined.iter().copied().collect()
-    }
-
-    /// Accumulated strikes against `lane` (count).
-    #[must_use]
-    pub fn strikes(&self, lane: u64) -> u32 {
-        self.strikes.get(&lane).copied().unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -113,12 +95,11 @@ mod tests {
         assert!(!board.strike(1));
         assert!(!board.strike(1));
         assert!(board.strike(1), "third strike quarantines");
-        assert!(board.is_quarantined(1));
         assert_eq!(board.roster(3), vec![0, 2, 3], "lane 1 skipped");
-        assert_eq!(board.quarantined(), vec![1]);
+        assert_eq!(board.quarantined, BTreeSet::from([1]));
         // Further strikes against a quarantined lane are inert.
         assert!(!board.strike(1));
-        assert_eq!(board.strikes(1), 3);
+        assert_eq!(board.strikes[&1], 3);
     }
 
     #[test]

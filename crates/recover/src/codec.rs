@@ -97,12 +97,6 @@ impl ByteWriter {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Appends an `f64` as its IEEE-754 bit pattern (bit-exact round
-    /// trip, NaN payloads included).
-    pub fn put_f64(&mut self, v: f64) {
-        self.put_u64(v.to_bits());
-    }
-
     /// Appends a length-prefixed UTF-8 string.
     pub fn put_str(&mut self, s: &str) {
         self.put_u32(s.len() as u32);
@@ -113,12 +107,6 @@ impl ByteWriter {
     #[must_use]
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
-    }
-
-    /// Borrow the encoded payload.
-    #[must_use]
-    pub fn bytes(&self) -> &[u8] {
-        &self.buf
     }
 }
 
@@ -175,11 +163,6 @@ impl<'a> ByteReader<'a> {
             .try_into()
             .map_err(|_| CodecError::Truncated)?;
         Ok(u64::from_le_bytes(b))
-    }
-
-    /// Reads an `f64` from its IEEE-754 bit pattern.
-    pub fn get_f64(&mut self) -> Result<f64, CodecError> {
-        Ok(f64::from_bits(self.get_u64()?))
     }
 
     /// Reads a length-prefixed UTF-8 string.
@@ -302,16 +285,12 @@ mod tests {
         w.put_u8(7);
         w.put_u32(0xDEAD_BEEF);
         w.put_u64(u64::MAX - 1);
-        w.put_f64(-0.0);
-        w.put_f64(f64::NAN);
         w.put_str("glucose/ours");
         let bytes = w.into_bytes();
         let mut r = ByteReader::new(&bytes);
         assert_eq!(r.get_u8().unwrap(), 7);
         assert_eq!(r.get_u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(r.get_u64().unwrap(), u64::MAX - 1);
-        assert_eq!(r.get_f64().unwrap().to_bits(), (-0.0f64).to_bits());
-        assert!(r.get_f64().unwrap().is_nan());
         assert_eq!(r.get_str().unwrap(), "glucose/ours");
         assert_eq!(r.remaining(), 0);
     }

@@ -42,8 +42,8 @@
 //! ## Storage backend and write-path faults
 //!
 //! Every byte goes through a [`crate::sim::StorageIo`] backend: the
-//! `*_with` constructors take one explicitly, the plain constructors
-//! default to [`RealIo`]. Append failures are classified like the
+//! `*_with` constructors take one explicitly, and the plain
+//! [`JournalWriter::create`] defaults to [`RealIo`]. Append failures are classified like the
 //! runtime classifies job errors ([`crate::sim::classify_io`]):
 //! *transient* failures (a flaky `EIO`, a short write) truncate the
 //! torn bytes back to the last trusted length and retry with bounded
@@ -52,7 +52,7 @@
 //! journal or die honestly.
 
 use std::io::{self, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::Duration;
 
 use crate::codec::{self, ByteReader, ByteWriter, CodecError, FrameRead};
@@ -306,7 +306,6 @@ pub fn journal_backoff(attempt: u32) -> Duration {
 #[derive(Debug)]
 pub struct JournalWriter {
     file: Box<dyn StorageFile>,
-    path: PathBuf,
     records: u64,
     /// Bytes of trusted, fully-appended frames (magic included) — the
     /// truncation point when a failed append leaves torn bytes.
@@ -342,7 +341,6 @@ impl JournalWriter {
         file.write_all(MAGIC)?;
         let mut writer = JournalWriter {
             file,
-            path: path.to_path_buf(),
             records: 0,
             len: MAGIC.len() as u64,
             io_retries: 0,
@@ -353,16 +351,7 @@ impl JournalWriter {
 
     /// Reopens an existing journal for resumption: truncates the file
     /// to `valid_len` (discarding any torn or corrupt tail a crash
-    /// left) and positions for appending, on [`RealIo`].
-    ///
-    /// # Errors
-    ///
-    /// [`JournalError::Io`] on filesystem failure.
-    pub fn open_resume(path: &Path, valid_len: u64) -> Result<JournalWriter, JournalError> {
-        JournalWriter::open_resume_with(&RealIo, path, valid_len)
-    }
-
-    /// [`JournalWriter::open_resume`] on an explicit storage backend.
+    /// left) and positions for appending.
     ///
     /// # Errors
     ///
@@ -375,7 +364,6 @@ impl JournalWriter {
         let file = io.open_truncated(path, valid_len)?;
         Ok(JournalWriter {
             file,
-            path: path.to_path_buf(),
             records: 0,
             len: valid_len,
             io_retries: 0,
@@ -488,12 +476,6 @@ impl JournalWriter {
     pub fn bytes_written(&self) -> u64 {
         self.len
     }
-
-    /// The journal's path.
-    #[must_use]
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
 }
 
 /// Everything a journal file yielded, including how much of it could
@@ -529,7 +511,7 @@ pub struct LoadedJournal {
 pub struct JournalReader;
 
 impl JournalReader {
-    /// Loads and validates a journal file.
+    /// Loads and validates a journal file from `io`.
     ///
     /// # Errors
     ///
@@ -542,15 +524,6 @@ impl JournalReader {
     ///
     /// Torn tails and corrupt records *after* the header are not
     /// errors: they are reported in the returned [`LoadedJournal`].
-    pub fn load(path: &Path) -> Result<LoadedJournal, JournalError> {
-        JournalReader::load_with(&RealIo, path)
-    }
-
-    /// [`JournalReader::load`] on an explicit storage backend.
-    ///
-    /// # Errors
-    ///
-    /// As [`JournalReader::load`].
     pub fn load_with(io: &dyn StorageIo, path: &Path) -> Result<LoadedJournal, JournalError> {
         let bytes = io.read_all(path)?;
         let mut reader = io::Cursor::new(bytes);
@@ -654,6 +627,7 @@ impl JournalReader {
 mod tests {
     use super::*;
     use std::fs::OpenOptions;
+    use std::path::PathBuf;
 
     fn temp_path(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("bios-recover-tests");
@@ -694,7 +668,7 @@ mod tests {
     fn round_trip_sealed_journal() {
         let path = temp_path("round-trip");
         write_sample(&path, true);
-        let loaded = JournalReader::load(&path).unwrap();
+        let loaded = JournalReader::load_with(&RealIo, &path).unwrap();
         assert_eq!(loaded.header, sample_header());
         assert_eq!(loaded.jobs.len(), 2);
         assert_eq!(loaded.jobs[0].index, 0);
@@ -712,7 +686,7 @@ mod tests {
     fn unsealed_journal_reads_cleanly() {
         let path = temp_path("unsealed");
         write_sample(&path, false);
-        let loaded = JournalReader::load(&path).unwrap();
+        let loaded = JournalReader::load_with(&RealIo, &path).unwrap();
         assert!(!loaded.sealed);
         assert_eq!(loaded.jobs.len(), 2);
         assert!(!loaded.truncated_tail);
@@ -727,7 +701,7 @@ mod tests {
         // Cut 5 bytes into the final record's frame.
         let cut = full.len() - 5;
         std::fs::write(&path, &full[..cut]).unwrap();
-        let loaded = JournalReader::load(&path).unwrap();
+        let loaded = JournalReader::load_with(&RealIo, &path).unwrap();
         assert_eq!(loaded.jobs.len(), 1);
         assert!(loaded.truncated_tail);
         assert_eq!(loaded.corrupt_records, 0);
@@ -744,7 +718,7 @@ mod tests {
         let k = bytes.len() / 2;
         bytes[k] ^= 0x40;
         std::fs::write(&path, &bytes).unwrap();
-        match JournalReader::load(&path) {
+        match JournalReader::load_with(&RealIo, &path) {
             Ok(loaded) => {
                 // Must have stopped at or before the damaged record.
                 assert!(
@@ -769,7 +743,7 @@ mod tests {
         let at = bytes.windows(7).position(|w| w == b"glucose").unwrap();
         bytes[at] ^= 0x20;
         std::fs::write(&path, &bytes).unwrap();
-        let loaded = JournalReader::load(&path).unwrap();
+        let loaded = JournalReader::load_with(&RealIo, &path).unwrap();
         assert_eq!(loaded.jobs.len(), 0);
         assert_eq!(loaded.corrupt_records, 1);
         assert!(matches!(
@@ -784,12 +758,12 @@ mod tests {
         let path = temp_path("magic");
         std::fs::write(&path, b"definitely not a journal").unwrap();
         assert!(matches!(
-            JournalReader::load(&path),
+            JournalReader::load_with(&RealIo, &path),
             Err(JournalError::BadMagic)
         ));
         std::fs::write(&path, b"BIO").unwrap();
         assert!(matches!(
-            JournalReader::load(&path),
+            JournalReader::load_with(&RealIo, &path),
             Err(JournalError::BadMagic)
         ));
         std::fs::remove_file(&path).ok();
@@ -803,7 +777,7 @@ mod tests {
         // Keep the magic plus a sliver of the header frame.
         std::fs::write(&path, &full[..10]).unwrap();
         assert!(matches!(
-            JournalReader::load(&path),
+            JournalReader::load_with(&RealIo, &path),
             Err(JournalError::HeaderMissing)
         ));
         std::fs::remove_file(&path).ok();
@@ -813,14 +787,14 @@ mod tests {
     fn open_resume_truncates_garbage_tail() {
         let path = temp_path("resume");
         write_sample(&path, false);
-        let loaded = JournalReader::load(&path).unwrap();
+        let loaded = JournalReader::load_with(&RealIo, &path).unwrap();
         let valid_len = loaded.valid_len;
         // Simulate a crash leaving garbage after the last good record.
         {
             let mut f = OpenOptions::new().append(true).open(&path).unwrap();
             f.write_all(&[0xFF; 7]).unwrap();
         }
-        let mut w = JournalWriter::open_resume(&path, valid_len).unwrap();
+        let mut w = JournalWriter::open_resume_with(&RealIo, &path, valid_len).unwrap();
         w.append(&Record::job_done(
             1,
             Disposition::Completed,
@@ -829,7 +803,7 @@ mod tests {
         ))
         .unwrap();
         w.seal(3, 0xFEED).unwrap();
-        let reloaded = JournalReader::load(&path).unwrap();
+        let reloaded = JournalReader::load_with(&RealIo, &path).unwrap();
         assert_eq!(reloaded.jobs.len(), 3);
         assert!(reloaded.sealed);
         assert!(!reloaded.truncated_tail);
@@ -910,7 +884,7 @@ mod tests {
             let mut f = OpenOptions::new().append(true).open(&path).unwrap();
             f.write_all(b"junk after seal").unwrap();
         }
-        let loaded = JournalReader::load(&path).unwrap();
+        let loaded = JournalReader::load_with(&RealIo, &path).unwrap();
         assert!(loaded.sealed);
         assert_eq!(loaded.jobs.len(), 2);
         std::fs::remove_file(&path).ok();

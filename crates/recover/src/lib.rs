@@ -30,6 +30,7 @@
 //!
 //! ```
 //! use bios_recover::journal::{JournalWriter, JournalReader, Record, RunHeader};
+//! use bios_recover::RealIo;
 //!
 //! let dir = std::env::temp_dir().join("bios-recover-doc");
 //! std::fs::create_dir_all(&dir)?;
@@ -42,7 +43,7 @@
 //! w.append(&Record::job_done(0, bios_recover::journal::Disposition::Completed, 1,
 //!     "glucose/ours seed=0 ...".into()))?;
 //! w.seal(1, 0xD16E57)?;
-//! let loaded = JournalReader::load(&path)?;
+//! let loaded = JournalReader::load_with(&RealIo, &path)?;
 //! assert_eq!(loaded.header.fingerprint, 0xFEED);
 //! assert!(loaded.sealed);
 //! # std::fs::remove_file(&path).ok();
@@ -57,8 +58,5 @@ pub mod journal;
 pub mod sim;
 
 pub use bios_prng::{fnv1a, Fnv1a};
-pub use codec::{ByteReader, ByteWriter, CodecError};
-pub use journal::{Disposition, JournalError, JournalReader, JournalWriter, LoadedJournal, Record};
-pub use sim::{
-    classify_io, is_sim_crash, IoErrorClass, IoFaultScript, RealIo, SimIo, StorageFile, StorageIo,
-};
+pub use journal::JournalError;
+pub use sim::{is_sim_crash, IoFaultScript, RealIo, SimIo, StorageIo};

@@ -302,12 +302,6 @@ impl IoFaultScript {
         self
     }
 
-    /// The script's seed.
-    #[must_use]
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     fn roll(&self, op: u64) -> u64 {
         // One SplitMix64 step per draw, so a schedule is a pure
         // function of (seed, op-index).
@@ -365,7 +359,6 @@ struct SimState {
     files: BTreeMap<PathBuf, SimFileState>,
     script: IoFaultScript,
     ops: u64,
-    faults: u64,
     crashed: bool,
 }
 
@@ -380,13 +373,9 @@ impl SimState {
         self.ops += 1;
         let fault = self.script.decide(op, kind);
         if fault == Some(SimFault::Crash) {
-            self.faults += 1;
             self.crashed = true;
             self.apply_crash(op);
             return Err(crash_error(op));
-        }
-        if fault.is_some() {
-            self.faults += 1;
         }
         Ok((op, fault))
     }
@@ -435,7 +424,6 @@ impl SimIo {
                 files: BTreeMap::new(),
                 script,
                 ops: 0,
-                faults: 0,
                 crashed: false,
             })),
         }
@@ -451,18 +439,6 @@ impl SimIo {
     #[must_use]
     pub fn op_count(&self) -> u64 {
         lock_state(&self.state).ops
-    }
-
-    /// Faults injected so far (crash included).
-    #[must_use]
-    pub fn faults_injected(&self) -> u64 {
-        lock_state(&self.state).faults
-    }
-
-    /// Whether a scripted crash has fired.
-    #[must_use]
-    pub fn crashed(&self) -> bool {
-        lock_state(&self.state).crashed
     }
 
     /// Replaces the fault script (for staged schedules: populate the
@@ -658,7 +634,6 @@ mod tests {
         assert_eq!(io.read_all(&p("a")).unwrap(), b"hello world");
         assert!(io.exists(&p("a")));
         assert!(!io.exists(&p("b")));
-        assert_eq!(io.faults_injected(), 0);
     }
 
     #[test]
@@ -705,7 +680,7 @@ mod tests {
         // Everything after the crash fails the same way.
         assert!(is_sim_crash(&f.write_all(b"x").unwrap_err()));
         assert!(is_sim_crash(&io.read_all(&p("j")).unwrap_err()));
-        assert!(io.crashed());
+        assert!(lock_state(&io.state).crashed);
         io.reboot();
         let bytes = io.read_all(&p("j")).unwrap();
         // Synced prefix always survives; the unsynced tail survives

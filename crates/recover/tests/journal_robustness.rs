@@ -14,6 +14,7 @@ use std::path::PathBuf;
 use bios_recover::journal::{
     Disposition, JobDone, JournalError, JournalReader, JournalWriter, Record, RunHeader,
 };
+use bios_recover::RealIo;
 
 fn temp_path(name: &str, tag: u64) -> PathBuf {
     let dir = std::env::temp_dir().join("bios-recover-robustness");
@@ -69,7 +70,7 @@ fn truncation_at_every_offset_never_panics_or_lies() {
     let full = write_journal(&path, &jobs, true);
     for cut in 0..full.len() {
         std::fs::write(&path, &full[..cut]).unwrap();
-        match JournalReader::load(&path) {
+        match JournalReader::load_with(&RealIo, &path) {
             Ok(loaded) => {
                 assert_no_silent_corruption(&jobs, &loaded.jobs);
                 // A truncated file can never still claim to be sealed
@@ -98,7 +99,7 @@ fn bit_flip_at_every_offset_never_panics_or_lies() {
             let mut damaged = full.clone();
             damaged[pos] ^= bit;
             std::fs::write(&path, &damaged).unwrap();
-            match JournalReader::load(&path) {
+            match JournalReader::load_with(&RealIo, &path) {
                 Ok(loaded) => {
                     assert_no_silent_corruption(&jobs, &loaded.jobs);
                 }
@@ -130,7 +131,7 @@ fn random_multi_byte_damage_is_contained() {
             *b = rng.next_u64() as u8;
         }
         std::fs::write(&path, &bytes).unwrap();
-        match JournalReader::load(&path) {
+        match JournalReader::load_with(&RealIo, &path) {
             Ok(loaded) => assert_no_silent_corruption(&jobs, &loaded.jobs),
             Err(
                 JournalError::BadMagic | JournalError::HeaderMissing | JournalError::Corrupt(_),
@@ -154,7 +155,7 @@ fn resume_after_damage_replays_only_trusted_records() {
         // Cut somewhere after the magic so a header usually survives.
         let cut = 8 + (rng.next_u64() as usize) % (full.len() - 8);
         std::fs::write(&path, &full[..cut]).unwrap();
-        let loaded = match JournalReader::load(&path) {
+        let loaded = match JournalReader::load_with(&RealIo, &path) {
             Ok(l) => l,
             Err(JournalError::HeaderMissing) => {
                 // Header itself was cut — a resume would restart from
@@ -166,12 +167,12 @@ fn resume_after_damage_replays_only_trusted_records() {
         };
         let survived = loaded.jobs.len();
         assert_no_silent_corruption(&jobs, &loaded.jobs);
-        let mut w = JournalWriter::open_resume(&path, loaded.valid_len).unwrap();
+        let mut w = JournalWriter::open_resume_with(&RealIo, &path, loaded.valid_len).unwrap();
         for j in &jobs[survived..] {
             w.append(&Record::JobDone(j.clone())).unwrap();
         }
         w.seal(jobs.len() as u64, 0xF1A7).unwrap();
-        let reloaded = JournalReader::load(&path).unwrap();
+        let reloaded = JournalReader::load_with(&RealIo, &path).unwrap();
         assert!(reloaded.sealed);
         assert_eq!(
             reloaded.jobs, jobs,

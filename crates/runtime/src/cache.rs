@@ -335,21 +335,6 @@ impl ResultCache {
         outcome
     }
 
-    /// Number of memoized outcomes across all shards.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().map_or(0, |shard| shard.map.len()))
-            .sum()
-    }
-
-    /// Whether the cache holds nothing.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Entries evicted by the capacity bound since creation.
     #[must_use]
     pub fn evictions(&self) -> u64 {
@@ -391,6 +376,17 @@ impl ResultCache {
                     .collect::<Vec<_>>()
             })
             .collect()
+    }
+}
+
+#[cfg(test)]
+impl ResultCache {
+    /// Number of memoized outcomes across all shards.
+    pub(crate) fn len(&self) -> usize {
+        self.shards
+            .iter()
+            .map(|s| s.lock().map_or(0, |shard| shard.map.len()))
+            .sum()
     }
 }
 
@@ -504,7 +500,7 @@ mod tests {
             cache.tamper(&key(7), rotten);
             assert!(cache.get(&key(7)).is_none(), "{what} served");
             assert_eq!(cache.corrupt_dropped(), 1, "{what}");
-            assert!(cache.is_empty(), "{what} stayed resident");
+            assert_eq!(cache.len(), 0, "{what} stayed resident");
         }
     }
 

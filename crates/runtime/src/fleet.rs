@@ -19,7 +19,6 @@ use bios_recover::journal::Disposition;
 use bios_recover::Fnv1a;
 
 use crate::cache::hash_summary;
-use crate::metrics::MetricsSnapshot;
 
 /// One unit of fleet work: calibrate `entry` under `seed`.
 #[derive(Debug, Clone)]
@@ -409,16 +408,12 @@ impl JobResult {
 /// Everything a fleet run produced, in job order.
 #[derive(Debug, Clone)]
 pub struct FleetReport {
-    /// Name of the fleet that ran.
-    pub fleet: String,
     /// Worker threads used (1 for the sequential path).
     pub workers: usize,
     /// End-to-end wall time of the run.
     pub elapsed: Duration,
     /// Per-job results, sorted by job index.
     pub results: Vec<JobResult>,
-    /// Runtime metrics snapshot taken when the run finished.
-    pub metrics: MetricsSnapshot,
 }
 
 impl FleetReport {

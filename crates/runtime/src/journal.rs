@@ -80,8 +80,6 @@ pub struct JournalOptions {
 /// with the freshly executed remainder, in job-index order.
 #[derive(Debug)]
 pub struct ResumeReport {
-    /// Name of the fleet that was resumed.
-    pub fleet: String,
     /// Total jobs in the fleet.
     pub total_jobs: usize,
     /// Jobs skipped because the journal already held their results.
@@ -457,7 +455,6 @@ impl Runtime {
             self.metrics.add(Counter::JournalRetries, w.io_retries());
         }
         Ok(ResumeReport {
-            fleet: fleet.name().to_owned(),
             total_jobs: fleet.len(),
             resumed_jobs,
             executed_jobs: report.results.len(),
@@ -481,7 +478,7 @@ mod tests {
     /// Rewrites the sealed journal at `path` record for record, each
     /// frame valid, with the seal replaced by `(jobs_done, digest)`.
     fn reseal(path: &Path, jobs_done: u64, digest: u64) {
-        let loaded = match JournalReader::load(path) {
+        let loaded = match JournalReader::load_with(&RealIo, path) {
             Ok(l) => l,
             Err(e) => panic!("reference journal unreadable: {e:?}"),
         };

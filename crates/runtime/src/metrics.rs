@@ -1,38 +1,31 @@
-//! Run metrics: atomic counters and a wall-time histogram.
+//! Run metrics: lock-free atomic counters.
 //!
 //! The runtime keeps its observability surface deliberately light —
-//! lock-free atomic counters on the job path and a fixed-bucket
-//! log₂-spaced histogram of per-job wall times — so metering never
-//! perturbs the throughput it measures. Snapshots serialize to JSON by
-//! hand (the platform carries no serialization dependency).
+//! atomic counters on the job path, and no per-job timing beyond the
+//! summed busy time — so metering never perturbs the throughput it
+//! measures.
 //!
-//! A finished job drives four counters and the histogram, so the job
-//! path counts it in a plain `JobTally` and bills the tally in one
-//! step. Fleet runs bill once per result batch, before the batch is
-//! sent to the collector: a snapshot taken mid-run may lag results that
-//! are computed but not yet sent, never results already delivered.
-//! Streams and sequential runs bill per job. End-of-run snapshots are
-//! the same either way.
+//! A finished job drives three counters (completed or failed, hit or
+//! miss, busy time), so the job path counts it in a plain `JobTally`
+//! and bills the tally in one step. Fleet runs bill once per result
+//! batch, before the batch is sent to the collector: a snapshot taken
+//! mid-run may lag results that are computed but not yet sent, never
+//! results already delivered. Streams and sequential runs bill per job.
+//! End-of-run snapshots are the same either way.
 //!
 //! Every counter is declared once, as one row of the `counters!` table
 //! below. The row generates the [`Counter`] variant, its atomic slot in
-//! [`RuntimeMetrics`], the [`MetricsSnapshot`] field, and the JSON key.
+//! [`RuntimeMetrics`], and the [`MetricsSnapshot`] field.
 
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-/// Histogram buckets: bucket `i` counts jobs with wall time in
-/// `[2^i, 2^(i+1))` microseconds; the last bucket is unbounded.
-pub const HISTOGRAM_BUCKETS: usize = 24;
-
-/// Generates [`Counter`], the [`MetricsSnapshot`] fields, the snapshot
-/// loads, and the counter keys of [`MetricsSnapshot::to_json`] from one
-/// table. A row is `field: Variant` for a counter the runtime bumps
+/// Generates [`Counter`], the [`MetricsSnapshot`] fields and the
+/// snapshot loads from one table. A row is `field: Variant` for a counter the runtime bumps
 /// through [`RuntimeMetrics::add`], or a bare `field` for a count the
 /// [`crate::ResultCache`] owns: that one reads 0 in a raw
 /// [`RuntimeMetrics::snapshot`] and [`crate::Runtime::metrics`] merges
-/// it in. Row order is field order and JSON key order.
+/// it in. Row order is field order.
 macro_rules! counters {
     ($( $(#[doc = $doc:literal])+ $field:ident $(: $variant:ident)?, )*) => {
         /// One runtime counter, named after the [`MetricsSnapshot`]
@@ -57,8 +50,6 @@ macro_rules! counters {
         #[derive(Debug, Clone, Copy, PartialEq, Eq)]
         pub struct MetricsSnapshot {
             $( $(#[doc = $doc])+ pub $field: u64, )*
-            /// Per-job wall-time histogram (log₂ µs buckets).
-            pub histogram: [u64; HISTOGRAM_BUCKETS],
         }
 
         impl RuntimeMetrics {
@@ -69,7 +60,6 @@ macro_rules! counters {
             pub fn snapshot(&self) -> MetricsSnapshot {
                 MetricsSnapshot {
                     $( $field: 0 $(+ self.load(Counter::$variant))?, )*
-                    histogram: std::array::from_fn(|i| self.histogram[i].load(Ordering::Relaxed)),
                 }
             }
         }
@@ -81,13 +71,6 @@ macro_rules! counters {
                 match c {
                     $($(Counter::$variant => self.$field,)?)*
                 }
-            }
-        }
-
-        impl MetricsSnapshot {
-            /// Appends `"<field>":<value>,` for every row, in table order.
-            fn write_counters(&self, json: &mut String) {
-                $( let _ = write!(json, "\"{}\":{},", stringify!($field), self.$field); )*
             }
         }
     };
@@ -168,14 +151,12 @@ counters! {
 #[derive(Debug)]
 pub struct RuntimeMetrics {
     counts: [AtomicU64; COUNTERS],
-    histogram: [AtomicU64; HISTOGRAM_BUCKETS],
 }
 
 impl Default for RuntimeMetrics {
     fn default() -> RuntimeMetrics {
         RuntimeMetrics {
             counts: std::array::from_fn(|_| AtomicU64::new(0)),
-            histogram: std::array::from_fn(|_| AtomicU64::new(0)),
         }
     }
 }
@@ -206,11 +187,6 @@ impl RuntimeMetrics {
         self.add(Counter::CacheHits, tally.hits);
         self.add(Counter::CacheMisses, tally.misses);
         self.add(Counter::BusyMicros, tally.busy_micros);
-        for (slot, n) in self.histogram.iter().zip(tally.histogram) {
-            if n > 0 {
-                slot.fetch_add(n, Ordering::Relaxed);
-            }
-        }
     }
 }
 
@@ -225,12 +201,11 @@ pub(crate) struct JobTally {
     hits: u64,
     misses: u64,
     busy_micros: u64,
-    histogram: [u64; HISTOGRAM_BUCKETS],
 }
 
 impl JobTally {
     /// Counts one finished job: success/failure, cache disposition, and
-    /// its wall time.
+    /// its wall time (added to the busy time).
     pub(crate) fn record(&mut self, ok: bool, from_cache: bool, wall: Duration) {
         if ok {
             self.completed += 1;
@@ -244,69 +219,6 @@ impl JobTally {
         }
         let micros = u64::try_from(wall.as_micros()).unwrap_or(u64::MAX);
         self.busy_micros = self.busy_micros.saturating_add(micros);
-        let bucket = (63 - micros.max(1).leading_zeros() as usize).min(HISTOGRAM_BUCKETS - 1);
-        self.histogram[bucket] += 1;
-    }
-}
-
-impl MetricsSnapshot {
-    /// Fraction of finished jobs served from cache, in `[0, 1]`;
-    /// zero when nothing has finished.
-    #[must_use]
-    pub fn cache_hit_rate(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
-    }
-
-    /// Approximate wall-time quantile (e.g. `0.5`, `0.99`) from the
-    /// histogram, reported as the upper edge of the containing bucket
-    /// in microseconds. Zero when the histogram is empty.
-    #[must_use]
-    pub fn wall_quantile_micros(&self, q: f64) -> u64 {
-        let total: u64 = self.histogram.iter().sum();
-        if total == 0 {
-            return 0;
-        }
-        let rank = (q.clamp(0.0, 1.0) * total as f64).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (i, count) in self.histogram.iter().enumerate() {
-            seen += count;
-            if seen >= rank {
-                return 1u64 << (i + 1);
-            }
-        }
-        1u64 << HISTOGRAM_BUCKETS
-    }
-
-    /// Renders the snapshot as a JSON object (hand-rolled; the platform
-    /// carries no serialization dependency): every counter in table
-    /// order, then the derived hit rate and wall quantiles, then the
-    /// non-empty histogram buckets.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut json = String::from("{");
-        self.write_counters(&mut json);
-        let buckets: Vec<String> = self
-            .histogram
-            .iter()
-            .enumerate()
-            .filter(|(_, count)| **count > 0)
-            .map(|(i, count)| format!("{{\"le_micros\":{},\"count\":{count}}}", 1u64 << (i + 1)))
-            .collect();
-        let _ = write!(
-            json,
-            "\"cache_hit_rate\":{:.4},\"wall_p50_micros\":{},\"wall_p99_micros\":{},\
-             \"wall_histogram\":[{}]}}",
-            self.cache_hit_rate(),
-            self.wall_quantile_micros(0.5),
-            self.wall_quantile_micros(0.99),
-            buckets.join(",")
-        );
-        json
     }
 }
 
@@ -329,57 +241,12 @@ mod tests {
         assert_eq!(s.jobs_failed, 1);
         assert_eq!(s.cache_hits, 1);
         assert_eq!(s.cache_misses, 2);
-        assert!((s.cache_hit_rate() - 1.0 / 3.0).abs() < 1e-12);
         assert_eq!(s.busy_micros, 1110);
-    }
-
-    #[test]
-    fn histogram_buckets_by_log2_micros() {
-        let m = RuntimeMetrics::new();
-        let mut tally = JobTally::default();
-        tally.record(true, false, Duration::from_micros(1)); // bucket 0
-        tally.record(true, false, Duration::from_micros(3)); // bucket 1
-        tally.record(true, false, Duration::from_micros(1500)); // bucket 10
-        m.bill(&mut tally);
-        let s = m.snapshot();
-        assert_eq!(s.histogram[0], 1);
-        assert_eq!(s.histogram[1], 1);
-        assert_eq!(s.histogram[10], 1);
-    }
-
-    #[test]
-    fn quantiles_track_the_histogram() {
-        let m = RuntimeMetrics::new();
-        let mut tally = JobTally::default();
-        for _ in 0..99 {
-            tally.record(true, false, Duration::from_micros(100)); // bucket 6
-        }
-        tally.record(true, false, Duration::from_micros(100_000)); // bucket 16
-        m.bill(&mut tally);
-        let s = m.snapshot();
-        assert_eq!(s.wall_quantile_micros(0.5), 1 << 7);
-        assert_eq!(s.wall_quantile_micros(0.999), 1 << 17);
-    }
-
-    #[test]
-    fn json_is_well_formed_enough() {
-        let m = RuntimeMetrics::new();
-        m.add(Counter::JobsSubmitted, 1);
-        let mut tally = JobTally::default();
-        tally.record(true, false, Duration::from_micros(42));
-        m.bill(&mut tally);
-        let json = m.snapshot().to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"jobs_completed\":1"));
-        assert!(json.contains("\"cache_hit_rate\":0.0000"));
-        assert!(json.contains("\"wall_histogram\":[{\"le_micros\":64,\"count\":1}]"));
     }
 
     #[test]
     fn empty_snapshot_is_all_zero() {
         let s = RuntimeMetrics::new().snapshot();
-        assert_eq!(s.cache_hit_rate(), 0.0);
-        assert_eq!(s.wall_quantile_micros(0.99), 0);
         assert!(Counter::ALL.iter().all(|&c| s.get(c) == 0));
         assert_eq!(s.cache_evictions, 0);
         assert_eq!(s.cache_corrupt_dropped, 0);
@@ -399,7 +266,7 @@ mod tests {
     }
 
     #[test]
-    fn every_counter_fills_its_own_field_and_key() {
+    fn every_counter_fills_its_own_field() {
         let m = RuntimeMetrics::new();
         let value = |i: usize| 101 + i as u64;
         for (i, &c) in Counter::ALL.iter().enumerate() {
@@ -411,18 +278,20 @@ mod tests {
         assert_eq!((s.cache_evictions, s.cache_corrupt_dropped), (0, 0));
         s.cache_evictions = 7;
         s.cache_corrupt_dropped = 8;
-        let json = s.to_json();
+        // The derived `Debug` prints `field: value`, so the field a
+        // variant fills must carry the variant's snake-case name.
+        let debug = format!("{s:?}");
         for (i, &c) in Counter::ALL.iter().enumerate() {
-            let key = snake_case(&format!("{c:?}"));
-            assert_eq!(s.get(c), value(i), "{key}");
+            let field = snake_case(&format!("{c:?}"));
+            assert_eq!(s.get(c), value(i), "{field}");
             assert!(
-                json.contains(&format!("\"{key}\":{},", value(i))),
-                "{key} in {json}"
+                debug.contains(&format!(" {field}: {}", value(i))),
+                "{field} in {debug}"
             );
         }
         assert_eq!(s.jobs_submitted, value(0));
         assert_eq!(s.suspects_quarantined, value(Counter::ALL.len() - 1));
-        assert!(json.contains("\"cache_evictions\":7,"));
-        assert!(json.contains("\"cache_corrupt_dropped\":8,"));
+        assert!(debug.contains(" cache_evictions: 7,"));
+        assert!(debug.contains(" cache_corrupt_dropped: 8,"));
     }
 }

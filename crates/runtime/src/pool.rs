@@ -12,12 +12,11 @@
 //!
 //! Three failure modes are survivable instead of fatal:
 //!
-//! * **Spawn failure** — [`WorkerPool::try_new`] reports the OS error;
-//!   [`WorkerPool::new`] keeps whatever threads it managed to spawn. A
-//!   pool with zero live workers still makes progress by running tasks
+//! * **Spawn failure** — [`WorkerPool::new`] keeps whatever threads it
+//!   managed to spawn. A pool with zero live workers still makes progress by running tasks
 //!   inline on the submitting thread.
-//! * **Panicking task** — the worker catches the unwind, records the
-//!   casualty, and *retires itself* (its post-panic state is suspect).
+//! * **Panicking task** — the worker catches the unwind and *retires
+//!   itself* (its post-panic state is suspect).
 //!   The remaining workers keep draining the queue.
 //! * **Dead workers** — [`WorkerPool::heal`] joins retired workers and
 //!   spawns replacements, restoring the pool to its target size. The
@@ -25,7 +24,7 @@
 
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::thread;
@@ -44,14 +43,6 @@ pub enum TaskVerdict {
     Continue,
     /// The worker should retire after this task; `heal` replaces it.
     Retire,
-}
-
-/// Everything one worker thread needs; cloned per spawn so `heal` can
-/// mint replacements.
-#[derive(Debug, Clone)]
-struct WorkerContext {
-    receiver: Arc<Mutex<mpsc::Receiver<Task>>>,
-    panics: Arc<AtomicU64>,
 }
 
 /// A fixed-target pool of worker threads executing boxed tasks in
@@ -79,22 +70,23 @@ struct WorkerContext {
 #[derive(Debug)]
 pub struct WorkerPool {
     sender: Option<mpsc::Sender<Task>>,
-    context: WorkerContext,
+    /// The queue's receiving end, shared by every worker; cloned per
+    /// spawn so `heal` can mint replacements.
+    receiver: Arc<Mutex<mpsc::Receiver<Task>>>,
     workers: Mutex<Vec<thread::JoinHandle<()>>>,
     target: usize,
     /// Monotonic counter so respawned workers get fresh names.
     spawned: AtomicUsize,
-    respawns: AtomicU64,
 }
 
 /// The body of one worker thread: dequeue, run behind `catch_unwind`,
 /// retire on the first caught panic.
-fn worker_loop(context: &WorkerContext) {
+fn worker_loop(receiver: &Mutex<mpsc::Receiver<Task>>) {
     loop {
         // Lock scope ends at the statement: the guard is held across
         // `recv` (the handoff pattern) but released before the task
         // runs, so a panicking task cannot poison the queue.
-        let task = match context.receiver.lock() {
+        let task = match receiver.lock() {
             // bios-audit: allow(L-lock) — deliberate handoff: the guard spans only the recv so exactly one worker dequeues; it is released before the task runs
             Ok(guard) => guard.recv(),
             Err(_) => return, // a sibling died mid-dequeue
@@ -102,13 +94,9 @@ fn worker_loop(context: &WorkerContext) {
         match task {
             Ok(task) => match catch_unwind(AssertUnwindSafe(task)) {
                 Ok(TaskVerdict::Continue) => {}
-                Ok(TaskVerdict::Retire) => return, // caller asked for a fresh thread
-                Err(_) => {
-                    // Record the casualty and retire: the thread exits
-                    // cleanly and `heal` replaces it with a fresh one.
-                    context.panics.fetch_add(1, Ordering::Relaxed);
-                    return;
-                }
+                // The caller asked for a fresh thread, or the task
+                // panicked: retire, and `heal` replaces the worker.
+                Ok(TaskVerdict::Retire) | Err(_) => return,
             },
             Err(_) => return, // channel closed: shutdown
         }
@@ -124,17 +112,12 @@ impl WorkerPool {
     pub fn new(workers: usize) -> WorkerPool {
         let target = workers.max(1);
         let (sender, receiver) = mpsc::channel::<Task>();
-        let context = WorkerContext {
-            receiver: Arc::new(Mutex::new(receiver)),
-            panics: Arc::new(AtomicU64::new(0)),
-        };
         let pool = WorkerPool {
             sender: Some(sender),
-            context,
+            receiver: Arc::new(Mutex::new(receiver)),
             workers: Mutex::new(Vec::with_capacity(target)),
             target,
             spawned: AtomicUsize::new(0),
-            respawns: AtomicU64::new(0),
         };
         if let Ok(mut handles) = pool.workers.lock() {
             for _ in 0..target {
@@ -147,33 +130,13 @@ impl WorkerPool {
         pool
     }
 
-    /// Like [`WorkerPool::new`] but strict: fails with the OS error if
-    /// any of the `workers` threads cannot be spawned.
-    ///
-    /// # Errors
-    ///
-    /// Returns the `io::Error` from `thread::Builder::spawn` when the
-    /// OS refuses a thread.
-    pub fn try_new(workers: usize) -> io::Result<WorkerPool> {
-        let target = workers.max(1);
-        let pool = WorkerPool::new(target);
-        if pool.live_workers() < target {
-            return Err(io::Error::other(format!(
-                "spawned only {}/{} worker threads",
-                pool.live_workers(),
-                target
-            )));
-        }
-        Ok(pool)
-    }
-
     /// Spawns one worker thread with a unique name.
     fn spawn_worker(&self) -> io::Result<thread::JoinHandle<()>> {
         let k = self.spawned.fetch_add(1, Ordering::Relaxed);
-        let context = self.context.clone();
+        let receiver = Arc::clone(&self.receiver);
         thread::Builder::new()
             .name(format!("bios-worker-{k}"))
-            .spawn(move || worker_loop(&context))
+            .spawn(move || worker_loop(&receiver))
     }
 
     /// The worker count the pool aims to keep alive.
@@ -189,18 +152,6 @@ impl WorkerPool {
         self.workers.lock().map_or(0, |handles| {
             handles.iter().filter(|h| !h.is_finished()).count()
         })
-    }
-
-    /// Panics caught from executed tasks since pool creation.
-    #[must_use]
-    pub fn panics_caught(&self) -> u64 {
-        self.context.panics.load(Ordering::Relaxed)
-    }
-
-    /// Workers respawned by [`WorkerPool::heal`] since pool creation.
-    #[must_use]
-    pub fn respawns(&self) -> u64 {
-        self.respawns.load(Ordering::Relaxed)
     }
 
     /// Joins every retired (finished) worker and spawns replacements up
@@ -236,7 +187,6 @@ impl WorkerPool {
         for handle in retired {
             let _ = handle.join();
         }
-        self.respawns.fetch_add(respawned as u64, Ordering::Relaxed);
         respawned
     }
 
@@ -328,12 +278,6 @@ mod tests {
     }
 
     #[test]
-    fn try_new_succeeds_at_sane_sizes() {
-        let pool = WorkerPool::try_new(2).expect("2 threads should spawn");
-        assert_eq!(pool.live_workers(), 2);
-    }
-
-    #[test]
     fn uses_multiple_threads() {
         // Two tasks rendezvous on a barrier: they can only both reach it
         // if the pool runs them on two distinct workers concurrently.
@@ -361,15 +305,14 @@ mod tests {
         for _ in 0..2 {
             pool.execute(|| panic!("injected task panic"));
         }
-        // Wait for both panics to be recorded (workers retire async).
+        // Wait for both workers to retire (they do so async).
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while pool.panics_caught() < 2 && std::time::Instant::now() < deadline {
+        while pool.live_workers() > 0 && std::time::Instant::now() < deadline {
             thread::sleep(Duration::from_millis(5));
         }
-        assert_eq!(pool.panics_caught(), 2);
+        assert_eq!(pool.live_workers(), 0, "each panic retires its worker");
         let respawned = pool.heal();
         assert_eq!(respawned, 2, "both retired workers replaced");
-        assert_eq!(pool.respawns(), 2);
         assert_eq!(pool.live_workers(), 2);
         // The healed pool still executes tasks on worker threads.
         pool.execute(move || {
@@ -402,7 +345,7 @@ mod tests {
     }
 
     #[test]
-    fn retire_verdict_ends_the_worker_without_counting_a_panic() {
+    fn retire_verdict_ends_the_worker() {
         let pool = WorkerPool::new(1);
         pool.execute_judged(|| TaskVerdict::Retire);
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
@@ -410,7 +353,6 @@ mod tests {
             thread::sleep(Duration::from_millis(5));
         }
         assert_eq!(pool.live_workers(), 0, "worker retired on verdict");
-        assert_eq!(pool.panics_caught(), 0, "a verdict is not a panic");
         assert_eq!(pool.heal(), 1, "heal replaces the retired worker");
     }
 

@@ -74,9 +74,9 @@ pub mod merge;
 pub mod route;
 pub mod supervisor;
 
-pub use merge::{ShardPlacement, ShardedReport, TenantStats};
-pub use route::{home_shard, redistribute};
-pub use supervisor::{HealthEvent, QuarantineReason, ShardHealth, ShardSupervisor};
+pub use merge::{ShardPlacement, ShardedReport};
+pub use route::home_shard;
+pub use supervisor::{HealthEvent, ShardSupervisor};
 
 /// Construction knobs for the sharded layer.
 #[derive(Debug, Clone)]
@@ -204,12 +204,6 @@ impl ShardedGateway {
     #[must_use]
     pub fn shards(&self) -> usize {
         self.gateways.len()
-    }
-
-    /// The construction config.
-    #[must_use]
-    pub fn config(&self) -> &ShardConfig {
-        &self.config
     }
 
     /// One shard's gateway, if in range.
@@ -427,7 +421,6 @@ impl ShardedGateway {
         let placement = (0..shards)
             .map(|i| ShardPlacement {
                 shard: i,
-                tenants_homed: homes.iter().filter(|&&h| h == i).count() as u64,
                 completions: completions[i],
                 steals_in: steals_in[i],
                 redistributions_in: redistributions_in[i],
@@ -501,14 +494,6 @@ pub fn tenant_trace(
 /// segments merged back into one fleet-order digest.
 #[derive(Debug)]
 pub struct ShardedFleetReport {
-    /// Jobs in the logical fleet.
-    pub total_jobs: usize,
-    /// Jobs replayed from journal segments instead of re-executing.
-    pub resumed_jobs: usize,
-    /// Jobs executed by this process.
-    pub executed_jobs: usize,
-    /// Jobs routed to each shard, ascending by shard index.
-    pub per_shard_jobs: Vec<usize>,
     digest: String,
 }
 
@@ -520,12 +505,6 @@ impl ShardedFleetReport {
     #[must_use]
     pub fn summaries_digest(&self) -> &str {
         &self.digest
-    }
-
-    /// FNV-1a of [`ShardedFleetReport::summaries_digest`].
-    #[must_use]
-    pub fn digest_fnv(&self) -> u64 {
-        bios_recover::fnv1a(self.digest.as_bytes())
     }
 }
 
@@ -609,7 +588,7 @@ impl ShardedRuntime {
         self.each_segment(fleet, dir.as_ref(), |runtime, sub_fleet, path| {
             let report =
                 runtime.run_journaled_on(backend, sub_fleet, path, JournalOptions::default())?;
-            Ok((0, sub_fleet.len(), report.summaries_digest()))
+            Ok(report.summaries_digest())
         })
     }
 
@@ -635,47 +614,33 @@ impl ShardedRuntime {
     ) -> Result<ShardedFleetReport, JournalError> {
         self.each_segment(fleet, dir.as_ref(), |runtime, sub_fleet, path| {
             let report = runtime.recover_on(backend, sub_fleet, path)?;
-            Ok((
-                report.resumed_jobs,
-                report.executed_jobs,
-                report.summaries_digest().to_owned(),
-            ))
+            Ok(report.summaries_digest().to_owned())
         })
     }
 
     /// Partitions `fleet`, hands each non-empty shard's sub-fleet and
-    /// segment path to `segment` — which returns `(resumed, executed,
-    /// digest)` for it — and merges the per-segment digest lines back
-    /// into fleet job order.
+    /// segment path to `segment` — which returns the digest for it —
+    /// and merges the per-segment digest lines back into fleet job
+    /// order.
     fn each_segment(
         &self,
         fleet: &Fleet,
         dir: &Path,
-        mut segment: impl FnMut(&Runtime, &Fleet, &Path) -> Result<(usize, usize, String), JournalError>,
+        mut segment: impl FnMut(&Runtime, &Fleet, &Path) -> Result<String, JournalError>,
     ) -> Result<ShardedFleetReport, JournalError> {
         let mut lines: Vec<Option<String>> = vec![None; fleet.len()];
-        let mut per_shard_jobs = vec![0usize; self.shards.len()];
-        let mut resumed_jobs = 0usize;
-        let mut executed_jobs = 0usize;
         for (shard, (jobs, orig_of)) in self.partition(fleet).into_iter().enumerate() {
             if jobs.is_empty() {
                 continue;
             }
-            per_shard_jobs[shard] = jobs.len();
             let sub_fleet = fleet.with_jobs(jobs);
             let path = Self::segment_path(dir, shard);
-            let (resumed, executed, digest) = segment(&self.shards[shard], &sub_fleet, &path)?;
-            resumed_jobs += resumed;
-            executed_jobs += executed;
+            let digest = segment(&self.shards[shard], &sub_fleet, &path)?;
             for (line, &orig) in digest.lines().zip(&orig_of) {
                 lines[orig] = Some(line.to_owned());
             }
         }
         Ok(ShardedFleetReport {
-            total_jobs: fleet.len(),
-            resumed_jobs,
-            executed_jobs,
-            per_shard_jobs,
             digest: join_lines(lines),
         })
     }
@@ -945,6 +910,31 @@ mod tests {
             .build()
     }
 
+    /// Jobs the partition routes to each shard, ascending by shard.
+    fn per_shard_jobs(sharded: &ShardedRuntime, fleet: &Fleet) -> Vec<usize> {
+        sharded
+            .partition(fleet)
+            .iter()
+            .map(|(jobs, _)| jobs.len())
+            .collect()
+    }
+
+    /// `(resumed, executed)` jobs summed over the shards' runtimes
+    /// since they were built: each runtime's resumed-jobs counter and
+    /// the jobs it handed to the pool.
+    fn resume_counts(sharded: &ShardedRuntime) -> (usize, usize) {
+        sharded
+            .shards
+            .iter()
+            .map(Runtime::metrics)
+            .fold((0, 0), |(resumed, executed), m| {
+                (
+                    resumed + m.resumed_jobs as usize,
+                    executed + m.jobs_submitted as usize,
+                )
+            })
+    }
+
     #[test]
     fn sharded_journaled_run_matches_the_monolithic_digest() {
         let dir = scratch_dir("journal");
@@ -954,10 +944,11 @@ mod tests {
             Ok(r) => r,
             Err(e) => panic!("journaled run failed: {e:?}"),
         };
-        assert_eq!(report.total_jobs, fleet.len());
-        assert_eq!(report.per_shard_jobs.iter().sum::<usize>(), fleet.len());
+        let per_shard = per_shard_jobs(&sharded, &fleet);
+        assert_eq!(per_shard.iter().sum::<usize>(), fleet.len());
+        assert_eq!(resume_counts(&sharded), (0, fleet.len()));
         assert!(
-            report.per_shard_jobs.iter().filter(|&&n| n > 0).count() > 1,
+            per_shard.iter().filter(|&&n| n > 0).count() > 1,
             "partitioning should spread this fleet over shards"
         );
         let monolithic = Runtime::with_workers(2).run(&fleet);
@@ -974,30 +965,32 @@ mod tests {
             Ok(r) => r,
             Err(e) => panic!("journaled run failed: {e:?}"),
         };
+        let per_shard = per_shard_jobs(&sharded, &fleet);
         // A pure replay resumes everything and executes nothing.
+        let (resumed, executed) = resume_counts(&sharded);
         let replay = match sharded.resume_on(&RealIo, &fleet, &dir) {
             Ok(r) => r,
             Err(e) => panic!("replay failed: {e:?}"),
         };
-        assert_eq!(replay.executed_jobs, 0);
-        assert_eq!(replay.resumed_jobs, fleet.len());
+        let (resumed_after, executed_after) = resume_counts(&sharded);
+        assert_eq!(executed_after - executed, 0);
+        assert_eq!(resumed_after - resumed, fleet.len());
         assert_eq!(replay.summaries_digest(), first.summaries_digest());
         // Delete one populated segment: its shard re-executes fresh,
         // everyone else replays, and the digest is still identical.
-        let victim = match first.per_shard_jobs.iter().position(|&n| n > 0) {
+        let victim = match per_shard.iter().position(|&n| n > 0) {
             Some(v) => v,
             None => panic!("no populated shard"),
         };
         std::fs::remove_file(ShardedRuntime::segment_path(&dir, victim)).ok();
+        let (resumed, executed) = resume_counts(&sharded);
         let partial = match sharded.resume_on(&RealIo, &fleet, &dir) {
             Ok(r) => r,
             Err(e) => panic!("partial resume failed: {e:?}"),
         };
-        assert_eq!(partial.executed_jobs, first.per_shard_jobs[victim]);
-        assert_eq!(
-            partial.resumed_jobs,
-            fleet.len() - first.per_shard_jobs[victim]
-        );
+        let (resumed_after, executed_after) = resume_counts(&sharded);
+        assert_eq!(executed_after - executed, per_shard[victim]);
+        assert_eq!(resumed_after - resumed, fleet.len() - per_shard[victim]);
         assert_eq!(partial.summaries_digest(), first.summaries_digest());
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1045,10 +1038,8 @@ mod tests {
         // ENOSPC casualty (a retired journal is a valid unsealed
         // prefix of complete frames), the runner-up tears mid-frame,
         // everyone else stays sealed.
-        let mut populated: Vec<(usize, usize)> = first
-            .per_shard_jobs
-            .iter()
-            .copied()
+        let mut populated: Vec<(usize, usize)> = per_shard_jobs(&sharded, &fleet)
+            .into_iter()
             .enumerate()
             .filter(|&(_, n)| n > 0)
             .collect();
@@ -1094,7 +1085,8 @@ mod tests {
             panic!("tearing segment failed: {e:?}");
         }
         // Fresh runtimes resume the mixed-health directory.
-        let resumed = match ShardedRuntime::new(&shard_config(3, 2)).resume_on(&io, &fleet, &dir) {
+        let resumer = ShardedRuntime::new(&shard_config(3, 2));
+        let resumed = match resumer.resume_on(&io, &fleet, &dir) {
             Ok(r) => r,
             Err(e) => panic!("mixed-health resume failed: {e:?}"),
         };
@@ -1106,8 +1098,7 @@ mod tests {
         // Exactly the journaled jobs were recovered: the prefix shard
         // lost all but its first record, the torn shard lost one.
         let lost = (prefix_jobs - 1) + 1;
-        assert_eq!(resumed.executed_jobs, lost);
-        assert_eq!(resumed.resumed_jobs, fleet.len() - lost);
+        assert_eq!(resume_counts(&resumer), (fleet.len() - lost, lost));
     }
 
     #[test]
@@ -1248,11 +1239,10 @@ mod tests {
         let dir = scratch_dir("bitflip");
         let fleet = demo_fleet();
         let sharded = ShardedRuntime::new(&shard_config(4, 2));
-        let first = match sharded.run_journaled_on(&RealIo, &fleet, &dir) {
-            Ok(r) => r,
-            Err(e) => panic!("journaled run failed: {e:?}"),
-        };
-        let victim = match first.per_shard_jobs.iter().position(|&n| n > 0) {
+        if let Err(e) = sharded.run_journaled_on(&RealIo, &fleet, &dir) {
+            panic!("journaled run failed: {e:?}");
+        }
+        let victim = match per_shard_jobs(&sharded, &fleet).iter().position(|&n| n > 0) {
             Some(v) => v,
             None => panic!("no populated shard"),
         };

@@ -101,8 +101,6 @@ impl TenantStats {
 pub struct ShardPlacement {
     /// The shard index.
     pub shard: usize,
-    /// Tenants whose home shard this is.
-    pub tenants_homed: u64,
     /// Executed outcomes whose job was dispatched with this shard as
     /// its host.
     pub completions: u64,

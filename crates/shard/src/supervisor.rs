@@ -98,19 +98,6 @@ pub enum QuarantineReason {
     SilentCorrupter,
 }
 
-impl QuarantineReason {
-    /// Stable lowercase label for logs and reports.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            QuarantineReason::DeadlineStorm => "deadline-storm",
-            QuarantineReason::RespawnExhausted => "respawn-exhausted",
-            QuarantineReason::ShardLost => "shard-lost",
-            QuarantineReason::SilentCorrupter => "silent-corrupter",
-        }
-    }
-}
-
 /// A shard's current health as the supervisor sees it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardHealth {
@@ -159,12 +146,6 @@ impl ShardSupervisor {
                 })
                 .collect(),
         }
-    }
-
-    /// Shards under supervision.
-    #[must_use]
-    pub fn shards(&self) -> usize {
-        self.states.len()
     }
 
     /// Folds one event. Events must be fed in the deterministic order
@@ -253,20 +234,6 @@ impl ShardSupervisor {
             .enumerate()
             .filter(|(_, s)| matches!(s.health, ShardHealth::Healthy))
             .map(|(i, _)| i)
-            .collect()
-    }
-
-    /// Every quarantined shard as `(shard, since_tick, reason)`,
-    /// ascending by shard.
-    #[must_use]
-    pub fn quarantined(&self) -> Vec<(usize, u64, QuarantineReason)> {
-        self.states
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| match s.health {
-                ShardHealth::Quarantined { since_tick, reason } => Some((i, since_tick, reason)),
-                ShardHealth::Healthy => None,
-            })
             .collect()
     }
 }
@@ -358,8 +325,11 @@ mod tests {
         // Later events cannot overwrite the quarantine record.
         sup.observe(HealthEvent::DeadlineKill { shard: 2, tick: 12 });
         assert_eq!(
-            sup.quarantined(),
-            vec![(2, 11, QuarantineReason::ShardLost)]
+            sup.health(2),
+            ShardHealth::Quarantined {
+                since_tick: 11,
+                reason: QuarantineReason::ShardLost
+            }
         );
     }
 
@@ -393,15 +363,21 @@ mod tests {
             for &e in events {
                 sup.observe(e);
             }
-            (sup.quarantined(), sup.healthy_shards())
+            ([sup.health(0), sup.health(1)], sup.healthy_shards())
         };
         assert_eq!(run(&events), run(&events));
-        let (quarantined, healthy) = run(&events);
+        let (health, healthy) = run(&events);
         assert_eq!(
-            quarantined,
-            vec![
-                (0, 14, QuarantineReason::DeadlineStorm),
-                (1, 31, QuarantineReason::RespawnExhausted)
+            health,
+            [
+                ShardHealth::Quarantined {
+                    since_tick: 14,
+                    reason: QuarantineReason::DeadlineStorm
+                },
+                ShardHealth::Quarantined {
+                    since_tick: 31,
+                    reason: QuarantineReason::RespawnExhausted
+                }
             ],
             "both shards should trip"
         );

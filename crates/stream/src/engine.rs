@@ -214,12 +214,6 @@ impl StreamEngine {
         StreamEngine { config, gateway }
     }
 
-    /// The stream configuration.
-    #[must_use]
-    pub fn config(&self) -> &StreamConfig {
-        &self.config
-    }
-
     /// Runs the stream to its horizon, drains outstanding
     /// recalibrations, and reports.
     #[must_use]

@@ -68,17 +68,6 @@ impl PatientState {
         self.monitor.rebaseline();
         self.inflight = None;
     }
-
-    /// The patient's mean absolute relative deviation so far (0 when
-    /// no readings have accumulated).
-    #[must_use]
-    pub fn mard(&self) -> f64 {
-        if self.readings == 0 {
-            0.0
-        } else {
-            self.abs_rel_err_sum / self.readings as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -109,14 +98,5 @@ mod tests {
         }
         assert_eq!(state.inflight, None);
         assert_eq!(state.epoch.map(|e| e.index), Some(1));
-    }
-
-    #[test]
-    fn mard_averages_relative_errors() {
-        let mut state = PatientState::new(DriftMonitor::new(4, 3.0));
-        state.abs_rel_err_sum = 0.3;
-        state.readings = 3;
-        assert!((state.mard() - 0.1).abs() < 1e-12);
-        assert!(PatientState::new(DriftMonitor::new(4, 3.0)).mard().abs() < 1e-12);
     }
 }

@@ -49,6 +49,5 @@ pub mod cohort;
 pub mod engine;
 pub mod epoch;
 
-pub use cohort::{Patient, PatientCohort, Physiology};
+pub use cohort::PatientCohort;
 pub use engine::{StreamConfig, StreamEngine, StreamReport};
-pub use epoch::{CalibrationEpoch, PatientState};

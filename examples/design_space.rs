@@ -16,7 +16,7 @@ use biosim::analytics::report::TextTable;
 use biosim::core::protocol::{CalibrationProtocol, Chronoamperometry};
 use biosim::core::sensor::{Biosensor, Technique};
 use biosim::enzyme::{EnzymeFilm, Oxidase, OxidaseKind};
-use biosim::nanomaterial::{Electrode, ElectrodeMaterial, ElectrodeRole, SurfaceModification};
+use biosim::nanomaterial::{Electrode, ElectrodeMaterial, SurfaceModification};
 use biosim::prelude::*;
 use biosim::units::SurfaceLoading;
 
@@ -27,11 +27,7 @@ fn sensor_with_area(area: SquareCm) -> Biosensor {
         .km_shift(1.4)
         .build();
     Biosensor::builder("design-point glucose sensor", Analyte::Glucose)
-        .electrode(Electrode::new(
-            ElectrodeMaterial::Gold,
-            area,
-            ElectrodeRole::Working,
-        ))
+        .electrode(Electrode::new(ElectrodeMaterial::Gold, area))
         .modification(SurfaceModification::mwcnt_nafion())
         .oxidase(Oxidase::stock(OxidaseKind::GlucoseOxidase), film)
         .technique(Technique::paper_chronoamperometry())

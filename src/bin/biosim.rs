@@ -70,10 +70,9 @@ fn cmd_show(id: &str) -> ExitCode {
     }
     println!("analyte:      {}", e.analyte());
     println!(
-        "electrode:    {} {} ({:?})",
+        "electrode:    {} {} (Working)",
         sensor.electrode().material(),
-        sensor.electrode().area(),
-        sensor.electrode().role()
+        sensor.electrode().area()
     );
     println!("modification: {}", sensor.modification());
     println!("probe:        {}", sensor.chemistry().probe_name());
